@@ -23,7 +23,9 @@ def _check_genus(g: int) -> None:
 def _bits_to_int(bits: Iterable[int]) -> int:
     v = 0
     for b in bits:
-        v = (v << 1) | (b & 1)
+        if b not in (0, 1):
+            raise ValueError(f"characteristic entries must be 0 or 1, got {b!r}")
+        v = (v << 1) | int(b)
     return v
 
 
@@ -240,14 +242,6 @@ def is_fundamental_system(s: CharacteristicSet) -> bool:
             for k in range(j + 1, n):
                 if triple_sign(ms[i], ms[j], ms[k]) != -1:
                     return False
-    return True
-
-
-def _all_triples_azygetic_with(new: Characteristic, chosen: list) -> bool:
-    for i in range(len(chosen)):
-        for j in range(i + 1, len(chosen)):
-            if triple_sign(chosen[i], chosen[j], new) != -1:
-                return False
     return True
 
 

@@ -73,36 +73,39 @@ def _load_z(path: str, g: int) -> PhasePoint:
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 def eval_cmd(what, tau_file, z_file, char_str, tol):
     """Evaluate a theta expression at (tau, z); prints a JSON record."""
-    tau = _load_tau(tau_file)
-    z = _load_z(z_file, tau.g)
-    out = {"what": what, "g": tau.g}
-    if what == "theta":
-        if char_str is None:
-            raise click.ClickException("--char is required for theta")
-        value = theta(tau, z, Characteristic.from_string(char_str), tol)
-        out["char"] = char_str
-        out["value"] = [value.real, value.imag]
-    elif what == "theta2":
-        if char_str is None:
-            raise click.ClickException("--char is required for theta2")
-        value = theta2(tau, z, char_str, tol)
-        out["char"] = char_str
-        out["value"] = [value.real, value.imag]
-    elif what == "coble":
-        value, scale = quartics.coble_eval(tau, z, tol)
-        out["value"] = [value.real, value.imag]
-        out["term_scale"] = scale
-        out["normalized_residual"] = abs(value) / scale
-    elif what == "coble-grad":
-        values, scales = quartics.coble_gradient(tau, z, tol)
-        out["values"] = [[v.real, v.imag] for v in values]
-        out["term_scales"] = scales
-        out["normalized_residuals"] = [abs(v) / s for v, s in zip(values, scales)]
-    else:  # kummer2
-        value, scale = quartics.kummer2_eval(tau, z, tol)
-        out["value"] = [value.real, value.imag]
-        out["term_scale"] = scale
-        out["normalized_residual"] = abs(value) / scale
+    try:
+        tau = _load_tau(tau_file)
+        z = _load_z(z_file, tau.g)
+        out = {"what": what, "g": tau.g}
+        if what == "theta":
+            if char_str is None:
+                raise click.ClickException("--char is required for theta")
+            value = theta(tau, z, Characteristic.from_string(char_str), tol)
+            out["char"] = char_str
+            out["value"] = [value.real, value.imag]
+        elif what == "theta2":
+            if char_str is None:
+                raise click.ClickException("--char is required for theta2")
+            value = theta2(tau, z, char_str, tol)
+            out["char"] = char_str
+            out["value"] = [value.real, value.imag]
+        elif what == "coble":
+            value, scale = quartics.coble_eval(tau, z, tol)
+            out["value"] = [value.real, value.imag]
+            out["term_scale"] = scale
+            out["normalized_residual"] = abs(value) / scale
+        elif what == "coble-grad":
+            values, scales = quartics.coble_gradient(tau, z, tol)
+            out["values"] = [[v.real, v.imag] for v in values]
+            out["term_scales"] = scales
+            out["normalized_residuals"] = [abs(v) / s for v, s in zip(values, scales)]
+        else:  # kummer2
+            value, scale = quartics.kummer2_eval(tau, z, tol)
+            out["value"] = [value.real, value.imag]
+            out["term_scale"] = scale
+            out["normalized_residual"] = abs(value) / scale
+    except ValueError as exc:  # bad tau/z/char input or out-of-domain request
+        raise click.ClickException(str(exc)) from exc
     click.echo(json.dumps(out, indent=2))
 
 

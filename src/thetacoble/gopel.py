@@ -209,6 +209,7 @@ def fano_basis() -> tuple[GopelSystem, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def even_coset(system: GopelSystem) -> frozenset:
     """The unique affine translate of the system consisting of 8 even
     characteristics; the system itself for a Fano configuration."""

@@ -26,7 +26,7 @@ from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     even_theta_constants,
-    jacobian_det_cached,
+    jacobian_det,
 )
 
 
@@ -49,11 +49,9 @@ def _complement_product(tau: PeriodMatrix, excluded: frozenset, tol: float) -> c
 def h_fano(tau: PeriodMatrix, system: GopelSystem, tol: float = DEFAULT_TOL) -> complex:
     """H(F) = chi_18 / prod_{n in F} theta_n, computed in product form as the
     product of the 28 even constants outside F."""
-    if tau.g != 3 or system.g != 3:
-        raise ValueError("h_fano is a genus-3 form")
     if system.kind != "fano":
         raise ValueError("h_fano requires a Fano configuration")
-    return _complement_product(tau, system.idx_set(), tol)
+    return h_goepel(tau, system, tol)
 
 
 def h_pascal(tau: PeriodMatrix, system: GopelSystem, tol: float = DEFAULT_TOL) -> complex:
@@ -61,11 +59,14 @@ def h_pascal(tau: PeriodMatrix, system: GopelSystem, tol: float = DEFAULT_TOL) -
     again in complement-product form."""
     if system.kind != "pascal":
         raise ValueError("h_pascal requires a Pascal configuration")
-    return _complement_product(tau, even_coset(system), tol)
+    return h_goepel(tau, system, tol)
 
 
 def h_goepel(tau: PeriodMatrix, system: GopelSystem, tol: float = DEFAULT_TOL) -> complex:
-    """H for either kind of Goepel system, via its even coset."""
+    """H for either kind of Goepel system, via its even coset (a Fano system
+    is its own even coset)."""
+    if tau.g != system.g:
+        raise ValueError("genus mismatch")
     return _complement_product(tau, even_coset(system), tol)
 
 
@@ -96,7 +97,7 @@ def h_via_jacobian(
     n0 = aronhold_base_point(aronhold)
     num = 1.0 + 0.0j
     for (i, j, k) in triples:
-        num *= jacobian_det_cached(tau, (ms[i - 1], ms[j - 1], ms[k - 1]), tol)
+        num *= jacobian_det(tau, (ms[i - 1], ms[j - 1], ms[k - 1]), tol)
     t0 = theta(tau, PhasePoint.zero(3), n0, tol)
     return num / t0**7
 
@@ -225,9 +226,9 @@ def phi_star_triple(tau: PeriodMatrix, n: Characteristic, tol: float = DEFAULT_T
     (i1, i2, i3), _ = odd_triple_partition(n)
     odds = list(enumerate_characteristics(2, "odd"))
     return (
-        jacobian_det_cached(tau, (odds[i1], odds[i2]), tol)
-        * jacobian_det_cached(tau, (odds[i1], odds[i3]), tol)
-        * jacobian_det_cached(tau, (odds[i2], odds[i3]), tol)
+        jacobian_det(tau, (odds[i1], odds[i2]), tol)
+        * jacobian_det(tau, (odds[i1], odds[i3]), tol)
+        * jacobian_det(tau, (odds[i2], odds[i3]), tol)
     )
 
 

@@ -72,19 +72,23 @@ def quartic_monomials(label: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(sorted(mons.items()))
 
 
-def q_basis_eval(label: str, x) -> complex:
-    """Evaluate the labelled invariant quartic at x in C^8."""
-    x = np.asarray(x)
-    if x.shape != (8,):
-        raise ValueError("need 8 variable values")
+def _eval_monomials(mons, x) -> complex:
     total = 0.0 + 0.0j
-    for expo, coef in quartic_monomials(label):
-        term = coef
+    for expo, coef in mons:
+        term = complex(coef)
         for i, e in enumerate(expo):
             if e:
                 term = term * x[i] ** e
         total += term
     return complex(total)
+
+
+def q_basis_eval(label: str, x) -> complex:
+    """Evaluate the labelled invariant quartic at x in C^8."""
+    x = np.asarray(x)
+    if x.shape != (8,):
+        raise ValueError("need 8 variable values")
+    return _eval_monomials(quartic_monomials(label), x)
 
 
 def _gradient_monomials(label: str, var: int):
@@ -96,17 +100,6 @@ def _gradient_monomials(label: str, var: int):
             d[var] -= 1
             out.append((tuple(d), coef * e))
     return out
-
-
-def _eval_monomials(mons, x) -> complex:
-    total = 0.0 + 0.0j
-    for expo, coef in mons:
-        term = complex(coef)
-        for i, e in enumerate(expo):
-            if e:
-                term = term * x[i] ** e
-        total += term
-    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +163,20 @@ def theta2_vector(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL) ->
     return np.array([theta2(tau, z, format(e, f"0{g}b"), tol) for e in range(1 << g)])
 
 
+def coble_at(a: dict[str, complex], x) -> tuple[complex, float]:
+    """The quartic sum_Q a(Q) Q(x) at x in C^8 and its term scale
+    max |a(Q) Q(x)|."""
+    terms = [a[label] * q_basis_eval(label, x) for label in quartic_labels()]
+    return complex(sum(terms)), float(max(abs(t) for t in terms))
+
+
 def coble_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
     """Value of the Coble quartic at x = Theta(tau, z) and the term scale
     max |a(Q) Q(x)| used for residual normalization."""
     if tau.g != 3:
         raise ValueError("the Coble quartic is a genus-3 object")
     x = theta2_vector(tau, z, tol)
-    a = coble_coefficients(s_vector(tau, tol))
-    terms = {label: a[label] * q_basis_eval(label, x) for label in quartic_labels()}
-    value = sum(terms.values())
-    scale = max(abs(t) for t in terms.values())
-    return complex(value), float(scale)
+    return coble_at(coble_coefficients(s_vector(tau, tol)), x)
 
 
 def coble_gradient(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +32,7 @@ from .characteristics import (
     triple_sign,
 )
 from .sampling import random_tau, random_z, stream
-from .theta import PhasePoint, jacobian_det_cached, theta
+from .theta import PhasePoint, jacobian_det, theta
 
 
 @dataclass
@@ -231,6 +232,29 @@ def _action_table(gamma: symplectic.SymplecticMatF2) -> list[int]:
     return [gamma.act(Characteristic(g, i)).idx for i in range(1 << (2 * g))]
 
 
+@lru_cache(maxsize=1)
+def _generator_tables() -> tuple[list[int], ...]:
+    return tuple(_action_table(gmm) for gmm in symplectic.group_generators(3))
+
+
+def _orbit(start: frozenset) -> set[frozenset]:
+    """Orbit of a set of genus-3 characteristic indices under the affine
+    action of Sp(6, F2), by breadth-first search over its generators."""
+    tables = _generator_tables()
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for s in frontier:
+            for t in tables:
+                img = frozenset(t[i] for i in s)
+                if img not in orbit:
+                    orbit.add(img)
+                    new.append(img)
+        frontier = new
+    return orbit
+
+
 def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs = []
     for g, order in symplectic.SP_ORDERS.items():
@@ -314,38 +338,14 @@ def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs.append(_flag("even_relations_preserved_g3", lin_ok))
 
     # orbit of the zero characteristic = all 36 even characteristics
-    gens = symplectic.group_generators(3)
-    orbit = {0}
-    frontier = [0]
-    tables = [_action_table(gmm) for gmm in gens]
-    while frontier:
-        new = []
-        for i in frontier:
-            for t in tables:
-                j = t[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    new.append(j)
-        frontier = new
+    orbit = _orbit(frozenset({0}))
     recs.append(_count("zero_orbit_even36", len(orbit), 36))
     recs.append(
-        _flag("zero_orbit_all_even", all(_parity_idx(3, i) == 1 for i in orbit))
+        _flag("zero_orbit_all_even", all(_parity_idx(3, i) == 1 for (i,) in orbit))
     )
 
     # transitivity on the 288 unordered Aronhold sets
-    start = ARONHOLD_EXAMPLE.idx_set()
-    orbit_sets = {start}
-    frontier_sets = [start]
-    while frontier_sets:
-        new = []
-        for s in frontier_sets:
-            for t in tables:
-                img = frozenset(t[i] for i in s)
-                if img not in orbit_sets:
-                    orbit_sets.add(img)
-                    new.append(img)
-        frontier_sets = new
-    recs.append(_count("aronhold_orbit", len(orbit_sets), 288))
+    recs.append(_count("aronhold_orbit", len(_orbit(ARONHOLD_EXAMPLE.idx_set())), 288))
 
     recs.append(_flag("j_is_symplectic", symplectic.is_symplectic(symplectic.symplectic_j(3))))
     return recs
@@ -423,21 +423,8 @@ def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs.append(_flag("fano_basis_contains_zero", all(Characteristic(3, 0) in f for f in basis)))
 
     # orbit structure of the affine action on the 135 even cosets
-    gens = symplectic.group_generators(3)
-    tables = [_action_table(gmm) for gmm in gens]
     cosets = {gp.even_coset(s) for s in systems}
-    start = gp.even_coset(systems[0])
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for s in frontier:
-            for t in tables:
-                img = frozenset(t[i] for i in s)
-                if img not in orbit:
-                    orbit.add(img)
-                    new.append(img)
-        frontier = new
+    orbit = _orbit(gp.even_coset(systems[0]))
     recs.append(_flag("even_cosets_closed_under_action", orbit <= cosets))
     recs.append(_count("even_coset_orbit_size", len(orbit), 135))
     return recs
@@ -459,7 +446,7 @@ def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     odd1 = Characteristic.from_string("1;1")
     for _ in range(samples):
         tau = random_tau(rng, 1)
-        lhs = jacobian_det_cached(tau, [odd1])
+        lhs = jacobian_det(tau, [odd1])
         rhs = -math.pi * math.prod(
             theta(tau, z0, Characteristic(1, i)) for i in (0, 1, 2)
         )
@@ -479,7 +466,7 @@ def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     def g2_values(tau, pair):
         comp = completions[(pair[0].idx, pair[1].idx)]
         z0 = PhasePoint.zero(2)
-        lhs = jacobian_det_cached(tau, pair)
+        lhs = jacobian_det(tau, pair)
         rhs = -math.pi**2 * math.prod(theta(tau, z0, n) for n in comp)
         return lhs, rhs
 
@@ -513,7 +500,7 @@ def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
         comp = special_fundamental_completion(CharacteristicSet(triple))
 
         def g3_values(tau):
-            lhs = jacobian_det_cached(tau, triple)
+            lhs = jacobian_det(tau, triple)
             rhs = -math.pi**3 * math.prod(theta(tau, PhasePoint.zero(3), n) for n in comp)
             return lhs, rhs
 
@@ -620,9 +607,8 @@ def suite_coble(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     a = quartics.coble_coefficients(modular.s_vector(tau))
     x = np.zeros(8, dtype=complex)
     x[0] = 1.0
-    terms = {lab: a[lab] * quartics.q_basis_eval(lab, x) for lab in quartics.quartic_labels()}
-    scale = max(abs(t) for t in terms.values())
-    recs.append(_flag("coble_nonvanishing_generic", abs(sum(terms.values())) / scale > 0.5))
+    value, scale = quartics.coble_at(a, x)
+    recs.append(_flag("coble_nonvanishing_generic", abs(value) / scale > 0.5))
     return recs
 
 
@@ -699,9 +685,9 @@ def suite_kummer2(seed: int, samples: int, tol: float) -> list[CheckRecord]:
         for tau in taus:
             prod1 = modular.phi_star_triple(tau, n)
             prod2 = (
-                jacobian_det_cached(tau, (odds[u1], odds[u2]))
-                * jacobian_det_cached(tau, (odds[u1], odds[u3]))
-                * jacobian_det_cached(tau, (odds[u2], odds[u3]))
+                jacobian_det(tau, (odds[u1], odds[u2]))
+                * jacobian_det(tau, (odds[u1], odds[u3]))
+                * jacobian_det(tau, (odds[u2], odds[u3]))
             )
             target = math.pi**6 * modular.chi(tau) * theta(tau, z0, n) ** 2
             worst_mag = max(worst_mag, abs(abs(prod1) / abs(target) - 1))

@@ -128,6 +128,16 @@ def _lattice(g: int, radius: int) -> np.ndarray:
     return np.stack([a.ravel() for a in grid], axis=1).astype(float)
 
 
+def _lattice_terms(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float):
+    """The shifted lattice points q = p + m'/2 within the certified radius
+    and the terms exp(pi i (q^t tau q + 2 q.(z + m''/2))) of the theta sum."""
+    radius = truncation_radius(tau, z, tol).radius
+    q = _lattice(tau.g, radius) + np.array(m.mp, float) / 2
+    shift = z.z + np.array(m.mpp, float) / 2
+    expo = np.einsum("ni,ij,nj->n", q, tau.tau, q) + 2.0 * (q @ shift)
+    return q, np.exp(1j * math.pi * expo)
+
+
 def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFAULT_TOL) -> complex:
     """Truncated lattice sum for theta[m'; m''](tau, z).
 
@@ -138,26 +148,17 @@ def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFA
         raise ValueError("genus mismatch")
     if m.is_odd and z.is_zero:
         return 0.0
-    radius = truncation_radius(tau, z, tol).radius
-    p = _lattice(tau.g, radius)
-    q = p + np.array(m.mp, float) / 2
-    shift = z.z + np.array(m.mpp, float) / 2
-    expo = np.einsum("ni,ij,nj->n", q, tau.tau, q) + 2.0 * (q @ shift)
-    return complex(np.exp(1j * math.pi * expo).sum())
+    _, terms = _lattice_terms(tau, z, m, tol)
+    return complex(terms.sum())
 
 
-def theta2(tau: PeriodMatrix, z: PhasePoint, eps, tol: float = DEFAULT_TOL) -> complex:
-    """Second-order theta: Theta[eps](tau, z) = theta[eps; 0](2 tau, 2 z)."""
+def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL) -> complex:
+    """Second-order theta: Theta[eps](tau, z) = theta[eps; 0](2 tau, 2 z), with
+    the top row eps given as a bit string such as "101"."""
     g = tau.g
-    if isinstance(eps, Characteristic):
-        if eps.mpp_int != 0:
-            raise ValueError("second-order characteristic must have zero bottom row")
-        bits = eps.mp
-    else:
-        bits = tuple(int(b) for b in eps)
-        if len(bits) != g:
-            raise ValueError("eps length does not match genus")
-    m = Characteristic.from_bits(bits, (0,) * g)
+    if len(eps) != g:
+        raise ValueError("eps length does not match genus")
+    m = Characteristic.from_bits([int(b) for b in eps], (0,) * g)
     return theta(PeriodMatrix(g, 2 * tau.tau), PhasePoint(g, 2 * z.z), m, tol)
 
 
@@ -171,69 +172,62 @@ def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TO
         raise ValueError("genus mismatch")
     if m.is_even:
         raise ValueError("gradient at z = 0 requires an odd characteristic")
-    radius = truncation_radius(tau, PhasePoint.zero(tau.g), tol).radius
-    p = _lattice(tau.g, radius)
-    q = p + np.array(m.mp, float) / 2
-    expo = np.einsum("ni,ij,nj->n", q, tau.tau, q) + q @ np.array(m.mpp, float)
-    w = np.exp(1j * math.pi * expo)
+    q, w = _lattice_terms(tau, PhasePoint.zero(tau.g), m, tol)
     return 2j * math.pi * (q * w[:, None]).sum(axis=0)
 
 
+# One bounded memo for the even constants and the odd gradients at each tau;
+# the whole memo is dropped once it holds more than _MEMO_CAP entries.
+_MEMO: dict[tuple, object] = {}
+_MEMO_CAP = 4096
+
+
+def _remember(key: tuple, value):
+    if len(_MEMO) > _MEMO_CAP:
+        _MEMO.clear()
+    _MEMO[key] = value
+    return value
+
+
+def even_theta_constants(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> dict[int, complex]:
+    """All even theta constants at tau, keyed by characteristic index; memoized
+    per (tau, tol)."""
+    key = tau.cache_key() + (tol,)
+    hit = _MEMO.get(key)
+    if hit is None:
+        z0 = PhasePoint.zero(tau.g)
+        hit = _remember(key, {
+            m.idx: theta(tau, z0, m, tol)
+            for m in enumerate_characteristics(tau.g, "even")
+        })
+    return hit
+
+
+def cached_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """theta_gradient(tau, m, tol), memoized per (tau, m, tol)."""
+    if tau.g != m.g:
+        raise ValueError("genus mismatch")
+    key = tau.cache_key() + (m.idx, tol)
+    hit = _MEMO.get(key)
+    if hit is None:
+        hit = _remember(key, theta_gradient(tau, m, tol))
+    return hit
+
+
 def jacobian_det(tau: PeriodMatrix, ms, tol: float = DEFAULT_TOL) -> complex:
-    """Determinant of the g x g matrix of theta gradients at z = 0."""
+    """Determinant of the g x g matrix of theta gradients at z = 0, on
+    memoized gradients."""
     ms = list(ms)
     g = tau.g
     if len(ms) != g:
         raise ValueError(f"need exactly {g} odd characteristics")
     if len({m.idx for m in ms}) != g:
         raise ValueError("characteristics must be pairwise distinct")
-    rows = [theta_gradient(tau, m, tol) for m in ms]
+    rows = [cached_gradient(tau, m, tol) for m in ms]
     if g == 1:
         return complex(rows[0][0])
     return complex(np.linalg.det(np.array(rows)))
 
 
-_CONSTANTS_CACHE: dict[tuple, dict[int, complex]] = {}
-
-
-def even_theta_constants(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> dict[int, complex]:
-    """All even theta constants at tau, keyed by characteristic index.
-
-    Cached per (tau, tol); the cache is bounded to keep long runs in check.
-    """
-    key = tau.cache_key() + (tol,)
-    hit = _CONSTANTS_CACHE.get(key)
-    if hit is None:
-        z0 = PhasePoint.zero(tau.g)
-        hit = {
-            m.idx: theta(tau, z0, m, tol)
-            for m in enumerate_characteristics(tau.g, "even")
-        }
-        if len(_CONSTANTS_CACHE) > 512:
-            _CONSTANTS_CACHE.clear()
-        _CONSTANTS_CACHE[key] = hit
-    return hit
-
-
-_GRADIENT_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def cached_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TOL) -> np.ndarray:
-    key = tau.cache_key() + (m.idx, tol)
-    hit = _GRADIENT_CACHE.get(key)
-    if hit is None:
-        hit = theta_gradient(tau, m, tol)
-        if len(_GRADIENT_CACHE) > 4096:
-            _GRADIENT_CACHE.clear()
-        _GRADIENT_CACHE[key] = hit
-    return hit
-
-
-def jacobian_det_cached(tau: PeriodMatrix, ms, tol: float = DEFAULT_TOL) -> complex:
-    ms = list(ms)
-    if len({m.idx for m in ms}) != tau.g:
-        raise ValueError("characteristics must be pairwise distinct")
-    rows = [cached_gradient(tau, m, tol) for m in ms]
-    if tau.g == 1:
-        return complex(rows[0][0])
-    return complex(np.linalg.det(np.array(rows)))
+# perfbench/tracer.py wraps this name; it is the same function.
+jacobian_det_cached = jacobian_det

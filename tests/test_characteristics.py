@@ -63,7 +63,7 @@ class TestBasics:
         assert s.mpp == tuple((x + y) % 2 for x, y in zip(a.mpp, b.mpp))
 
     def test_malformed_strings(self):
-        for bad in ("000", "00;0", ";", "00;abc"):
+        for bad in ("000", "00;0", ";", "00;abc", "222;222", "012;000"):
             with pytest.raises(ValueError):
                 Characteristic.from_string(bad)
 

@@ -104,6 +104,14 @@ class TestEval:
         assert len(out["values"]) == 8
         assert max(out["normalized_residuals"]) < 1e-10
 
+    def test_genus_mismatch_is_a_clean_error(self, runner, tau3_file):
+        res = runner.invoke(
+            main, ["eval", "theta", "--tau", tau3_file, "--char", "00;00"]
+        )
+        assert res.exit_code == 1
+        assert "genus mismatch" in res.output
+        assert isinstance(res.exception, SystemExit)
+
     def test_kummer2(self, runner, tau2_file):
         res = runner.invoke(main, ["eval", "kummer2", "--tau", tau2_file])
         assert res.exit_code == 0

@@ -59,6 +59,14 @@ class TestHForms:
         with pytest.raises(ValueError):
             modular.h_pascal(TAU3, fano)
 
+    def test_genus_mismatch_rejected(self):
+        tau2 = modular.reference_tau2()
+        fano = next(s for s in enumerate_gopel(3) if s.kind == "fano")
+        pascal = next(s for s in enumerate_gopel(3) if s.kind == "pascal")
+        for h, s in ((modular.h_fano, fano), (modular.h_pascal, pascal), (modular.h_goepel, pascal)):
+            with pytest.raises(ValueError, match="genus mismatch"):
+                h(tau2, s)
+
 
 class TestDualRoute:
     def test_ratio_is_constant_sign_times_pi21(self):

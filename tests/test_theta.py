@@ -130,12 +130,28 @@ class TestJacobianDet:
         b = th.jacobian_det(tau, [odds[1], odds[0]])
         assert abs(a + b) < 1e-12 * abs(a)
 
-    def test_cached_matches_direct(self):
+    def test_cached_gradient_is_theta_gradient(self):
+        # a tau no other test evaluates, so the first call is a memo miss
+        tau = random_tau(stream(7, "test_theta.cached_gradient"), 3)
+        m = list(enumerate_characteristics(3, "odd"))[0]
+        want = th.theta_gradient(tau, m)
+        miss = th.cached_gradient(tau, m)
+        hit = th.cached_gradient(tau, m)
+        assert np.array_equal(miss, want)
+        assert hit is miss
+
+    def test_cached_gradient_rejects_genus_mismatch(self):
+        # the memo key holds the index, not the genus, of the characteristic
         tau = TAUS[3][0]
-        odds = list(enumerate_characteristics(3, "odd"))[:3]
-        assert th.jacobian_det(tau, odds) == pytest.approx(
-            th.jacobian_det_cached(tau, odds), rel=1e-12
-        )
+        m = list(enumerate_characteristics(3, "odd"))[0]
+        th.cached_gradient(tau, m)
+        with pytest.raises(ValueError, match="genus mismatch"):
+            th.cached_gradient(tau, Characteristic(2, m.idx))
+
+    def test_rejects_wrong_count(self):
+        odds = list(enumerate_characteristics(3, "odd"))
+        with pytest.raises(ValueError, match="need exactly 3"):
+            th.jacobian_det(TAUS[3][0], odds[:2])
 
     def test_rejects_duplicates(self):
         odds = list(enumerate_characteristics(2, "odd"))
@@ -156,6 +172,10 @@ class TestSecondOrder:
                 th.PeriodMatrix(g, 2 * tau.tau), th.PhasePoint(g, 2 * z.z), m
             )
             assert direct == expect
+
+    def test_rejects_non_binary_digits(self):
+        with pytest.raises(ValueError):
+            th.theta2(TAUS[3][0], th.PhasePoint.zero(3), "012")
 
     def test_even_in_z(self):
         g = 3
