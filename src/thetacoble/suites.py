@@ -2,7 +2,12 @@
 
 Each suite runs a family of checks with a seeded PRNG stream per check and
 returns a Report whose JSON serialization is bit-identical for identical
-(name, seed, samples, tol) apart from the wall time field.
+(name, seed, samples, tol) apart from the wall time field, provided the BLAS
+thread count is fixed.  The singular-value gaps `w_sv_gap` (wrank) and
+`bracket_sv_gap` (points) divide by the 16th singular value of a rank-15
+matrix, which is round-off; its last digits follow the BLAS summation order,
+which changes with the thread count.  Their pass/fail does not: the gaps sit
+many decades above the 1e6 threshold.
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ most significant bit, matching the characteristic encoding.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .characteristics import Characteristic, _check_genus
+from .characteristics import Characteristic, _check_genus, _pairing_idx
 
 # ---------------------------------------------------------------------------
 # bit-matrix helpers (rows as integers, width bits per row)
@@ -206,93 +206,63 @@ SP_ORDERS = {1: 6, 2: 720, 3: 1451520}
 
 
 class GroupEnumeration:
-    """The full enumeration of Sp(2g, F_2), in BFS discovery order.
+    """The full enumeration of Sp(2g, F_2), sorted.
 
-    Elements are stored packed as (2g)^2-bit integers in a numpy uint64 array;
-    a sorted copy supports O(log n) membership tests.
+    Elements are stored packed as (2g)^2-bit integers in a sorted numpy
+    uint64 array, which gives O(log n) membership tests.
     """
 
     def __init__(self, g: int, packed: np.ndarray):
         self.g = g
         self.packed = packed
-        self.sorted_packed = np.sort(packed)
 
     def __len__(self) -> int:
         return len(self.packed)
 
     def __contains__(self, gamma: SymplecticMatF2) -> bool:
         p = np.uint64(gamma.packed())
-        i = int(np.searchsorted(self.sorted_packed, p))
-        return i < len(self.sorted_packed) and self.sorted_packed[i] == p
+        i = int(np.searchsorted(self.packed, p))
+        return i < len(self.packed) and self.packed[i] == p
 
     def element(self, i: int) -> SymplecticMatF2:
         return SymplecticMatF2.from_packed(self.g, int(self.packed[i]))
 
 
-def _rowmap(gen_rows: tuple[int, ...], w: int) -> np.ndarray:
-    """Lookup table r -> r * G for all 2^w row values."""
-    table = np.zeros(1 << w, dtype=np.uint64)
-    for r in range(1 << w):
-        acc = 0
-        for j in range(w):
-            if (r >> (w - 1 - j)) & 1:
-                acc ^= gen_rows[j]
-        table[r] = acc
-    return table
+def _symplectic_bases(g: int) -> np.ndarray:
+    """All row tuples of F_2^{2g} with Gram matrix J under the pairing, packed
+    and sorted.  Such rows are a basis, so these are the matrices of Sp(2g, F_2).
 
-
-def _bfs_closure(g: int) -> np.ndarray:
-    """Breadth-first closure from {J} and the translation matrices."""
+    Row k is chosen among all 2^{2g} vectors, keeping for each partial basis
+    those whose pairing with every earlier row i equals J[i][k].
+    """
     w = 2 * g
-    gens = group_generators(g)
-    tables = [_rowmap(gen.rows, w) for gen in gens]
-    shifts = np.array([w * (w - 1 - i) for i in range(w)], dtype=np.uint64)
-
-    def pack(states: np.ndarray) -> np.ndarray:
-        return (states.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-
-    ident = np.array([bm_identity(w)], dtype=np.uint64)
-    visited = pack(ident)
-    order = [visited.copy()]
-    frontier = ident
-    while len(frontier):
-        new_packed = None
-        for table in tables:
-            cand = table[frontier]
-            cp = np.unique(pack(cand))
-            pos = np.searchsorted(visited, cp)
-            pos[pos >= len(visited)] = 0
-            fresh = cp[visited[pos] != cp] if len(visited) else cp
-            if new_packed is None:
-                new_packed = fresh
-            else:
-                new_packed = np.union1d(new_packed, fresh)
-        if new_packed is None or not len(new_packed):
-            break
-        order.append(new_packed)
-        visited = np.union1d(visited, new_packed)
-        frontier = np.column_stack(
-            [(new_packed >> np.uint64(s)) & np.uint64((1 << w) - 1) for s in shifts]
-        )
-    return np.concatenate(order)
+    n = 1 << w
+    odd = np.array([[_pairing_idx(g, a, b) == -1 for b in range(n)] for a in range(n)])
+    match = (~odd, odd)  # match[e][a, b]: the pairing of a and b is e
+    j = symplectic_j(g)
+    rows: list[np.ndarray] = []  # rows[i][t]: row i of partial basis t
+    for k in range(w):
+        keep = np.ones((len(rows[0]) if rows else 1, n), dtype=bool)
+        for i, row in enumerate(rows):
+            keep &= match[(j[i] >> (w - 1 - k)) & 1][row]
+        t, v = np.nonzero(keep)
+        rows = [row[t] for row in rows] + [v.astype(np.uint8)]
+    packed = np.zeros(len(rows[0]), dtype=np.uint64)
+    for row in rows:
+        packed = (packed << np.uint64(w)) | row
+    return np.sort(packed)
 
 
-_ENUM_CACHE: dict[int, GroupEnumeration] = {}
-_ENUM_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def enumerate_group(g: int) -> GroupEnumeration:
     """Enumerate Sp(2g, F_2); built once per process and cached."""
     _check_genus(g)
-    with _ENUM_LOCK:
-        if g not in _ENUM_CACHE:
-            enum = GroupEnumeration(g, _bfs_closure(g))
-            if len(enum) != SP_ORDERS[g]:
-                raise AssertionError(
-                    f"|Sp({2*g}, F2)| = {len(enum)}, expected {SP_ORDERS[g]}"
-                )
-            _ENUM_CACHE[g] = enum
-        return _ENUM_CACHE[g]
+    packed = _symplectic_bases(g)
+    if len(packed) != SP_ORDERS[g]:
+        raise AssertionError(f"|Sp({2*g}, F2)| = {len(packed)}, expected {SP_ORDERS[g]}")
+    if not np.all(packed[1:] > packed[:-1]):
+        raise AssertionError(f"Sp({2*g}, F2) enumeration has repeated elements")
+    return GroupEnumeration(g, packed)
 
 
 def has_zero_c_block(gamma: SymplecticMatF2) -> bool:
@@ -302,10 +272,7 @@ def has_zero_c_block(gamma: SymplecticMatF2) -> bool:
 def _complete_to_symplectic_basis(g: int, lag_basis: list[int]) -> SymplecticMatF2:
     """Build gamma in Sp(2g, F2) whose linear action maps {m'=0} onto the
     Lagrangian spanned by lag_basis (packed 2g-bit vectors)."""
-    from .characteristics import _pairing_idx
-
     w = 2 * g
-    span_w = set(lag_basis)
 
     def pair_bit(a: int, b: int) -> int:
         return 1 if _pairing_idx(g, a, b) == -1 else 0

@@ -19,6 +19,14 @@ from .characteristics import Characteristic, enumerate_characteristics
 DEFAULT_TOL = 1e-12
 
 
+def _json_fields(data: dict, what: str, *keys: str) -> list:
+    """The values of keys in a JSON object; ValueError naming a missing key."""
+    for key in keys:
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"{what} JSON is missing the key {key!r}")
+    return [data[key] for key in keys]
+
+
 @dataclass(frozen=True)
 class PeriodMatrix:
     """A complex symmetric g x g matrix with positive-definite imaginary part."""
@@ -43,8 +51,8 @@ class PeriodMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "PeriodMatrix":
-        g = int(data["g"])
-        return cls(g, np.array(data["re"], float) + 1j * np.array(data["im"], float))
+        g, re, im = _json_fields(data, "tau", "g", "re", "im")
+        return cls(int(g), np.array(re, float) + 1j * np.array(im, float))
 
     def to_json(self) -> dict:
         return {"g": self.g, "re": self.tau.real.tolist(), "im": self.tau.imag.tolist()}
@@ -73,7 +81,8 @@ class PhasePoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "PhasePoint":
-        z = np.array(data["re"], float) + 1j * np.array(data["im"], float)
+        re, im = _json_fields(data, "z", "re", "im")
+        z = np.array(re, float) + 1j * np.array(im, float)
         return cls(len(z), z)
 
     def to_json(self) -> dict:

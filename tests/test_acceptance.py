@@ -3,12 +3,19 @@ PASS/FAIL line.  Tolerances are pinned here and must not be loosened.
 """
 
 import sys
+from functools import lru_cache
 
-from thetacoble.suites import run_suite, SUITES
+from thetacoble.suites import SUITES
 
 from conftest import criterion_lines
 
 SEED = 1
+
+
+@lru_cache(maxsize=None)
+def _records(suite, seed, samples, tol):
+    """Run a suite once per (suite, seed, samples, tol); criteria share it."""
+    return tuple(SUITES[suite](seed, samples, tol))
 
 
 def _criterion(number, title, records, wanted=None):
@@ -30,8 +37,8 @@ def _criterion(number, title, records, wanted=None):
 
 
 def test_criterion_01_exact_counts():
-    combo = SUITES["combinatorics"](SEED, 0, 0.0)
-    group = SUITES["group"](SEED, 0, 0.0)
+    combo = _records("combinatorics", SEED, 0, 0.0)
+    group = _records("group", SEED, 0, 0.0)
     _criterion(
         1,
         "exact counts (36/28, 135 = 30 + 105, 288, |Sp(6,F2)|, parabolic 135)",
@@ -44,7 +51,7 @@ def test_criterion_01_exact_counts():
 
 
 def test_criterion_02_completion_suite():
-    combo = SUITES["combinatorics"](SEED, 0, 0.0)
+    combo = _records("combinatorics", SEED, 0, 0.0)
     _criterion(
         2,
         "completion suite (triples, intersections, 1+7+21+35, genus-2 uniqueness)",
@@ -59,7 +66,7 @@ def test_criterion_02_completion_suite():
 
 
 def test_criterion_03_jacobi_identities():
-    recs = SUITES["jacobi"](SEED, 20, 1e-8)
+    recs = _records("jacobi", SEED, 20, 1e-8)
     _criterion(
         3,
         "Jacobi derivative identities g=1,2,3 at 20 seeded tau, rel < 1e-8",
@@ -69,7 +76,7 @@ def test_criterion_03_jacobi_identities():
 
 
 def test_criterion_04_dual_route_hf():
-    recs = SUITES["jacobi"](SEED, 20, 1e-8)
+    recs = _records("jacobi", SEED, 20, 1e-8)
     _criterion(
         4,
         "dual-route H(F) = +-pi^21 for 5 Fano systems at 10 tau, rel < 1e-8",
@@ -79,21 +86,21 @@ def test_criterion_04_dual_route_hf():
 
 
 def test_criterion_05_riemann_addition():
-    recs = SUITES["riemann"](SEED, 10, 1e-8)
+    recs = _records("riemann", SEED, 10, 1e-8)
     _criterion(
         5, "all 105 Riemann sign pairs stable at 10 tau, rel < 1e-8", recs
     )
 
 
 def test_criterion_06_w_rank():
-    recs = SUITES["wrank"](SEED, 40, 0.0)
+    recs = _records("wrank", SEED, 40, 0.0)
     _criterion(
         6, "135 Goepel forms span rank 15 with sv gap >= 1e6 over 40 samples", recs
     )
 
 
 def test_criterion_07_coble_vanishing():
-    recs = SUITES["coble"](SEED, 20, 1e-7)
+    recs = _records("coble", SEED, 20, 1e-7)
     _criterion(
         7,
         "Coble quartic and all 8 gradient cubics vanish (< 1e-7) at 20 (tau, z)",
@@ -103,7 +110,7 @@ def test_criterion_07_coble_vanishing():
 
 
 def test_criterion_08_coble_modularity():
-    recs = SUITES["modularity"](SEED, 10, 1e-6)
+    recs = _records("modularity", SEED, 10, 1e-6)
     _criterion(
         8,
         "modularity residual < 1e-6 for inversion and 5 translations at 10 (tau, z)",
@@ -113,7 +120,7 @@ def test_criterion_08_coble_modularity():
 
 
 def test_criterion_09_kummer_surface():
-    recs = SUITES["kummer2"](SEED, 20, 1e-8)
+    recs = _records("kummer2", SEED, 20, 1e-8)
     _criterion(
         9,
         "universal Kummer vanishing at 20 (tau, z) and triple-product identity, < 1e-8",
@@ -126,7 +133,7 @@ def test_criterion_09_kummer_surface():
 
 
 def test_criterion_10_segre_identity():
-    recs = SUITES["segre"](SEED, 50, 1e-10)
+    recs = _records("segre", SEED, 50, 1e-10)
     _criterion(
         10, "Segre cubic identity < 1e-10 at 50 configurations", recs,
         wanted={"segre_identity"},
@@ -134,7 +141,7 @@ def test_criterion_10_segre_identity():
 
 
 def test_criterion_11_igusa_tuple():
-    recs = SUITES["igusa"](SEED, 0, 1e-8)
+    recs = _records("igusa", SEED, 0, 1e-8)
     _criterion(
         11,
         "Igusa tuple search succeeds and holdout residual < 1e-8 at 10 fresh tau",
@@ -143,7 +150,7 @@ def test_criterion_11_igusa_tuple():
 
 
 def test_criterion_12_bracket_span():
-    recs = SUITES["points"](SEED, 60, 0.0)
+    recs = _records("points", SEED, 60, 0.0)
     _criterion(
         12, "G_F / G_P values span rank 15 over 60 configurations", recs,
         wanted={"bracket_span_rank", "bracket_sv_gap"},

@@ -112,6 +112,22 @@ class TestEval:
         assert "genus mismatch" in res.output
         assert isinstance(res.exception, SystemExit)
 
+    def test_tau_missing_key_is_a_clean_error(self, runner, tmp_path):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"re": [[0.1]], "im": [[1.0]]}))
+        res = runner.invoke(main, ["eval", "theta", "--tau", str(path), "--char", "0;0"])
+        assert res.exit_code == 1
+        assert "'g'" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    def test_z_missing_key_is_a_clean_error(self, runner, tau3_file, tmp_path):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"re": [0.1, -0.2, 0.05]}))
+        res = runner.invoke(main, ["eval", "coble", "--tau", tau3_file, "--z", str(path)])
+        assert res.exit_code == 1
+        assert "'im'" in res.output
+        assert isinstance(res.exception, SystemExit)
+
     def test_kummer2(self, runner, tau2_file):
         res = runner.invoke(main, ["eval", "kummer2", "--tau", tau2_file])
         assert res.exit_code == 0

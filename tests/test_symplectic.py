@@ -71,6 +71,33 @@ class TestGroupStructure:
         assert len(sp.enumerate_group(1)) == 6
         assert len(sp.enumerate_group(2)) == 720
 
+    @pytest.mark.parametrize("g", (1, 2))
+    def test_enumeration_equals_generator_closure(self, g):
+        # reference: closure of the identity under bm_mul products of the generators
+        gens = sp.group_generators(g)
+        ident = sp.SymplecticMatF2.identity(g)
+        seen = {ident.packed()}
+        frontier = [ident]
+        while frontier:
+            new = []
+            for a in frontier:
+                for gen in gens:
+                    b = a * gen
+                    if b.packed() not in seen:
+                        seen.add(b.packed())
+                        new.append(b)
+            frontier = new
+        assert {int(p) for p in sp.enumerate_group(g).packed} == seen
+
+    def test_g3_enumeration_sorted_and_symplectic(self):
+        enum = sp.enumerate_group(3)
+        assert len(enum) == 1451520
+        assert np.all(enum.packed[1:] > enum.packed[:-1])
+        rng = np.random.default_rng(5)
+        for i in rng.integers(len(enum), size=1000):
+            gamma = sp.SymplecticMatF2.from_packed(3, int(enum.packed[i]))
+            assert sp.is_symplectic(gamma.rows)
+
     def test_packed_round_trip(self):
         for gen in sp.group_generators(2):
             assert sp.SymplecticMatF2.from_packed(2, gen.packed()) == gen
