@@ -2,13 +2,15 @@
 functions, z-gradients at z = 0, and Jacobian determinants.
 
 All lattice sums are truncated at a radius carrying a certified Gaussian tail
-bound; double-precision complex arithmetic throughout.  The verification
-domain keeps lambda_min(Im tau) >= 0.5 so radii stay small.
+bound; double-precision complex arithmetic throughout.  Each term on the shell
+|p|_inf = r is at most exp(-pi lambda_min (r - 1/2)^2 + 2 pi (r + 1/2) |Im z|_1),
+lambda_min the smallest eigenvalue of Im tau.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -39,6 +41,8 @@ class PeriodMatrix:
         tau = np.asarray(self.tau, dtype=complex)
         if tau.shape != (self.g, self.g):
             raise ValueError("tau shape does not match genus")
+        if not np.all(np.isfinite(tau)):
+            raise ValueError("tau entries must be finite")
         if not np.allclose(tau, tau.T, rtol=0, atol=1e-12):
             raise ValueError("tau must be symmetric")
         tau = (tau + tau.T) / 2
@@ -104,46 +108,80 @@ class TruncationSpec:
             raise ValueError("tail bound exceeds the requested tolerance")
 
 
-def _tail_bound(g: int, lam: float, imz_l1: float, radius: int) -> float:
-    """Sum over shells |p|_inf = r > radius of the Gaussian-geometric bound
-    count(r) * exp(-pi lam (r - 1/2)^2 + 2 pi |Im z|_1 (g r + g))."""
-    total = 0.0
-    for r in range(radius + 1, radius + 400):
-        count = (2 * r + 1) ** g - (2 * r - 1) ** g
-        log_term = -math.pi * lam * (r - 0.5) ** 2 + 2 * math.pi * imz_l1 * (g * r + g)
-        term = count * math.exp(max(log_term, -745.0)) if log_term > -745.0 else 0.0
-        total += term
-        if term < 1e-320 and r > radius + 2:
-            break
-    return total
+# Shells |p|_inf = 1 .. _SHELLS carry the tail sums; the radius stops at
+# _MAX_RADIUS, so every tail adds at least 400 shells past the radius.
+_MAX_RADIUS = 199
+_SHELLS = _MAX_RADIUS + 400
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+
+
+def _term_log_bound(lam: float, imz_l1: float, r):
+    """Upper bound on log|term| for every lattice point p with |p|_inf = r >= 1.
+
+    With q = p + m'/2, |q|_inf lies in [r - 1/2, r + 1/2], so the term's
+    log-modulus -pi q^t Im(tau) q - 2 pi q.(Im z) is at most
+    -pi lam (r - 1/2)^2 + 2 pi (r + 1/2) |Im z|_1.
+    """
+    return -math.pi * lam * (r - 0.5) ** 2 + 2 * math.pi * (r + 0.5) * imz_l1
+
+
+@lru_cache(maxsize=256)
+def _radius(g: int, lam: float, imz_l1: float, tol: float) -> tuple[int, float]:
+    """The smallest radius <= _MAX_RADIUS whose tail bound is below tol, and
+    that bound.  The tail past radius R is the sum over shells r > R of the
+    shell's point count (2r + 1)^g - (2r - 1)^g times its term bound,
+    summed in the log domain."""
+    r = np.arange(1, _SHELLS + 1, dtype=float)
+    log_count = g * np.log(2 * r + 1) + np.log1p(-(((2 * r - 1) / (2 * r + 1)) ** g))
+    log_shell = log_count + _term_log_bound(lam, imz_l1, r)
+    # log_tail[k] = log of the sum over shells r >= k + 1
+    log_tail = np.logaddexp.accumulate(log_shell[::-1])[::-1]
+    # shell 0 is one point with |q|_inf <= 1/2: term bound pi |Im z|_1
+    if np.logaddexp(math.pi * imz_l1, log_tail[0]) >= _LOG_DOUBLE_MAX:
+        raise ValueError(
+            f"theta terms overflow double precision at lambda_min = {lam:.6g}, "
+            f"|Im z|_1 = {imz_l1:.6g}"
+        )
+    tails = np.exp(log_tail[1:_MAX_RADIUS + 1])  # tails[R - 1]: shells > R
+    below = np.flatnonzero(tails < tol)
+    if below.size == 0:
+        raise ValueError("truncation radius exceeds the supported range")
+    return int(below[0]) + 1, float(tails[below[0]])
 
 
 def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL) -> TruncationSpec:
-    """Minimal radius whose certified tail bound falls below tol."""
+    """Minimal radius whose certified tail bound falls below tol.
+
+    Raises ValueError when the terms of the sum would overflow double
+    precision or no radius up to 199 suffices.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     imz_l1 = float(np.abs(z.z.imag).sum())
-    for radius in range(1, 200):
-        bound = _tail_bound(tau.g, tau.lambda_min, imz_l1, radius)
-        if bound < tol:
-            return TruncationSpec(radius, tol, bound)
-    raise ValueError("truncation radius exceeds the supported range")
+    radius, bound = _radius(tau.g, tau.lambda_min, imz_l1, tol)
+    return TruncationSpec(radius, tol, bound)
 
 
-@lru_cache(maxsize=64)
-def _lattice(g: int, radius: int) -> np.ndarray:
-    ax = np.arange(-radius, radius + 1)
-    grid = np.meshgrid(*([ax] * g), indexing="ij")
-    return np.stack([a.ravel() for a in grid], axis=1).astype(float)
+@lru_cache(maxsize=256)
+def _shifted_lattice(radius: int, mp: tuple[int, ...]) -> np.ndarray:
+    """The points q = p + m'/2 with |q_i| <= radius + m'_i/2: every p with
+    |p|_inf <= radius and, where m'_i = 1, also p_i = -radius - 1.  The set
+    is symmetric under q -> -q, so the sum at -z has the same terms as at z;
+    the points left out all lie on shells |p|_inf > radius."""
+    axes = [np.arange(-radius - b, radius + 1) + b / 2 for b in mp]
+    grid = np.meshgrid(*axes, indexing="ij")
+    q = np.stack([a.ravel() for a in grid], axis=1)
+    q.setflags(write=False)
+    return q
 
 
 def _lattice_terms(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float):
     """The shifted lattice points q = p + m'/2 within the certified radius
     and the terms exp(pi i (q^t tau q + 2 q.(z + m''/2))) of the theta sum."""
     radius = truncation_radius(tau, z, tol).radius
-    q = _lattice(tau.g, radius) + np.array(m.mp, float) / 2
+    q = _shifted_lattice(radius, m.mp)
     shift = z.z + np.array(m.mpp, float) / 2
-    expo = np.einsum("ni,ij,nj->n", q, tau.tau, q) + 2.0 * (q @ shift)
+    expo = np.einsum("ni,ni->n", q @ tau.tau, q) + 2.0 * (q @ shift)
     return q, np.exp(1j * math.pi * expo)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -118,6 +119,21 @@ class TestEval:
         res = runner.invoke(main, ["eval", "theta", "--tau", str(path), "--char", "0;0"])
         assert res.exit_code == 1
         assert "'g'" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("part, bad", [("re", math.inf), ("im", math.nan)])
+    def test_non_finite_tau_is_a_clean_error(self, runner, tmp_path, part, bad):
+        data = {
+            "g": 3,
+            "re": [[0.1, 0.0, 0.05], [0.0, -0.07, 0.02], [0.05, 0.02, 0.03]],
+            "im": [[1.1, 0.1, 0.0], [0.1, 1.2, 0.05], [0.0, 0.05, 1.3]],
+        }
+        data[part][0][1] = data[part][1][0] = bad
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["eval", "theta", "--tau", str(path), "--char", "000;000"])
+        assert res.exit_code == 1
+        assert res.output.strip() == "Error: tau entries must be finite"
         assert isinstance(res.exception, SystemExit)
 
     def test_z_missing_key_is_a_clean_error(self, runner, tau3_file, tmp_path):

@@ -12,6 +12,50 @@ th = importlib.import_module("thetacoble.theta")
 
 RNG = stream(99, "test_theta")
 TAUS = {g: [random_tau(RNG, g) for _ in range(3)] for g in (1, 2, 3)}
+EPS = np.finfo(float).eps
+
+
+def _direct_terms(tau, z, m, radius):
+    """The lattice points p with |p|_inf <= radius and the terms of the theta
+    sum at them, from the three-operand quadratic form."""
+    ax = np.arange(-radius, radius + 1)
+    p = np.stack([a.ravel() for a in np.meshgrid(*([ax] * tau.g), indexing="ij")], axis=1)
+    q = p + np.array(m.mp, float) / 2
+    shift = z.z + np.array(m.mpp, float) / 2
+    expo = np.einsum("ni,ij,nj->n", q, tau.tau, q) + 2.0 * (q @ shift)
+    return p, expo
+
+
+def _anisotropic_tau(rng, g, lam_min):
+    """Im tau = Q diag(lam_min, up to 4 lam_min) Q^t with Q random orthogonal,
+    Re tau symmetric uniform in [-1/2, 1/2]."""
+    x = rng.uniform(-0.5, 0.5, (g, g))
+    q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    lam = lam_min * np.concatenate([[1.0], rng.uniform(1.0, 4.0, g - 1)])
+    y = (q * lam) @ q.T
+    return th.PeriodMatrix(g, (x + x.T) / 2 + 1j * (y + y.T) / 2)
+
+
+def _z_with_imz_l1(rng, g, imz_l1):
+    """Re z uniform in [-1/2, 1/2]; Im z with negative entries summing to
+    -imz_l1, against which q = p + m'/2 reaches |q|_inf = r + 1/2 on shell r,
+    so the linear part of the term bound is attained."""
+    v = rng.uniform(-1.0, -0.1, g)
+    return th.PhasePoint(g, rng.uniform(-0.5, 0.5, g) + 1j * v * (imz_l1 / np.abs(v).sum()))
+
+
+def _reference_radius(g, lam, imz_l1, tol):
+    """The tight tail bound as a plain loop: shells r > radius up to 599,
+    each (2r + 1)^g - (2r - 1)^g points at exp(-pi lam (r - 1/2)^2
+    + 2 pi (r + 1/2) |Im z|_1)."""
+    for radius in range(1, 200):
+        tail = 0.0
+        for r in range(radius + 1, 600):
+            log_term = -math.pi * lam * (r - 0.5) ** 2 + 2 * math.pi * (r + 0.5) * imz_l1
+            tail += ((2 * r + 1) ** g - (2 * r - 1) ** g) * math.exp(max(log_term, -745.0))
+        if tail < tol:
+            return radius, tail
+    return None
 
 
 class TestPeriodMatrix:
@@ -22,6 +66,18 @@ class TestPeriodMatrix:
     def test_rejects_non_positive_imaginary(self):
         with pytest.raises(ValueError):
             th.PeriodMatrix(2, np.array([[1j, 0], [0, -1j]]))
+
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_rejects_non_finite(self, g, bad, part):
+        tau = np.array(TAUS[g][0].tau)
+        if part == "re":
+            tau[0, 0] = bad + 1j * tau[0, 0].imag
+        else:
+            tau[0, 0] = tau[0, 0].real + 1j * bad
+        with pytest.raises(ValueError, match="tau entries must be finite"):
+            th.PeriodMatrix(g, tau)
 
     def test_json_round_trip(self):
         tau = TAUS[2][0]
@@ -49,12 +105,97 @@ class TestTruncation:
             base = th.theta(tau, z, m, 1e-12)
 
             spec = th.truncation_radius(tau, z, 1e-12)
-            p = th._lattice(g, spec.radius + 3)
-            q = p + np.array(m.mp, float) / 2
-            shift = z.z + np.array(m.mpp, float) / 2
-            expo = np.einsum("ni,ij,nj->n", q, tau.tau, q) + 2.0 * (q @ shift)
+            _, expo = _direct_terms(tau, z, m, spec.radius + 3)
             oracle = complex(np.exp(1j * math.pi * expo).sum())
             assert abs(base - oracle) < 1e-11
+
+    def test_radius_matches_python_loop(self):
+        rng = stream(5, "test_theta.reference_radius")
+        for _ in range(120):
+            g = int(rng.integers(1, 4))
+            lam = float(np.exp(rng.uniform(math.log(0.25), math.log(4.0))))
+            tol = float(rng.choice([1e-7, 1e-8, 1e-12, 1e-15]))
+            tau = th.PeriodMatrix(g, 1j * lam * np.eye(g))
+            z = th.PhasePoint(g, 1j * np.full(g, rng.uniform(0.0, 3.0) / g))
+            spec = th.truncation_radius(tau, z, tol)
+            imz_l1 = float(np.abs(z.z.imag).sum())
+            radius, tail = _reference_radius(g, tau.lambda_min, imz_l1, tol)
+            assert spec.radius == radius
+            assert spec.certified_tail_bound == pytest.approx(tail, rel=1e-10, abs=1e-300)
+
+
+# The second-order regime: theta[eps; 0](2 tau, 2 z) at anisotropic tau, so
+# the lattice sum sees lambda_min in {0.5, 1} and |Im z|_1 up to 3.
+TIGHT_CASES = [
+    (g, lam, imz_l1, top)
+    for g in (1, 2, 3)
+    for lam in (0.25, 0.5)
+    for imz_l1 in (0.5, 1.5)
+    for top in (0, 1)
+]
+
+
+@pytest.mark.parametrize("g, lam, imz_l1, top", TIGHT_CASES)
+class TestTightBound:
+    def _case(self, g, lam, imz_l1, top):
+        rng = stream(11, f"test_theta.tight.{g}.{lam}.{imz_l1}.{top}")
+        tau = _anisotropic_tau(rng, g, lam)
+        z = _z_with_imz_l1(rng, g, imz_l1)
+        m = Characteristic.from_bits([top] * g, [0] * g)
+        return th.PeriodMatrix(g, 2 * tau.tau), th.PhasePoint(g, 2 * z.z), m
+
+    def test_truncation_error_within_certified_bound(self, g, lam, imz_l1, top):
+        tau, z, m = self._case(g, lam, imz_l1, top)
+        spec = th.truncation_radius(tau, z)
+        _, expo = _direct_terms(tau, z, m, spec.radius + 12)
+        terms = np.exp(1j * math.pi * expo)
+        # rounding allowance of the two sums: n_terms * eps * sum |term|
+        allowance = len(terms) * EPS * np.abs(terms).sum()
+        error = abs(th.theta(tau, z, m) - terms.sum())
+        assert error <= spec.certified_tail_bound + allowance
+
+    def test_every_term_obeys_its_shell_bound(self, g, lam, imz_l1, top):
+        tau, z, m = self._case(g, lam, imz_l1, top)
+        spec = th.truncation_radius(tau, z)
+        p, expo = _direct_terms(tau, z, m, spec.radius + 12)
+        shell = np.abs(p).max(axis=1)
+        log_modulus = -math.pi * expo.imag
+        bound = th._term_log_bound(tau.lambda_min, float(np.abs(z.z.imag).sum()), shell)
+        outer = shell >= 1
+        assert np.all(log_modulus[outer] <= bound[outer] + 1e-9 * np.abs(bound[outer]))
+
+
+class TestRobustness:
+    def test_large_imaginary_z_is_finite(self):
+        tau = th.PeriodMatrix(1, np.array([[1j]]))
+        z = th.PhasePoint(1, [5j])
+        m = Characteristic(1, 0)
+        value = th.theta(tau, z, m)
+        assert np.isfinite(value)
+        spec = th.truncation_radius(tau, z)
+        _, expo = _direct_terms(tau, z, m, spec.radius + 12)
+        oracle = np.exp(1j * math.pi * expo).sum()
+        assert abs(value - oracle) <= 1e-12 + len(expo) * EPS * abs(oracle)
+        tau3 = th.PeriodMatrix(3, 1j * np.eye(3))
+        assert np.isfinite(th.theta(tau3, th.PhasePoint(3, [5j, 0, 0]), Characteristic(3, 0)))
+
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("imz", [30.0, 60.0, 100.0])
+    def test_overflowing_terms_raise_value_error(self, g, imz):
+        tau = th.PeriodMatrix(g, 1j * np.eye(g))
+        z = th.PhasePoint(g, [imz * 1j] + [0] * (g - 1))
+        with pytest.raises(ValueError, match="lambda_min = 1, [|]Im z[|]_1 = " + str(int(imz))):
+            th.theta(tau, z, Characteristic(g, 0))
+
+    def test_non_positive_tol_rejected(self):
+        for tol in (0.0, -1e-12):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                th.truncation_radius(TAUS[2][0], th.PhasePoint.zero(2), tol)
+
+    def test_radius_beyond_supported_range_rejected(self):
+        tau = th.PeriodMatrix(1, np.array([[1e-5j]]))
+        with pytest.raises(ValueError, match="exceeds the supported range"):
+            th.truncation_radius(tau, th.PhasePoint.zero(1))
 
 
 class TestThetaSymmetries:
@@ -176,6 +317,18 @@ class TestSecondOrder:
     def test_rejects_non_binary_digits(self):
         with pytest.raises(ValueError):
             th.theta2(TAUS[3][0], th.PhasePoint.zero(3), "012")
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_even_in_z_up_to_rounding(self, g):
+        # at tol = 1e-3 the truncation error is far above round-off (2.5e-4
+        # at g = 1), but the summed set of q = p + m'/2 is symmetric under
+        # q -> -q, so theta2 at -z sums the same terms and differs by round-off
+        tau = th.PeriodMatrix(g, 0.25j * np.eye(g) + 0.1)
+        z = th.PhasePoint(g, np.full(g, 0.3 + 0.05j))
+        for tol in (1e-12, 1e-3):
+            a = th.theta2(tau, z, "1" * g, tol)
+            b = th.theta2(tau, th.PhasePoint(g, -z.z), "1" * g, tol)
+            assert abs(a - b) < 1e-14
 
     def test_even_in_z(self):
         g = 3
