@@ -55,7 +55,6 @@ def _reference_radius(g, lam, imz_l1, tol):
             tail += ((2 * r + 1) ** g - (2 * r - 1) ** g) * math.exp(max(log_term, -745.0))
         if tail < tol:
             return radius, tail
-    return None
 
 
 class TestPeriodMatrix:
