@@ -11,12 +11,13 @@ theta^4; ``igusa_tuple_search`` finds such forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 
 import numpy as np
 
 from .characteristics import enumerate_characteristics
+from .gopel import _parse_pascal_family, _validate_fano_family
 from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, theta
 
 
@@ -166,23 +167,65 @@ def igusa_tuple_search(taus, tol: float = 1e-8, theta_tol: float = DEFAULT_TOL) 
 
 def bracket(cfg, i: int, j: int, k: int) -> complex:
     """(ijk) = det(v_i, v_j, v_k) on 1-based indices."""
-    if len({i, j, k}) != 3:
-        raise ValueError("indices must be distinct")
+    if len({i, j, k}) != 3 or not {i, j, k} <= set(range(1, 8)):
+        raise ValueError("indices must be three distinct values in 1..7")
     vs = np.asarray(cfg)
     if vs.shape != (7, 3):
         raise ValueError("need 7 vectors in C^3")
     return complex(np.linalg.det(vs[[i - 1, j - 1, k - 1]]))
 
 
+# The 35 increasing index triples, the columns of a bracket table.
+_TRIPLES = tuple(combinations(range(1, 8), 3))
+_TRIPLE_COLUMN = {t: c for c, t in enumerate(_TRIPLES)}
+
+
+def _bracket_table(cfgs) -> np.ndarray:
+    """(n, 35) brackets of the increasing triples of each configuration."""
+    vs = np.asarray(cfgs, dtype=complex)
+    if vs.ndim != 3 or vs.shape[1:] != (7, 3):
+        raise ValueError("need configurations of 7 vectors in C^3")
+    return np.linalg.det(vs[:, np.array(_TRIPLES) - 1])
+
+
+def _signed_columns(triples) -> np.ndarray:
+    """Each ordered triple (ijk) as a signed column s of the bracket table:
+    (ijk) = sign(s) table[:, |s| - 1], the sign of the permutation sorting ijk."""
+    signs = [(-1) ** ((i > j) + (i > k) + (j > k)) for i, j, k in triples]
+    return np.array(signs) * [_TRIPLE_COLUMN[tuple(sorted(t))] + 1 for t in triples]
+
+
+def _fano_columns(triples) -> np.ndarray:
+    """The 7 signed columns of a validated Fano-plane family."""
+    _validate_fano_family(triples)
+    return _signed_columns(triples)
+
+
+def _pascal_columns(spec) -> np.ndarray:
+    """The 11 signed columns of a validated P-shaped family: the 3 common
+    triples (c a_i b_i), then the 4 even and the 4 odd choices (see g_pascal)."""
+    common, pairs = _parse_pascal_family(spec)
+    choices = sorted(product((0, 1), repeat=3), key=lambda ch: sum(ch) % 2)
+    return _signed_columns(
+        [(common, a, b) for a, b in pairs]
+        + [tuple(pair[c] for pair, c in zip(pairs, ch)) for ch in choices]
+    )
+
+
+def _product(table: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """Product of the brackets named by the last axis of signed columns."""
+    return np.sign(signed).prod(axis=-1) * table[:, abs(signed) - 1].prod(axis=-1)
+
+
+def _pascal_values(table: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """G_P of each configuration from the 11 signed columns of each family."""
+    common, even, odd = (_product(table, part) for part in np.split(signed, [3, 7], axis=-1))
+    return common * (even - odd)
+
+
 def g_fano(cfg, triples) -> complex:
     """Product of the 7 brackets of a Fano-plane family of index triples."""
-    from .gopel import _validate_fano_family
-
-    _validate_fano_family(triples)
-    out = 1.0 + 0.0j
-    for (i, j, k) in triples:
-        out *= bracket(cfg, i, j, k)
-    return complex(out)
+    return complex(_product(_bracket_table([cfg]), _fano_columns(triples))[0])
 
 
 def g_pascal(cfg, spec) -> complex:
@@ -195,36 +238,20 @@ def g_pascal(cfg, spec) -> complex:
     where a choice picks one element from each pair and its parity counts the
     b picks; each product multiplies the four brackets of the chosen triples.
     """
-    from .gopel import _parse_pascal_family
-
-    common, pairs = _parse_pascal_family(spec)
-    out = 1.0 + 0.0j
-    for (a, b) in pairs:
-        out *= bracket(cfg, common, a, b)
-    even_prod = 1.0 + 0.0j
-    odd_prod = 1.0 + 0.0j
-    for choice in product((0, 1), repeat=3):
-        tri = tuple(pairs[t][choice[t]] for t in range(3))
-        val = bracket(cfg, *tri)
-        if sum(choice) % 2 == 0:
-            even_prod *= val
-        else:
-            odd_prod *= val
-    return complex(out * (even_prod - odd_prod))
+    return complex(_pascal_values(_bracket_table([cfg]), _pascal_columns(spec))[0])
 
 
 def fano_plane_families() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """All 30 families of 7 triples on {1..7} pairwise meeting in one point
     (the labelled Fano planes), in lexicographic order."""
-    all_triples = list(combinations(range(1, 8), 3))
     out = []
 
     def extend(chosen, start):
         if len(chosen) == 7:
             out.append(tuple(chosen))
             return
-        for t in range(start, len(all_triples)):
-            cand = all_triples[t]
+        for t in range(start, len(_TRIPLES)):
+            cand = _TRIPLES[t]
             if all(len(set(cand) & set(c)) == 1 for c in chosen):
                 chosen.append(cand)
                 extend(chosen, t + 1)
@@ -259,12 +286,16 @@ def pascal_families() -> tuple[tuple, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _family_columns() -> tuple[np.ndarray, np.ndarray]:
+    """Signed columns of the 30 Fano families, (30, 7), and of the 105
+    P-shaped families, (105, 11)."""
+    fano = [_fano_columns(f) for f in fano_plane_families()]
+    return np.array(fano), np.array([_pascal_columns(p) for p in pascal_families()])
+
+
 def bracket_value_matrix(cfgs) -> np.ndarray:
     """Rows: configurations; columns: the 30 G_F then the 105 G_P values."""
-    fanos = fano_plane_families()
-    pascals = pascal_families()
-    rows = []
-    for cfg in cfgs:
-        row = [g_fano(cfg, f) for f in fanos] + [g_pascal(cfg, p) for p in pascals]
-        rows.append(row)
-    return np.array(rows)
+    table = _bracket_table(cfgs)
+    fano, pascal = _family_columns()
+    return np.hstack([_product(table, fano), _pascal_values(table, pascal)])

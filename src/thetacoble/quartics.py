@@ -6,6 +6,7 @@ Kummer surface, and the Jacobi-form functional-equation residuals.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -32,74 +33,38 @@ def _dot3(a: int, b: int) -> int:
 @lru_cache(maxsize=None)
 def quartic_monomials(label: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The labelled quartic as a sparse monomial map: (exponents over the 8
-    variables x_eps, coefficient).  All coefficients come out 1 by design of
-    the 1/2 and 1/4 prefactors."""
+    variables x_eps, coefficient).  Each quartic is (1/k) sum_eps prod_mu
+    x_{eps + mu} over a multiset of four shifts mu: {0, 0, 0, 0} for Q000
+    (k = 1), {0, 0, a, a} for Q_a (k = 2) and the a-perp for Q'_a (k = 4).
+    Every monomial then occurs exactly k times, so all coefficients are 1."""
     if label == "Q000":
-        mons = {}
-        for eps in range(8):
-            e = [0] * 8
-            e[eps] = 4
-            mons[tuple(e)] = mons.get(tuple(e), 0) + 1
-    elif label.startswith("Q'"):
-        a = int(label[2:], 2)
-        if not 1 <= a <= 7:
-            raise ValueError(f"bad label {label!r}")
-        perp = [mu for mu in range(8) if _dot3(mu, a) == 0]
-        mons = {}
-        for eps in range(8):
-            e = [0] * 8
-            for mu in perp:
-                e[eps ^ mu] += 1
-            key = tuple(e)
-            mons[key] = mons.get(key, 0) + 1
-        mons = {k: v // 4 for k, v in mons.items()}
+        shifts, k = (0, 0, 0, 0), 1
     elif label.startswith("Q"):
-        a = int(label[1:], 2)
+        primed = label.startswith("Q'")
+        a = int(label[1 + primed:], 2)
         if not 1 <= a <= 7:
             raise ValueError(f"bad label {label!r}")
-        mons = {}
-        for eps in range(8):
-            e = [0] * 8
-            e[eps] += 2
-            e[eps ^ a] += 2
-            key = tuple(e)
-            mons[key] = mons.get(key, 0) + 1
-        mons = {k: v // 2 for k, v in mons.items()}
+        perp = tuple(mu for mu in range(8) if _dot3(mu, a) == 0)
+        shifts, k = (perp, 4) if primed else ((0, 0, a, a), 2)
     else:
         raise ValueError(f"bad label {label!r}")
-    if any(sum(k) != 4 for k in mons) or any(v != 1 for v in mons.values()):
+    mons = Counter()
+    for eps in range(8):
+        e = [0] * 8
+        for mu in shifts:
+            e[eps ^ mu] += 1
+        mons[tuple(e)] += 1
+    if any(v != k for v in mons.values()):
         raise AssertionError("quartic basis construction error")
-    return tuple(sorted(mons.items()))
-
-
-def _eval_monomials(mons, x) -> complex:
-    total = 0.0 + 0.0j
-    for expo, coef in mons:
-        term = complex(coef)
-        for i, e in enumerate(expo):
-            if e:
-                term = term * x[i] ** e
-        total += term
-    return complex(total)
+    return tuple(sorted((e, 1) for e in mons))
 
 
 def q_basis_eval(label: str, x) -> complex:
     """Evaluate the labelled invariant quartic at x in C^8."""
-    x = np.asarray(x)
-    if x.shape != (8,):
-        raise ValueError("need 8 variable values")
-    return _eval_monomials(quartic_monomials(label), x)
-
-
-def _gradient_monomials(label: str, var: int):
-    out = []
-    for expo, coef in quartic_monomials(label):
-        e = expo[var]
-        if e:
-            d = list(expo)
-            d[var] -= 1
-            out.append((tuple(d), coef * e))
-    return out
+    labels, expo, starts, _ = _coble_tables()
+    if label not in labels:
+        raise ValueError(f"bad label {label!r}")
+    return complex(np.add.reduceat(_powers(x, expo), starts)[labels.index(label)])
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +90,41 @@ COBLE_TABLE: dict[str, dict[int, int]] = {
 }
 
 
+@lru_cache(maxsize=None)
+def _coble_tables() -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The Coble quartic as index tables: the 15 labels, the (50, 8)
+    exponent matrix of their monomials in label order (each with coefficient
+    1), the first row of each label, and the integer (15, 15) matrix A with
+    a(Q) = A @ s."""
+    labels = tuple(quartic_labels())
+    mons = [quartic_monomials(label) for label in labels]
+    expo = np.array([e for label_mons in mons for e, _ in label_mons])
+    starts = np.cumsum([0] + [len(m) for m in mons[:-1]])
+    a_of_s = np.array([[COBLE_TABLE[label].get(i, 0) for i in range(1, 16)] for label in labels])
+    return labels, expo, starts, a_of_s
+
+
+def _powers(x, expo: np.ndarray) -> np.ndarray:
+    """x ** expo multiplied along the last axis, for x in C^8 and exponents 0..4."""
+    x = np.asarray(x)
+    if x.shape != (8,):
+        raise ValueError("need 8 variable values")
+    return (x ** np.arange(5)[:, None])[expo, np.arange(8)].prod(axis=-1)
+
+
+def _terms(a: dict[str, complex], mons: np.ndarray) -> np.ndarray:
+    """a(Q) times the sum of the monomial values of label Q on the last axis."""
+    labels, _, starts, _ = _coble_tables()
+    return np.array([a[label] for label in labels]) * np.add.reduceat(mons, starts, axis=-1)
+
+
 def coble_coefficients(s) -> dict[str, complex]:
     """The 15 coefficients a(Q) as integer combinations of s_1..s_15."""
     s = np.asarray(s)
     if s.shape != (15,):
         raise ValueError("need a 15-component s vector")
-    return {
-        label: complex(sum(c * s[i - 1] for i, c in combo.items()))
-        for label, combo in COBLE_TABLE.items()
-    }
+    labels, _, _, a_of_s = _coble_tables()
+    return dict(zip(labels, (a_of_s @ s).astype(complex).tolist()))
 
 
 def coble_monomial_count() -> int:
@@ -166,8 +157,19 @@ def theta2_vector(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL) ->
 def coble_at(a: dict[str, complex], x) -> tuple[complex, float]:
     """The quartic sum_Q a(Q) Q(x) at x in C^8 and its term scale
     max |a(Q) Q(x)|."""
-    terms = [a[label] * q_basis_eval(label, x) for label in quartic_labels()]
-    return complex(sum(terms)), float(max(abs(t) for t in terms))
+    terms = _terms(a, _powers(x, _coble_tables()[1]))
+    return complex(terms.sum()), float(abs(terms).max())
+
+
+def coble_gradient_at(a: dict[str, complex], x) -> tuple[list[complex], list[float]]:
+    """The 8 gradient cubics dC/dx_eps at x in C^8, each paired with its own
+    term scale max_Q |a(Q) dQ/dx_eps(x)|.  Row v of the monomial table is
+    E[:, v] x^(E - e_v); the exponent is clipped at 0 where E[:, v] = 0, so
+    no x_v is ever divided out."""
+    expo = _coble_tables()[1]
+    lowered = np.maximum(expo - np.eye(8, dtype=int)[:, None, :], 0)  # (8, 50, 8)
+    terms = _terms(a, expo.T * _powers(x, lowered))
+    return terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist()
 
 
 def coble_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
@@ -185,18 +187,7 @@ def coble_gradient(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
     if tau.g != 3:
         raise ValueError("the Coble quartic is a genus-3 object")
     x = theta2_vector(tau, z, tol)
-    a = coble_coefficients(s_vector(tau, tol))
-    values = []
-    scales = []
-    for var in range(8):
-        terms = []
-        for label in quartic_labels():
-            mons = _gradient_monomials(label, var)
-            if mons:
-                terms.append(a[label] * _eval_monomials(mons, x))
-        values.append(complex(sum(terms)))
-        scales.append(max(abs(t) for t in terms))
-    return values, scales
+    return coble_gradient_at(coble_coefficients(s_vector(tau, tol)), x)
 
 
 KUMMER2_PAIR_TERMS = (

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -232,32 +231,25 @@ def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord
 # group
 
 
-def _action_table(gamma: symplectic.SymplecticMatF2) -> list[int]:
-    g = gamma.g
-    return [gamma.act(Characteristic(g, i)).idx for i in range(1 << (2 * g))]
-
-
-@lru_cache(maxsize=1)
-def _generator_tables() -> tuple[list[int], ...]:
-    return tuple(_action_table(gmm) for gmm in symplectic.group_generators(3))
-
-
 def _orbit(start: frozenset) -> set[frozenset]:
     """Orbit of a set of genus-3 characteristic indices under the affine
     action of Sp(6, F2), by breadth-first search over its generators."""
-    tables = _generator_tables()
-    orbit = {start}
-    frontier = [start]
+    tables = symplectic.action_tables(3, [gm.packed() for gm in symplectic.group_generators(3)])
+    orbit, frontier = {start}, {start}
     while frontier:
-        new = []
-        for s in frontier:
-            for t in tables:
-                img = frozenset(t[i] for i in s)
-                if img not in orbit:
-                    orbit.add(img)
-                    new.append(img)
-        frontier = new
+        images = {frozenset(img) for s in frontier for img in tables[:, list(s)].tolist()}
+        frontier = images - orbit
+        orbit |= frontier
     return orbit
+
+
+def _parity_vector(g: int) -> np.ndarray:
+    return np.array([_parity_idx(g, i) for i in range(1 << (2 * g))])
+
+
+def _triple_signs(parity: np.ndarray, a, b, c) -> np.ndarray:
+    """triple_sign on index arrays: e(a) e(b) e(c) e(a + b + c)."""
+    return parity[a] * parity[b] * parity[c] * parity[a ^ b ^ c]
 
 
 def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
@@ -291,54 +283,29 @@ def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs.append(_flag("parabolic_factorization_sampled", ok))
 
     # parity and triple-sign invariance, exhaustive over Sp(4, F2)
-    enum2 = symplectic.enumerate_group(2)
-    all2 = [Characteristic(2, i) for i in range(16)]
-    triples2 = list(combinations(range(16), 3))
-    ok = True
-    for i in range(len(enum2)):
-        table = _action_table(enum2.element(i))
-        if any(
-            _parity_idx(2, table[m.idx]) != m.parity for m in all2
-        ):
-            ok = False
-            break
-        for a, b, c in triples2:
-            if triple_sign(
-                Characteristic(2, table[a]),
-                Characteristic(2, table[b]),
-                Characteristic(2, table[c]),
-            ) != triple_sign(all2[a], all2[b], all2[c]):
-                ok = False
-                break
-        if not ok:
-            break
+    tables = symplectic.action_tables(2, symplectic.enumerate_group(2).packed)  # (720, 16)
+    parity = _parity_vector(2)
+    a, b, c = np.array(list(combinations(range(16), 3))).T
+    ta, tb, tc = tables[:, a], tables[:, b], tables[:, c]
+    same = _triple_signs(parity, ta, tb, tc) == _triple_signs(parity, a, b, c)
+    ok = bool((parity[tables] == parity).all() and same.all())
     recs.append(_flag("invariance_exhaustive_g2", ok))
 
     # randomized invariance for g=3: ~1e5 sampled (gamma, triple) pairs
     rng = stream(seed, "group.invariance3")
-    ok = True
-    lin_ok = True
     n_gamma, n_triple = 200, 500
+    picks, idxs = [], []
     for _ in range(n_gamma):
-        table = _action_table(enum3.element(int(rng.integers(len(enum3)))))
-        idxs = rng.integers(0, 64, size=(n_triple, 4))
-        for a, b, c, d in idxs:
-            a, b, c, d = int(a), int(b), int(c), int(d)
-            if _parity_idx(3, table[a]) != _parity_idx(3, a):
-                ok = False
-            if triple_sign(
-                Characteristic(3, table[a]),
-                Characteristic(3, table[b]),
-                Characteristic(3, table[c]),
-            ) != triple_sign(
-                Characteristic(3, a), Characteristic(3, b), Characteristic(3, c)
-            ):
-                ok = False
-            # affine action preserves even-length linear relations
-            if ((a ^ b ^ c ^ d) == 0) != (
-                (table[a] ^ table[b] ^ table[c] ^ table[d]) == 0
-            ):
-                lin_ok = False
+        picks.append(int(rng.integers(len(enum3))))
+        idxs.append(rng.integers(0, 64, size=(n_triple, 4)))
+    tables = symplectic.action_tables(3, enum3.packed[picks])  # (200, 64)
+    a, b, c, d = np.moveaxis(np.array(idxs), 2, 0)  # each (200, 500)
+    ta, tb, tc, td = (np.take_along_axis(tables, v, axis=1) for v in (a, b, c, d))
+    parity = _parity_vector(3)
+    same = _triple_signs(parity, ta, tb, tc) == _triple_signs(parity, a, b, c)
+    ok = bool((parity[ta] == parity[a]).all() and same.all())
+    # affine action preserves even-length linear relations
+    lin_ok = bool((((a ^ b ^ c ^ d) == 0) == ((ta ^ tb ^ tc ^ td) == 0)).all())
     recs.append(_flag("invariance_sampled_g3", ok))
     recs.append(_flag("even_relations_preserved_g3", lin_ok))
 
@@ -390,13 +357,10 @@ def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs.append(_count("pascal_example_even_count", ex2.even_count, 4))
 
     # no Goepel system contains an azygetic triple
-    ok = True
-    for s in systems:
-        members = list(s.members)
-        for a, b, c in combinations(members, 3):
-            if triple_sign(a, b, c) != 1:
-                ok = False
-    recs.append(_flag("no_azygetic_triples", ok))
+    members = np.array([sorted(s.idx_set()) for s in systems])  # (135, 8)
+    a, b, c = (members[:, t] for t in np.array(list(combinations(range(8), 3))).T)
+    signs = _triple_signs(_parity_vector(3), a, b, c)
+    recs.append(_flag("no_azygetic_triples", bool((signs == 1).all())))
 
     # unique Fano-pair decomposition for all 105 Pascal configurations
     n_ok = 0

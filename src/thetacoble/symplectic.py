@@ -175,11 +175,22 @@ def act_on_characteristic(gamma: SymplecticMatF2, m: Characteristic) -> Characte
     return Characteristic(g, bm_matvec(lin, m.idx) ^ offset)
 
 
-def act_linear_idx(gamma: SymplecticMatF2, idx: int) -> int:
-    """Linear part of the action on characteristic indices (no offset)."""
-    g = gamma.g
-    a, b, c, d = gamma.blocks
-    return bm_matvec(bm_block(d, c, b, a, g), idx)
+def action_tables(g: int, packed) -> np.ndarray:
+    """act_on_characteristic of each packed gamma_t on all 2^{2g} indices:
+    entry (t, i) is the index of gamma_t . m_i, from the linear part (D C; B A)
+    and the offset (diag(C D^t); diag(A B^t)) applied to every index at once."""
+    _check_genus(g)
+    w = 2 * g
+    packed = np.asarray(packed, dtype=np.uint64).reshape(-1)
+    shifts = np.arange(w * w - 1, -1, -1, dtype=np.uint64).reshape(w, w)
+    m = ((packed[:, None, None] >> shifts) & np.uint64(1)).astype(np.uint8)  # (n, w, w)
+    a, b, c, d = m[:, :g, :g], m[:, :g, g:], m[:, g:, :g], m[:, g:, g:]
+    lin = np.block([[d, c], [b, a]])
+    offset = np.concatenate([(c * d).sum(axis=2), (a * b).sum(axis=2)], axis=1).astype(np.uint8)
+    weights = 1 << np.arange(w - 1, -1, -1)  # msb first
+    vecs = ((np.arange(1 << w)[:, None] & weights) > 0).astype(np.uint8)  # (2^{2g}, w)
+    images = (lin @ vecs.T + offset[:, :, None]) & 1  # (n, w, 2^{2g})
+    return images.transpose(0, 2, 1) @ weights
 
 
 def translation_generators(g: int):
@@ -334,5 +345,5 @@ def _subspace_basis(subspace: frozenset) -> list[int]:
 
 def lagrangian_image(gamma: SymplecticMatF2) -> frozenset:
     """Image of the Lagrangian {m' = 0} under the linearized action."""
-    g = gamma.g
-    return frozenset(act_linear_idx(gamma, v) for v in range(1 << g))
+    table = action_tables(gamma.g, [gamma.packed()])[0]
+    return frozenset((table[: 1 << gamma.g] ^ table[0]).tolist())

@@ -1,4 +1,5 @@
-from itertools import permutations
+import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -101,6 +102,11 @@ class TestBrackets:
         with pytest.raises(ValueError):
             points.bracket(random_config2(), 1, 1, 2)
 
+    @pytest.mark.parametrize("triple", [(0, 1, 2), (1, 2, 8), (-1, 3, 4)])
+    def test_rejects_out_of_range_indices(self, triple):
+        with pytest.raises(ValueError):
+            points.bracket(random_config2(), *triple)
+
     def test_g_fano_vanishes_on_collinear(self):
         cfg = random_config2()
         cfg[2] = 0.3 * cfg[0] + 0.7 * cfg[1]
@@ -132,3 +138,54 @@ class TestBrackets:
         cfgs = [random_config2() for _ in range(40)]
         sv = np.linalg.svd(points.bracket_value_matrix(cfgs), compute_uv=False)
         assert int((sv > 1e-8 * sv[0]).sum()) == 15
+
+    @pytest.mark.parametrize("shape", [(6, 3), (7, 2), (3, 7)])
+    def test_value_matrix_rejects_non_7x3(self, shape):
+        bad = np.ones(shape, dtype=complex)
+        for cfgs in ([bad, bad], [random_config2(), bad]):
+            with pytest.raises(ValueError):
+                points.bracket_value_matrix(cfgs)
+
+
+def _scalar_family_products(cfg) -> np.ndarray:
+    """Reference row of bracket_value_matrix: every family product written
+    out with scalar brackets, in the same column order."""
+
+    def br(t):
+        return points.bracket(cfg, *t)
+
+    row = [math.prod(br(t) for t in fam) for fam in points.fano_plane_families()]
+    for fam in points.pascal_families():
+        pairs = fam[4:]
+        picks = {0: [], 1: []}
+        for choice in product((0, 1), repeat=3):
+            picks[sum(choice) % 2].append(br(tuple(p[c] for p, c in zip(pairs, choice))))
+        row.append(math.prod(br(t) for t in fam[:3]) * (math.prod(picks[0]) - math.prod(picks[1])))
+    return np.array(row)
+
+
+def _max_column_error(cfgs) -> float:
+    matrix = points.bracket_value_matrix(cfgs)
+    reference = np.array([_scalar_family_products(cfg) for cfg in cfgs])
+    return float((abs(matrix - reference) / abs(reference)).max())
+
+
+class TestBracketTable:
+    CFGS = [
+        rng.uniform(-1, 1, (7, 3)) + 1j * rng.uniform(-1, 1, (7, 3))
+        for rng in (stream(seed, "test_points.bracket_table") for seed in (1, 2, 3))
+    ]
+
+    def test_columns_match_scalar_products(self):
+        assert _max_column_error(self.CFGS) < 1e-12
+
+    def test_flipped_column_sign_is_caught(self, monkeypatch):
+        table = points._bracket_table
+
+        def flipped(cfgs):
+            out = table(cfgs).copy()
+            out[:, 0] *= -1
+            return out
+
+        monkeypatch.setattr(points, "_bracket_table", flipped)
+        assert _max_column_error(self.CFGS) > 1.0

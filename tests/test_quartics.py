@@ -79,26 +79,29 @@ class TestCobleEval:
         assert max(abs(v) / s for v, s in zip(values, scales)) < 1e-10
 
     def test_gradient_finite_difference_oracle(self):
+        # the x-level gradient coble_gradient returns, against central
+        # differences of the full quartic built from the naive oracle, at an
+        # arbitrary x (not on the locus), for all 8 variables
         from thetacoble.modular import s_vector
 
         a = quartics.coble_coefficients(s_vector(TAU3))
         x = RNG.standard_normal(8) + 1j * RNG.standard_normal(8)
 
         def full(xv):
-            return sum(a[l] * quartics.q_basis_eval(l, xv) for l in quartics.quartic_labels())
+            return sum(a[l] * _naive_q(l, xv) for l in quartics.quartic_labels())
 
+        values, scales = quartics.coble_gradient_at(a, x)
         h = 1e-6
-        # compare analytic gradient monomials at an arbitrary x (not on the locus)
-        for var in range(3):
-            mons = []
-            for label in quartics.quartic_labels():
-                m = quartics._gradient_monomials(label, var)
-                if m:
-                    mons.append(a[label] * quartics._eval_monomials(m, x))
-            xp = x.copy(); xp[var] += h
-            xm = x.copy(); xm[var] -= h
-            fd = (full(xp) - full(xm)) / (2 * h)
-            assert abs(sum(mons) - fd) < 1e-4 * max(1.0, abs(fd))
+        for var in range(8):
+            step = np.zeros(8)
+            step[var] = h
+            fd = (full(x + step) - full(x - step)) / (2 * h)
+            assert abs(values[var] - fd) < 1e-7 * scales[var]
+
+    def test_coble_at_needs_8_values(self):
+        a = quartics.coble_coefficients(np.arange(1.0, 16.0))
+        with pytest.raises(ValueError, match="8 variable values"):
+            quartics.coble_at(a, np.ones(7))
 
     def test_genus_mismatch(self):
         with pytest.raises(ValueError):

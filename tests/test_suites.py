@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from thetacoble import symplectic
+from thetacoble.characteristics import _parity_idx
 from thetacoble.suites import SUITES, run_suite
 
 
@@ -55,3 +57,31 @@ class TestQuickSuites:
 
     def test_points_small(self):
         assert run_suite("points", seed=2, samples=40).passed
+
+
+class TestGroupMutations:
+    """A corrupted action table must fail the invariance check that reads it."""
+
+    @pytest.mark.parametrize(
+        "g, rows, record",
+        [(2, 720, "invariance_exhaustive_g2"), (3, 200, "invariance_sampled_g3")],
+    )
+    def test_swapped_images_fail(self, monkeypatch, g, rows, record):
+        action_tables = symplectic.action_tables
+
+        def swapped(genus, packed):
+            tables = action_tables(genus, packed)
+            if (genus, len(tables)) != (g, rows):
+                return tables  # leave the generator tables of the orbit checks intact
+            # swap two images of equal parity, so only the triple signs can see it
+            row = tables[0]
+            parity = [_parity_idx(g, int(i)) for i in row]
+            j = next(k for k in range(1, len(row)) if parity[k] == parity[0])
+            tables = tables.copy()
+            tables[0, [0, j]] = row[[j, 0]]
+            return tables
+
+        monkeypatch.setattr(symplectic, "action_tables", swapped)
+        records = {r["name"]: r["pass"] for r in run_suite("group", seed=1).to_json()["records"]}
+        assert records[record] is False
+        assert records["zero_orbit_even36"] and records["aronhold_orbit"]

@@ -129,6 +129,17 @@ class TestAction:
         ]
         assert triple_sign(*(gamma.act(m) for m in ms)) == triple_sign(*ms)
 
+    @pytest.mark.parametrize("g, n", [(2, None), (3, 1000)])
+    def test_action_tables_match_scalar_action(self, g, n):
+        # all of Sp(4, F2); 1000 seeded elements of Sp(6, F2)
+        enum = sp.enumerate_group(g)
+        rng = np.random.default_rng(17)
+        picks = np.arange(len(enum)) if n is None else rng.integers(len(enum), size=n)
+        tables = sp.action_tables(g, enum.packed[picks])
+        chars = [Characteristic(g, m) for m in range(1 << (2 * g))]
+        expected = [[sp.act_on_characteristic(enum.element(int(i)), m).idx for m in chars] for i in picks]
+        assert np.array_equal(tables, expected)
+
     def test_action_bijective(self):
         gamma = _product(3, [0, 1, 0, 3, 2])
         images = {gamma.act(Characteristic(3, i)).idx for i in range(64)}
