@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 SUPPORTED_GENERA = (1, 2, 3)
 
@@ -155,6 +158,58 @@ def _pairing_idx(g: int, a: int, b: int) -> int:
     return -1 if x & 1 else 1
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def parity_table(g: int) -> np.ndarray:
+    """e(m) for every index m of genus g: a cached, read-only (2^{2g},) +-1
+    array built from the scalar definition."""
+    _check_genus(g)
+    return _read_only(np.array([_parity_idx(g, i) for i in range(1 << (2 * g))], dtype=np.int8))
+
+
+@lru_cache(maxsize=None)
+def pairing_table(g: int) -> np.ndarray:
+    """e(a, b) for every pair of indices of genus g: a cached, read-only
+    (2^{2g}, 2^{2g}) +-1 array built from the scalar definition."""
+    _check_genus(g)
+    n = 1 << (2 * g)
+    return _read_only(
+        np.array([[_pairing_idx(g, a, b) for b in range(n)] for a in range(n)], dtype=np.int8)
+    )
+
+
+def triple_signs(g: int, a, b, c) -> np.ndarray:
+    """triple_sign on broadcast index arrays: e(a) e(b) e(c) e(a + b + c)."""
+    p = parity_table(g)
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    return p[a] * p[b] * p[c] * p[a ^ b ^ c]
+
+
+def all_azygetic(g: int, sets) -> np.ndarray:
+    """For an (..., n) index array, True for each row of n characteristics
+    whose C(n, 3) triples are all azygetic."""
+    sets = np.asarray(sets)
+    tri = np.array(list(combinations(range(sets.shape[-1]), 3)), dtype=np.intp).reshape(-1, 3)
+    a, b, c = np.moveaxis(sets[..., tri], -1, 0)
+    return (triple_signs(g, a, b, c) == -1).all(axis=-1)
+
+
+def admissible_evens(g: int, odds) -> tuple[np.ndarray, np.ndarray]:
+    """The even indices of genus g and, for an (..., k) array of odd indices,
+    the (..., n_even) mask of the evens n with (m_i, m_j, n) azygetic for
+    every pair of the k."""
+    evens = np.flatnonzero(parity_table(g) == 1)
+    odds = np.asarray(odds)[..., None]
+    mask = np.ones(odds.shape[:-2] + evens.shape, dtype=bool)
+    for i, j in combinations(range(odds.shape[-2]), 2):
+        mask &= triple_signs(g, odds[..., i, :], odds[..., j, :], evens) == -1
+    return evens, mask
+
+
 class CharacteristicSet:
     """An ordered, duplicate-free set of characteristics of one genus."""
 
@@ -215,6 +270,7 @@ class CharacteristicSet:
         return [str(m) for m in self.members]
 
 
+@lru_cache(maxsize=None)
 def enumerate_characteristics(g: int, which: str = "all") -> CharacteristicSet:
     """All characteristics of genus g in canonical index order.
 
@@ -223,26 +279,24 @@ def enumerate_characteristics(g: int, which: str = "all") -> CharacteristicSet:
     _check_genus(g)
     if which not in ("all", "even", "odd"):
         raise ValueError(f"unknown filter {which!r}")
-    want = {"all": (1, -1), "even": (1,), "odd": (-1,)}[which]
-    return CharacteristicSet(
-        Characteristic(g, i)
-        for i in range(1 << (2 * g))
-        if _parity_idx(g, i) in want
-    )
+    p = parity_table(g)
+    keep = {"all": p != 0, "even": p == 1, "odd": p == -1}[which]
+    return CharacteristicSet(Characteristic(g, int(i)) for i in np.flatnonzero(keep))
 
 
 def is_fundamental_system(s: CharacteristicSet) -> bool:
     """True iff |s| = 2g+2 and every triple of members is azygetic."""
-    if len(s) != 2 * s.g + 2:
-        return False
-    ms = s.members
-    n = len(ms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if triple_sign(ms[i], ms[j], ms[k]) != -1:
-                    return False
-    return True
+    return len(s) == 2 * s.g + 2 and bool(all_azygetic(s.g, [m.idx for m in s.members]))
+
+
+def _check_aronhold(s: CharacteristicSet) -> None:
+    """Raise ValueError unless s is an Aronhold set: seven odd genus-3
+    characteristics whose 35 triples are all azygetic."""
+    idx = [m.idx for m in s.members]
+    if s.g != 3 or len(idx) != 7:
+        raise ValueError("need a 7-element genus-3 Aronhold set")
+    if (parity_table(3)[idx] != -1).any() or not all_azygetic(3, idx):
+        raise ValueError(f"{s} is not an Aronhold set (members odd, every triple azygetic)")
 
 
 def special_fundamental_completion(odds: CharacteristicSet) -> CharacteristicSet:
@@ -263,36 +317,26 @@ def special_fundamental_completion(odds: CharacteristicSet) -> CharacteristicSet
             raise ValueError("genus 3 requires exactly 3 odd characteristics")
         if triple_sign(*ms) != -1:
             raise ValueError("input triple is not azygetic")
-        candidates = [
-            n
-            for n in enumerate_characteristics(3, "even")
-            if all(
-                triple_sign(ms[i], ms[j], n) == -1
-                for i in range(3)
-                for j in range(i + 1, 3)
-            )
-        ]
+        evens, mask = admissible_evens(3, [m.idx for m in ms])
+        candidates = evens[mask].tolist()
         if len(candidates) != 6:
             raise AssertionError(f"expected 6 admissible evens, got {len(candidates)}")
-        excluded = ms[0] + ms[1] + ms[2]
+        excluded = (ms[0] + ms[1] + ms[2]).idx
         if excluded not in candidates:
             raise AssertionError("sum of the triple not among admissible evens")
-        return CharacteristicSet(n for n in candidates if n != excluded)
+        return CharacteristicSet(Characteristic(3, n) for n in candidates if n != excluded)
     if g == 2:
         if len(ms) != 2:
             raise ValueError("genus 2 requires exactly 2 odd characteristics")
-        from itertools import combinations
-
-        evens = list(enumerate_characteristics(2, "even"))
-        found = None
-        for quad in combinations(evens, 4):
-            if is_fundamental_system(CharacteristicSet(ms + list(quad))):
-                if found is not None:
-                    raise AssertionError("even completion is not unique")
-                found = quad
-        if found is None:
+        evens = np.flatnonzero(parity_table(2) == 1)
+        quads = evens[np.array(list(combinations(range(len(evens)), 4)))]  # (210, 4)
+        pair = np.broadcast_to([m.idx for m in ms], (len(quads), 2))
+        found = quads[all_azygetic(2, np.concatenate([pair, quads], axis=1))]
+        if len(found) > 1:
+            raise AssertionError("even completion is not unique")
+        if len(found) == 0:
             raise ValueError("no even completion exists for this pair")
-        return CharacteristicSet(found)
+        return CharacteristicSet(Characteristic(2, int(n)) for n in found[0])
     raise ValueError("special fundamental completion implemented for g in {2, 3}")
 
 
@@ -336,34 +380,21 @@ def enumerate_aronhold_sets() -> tuple:
     """All 288 unordered Aronhold sets for g=3.
 
     An Aronhold set is a 7-subset of the 28 odd characteristics in which every
-    triple is azygetic; for three odd characteristics that reduces to their
-    sum being even.
+    triple is azygetic.  The subsets are grown one member at a time in
+    increasing index order, keeping at each level the candidates azygetic
+    with every pair already chosen, so they come out in lexicographic order.
     """
-    odds = [m.idx for m in enumerate_characteristics(3, "odd")]
-    out = []
-    chosen: list[int] = []
-
-    def extend(start: int):
-        if len(chosen) == 7:
-            out.append(CharacteristicSet(Characteristic(3, i) for i in chosen))
-            return
-        for t in range(start, len(odds)):
-            c = odds[t]
-            ok = True
-            for i in range(len(chosen)):
-                for j in range(i + 1, len(chosen)):
-                    if _parity_idx(3, chosen[i] ^ chosen[j] ^ c) != 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                chosen.append(c)
-                extend(t + 1)
-                chosen.pop()
-
-    extend(0)
-    return tuple(out)
+    odds = np.flatnonzero(parity_table(3) == -1)
+    rows = np.arange(len(odds))[:, None]  # rows[t, i]: position in odds of member i of set t
+    for k in range(1, 7):
+        keep = np.arange(len(odds)) > rows[:, -1:]
+        for i, j in combinations(range(k), 2):
+            keep &= triple_signs(3, odds[rows[:, i : i + 1]], odds[rows[:, j : j + 1]], odds) == -1
+        t, v = np.nonzero(keep)
+        rows = np.column_stack([rows[t], v])
+    return tuple(
+        CharacteristicSet(Characteristic(3, int(i)) for i in members) for members in odds[rows]
+    )
 
 
 # Classical worked examples, usable as fixtures throughout the package.

@@ -5,15 +5,18 @@ the unique Fano-pair decomposition of each Pascal configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .characteristics import (
     Characteristic,
     CharacteristicSet,
-    _pairing_idx,
-    _parity_idx,
+    _check_aronhold,
+    pairing_table,
+    parity_table,
 )
 
 
@@ -23,39 +26,33 @@ class GopelSystem:
 
     g: int
     members: CharacteristicSet
+    even_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.members.g != self.g:
+            raise ValueError("genus mismatch")
         if len(self.members) != 1 << self.g:
             raise ValueError("a Goepel system has 2^g members")
-        idxs = self.members.idx_set()
-        if 0 not in idxs:
+        idx = np.array([m.idx for m in self.members])
+        if 0 not in idx:
             raise ValueError("a Goepel system contains the zero characteristic")
-        for a in idxs:
-            for b in idxs:
-                if (a ^ b) not in idxs:
-                    raise ValueError("members are not closed under addition")
-                if _pairing_idx(self.g, a, b) != 1:
-                    raise ValueError("members are not pairwise orthogonal")
+        if not np.isin(idx[:, None] ^ idx, idx).all():
+            raise ValueError("members are not closed under addition")
+        if (pairing_table(self.g)[np.ix_(idx, idx)] != 1).any():
+            raise ValueError("members are not pairwise orthogonal")
+        object.__setattr__(self, "even_count", int((parity_table(self.g)[idx] == 1).sum()))
 
     @classmethod
     def from_idxs(cls, g: int, idxs) -> "GopelSystem":
         return cls(g, CharacteristicSet(Characteristic(g, i) for i in sorted(idxs)))
 
     @property
-    def even_count(self) -> int:
-        return sum(1 for m in self.members if m.is_even)
-
-    @property
     def kind(self) -> str:
         """"fano" if all members are even, "pascal" if exactly half (g=3)."""
         if self.g != 3:
             raise ValueError("Fano/Pascal classification is for g = 3")
-        n_even = self.even_count
-        if n_even == 8:
-            return "fano"
-        if n_even == 4:
-            return "pascal"
-        raise AssertionError(f"impossible even-count {n_even} in a Goepel system")
+        # a Lagrangian subspace of F_2^6 holds 8 or 4 even characteristics
+        return "fano" if self.even_count == 8 else "pascal"
 
     def idx_set(self) -> frozenset:
         return self.members.idx_set()
@@ -73,7 +70,7 @@ def enumerate_lagrangian_subspaces(g: int) -> tuple[frozenset, ...]:
     """All Lagrangian subspaces of F_2^{2g} as frozensets of packed indices."""
     if g not in (2, 3):
         raise ValueError("Lagrangian enumeration implemented for g in {2, 3}")
-    n = 1 << (2 * g)
+    pt = pairing_table(g)
     seen = set()
     out = []
 
@@ -83,10 +80,9 @@ def enumerate_lagrangian_subspaces(g: int) -> tuple[frozenset, ...]:
                 seen.add(span)
                 out.append(span)
             return
-        for v in range(start, n):
-            if v in span:
-                continue
-            if all(_pairing_idx(g, v, s) == 1 for s in span):
+        orthogonal = (pt[list(span), start:] == 1).all(axis=0)
+        for v in (np.flatnonzero(orthogonal) + start).tolist():
+            if v not in span:
                 extend(span | frozenset(s ^ v for s in span), basis_size + 1, v + 1)
 
     extend(frozenset([0]), 0, 1)
@@ -120,8 +116,7 @@ def _validate_fano_family(triples) -> None:
 def fano_from_aronhold(aronhold: CharacteristicSet, triples) -> GopelSystem:
     """Zero plus the seven triple sums m_i + m_j + m_k of a Fano-plane family
     of index triples; always a Fano Goepel system."""
-    if aronhold.g != 3 or len(aronhold) != 7:
-        raise ValueError("need a 7-element genus-3 Aronhold set")
+    _check_aronhold(aronhold)
     _validate_fano_family(triples)
     ms = aronhold.members
     idxs = {0}
@@ -157,8 +152,7 @@ def _parse_pascal_family(spec):
 def pascal_from_aronhold(aronhold: CharacteristicSet, spec) -> GopelSystem:
     """Goepel system from a P-shaped family: three triple sums through one
     common index, the singleton, and the three complementary pair sums."""
-    if aronhold.g != 3 or len(aronhold) != 7:
-        raise ValueError("need a 7-element genus-3 Aronhold set")
+    _check_aronhold(aronhold)
     common, pairs = _parse_pascal_family(spec)
     ms = aronhold.members
     c = ms[common - 1].idx
@@ -214,17 +208,14 @@ def even_coset(system: GopelSystem) -> frozenset:
     """The unique affine translate of the system consisting of 8 even
     characteristics; the system itself for a Fano configuration."""
     g = system.g
-    idxs = system.idx_set()
-    found = None
-    for x in range(1 << (2 * g)):
-        coset = frozenset(x ^ i for i in idxs)
-        if all(_parity_idx(g, i) == 1 for i in coset):
-            if found is not None and coset != found:
-                raise AssertionError("even coset is not unique")
-            found = coset
-    if found is None:
+    translates = np.arange(1 << (2 * g))[:, None] ^ [m.idx for m in system.members]
+    even = (parity_table(g)[translates] == 1).all(axis=1)
+    found = {frozenset(t) for t in translates[even].tolist()}
+    if not found:
         raise AssertionError("no even coset exists")
-    return found
+    if len(found) > 1:
+        raise AssertionError("even coset is not unique")
+    return found.pop()
 
 
 @dataclass(frozen=True)
@@ -237,25 +228,34 @@ class PascalDecomposition:
     s3: frozenset  # fano2 - s1
 
 
+def _mask(idxs) -> int:
+    return sum(1 << i for i in idxs)
+
+
+@lru_cache(maxsize=1)
+def _fano_by_mask() -> dict:
+    """The 30 Fano configurations keyed by their 64-bit member mask, in
+    enumerate_gopel order."""
+    return {_mask(s.idx_set()): s for s in enumerate_gopel(3) if s.kind == "fano"}
+
+
 @lru_cache(maxsize=None)
 def pascal_decomposition(pascal: GopelSystem) -> PascalDecomposition:
     """The unique pair of Fano configurations F', F'' with F' = S1 u S2,
-    F'' = S1 u S3 and S2 u S3 the even coset of the Pascal input."""
+    F'' = S1 u S3 and S2 u S3 the even coset of the Pascal input.
+
+    Two 8-sets with symmetric difference the 8-set S2 u S3 meet in 4 members,
+    so the pairs are exactly the Fano F' whose mask XOR the target is a Fano
+    mask; F' is the member that comes first in enumerate_gopel order."""
     if pascal.kind != "pascal":
         raise ValueError("input is not a Pascal configuration")
-    target = even_coset(pascal)
-    fanos = [s for s in enumerate_gopel(3) if s.kind == "fano"]
-    found = None
-    for f1, f2 in combinations(fanos, 2):
-        s1 = f1.idx_set() & f2.idx_set()
-        if len(s1) != 4:
-            continue
-        s2 = f1.idx_set() - s1
-        s3 = f2.idx_set() - s1
-        if s2 | s3 == target:
-            if found is not None:
-                raise AssertionError("Fano pair is not unique")
-            found = PascalDecomposition(pascal, f1, f2, s1, s2, s3)
-    if found is None:
+    target = _mask(even_coset(pascal))
+    fanos = _fano_by_mask()
+    found = [(f, fanos[m ^ target]) for m, f in fanos.items() if m ^ target in fanos]
+    if not found:
         raise AssertionError("no Fano pair decomposes this Pascal configuration")
-    return found
+    if len(found) > 2:  # each pair is found from both of its members
+        raise AssertionError("Fano pair is not unique")
+    f1, f2 = found[0]
+    s1 = f1.idx_set() & f2.idx_set()
+    return PascalDecomposition(pascal, f1, f2, s1, f1.idx_set() - s1, f2.idx_set() - s1)

@@ -19,6 +19,7 @@ from .characteristics import (
     ARONHOLD_EXAMPLE,
     Characteristic,
     CharacteristicSet,
+    _check_aronhold,
     enumerate_characteristics,
 )
 from .gopel import GopelSystem, even_coset, fano_basis, pascal_decomposition
@@ -73,11 +74,10 @@ def h_goepel(tau: PeriodMatrix, system: GopelSystem, tol: float = DEFAULT_TOL) -
 def aronhold_base_point(aronhold: CharacteristicSet) -> Characteristic:
     """The even characteristic n0 completing an Aronhold set to a fundamental
     system; it is the sum of the seven members."""
+    _check_aronhold(aronhold)
     n0 = Characteristic(3, 0)
     for m in aronhold:
         n0 = n0 + m
-    if n0.is_odd:
-        raise ValueError("input is not an Aronhold set (sum is odd)")
     return n0
 
 
@@ -91,10 +91,8 @@ def h_via_jacobian(
     D(M_1) ... D(M_7) / theta_{n0}^7, which equals +-pi^21 h_fano(F)."""
     from .theta import PhasePoint, theta
 
-    if aronhold.g != 3 or len(aronhold) != 7:
-        raise ValueError("need a 7-element Aronhold set")
-    ms = aronhold.members
     n0 = aronhold_base_point(aronhold)
+    ms = aronhold.members
     num = 1.0 + 0.0j
     for (i, j, k) in triples:
         num *= jacobian_det(tau, (ms[i - 1], ms[j - 1], ms[k - 1]), tol)

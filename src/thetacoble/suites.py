@@ -28,12 +28,15 @@ from .characteristics import (
     PASCAL_FAMILY,
     Characteristic,
     CharacteristicSet,
-    _parity_idx,
+    admissible_evens,
+    all_azygetic,
     enumerate_aronhold_sets,
     enumerate_characteristics,
     is_fundamental_system,
+    parity_table,
     special_fundamental_completion,
     triple_sign,
+    triple_signs,
 )
 from .sampling import random_tau, random_z, stream
 from .theta import PhasePoint, jacobian_det, theta
@@ -96,11 +99,11 @@ def _flag(name: str, ok: bool) -> CheckRecord:
 # combinatorics
 
 
-def _azygetic_odd_triples_g3():
-    odds = [m.idx for m in enumerate_characteristics(3, "odd")]
-    for a, b, c in combinations(odds, 3):
-        if _parity_idx(3, a ^ b ^ c) == 1:  # three odds: azygetic iff sum even
-            yield a, b, c
+def _azygetic_odd_triples(g: int) -> np.ndarray:
+    """All azygetic triples of odd indices of genus g, as an (n, 3) array."""
+    odds = np.flatnonzero(parity_table(g) == -1)
+    triples = odds[np.array(list(combinations(range(len(odds)), 3)))]
+    return triples[triple_signs(g, *triples.T) == -1]
 
 
 def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord]:
@@ -133,28 +136,17 @@ def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord
 
     # Every azygetic odd triple: 6 admissible evens, one equal
     # to the triple sum, the other 5 completing a special fundamental system.
-    triples_ok = True
-    n_triples = 0
-    evens = [m.idx for m in enumerate_characteristics(3, "even")]
-    for a, b, c in _azygetic_odd_triples_g3():
-        n_triples += 1
-        admissible = [
-            n
-            for n in evens
-            if _parity_idx(3, a ^ b ^ n) == -1
-            and _parity_idx(3, a ^ c ^ n) == -1
-            and _parity_idx(3, b ^ c ^ n) == -1
-        ]
-        if len(admissible) != 6 or (a ^ b ^ c) not in admissible:
-            triples_ok = False
-            break
-        rest = [Characteristic(3, n) for n in admissible if n != a ^ b ^ c]
-        sfs = CharacteristicSet([Characteristic(3, i) for i in (a, b, c)] + rest)
-        if not is_fundamental_system(sfs):
-            triples_ok = False
-            break
+    triples = _azygetic_odd_triples(3)  # (2016, 3)
+    evens, admissible = admissible_evens(3, triples)  # (2016, 36)
+    is_sum = evens == np.bitwise_xor.reduce(triples, axis=1)[:, None]
+    triples_ok = bool(
+        (admissible.sum(axis=1) == 6).all() and (admissible & is_sum).any(axis=1).all()
+    )
+    if triples_ok:
+        rest = evens[np.nonzero(admissible & ~is_sum)[1]].reshape(-1, 5)
+        triples_ok = bool(all_azygetic(3, np.hstack([triples, rest])).all())
     recs.append(_flag("azygetic_triple_completion", triples_ok))
-    recs.append(_count("azygetic_odd_triple_count", n_triples, 2016))
+    recs.append(_count("azygetic_odd_triple_count", len(triples), 2016))
 
     # Within the fixed fundamental system {0} u (example): any two
     # azygetic odd triples sharing m1 have completions meeting in {m1, n0}.
@@ -191,29 +183,15 @@ def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord
     recs.append(_count("aronhold_partition_even_sums", tags.count("even_sum"), 35))
 
     # genus-2: unique even n0 with azygetic quadruple, n0 = m1+m2+m3.
-    odds2 = [m.idx for m in enumerate_characteristics(2, "odd")]
-    evens2 = [m.idx for m in enumerate_characteristics(2, "even")]
-    g2_ok = True
-    for a, b, c in combinations(odds2, 3):
-        if _parity_idx(2, a ^ b ^ c) != 1:
-            continue
-        admissible = [
-            n
-            for n in evens2
-            if _parity_idx(2, a ^ b ^ n) == -1
-            and _parity_idx(2, a ^ c ^ n) == -1
-            and _parity_idx(2, b ^ c ^ n) == -1
-        ]
-        if admissible != [a ^ b ^ c]:
-            g2_ok = False
-    recs.append(_flag("genus2_unique_even_completion", g2_ok))
+    triples2 = _azygetic_odd_triples(2)
+    evens2, admissible2 = admissible_evens(2, triples2)
+    is_sum2 = evens2 == np.bitwise_xor.reduce(triples2, axis=1)[:, None]
+    recs.append(_flag("genus2_unique_even_completion", bool((admissible2 == is_sum2).all())))
 
     # genus-2: every odd pair has a unique even 4-element completion.
     g2_pairs_ok = True
-    for a, b in combinations(odds2, 2):
-        comp = special_fundamental_completion(
-            CharacteristicSet([Characteristic(2, a), Characteristic(2, b)])
-        )
+    for a, b in combinations(enumerate_characteristics(2, "odd"), 2):
+        comp = special_fundamental_completion(CharacteristicSet([a, b]))
         if len(comp) != 4 or any(m.is_odd for m in comp):
             g2_pairs_ok = False
     recs.append(_flag("genus2_pair_completion", g2_pairs_ok))
@@ -241,15 +219,6 @@ def _orbit(start: frozenset) -> set[frozenset]:
         frontier = images - orbit
         orbit |= frontier
     return orbit
-
-
-def _parity_vector(g: int) -> np.ndarray:
-    return np.array([_parity_idx(g, i) for i in range(1 << (2 * g))])
-
-
-def _triple_signs(parity: np.ndarray, a, b, c) -> np.ndarray:
-    """triple_sign on index arrays: e(a) e(b) e(c) e(a + b + c)."""
-    return parity[a] * parity[b] * parity[c] * parity[a ^ b ^ c]
 
 
 def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
@@ -284,10 +253,10 @@ def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 
     # parity and triple-sign invariance, exhaustive over Sp(4, F2)
     tables = symplectic.action_tables(2, symplectic.enumerate_group(2).packed)  # (720, 16)
-    parity = _parity_vector(2)
+    parity = parity_table(2)
     a, b, c = np.array(list(combinations(range(16), 3))).T
     ta, tb, tc = tables[:, a], tables[:, b], tables[:, c]
-    same = _triple_signs(parity, ta, tb, tc) == _triple_signs(parity, a, b, c)
+    same = triple_signs(2, ta, tb, tc) == triple_signs(2, a, b, c)
     ok = bool((parity[tables] == parity).all() and same.all())
     recs.append(_flag("invariance_exhaustive_g2", ok))
 
@@ -301,8 +270,8 @@ def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     tables = symplectic.action_tables(3, enum3.packed[picks])  # (200, 64)
     a, b, c, d = np.moveaxis(np.array(idxs), 2, 0)  # each (200, 500)
     ta, tb, tc, td = (np.take_along_axis(tables, v, axis=1) for v in (a, b, c, d))
-    parity = _parity_vector(3)
-    same = _triple_signs(parity, ta, tb, tc) == _triple_signs(parity, a, b, c)
+    parity = parity_table(3)
+    same = triple_signs(3, ta, tb, tc) == triple_signs(3, a, b, c)
     ok = bool((parity[ta] == parity[a]).all() and same.all())
     # affine action preserves even-length linear relations
     lin_ok = bool((((a ^ b ^ c ^ d) == 0) == ((ta ^ tb ^ tc ^ td) == 0)).all())
@@ -313,7 +282,7 @@ def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     orbit = _orbit(frozenset({0}))
     recs.append(_count("zero_orbit_even36", len(orbit), 36))
     recs.append(
-        _flag("zero_orbit_all_even", all(_parity_idx(3, i) == 1 for (i,) in orbit))
+        _flag("zero_orbit_all_even", bool((parity_table(3)[[i for (i,) in orbit]] == 1).all()))
     )
 
     # transitivity on the 288 unordered Aronhold sets
@@ -359,7 +328,7 @@ def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     # no Goepel system contains an azygetic triple
     members = np.array([sorted(s.idx_set()) for s in systems])  # (135, 8)
     a, b, c = (members[:, t] for t in np.array(list(combinations(range(8), 3))).T)
-    signs = _triple_signs(_parity_vector(3), a, b, c)
+    signs = triple_signs(3, a, b, c)
     recs.append(_flag("no_azygetic_triples", bool((signs == 1).all())))
 
     # unique Fano-pair decomposition for all 105 Pascal configurations
@@ -372,7 +341,7 @@ def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
         n_ok += 1
         if len(dec.s1) != 4 or 0 not in dec.s1:
             planes_ok = False
-        if any(_parity_idx(3, i) != 1 for i in dec.s1 | dec.s2 | dec.s3):
+        if (parity_table(3)[list(dec.s1 | dec.s2 | dec.s3)] != 1).any():
             planes_ok = False
         span = {a ^ b for a in dec.s1 for b in dec.s1}
         if span != dec.s1:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characteristics import Characteristic, _check_genus, _pairing_idx
+from .characteristics import Characteristic, _check_genus, pairing_table
 
 # ---------------------------------------------------------------------------
 # bit-matrix helpers (rows as integers, width bits per row)
@@ -248,7 +248,7 @@ def _symplectic_bases(g: int) -> np.ndarray:
     """
     w = 2 * g
     n = 1 << w
-    odd = np.array([[_pairing_idx(g, a, b) == -1 for b in range(n)] for a in range(n)])
+    odd = pairing_table(g) == -1
     match = (~odd, odd)  # match[e][a, b]: the pairing of a and b is e
     j = symplectic_j(g)
     rows: list[np.ndarray] = []  # rows[i][t]: row i of partial basis t
@@ -284,23 +284,15 @@ def _complete_to_symplectic_basis(g: int, lag_basis: list[int]) -> SymplecticMat
     """Build gamma in Sp(2g, F2) whose linear action maps {m'=0} onto the
     Lagrangian spanned by lag_basis (packed 2g-bit vectors)."""
     w = 2 * g
-
-    def pair_bit(a: int, b: int) -> int:
-        return 1 if _pairing_idx(g, a, b) == -1 else 0
-
-    # greedily pick u_i with <u_i, w_j> = delta_ij, <u_i, u_k> = 0
+    pt = pairing_table(g)
+    # greedily pick the least u_i with e(u_i, w_j) = (-1)^{delta_ij}, e(u_i, u_k) = 1
     us: list[int] = []
     for i in range(g):
-        found = None
-        for v in range(1, 1 << w):
-            if all(pair_bit(v, wv) == (1 if j == i else 0) for j, wv in enumerate(lag_basis)) and all(
-                pair_bit(v, u) == 0 for u in us
-            ):
-                found = v
-                break
-        if found is None:
+        want = np.where(np.arange(g) == i, -1, 1)
+        ok = (pt[:, lag_basis] == want).all(axis=1) & (pt[:, us] == 1).all(axis=1)
+        if not ok.any():
             raise AssertionError("failed to complete symplectic basis")
-        us.append(found)
+        us.append(int(np.argmax(ok)))
     cols = us + lag_basis
     n_rows = tuple(
         sum(((cols[j] >> (w - 1 - i)) & 1) << (w - 1 - j) for j in range(w))

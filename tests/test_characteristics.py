@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,14 +8,20 @@ from thetacoble.characteristics import (
     ARONHOLD_EXAMPLE,
     Characteristic,
     CharacteristicSet,
+    _pairing_idx,
+    _parity_idx,
+    all_azygetic,
     aronhold_classify,
     enumerate_aronhold_sets,
     enumerate_characteristics,
     is_fundamental_system,
     pairing,
+    pairing_table,
     parity,
+    parity_table,
     special_fundamental_completion,
     triple_sign,
+    triple_signs,
 )
 
 GENERA = (1, 2, 3)
@@ -98,6 +105,35 @@ class TestTripleSign:
         assert pairing(a + b, c) == pairing(a, c) * pairing(b, c)
 
 
+class TestTables:
+    """The bulk tables against the scalar definitions they are built from."""
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_parity_table_matches_definition(self, g):
+        table = parity_table(g)
+        assert table.tolist() == [_parity_idx(g, i) for i in range(1 << (2 * g))]
+        assert table is parity_table(g) and not table.flags.writeable
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_pairing_table_matches_definition(self, g):
+        n = 1 << (2 * g)
+        table = pairing_table(g)
+        assert table.tolist() == [[_pairing_idx(g, a, b) for b in range(n)] for a in range(n)]
+        assert table is pairing_table(g) and not table.flags.writeable
+
+    def test_triple_signs_match_scalar_on_all_genus3_triples(self):
+        triples = list(combinations(range(64), 3))
+        a, b, c = np.array(triples).T
+        scalar = [triple_sign(*(Characteristic(3, i) for i in t)) for t in triples]
+        assert triple_signs(3, a, b, c).tolist() == scalar
+
+
+def _fundamental_oracle(idxs) -> bool:
+    """The scalar triple loop the batched check replaced."""
+    ms = [Characteristic(3, int(i)) for i in idxs]
+    return len(ms) == 8 and all(triple_sign(*t) == -1 for t in combinations(ms, 3))
+
+
 class TestCharacteristicSet:
     def test_rejects_duplicates(self):
         m = Characteristic(3, 5)
@@ -151,6 +187,23 @@ class TestFundamentalSystems:
                 CharacteristicSet.parse(3, ["000;000", "111;111", "110;100"])
             )
 
+    def test_batched_check_matches_scalar_oracle(self):
+        odds = list(enumerate_characteristics(3, "odd"))
+        completed = []
+        for t in combinations(odds, 3):
+            if triple_sign(*t) == -1:
+                comp = special_fundamental_completion(CharacteristicSet(t))
+                completed.append([m.idx for m in t] + [n.idx for n in comp])
+        assert len(completed) == 2016
+        rng = np.random.default_rng(20121212)
+        random_sets = [rng.choice(64, size=8, replace=False).tolist() for _ in range(500)]
+        rows = np.array(completed + random_sets)
+        expected = [_fundamental_oracle(r) for r in rows]
+        assert not all(expected[2016:])  # the random sets exercise the False branch
+        assert all_azygetic(3, rows).tolist() == expected
+        scalar_api = [is_fundamental_system(CharacteristicSet.parse(3, r.tolist())) for r in rows]
+        assert scalar_api == expected
+
     def test_genus2_completion_unique_and_even(self):
         odds = list(enumerate_characteristics(2, "odd"))
         comp = special_fundamental_completion(CharacteristicSet(odds[:2]))
@@ -163,6 +216,16 @@ class TestAronhold:
         sets = enumerate_aronhold_sets()
         assert len(sets) == 288
         assert len({s.idx_set() for s in sets}) == 288
+
+    def test_every_set_azygetic_under_scalar_sign(self):
+        for s in enumerate_aronhold_sets():
+            assert all(m.is_odd for m in s)
+            assert all(triple_sign(*t) == -1 for t in combinations(s.members, 3))
+
+    def test_sets_in_lexicographic_order(self):
+        keys = [tuple(m.idx for m in s) for s in enumerate_aronhold_sets()]
+        assert all(list(k) == sorted(k) for k in keys)
+        assert keys == sorted(keys)
 
     def test_example_is_enumerated(self):
         assert ARONHOLD_EXAMPLE.idx_set() in {

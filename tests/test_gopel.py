@@ -39,6 +39,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             gp.GopelSystem.from_idxs(3, [0, 1, 2, 3, 4, 5, 6, 8])
 
+    def test_validation_rejects_genus_mismatch(self):
+        genus3 = CharacteristicSet.parse(3, ["000;000", "000;001", "000;010", "000;011"])
+        genus2 = CharacteristicSet(Characteristic(2, i) for i in range(8))
+        with pytest.raises(ValueError, match="genus mismatch"):
+            gp.GopelSystem(2, genus3)
+        with pytest.raises(ValueError, match="genus mismatch"):
+            gp.GopelSystem(3, genus2)
+
 
 class TestFromAronhold:
     def test_fano_worked_example(self):
@@ -67,6 +75,29 @@ class TestFromAronhold:
 
         for fam in fano_plane_families():
             assert gp.fano_from_aronhold(ARONHOLD_EXAMPLE, fam).kind == "fano"
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            # odd members with an even sum, but only 23 of the 35 triples azygetic
+            ["001;011", "001;101", "011;010", "100;111", "110;100", "110;101", "111;010"],
+            # odd members whose Fano-family sums span a Pascal configuration
+            ["001;011", "001;111", "011;101", "101;110", "110;010", "111;001", "111;100"],
+        ],
+        ids=["S", "T"],
+    )
+    def test_non_aronhold_input_rejected(self, members):
+        from thetacoble import modular
+
+        s = CharacteristicSet.parse(3, members)
+        with pytest.raises(ValueError, match="not an Aronhold set"):
+            gp.fano_from_aronhold(s, FANO_TRIPLE_FAMILY)
+        with pytest.raises(ValueError, match="not an Aronhold set"):
+            gp.pascal_from_aronhold(s, PASCAL_FAMILY)
+        with pytest.raises(ValueError, match="not an Aronhold set"):
+            modular.aronhold_base_point(s)
+        with pytest.raises(ValueError, match="not an Aronhold set"):
+            modular.h_via_jacobian(modular.reference_tau3(), s, FANO_TRIPLE_FAMILY)
 
     def test_invalid_family_rejected(self):
         bad = tuple(list(FANO_TRIPLE_FAMILY[:6]) + [(1, 2, 4)])
@@ -105,6 +136,14 @@ class TestPascalDecomposition:
         fano = next(s for s in gp.enumerate_gopel(3) if s.kind == "fano")
         with pytest.raises(ValueError):
             gp.pascal_decomposition(fano)
+
+
+    def test_decomposition_pair_in_enumeration_order(self):
+        order = {s.idx_set(): k for k, s in enumerate(gp.enumerate_gopel(3))}
+        for s in gp.enumerate_gopel(3):
+            if s.kind == "pascal":
+                dec = gp.pascal_decomposition(s)
+                assert order[dec.fano1.idx_set()] < order[dec.fano2.idx_set()]
 
 
 class TestFanoBasis:

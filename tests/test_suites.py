@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from thetacoble import symplectic
+from thetacoble import characteristics, symplectic
 from thetacoble.characteristics import _parity_idx
 from thetacoble.suites import SUITES, run_suite
 
@@ -85,3 +86,41 @@ class TestGroupMutations:
         records = {r["name"]: r["pass"] for r in run_suite("group", seed=1).to_json()["records"]}
         assert records[record] is False
         assert records["zero_orbit_even36"] and records["aronhold_orbit"]
+
+
+class TestParityMutations:
+    """A flipped even entry of the parity table, seen at every binding of
+    parity_table, must not pass: the batched checks read a non-empty table."""
+
+    @staticmethod
+    def flip(monkeypatch, g, idx):
+        table = characteristics.parity_table
+        flipped = table(g).copy()
+        assert flipped[idx] == 1
+        flipped[idx] = -1
+
+        def mutated(genus):
+            return flipped if genus == g else table(genus)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("thetacoble") and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is table:
+                        monkeypatch.setattr(module, attr, mutated)
+
+    def test_combinatorics_mask_sees_the_flip(self, monkeypatch):
+        assert run_suite("combinatorics", seed=1).passed  # warms the memoized enumerations
+        self.flip(monkeypatch, 3, 1)
+        # The admissible-evens mask shared by the suite and the completion
+        # loses the flipped even; the completion's own check stops the suite.
+        with pytest.raises(AssertionError, match="expected 6 admissible evens, got 5"):
+            run_suite("combinatorics", seed=1)
+
+    @pytest.mark.parametrize(
+        "g, failing",
+        [(2, {"invariance_exhaustive_g2"}), (3, {"invariance_sampled_g3", "zero_orbit_all_even"})],
+    )
+    def test_group_records_fail(self, monkeypatch, g, failing):
+        self.flip(monkeypatch, g, 1)
+        records = run_suite("group", seed=1).to_json()["records"]
+        assert {r["name"] for r in records if not r["pass"]} == failing
