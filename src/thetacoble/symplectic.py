@@ -288,11 +288,11 @@ def _complete_to_symplectic_basis(g: int, lag_basis: list[int]) -> SymplecticMat
     # greedily pick the least u_i with e(u_i, w_j) = (-1)^{delta_ij}, e(u_i, u_k) = 1
     us: list[int] = []
     for i in range(g):
-        want = np.where(np.arange(g) == i, -1, 1)
-        ok = (pt[:, lag_basis] == want).all(axis=1) & (pt[:, us] == 1).all(axis=1)
+        want = [-1 if j == i else 1 for j in range(g)] + [1] * len(us)
+        ok = (pt[:, lag_basis + us] == want).all(axis=1)
         if not ok.any():
             raise AssertionError("failed to complete symplectic basis")
-        us.append(int(np.argmax(ok)))
+        us.append(int(ok.argmax()))
     cols = us + lag_basis
     n_rows = tuple(
         sum(((cols[j] >> (w - 1 - i)) & 1) << (w - 1 - j) for j in range(w))

@@ -137,7 +137,6 @@ class TestPascalDecomposition:
         with pytest.raises(ValueError):
             gp.pascal_decomposition(fano)
 
-
     def test_decomposition_pair_in_enumeration_order(self):
         order = {s.idx_set(): k for k, s in enumerate(gp.enumerate_gopel(3))}
         for s in gp.enumerate_gopel(3):
