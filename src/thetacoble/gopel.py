@@ -67,26 +67,34 @@ class GopelSystem:
 
 @lru_cache(maxsize=None)
 def enumerate_lagrangian_subspaces(g: int) -> tuple[frozenset, ...]:
-    """All Lagrangian subspaces of F_2^{2g} as frozensets of packed indices."""
+    """All Lagrangian subspaces of F_2^{2g} as frozensets of packed indices.
+
+    Each subspace is built once, from its reduced echelon basis: vectors with
+    strictly decreasing leading bits, each zero at the others' leading bits.
+    Level k extends every such isotropic basis of k vectors by each
+    orthogonal vector below its last leading bit that keeps it reduced.
+    """
     if g not in (2, 3):
         raise ValueError("Lagrangian enumeration implemented for g in {2, 3}")
     pt = pairing_table(g)
-    seen = set()
-    out = []
-
-    def extend(span: frozenset, basis_size: int, start: int):
-        if basis_size == g:
-            if span not in seen:
-                seen.add(span)
-                out.append(span)
-            return
-        orthogonal = (pt[list(span), start:] == 1).all(axis=0)
-        for v in (np.flatnonzero(orthogonal) + start).tolist():
-            if v not in span:
-                extend(span | frozenset(s ^ v for s in span), basis_size + 1, v + 1)
-
-    extend(frozenset([0]), 0, 1)
-    return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
+    vs = np.arange(1, 1 << (2 * g))
+    top = 2 ** (np.frexp(vs)[1] - 1)  # the leading bit of each vector
+    bases = np.zeros((1, 0), dtype=int)
+    for _ in range(g):
+        pivots = np.bitwise_or.reduce(top[bases - 1], axis=1)[:, None]
+        union = np.bitwise_or.reduce(bases, axis=1)[:, None]
+        ok = (
+            (vs < np.where(pivots, pivots & -pivots, vs.size + 1))
+            & (vs & pivots == 0)
+            & (union & top == 0)
+            & (pt[bases][:, :, vs] == 1).all(axis=1)
+        )
+        rows, cols = np.nonzero(ok)
+        bases = np.column_stack([bases[rows], vs[cols]])
+    spans = np.zeros((len(bases), 1), dtype=int)
+    for column in bases.T:
+        spans = np.hstack([spans, spans ^ column[:, None]])
+    return tuple(sorted(map(frozenset, spans.tolist()), key=lambda s: tuple(sorted(s))))
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
-from .characteristics import Characteristic, enumerate_characteristics
+from .characteristics import Characteristic, _read_only, enumerate_characteristics
 
 DEFAULT_TOL = 1e-12
 
@@ -94,7 +96,7 @@ class PhasePoint:
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(self.z == 0))
+        return not self.z.any()
 
 
 @dataclass(frozen=True)
@@ -162,27 +164,59 @@ def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL
     return TruncationSpec(radius, tol, bound)
 
 
+# One bounded memo of read-only values (class sums, constants, gradients, 2 tau)
+# per tau; the whole memo is dropped once it holds more than _MEMO_CAP entries.
+_MEMO: dict[tuple, object] = {}
+_MEMO_CAP = 2048
+
+
+def _remember(key: tuple, value):
+    if len(_MEMO) > _MEMO_CAP:
+        _MEMO.clear()
+    _MEMO[key] = value
+    return value
+
+
 @lru_cache(maxsize=256)
-def _shifted_lattice(radius: int, mp: tuple[int, ...]) -> np.ndarray:
+def _shifted_lattice(radius: int, mp: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The points q = p + m'/2 with |q_i| <= radius + m'_i/2: every p with
     |p|_inf <= radius and, where m'_i = 1, also p_i = -radius - 1.  The set
     is symmetric under q -> -q, so the sum at -z has the same terms as at z;
-    the points left out all lie on shells |p|_inf > radius."""
-    axes = [np.arange(-radius - b, radius + 1) + b / 2 for b in mp]
-    grid = np.meshgrid(*axes, indexing="ij")
-    q = np.stack([a.ravel() for a in grid], axis=1)
-    q.setflags(write=False)
-    return q
+    the points left out all lie on shells |p|_inf > radius.  Grouped by the
+    class c = p mod 2 (in bit order), with the start of each group."""
+    blocks = []
+    for c in product((0, 1), repeat=len(mp)):
+        axes = [np.arange(-radius - b + (radius + b + ci) % 2, radius + 1, 2) + b / 2
+                for b, ci in zip(mp, c)]
+        blocks.append(np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1))
+    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+    return _read_only(np.concatenate(blocks)), _read_only(starts)
 
 
-def _lattice_terms(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float):
-    """The shifted lattice points q = p + m'/2 within the certified radius
-    and the terms exp(pi i (q^t tau q + 2 q.(z + m''/2))) of the theta sum."""
-    radius = truncation_radius(tau, z, tol).radius
-    q = _shifted_lattice(radius, m.mp)
-    shift = z.z + np.array(m.mpp, float) / 2
-    expo = np.einsum("ni,ni->n", q @ tau.tau, q) + 2.0 * (q @ shift)
-    return q, np.exp(1j * math.pi * expo)
+@lru_cache(maxsize=None)
+def _sign_matrix(g: int, mp: int) -> np.ndarray:
+    """H[m'', c] = i^{m'.m''} (-1)^{c.m''}: the factor exp(pi i q.m'') at the
+    points q = p + m'/2 of class c = p mod 2."""
+    n = 1 << g
+    return _read_only(np.array([[1j ** (mp & k).bit_count() * (-1) ** (c & k).bit_count()
+                                 for c in range(n)] for k in range(n)]))
+
+
+def _class_sums(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, radius: int) -> np.ndarray:
+    """Row m'' holds theta[m'; m''](tau, z) over the lattice of the given
+    radius and, at z = 0, its z-gradient: one exp over the lattice of the top
+    row m' serves all 2^g characteristics.  Memoized and read-only."""
+    key = tau.cache_key() + (z.z.tobytes(), m.mp_int, radius)
+    hit = _MEMO.get(key)
+    if hit is None:
+        q, starts = _shifted_lattice(radius, m.mp)
+        expo = np.einsum("ni,ni->n", q @ tau.tau, q) + 2.0 * (q @ z.z)
+        terms = np.exp(1j * math.pi * expo)
+        sums = np.add.reduceat(terms, starts)[:, None]
+        if z.is_zero:
+            sums = np.hstack([sums, 2j * math.pi * np.add.reduceat(q * terms[:, None], starts)])
+        hit = _remember(key, _read_only(_sign_matrix(tau.g, m.mp_int) @ sums))
+    return hit
 
 
 def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFAULT_TOL) -> complex:
@@ -195,22 +229,24 @@ def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFA
         raise ValueError("genus mismatch")
     if m.is_odd and z.is_zero:
         return 0.0
-    _, terms = _lattice_terms(tau, z, m, tol)
-    return complex(terms.sum())
+    radius = truncation_radius(tau, z, tol).radius
+    return complex(_class_sums(tau, z, m, radius)[m.mpp_int, 0])
 
 
 def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL) -> complex:
     """Second-order theta: Theta[eps](tau, z) = theta[eps; 0](2 tau, 2 z), with
-    the top row eps given as a bit string such as "101"."""
+    the top row eps given as a bit string such as "101"; 2 tau is built once."""
     g = tau.g
     if len(eps) != g:
         raise ValueError("eps length does not match genus")
     m = Characteristic.from_bits([int(b) for b in eps], (0,) * g)
-    return theta(PeriodMatrix(g, 2 * tau.tau), PhasePoint(g, 2 * z.z), m, tol)
+    key = tau.cache_key() + ("2tau",)
+    tau2 = _MEMO.get(key) or _remember(key, PeriodMatrix(g, 2 * tau.tau))
+    return theta(tau2, PhasePoint(g, 2 * z.z), m, tol)
 
 
 def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """grad_z theta_m(tau, z) at z = 0, by term-wise differentiation.
+    """grad_z theta_m(tau, z) at z = 0, by term-wise differentiation (read-only).
 
     Only odd characteristics are accepted; the gradient of an even theta
     function vanishes at z = 0 and asking for it is a caller bug.
@@ -219,34 +255,22 @@ def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TO
         raise ValueError("genus mismatch")
     if m.is_even:
         raise ValueError("gradient at z = 0 requires an odd characteristic")
-    q, w = _lattice_terms(tau, PhasePoint.zero(tau.g), m, tol)
-    return 2j * math.pi * (q * w[:, None]).sum(axis=0)
+    z0 = PhasePoint.zero(tau.g)
+    radius = truncation_radius(tau, z0, tol).radius
+    return _class_sums(tau, z0, m, radius)[m.mpp_int, 1:]
 
 
-# One bounded memo for the even constants and the odd gradients at each tau;
-# the whole memo is dropped once it holds more than _MEMO_CAP entries.
-_MEMO: dict[tuple, object] = {}
-_MEMO_CAP = 4096
-
-
-def _remember(key: tuple, value):
-    if len(_MEMO) > _MEMO_CAP:
-        _MEMO.clear()
-    _MEMO[key] = value
-    return value
-
-
-def even_theta_constants(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> dict[int, complex]:
-    """All even theta constants at tau, keyed by characteristic index; memoized
-    per (tau, tol)."""
+def even_theta_constants(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> MappingProxyType:
+    """All even theta constants at tau, keyed by characteristic index, as a
+    read-only mapping; memoized per (tau, tol)."""
     key = tau.cache_key() + (tol,)
     hit = _MEMO.get(key)
     if hit is None:
         z0 = PhasePoint.zero(tau.g)
-        hit = _remember(key, {
+        hit = _remember(key, MappingProxyType({
             m.idx: theta(tau, z0, m, tol)
             for m in enumerate_characteristics(tau.g, "even")
-        })
+        }))
     return hit
 
 

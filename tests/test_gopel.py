@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from thetacoble.characteristics import (
@@ -12,6 +13,29 @@ from thetacoble.characteristics import (
     triple_sign,
 )
 from thetacoble import gopel as gp
+from thetacoble.characteristics import pairing_table
+
+
+def _recursive_lagrangians(g):
+    """The earlier enumeration: extend every isotropic span by each orthogonal
+    vector past the last one added, deduplicating the spans reached through
+    several bases."""
+    pt = pairing_table(g)
+    seen, out = set(), []
+
+    def extend(span, basis_size, start):
+        if basis_size == g:
+            if span not in seen:
+                seen.add(span)
+                out.append(span)
+            return
+        orthogonal = (pt[list(span), start:] == 1).all(axis=0)
+        for v in (np.flatnonzero(orthogonal) + start).tolist():
+            if v not in span:
+                extend(span | frozenset(s ^ v for s in span), basis_size + 1, v + 1)
+
+    extend(frozenset([0]), 0, 1)
+    return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
 class TestEnumeration:
@@ -22,6 +46,13 @@ class TestEnumeration:
         assert kinds.count("fano") == 30
         assert kinds.count("pascal") == 105
         assert len(gp.enumerate_gopel(2)) == 15
+
+    @pytest.mark.parametrize("g, count", [(2, 15), (3, 135)])
+    def test_echelon_enumeration_matches_recursive_search(self, g, count):
+        # same subspaces, same order, each built once
+        lags = gp.enumerate_lagrangian_subspaces(g)
+        assert len(lags) == count == len(set(lags))
+        assert lags == _recursive_lagrangians(g)
 
     def test_systems_are_isotropic_subspaces(self):
         for s in gp.enumerate_gopel(2):

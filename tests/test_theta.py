@@ -1,10 +1,14 @@
 import math
+import sys
+from itertools import product
 
 import numpy as np
 import pytest
 
 from thetacoble.characteristics import Characteristic, enumerate_characteristics
+from thetacoble.modular import chi
 from thetacoble.sampling import random_tau, random_z, stream
+from thetacoble.suites import run_suite
 import importlib
 
 th = importlib.import_module("thetacoble.theta")
@@ -24,6 +28,25 @@ def _direct_terms(tau, z, m, radius):
     shift = z.z + np.array(m.mpp, float) / 2
     expo = np.einsum("ni,ij,nj->n", q, tau.tau, q) + 2.0 * (q @ shift)
     return p, expo
+
+
+def _meshgrid_lattice(radius, mp):
+    """Every q = p + m'/2 with |p|_inf <= radius and, where m'_i = 1, also
+    p_i = -radius - 1, in meshgrid order."""
+    axes = [np.arange(-radius - b, radius + 1) + b / 2 for b in mp]
+    return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _reference_sum(tau, z, m, radius):
+    """theta[m'; m''](tau, z) and its z-gradient as one lattice sum per
+    characteristic, exp(pi i (q^t tau q + 2 q.(z + m''/2))) over the meshgrid
+    lattice, each with its rounding allowance n_terms * eps * sum |term|."""
+    q = _meshgrid_lattice(radius, m.mp)
+    shift = z.z + np.array(m.mpp, float) / 2
+    terms = np.exp(1j * math.pi * (np.einsum("ni,ni->n", q @ tau.tau, q) + 2.0 * (q @ shift)))
+    grads = 2j * math.pi * q * terms[:, None]
+    n = len(terms)
+    return terms.sum(), n * EPS * np.abs(terms).sum(), grads.sum(0), n * EPS * np.abs(grads).sum(0)
 
 
 def _anisotropic_tau(rng, g, lam_min):
@@ -337,3 +360,94 @@ class TestSecondOrder:
             a = th.theta2(tau, z, e)
             b = th.theta2(tau, th.PhasePoint(g, -z.z), e)
             assert abs(a - b) < 1e-10
+
+
+KERNEL_CASES = [(g, lam, at_zero) for g in (1, 2, 3) for lam in (0.25, 1.0) for at_zero in (True, False)]
+
+
+def _kernel_mismatches(g, lam, at_zero):
+    """The values (every characteristic) and z = 0 gradients (every odd one)
+    that differ from the per-characteristic reference by more than its
+    rounding allowance."""
+    rng = stream(13, f"test_theta.kernel.{g}.{lam}.{at_zero}")
+    tau = _anisotropic_tau(rng, g, lam)
+    z = th.PhasePoint.zero(g) if at_zero else _z_with_imz_l1(rng, g, 0.5)
+    radius = th.truncation_radius(tau, z).radius
+    bad = []
+    for m in enumerate_characteristics(g, "all"):
+        value, allowance, grad, grad_allowance = _reference_sum(tau, z, m, radius)
+        if abs(th.theta(tau, z, m) - value) > allowance:
+            bad.append(f"theta {m}")
+        if at_zero and m.is_odd and np.any(np.abs(th.theta_gradient(tau, m) - grad) > grad_allowance):
+            bad.append(f"gradient {m}")
+    return bad
+
+
+class TestClassKernel:
+    """One exp per top row m' gives all 2^g characteristics [m'; m'']."""
+
+    @pytest.mark.parametrize("g, lam, at_zero", KERNEL_CASES)
+    def test_matches_per_characteristic_sum(self, g, lam, at_zero):
+        assert _kernel_mismatches(g, lam, at_zero) == []
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_lattice_is_the_meshgrid_grouped_by_class(self, g):
+        for radius in (1, 2, 5):
+            for mp in product((0, 1), repeat=g):
+                q, starts = th._shifted_lattice(radius, mp)
+                want = _meshgrid_lattice(radius, mp)
+                assert sorted(map(tuple, q.tolist())) == sorted(map(tuple, want.tolist()))
+                p = (q - np.array(mp) / 2).astype(int)
+                ends = [*starts[1:], len(q)]
+                assert len(starts) == 1 << g and starts[0] == 0
+                for c, (start, end) in enumerate(zip(starts, ends)):
+                    bits = [(c >> (g - 1 - i)) & 1 for i in range(g)]
+                    assert end > start and np.all(p[start:end] % 2 == bits)
+
+    def test_swapped_sign_columns_are_caught(self, monkeypatch):
+        sign_matrix = th._sign_matrix
+
+        def swapped(g, mp):
+            return sign_matrix(g, mp)[:, [1, 0, *range(2, 1 << g)]]
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("thetacoble") and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is sign_matrix:
+                        monkeypatch.setattr(module, attr, swapped)
+        monkeypatch.setattr(th, "_MEMO", {})
+        assert _kernel_mismatches(3, 0.25, True) and _kernel_mismatches(3, 0.25, False)
+        records = run_suite("coble", 1).to_json()["records"]
+        assert not all(r["pass"] for r in records)
+
+
+class TestReadOnlyMemo:
+    """The memo hands out read-only values, so a caller's in-place write
+    cannot change later results at the same tau."""
+
+    def test_gradient_write_raises(self):
+        tau = random_tau(stream(8, "test_theta.read_only_gradient"), 3)
+        z0 = th.PhasePoint.zero(3)
+        radius = th.truncation_radius(tau, z0).radius
+        odds = list(enumerate_characteristics(3, "odd"))[:3]
+        want = np.array([_reference_sum(tau, z0, m, radius)[2] for m in odds])
+        grad = th.cached_gradient(tau, odds[0])
+        with pytest.raises(ValueError, match="read-only"):
+            grad[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            th.theta_gradient(tau, odds[1])[0] = 0
+        assert np.allclose(th.cached_gradient(tau, odds[0]), want[0], rtol=1e-12, atol=0)
+        assert th.jacobian_det(tau, odds) == pytest.approx(np.linalg.det(want), rel=1e-10)
+
+    def test_constants_write_raises(self):
+        tau = random_tau(stream(8, "test_theta.read_only_constants"), 3)
+        z0 = th.PhasePoint.zero(3)
+        radius = th.truncation_radius(tau, z0).radius
+        evens = list(enumerate_characteristics(3, "even"))
+        want = {m.idx: _reference_sum(tau, z0, m, radius)[0] for m in evens}
+        consts = th.even_theta_constants(tau)
+        with pytest.raises(TypeError):
+            consts[0] = 0
+        again = th.even_theta_constants(tau)
+        assert all(abs(again[k] - v) < 1e-13 for k, v in want.items())
+        assert chi(tau) == pytest.approx(math.prod(want.values()), rel=1e-10)
