@@ -10,10 +10,10 @@ from thetacoble.characteristics import (
     Characteristic,
     CharacteristicSet,
     _parity_idx,
+    pairing_table,
     triple_sign,
 )
 from thetacoble import gopel as gp
-from thetacoble.characteristics import pairing_table
 
 
 def _recursive_lagrangians(g):
