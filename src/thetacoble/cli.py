@@ -118,7 +118,10 @@ def eval_cmd(what, tau_file, z_file, char_str, tol):
               help="write the JSON report to this file")
 def verify_cmd(suite, seed, samples, tol, report_file):
     """Run a named verification suite; exit code 0 iff every check passes."""
-    report = suites.run_suite(suite, seed=seed, samples=samples, tol=tol)
+    try:
+        report = suites.run_suite(suite, seed=seed, samples=samples, tol=tol)
+    except ValueError as exc:  # negative samples, or a negative or non-finite tol
+        raise click.ClickException(str(exc)) from exc
     payload = report.to_json()
     click.echo(f"suite={suite} seed={seed}")
     for rec in payload["records"]:

@@ -103,26 +103,19 @@ def h_via_jacobian(
 PI21 = math.pi**21
 
 
-def riemann_relation(
-    pascal: GopelSystem,
-    taus=None,
-    tol: float = 1e-8,
-    theta_tol: float = DEFAULT_TOL,
-):
+def riemann_relation(pascal: GopelSystem, taus, tol: float = 1e-8):
     """Sign pair (eps1, eps2) with H(P) = eps1 H(F') + eps2 H(F'').
 
     Signs are resolved at a fixed reference tau and then asserted stable on
     the supplied sample matrices (relative residual below tol at each).
     """
     dec = pascal_decomposition(pascal)
-    if taus is None:
-        taus = []
     probes = [reference_tau3()] + list(taus)
     values = []
     for tau in probes:
-        hp = h_pascal(tau, pascal, theta_tol)
-        h1 = h_fano(tau, dec.fano1, theta_tol)
-        h2 = h_fano(tau, dec.fano2, theta_tol)
+        hp = h_pascal(tau, pascal)
+        h1 = h_fano(tau, dec.fano1)
+        h2 = h_fano(tau, dec.fano2)
         values.append((hp, h1, h2, max(abs(hp), abs(h1), abs(h2))))
     best = None
     for e1 in (1, -1):

@@ -1,6 +1,7 @@
 """GIT invariants of point configurations: binary invariants of 6 points on
 P^1 (tableaux, Segre cubic, Igusa quartic) and bracket invariants of 7 points
-on P^2 (G_F and G_P).
+on P^2 (G_F and G_P).  The 30 Fano and the 105 P-shaped index families of
+G_F and G_P are the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY.
 
 The Igusa quartic is the image of the ten even genus-2 theta fourth powers,
 which span a 5-dimensional space.  Its 12-monomial form holds in coordinates
@@ -16,7 +17,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .characteristics import enumerate_characteristics
+from .characteristics import FANO_TRIPLE_FAMILY, PASCAL_FAMILY, enumerate_characteristics
 from .gopel import _parse_pascal_family, _validate_fano_family
 from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, theta
 
@@ -129,7 +130,7 @@ def _distinct_forms(values: np.ndarray, tol: float) -> np.ndarray:
     return np.array(kept)
 
 
-def igusa_tuple_search(taus, tol: float = 1e-8, theta_tol: float = DEFAULT_TOL) -> np.ndarray:
+def igusa_tuple_search(taus, tol: float = 1e-8) -> np.ndarray:
     """Integer linear forms X0..X4 in the even genus-2 theta^4 constants that
     satisfy the Igusa quartic at every sample tau, as a (5, 10) array whose
     columns follow enumerate_characteristics(2, "even"): X = forms @ theta^4.
@@ -142,7 +143,7 @@ def igusa_tuple_search(taus, tol: float = 1e-8, theta_tol: float = DEFAULT_TOL) 
     taus = list(taus)
     if len(taus) < 3:
         raise ValueError("need at least 3 sample period matrices")
-    values = np.array([theta4_constants(tau, theta_tol) for tau in taus])  # (n_tau, 10)
+    values = np.array([theta4_constants(tau) for tau in taus])  # (n_tau, 10)
     forms = _distinct_forms(values, tol)
     tails = values @ forms.T  # (n_tau, n_forms)
     n = len(forms)
@@ -241,49 +242,43 @@ def g_pascal(cfg, spec) -> complex:
     return complex(_pascal_values(_bracket_table([cfg]), _pascal_columns(spec))[0])
 
 
+def _s7_orbit(family, canonical) -> tuple:
+    """The distinct families obtained by relabelling ``family`` with every
+    permutation of 1..7, each in its canonical form, sorted."""
+    images = {
+        frozenset(frozenset(perm[i - 1] for i in part) for part in family)
+        for perm in permutations(range(1, 8))
+    }
+    return tuple(sorted(canonical(image) for image in images))
+
+
+def _fano_form(parts) -> tuple:
+    """Each triple sorted, then the triples sorted."""
+    return tuple(sorted(tuple(sorted(t)) for t in parts))
+
+
+def _pascal_form(parts) -> tuple:
+    """The three triples (c a b) ordered by their sorted pair (a, b), then
+    (c,), then the three sorted pairs."""
+    (c,) = next(p for p in parts if len(p) == 1)
+    pairs = sorted(tuple(sorted(p)) for p in parts if len(p) == 2)
+    return tuple((c,) + p for p in pairs) + ((c,),) + tuple(pairs)
+
+
+@lru_cache(maxsize=None)
 def fano_plane_families() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """All 30 families of 7 triples on {1..7} pairwise meeting in one point
-    (the labelled Fano planes), in lexicographic order."""
-    out = []
-
-    def extend(chosen, start):
-        if len(chosen) == 7:
-            out.append(tuple(chosen))
-            return
-        for t in range(start, len(_TRIPLES)):
-            cand = _TRIPLES[t]
-            if all(len(set(cand) & set(c)) == 1 for c in chosen):
-                chosen.append(cand)
-                extend(chosen, t + 1)
-                chosen.pop()
-
-    extend([], 0)
-    return tuple(out)
+    (the labelled Fano planes): the S_7-orbit of FANO_TRIPLE_FAMILY, in
+    lexicographic order."""
+    return _s7_orbit(FANO_TRIPLE_FAMILY, _fano_form)
 
 
+@lru_cache(maxsize=None)
 def pascal_families() -> tuple[tuple, ...]:
-    """All P-shaped families: a common index plus a partition of the other
-    six indices into three pairs."""
-    out = []
-    for c in range(1, 8):
-        rest = [i for i in range(1, 8) if i != c]
-
-        def pairings(items):
-            if not items:
-                yield []
-                return
-            a = items[0]
-            for k in range(1, len(items)):
-                b = items[k]
-                for tail in pairings([x for x in items[1:] if x != b]):
-                    yield [(a, b)] + tail
-
-        for ps in pairings(rest):
-            fam = tuple(
-                [(c,) + p for p in ps] + [(c,)] + [tuple(p) for p in ps]
-            )
-            out.append(fam)
-    return tuple(out)
+    """All 105 P-shaped families, a common index c plus a partition of the
+    other six indices into three pairs: the S_7-orbit of PASCAL_FAMILY, in
+    lexicographic order."""
+    return _s7_orbit(PASCAL_FAMILY, _pascal_form)
 
 
 @lru_cache(maxsize=None)

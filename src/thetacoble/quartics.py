@@ -1,6 +1,9 @@
-"""The 15 translation-invariant quartics in second-order theta variables, the
+"""The translation-invariant quartics in second-order theta variables, the
 explicit Coble quartic (g=3) with its gradient cubics, the genus-2 universal
 Kummer surface, and the Jacobi-form functional-equation residuals.
+
+Both quartics are tables of integer combinations of s over the invariant
+quartics Q, evaluated by one table path.
 """
 
 from __future__ import annotations
@@ -15,42 +18,38 @@ from .modular import s_vector
 from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, theta2
 
 # ---------------------------------------------------------------------------
-# quartic basis, g = 3: labels "Q000", "Q001".."Q111", "Q'001".."Q'111"
-
-
-def _alpha_labels():
-    return [format(a, "03b") for a in range(1, 8)]
+# quartic basis: labels "Q" + a and "Q'" + a for a in F_2^g written in g bits;
+# g = 3: "Q000", "Q001".."Q111", "Q'001".."Q'111"
 
 
 def quartic_labels() -> list[str]:
-    return ["Q000"] + [f"Q{a}" for a in _alpha_labels()] + [f"Q'{a}" for a in _alpha_labels()]
+    return list(COBLE_TABLE)
 
 
-def _dot3(a: int, b: int) -> int:
+def _dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
 @lru_cache(maxsize=None)
 def quartic_monomials(label: str) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The labelled quartic as a sparse monomial map: (exponents over the 8
-    variables x_eps, coefficient).  Each quartic is (1/k) sum_eps prod_mu
-    x_{eps + mu} over a multiset of four shifts mu: {0, 0, 0, 0} for Q000
-    (k = 1), {0, 0, a, a} for Q_a (k = 2) and the a-perp for Q'_a (k = 4).
-    Every monomial then occurs exactly k times, so all coefficients are 1."""
-    if label == "Q000":
-        shifts, k = (0, 0, 0, 0), 1
-    elif label.startswith("Q"):
-        primed = label.startswith("Q'")
-        a = int(label[1 + primed:], 2)
-        if not 1 <= a <= 7:
-            raise ValueError(f"bad label {label!r}")
-        perp = tuple(mu for mu in range(8) if _dot3(mu, a) == 0)
-        shifts, k = (perp, 4) if primed else ((0, 0, a, a), 2)
-    else:
+    """The labelled quartic as a sparse monomial map: (exponents over the 2^g
+    variables x_eps, coefficient), g being the bit count of the label.  Each
+    quartic is (1/k) sum_eps prod_mu x_{eps + mu} over a multiset of four
+    shifts mu: {0, 0, a, a} for Q_a (k = 2, or 1 for a = 0) and a-perp for Q'_a
+    (k = 4), so a != 0 in genus 3 and a = 0 in genus 2.  Every monomial then
+    occurs exactly k times, so all coefficients are 1."""
+    primed = label.startswith("Q'")
+    bits = label[1 + primed:]
+    if not label.startswith("Q") or len(bits) not in (2, 3) or set(bits) - {"0", "1"}:
         raise ValueError(f"bad label {label!r}")
+    g, a = len(bits), int(bits, 2)
+    perp = tuple(mu for mu in range(1 << g) if _dot(mu, a) == 0)
+    shifts, k = (perp, 4) if primed else ((0, 0, a, a), 2 if a else 1)
+    if len(shifts) != 4:
+        raise ValueError(f"bad label {label!r}: a-perp must have 4 elements")
     mons = Counter()
-    for eps in range(8):
-        e = [0] * 8
+    for eps in range(1 << g):
+        e = [0] * (1 << g)
         for mu in shifts:
             e[eps ^ mu] += 1
         mons[tuple(e)] += 1
@@ -60,15 +59,15 @@ def quartic_monomials(label: str) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def q_basis_eval(label: str, x) -> complex:
-    """Evaluate the labelled invariant quartic at x in C^8."""
-    labels, expo, starts, _ = _coble_tables()
+    """Evaluate the labelled genus-3 invariant quartic at x in C^8."""
+    labels, expo, starts, _ = _coble_tables(3)
     if label not in labels:
         raise ValueError(f"bad label {label!r}")
     return complex(np.add.reduceat(_powers(x, expo), starts)[labels.index(label)])
 
 
 # ---------------------------------------------------------------------------
-# Coble coefficients: the integer combination table a(Q) in the s basis.
+# Quartic coefficients: the integer combination tables a(Q) in the s basis.
 # Keys are quartic labels; values map 1-based s indices to integers.
 
 COBLE_TABLE: dict[str, dict[int, int]] = {
@@ -89,33 +88,49 @@ COBLE_TABLE: dict[str, dict[int, int]] = {
     "Q'111": {1: 8, 4: 8, 7: 8, 9: 8, 15: 16},
 }
 
+# The genus-2 universal Kummer surface in the same format, on s_1..s_5.
+KUMMER2_TABLE: dict[str, dict[int, int]] = {
+    "Q00": {1: 1},
+    "Q01": {1: -2, 3: -4},
+    "Q10": {1: -2, 2: -4},
+    "Q11": {1: -2, 4: -4},
+    "Q'00": {1: 8, 2: 8, 3: 8, 4: 8, 5: 16},
+}
+
 
 @lru_cache(maxsize=None)
-def _coble_tables() -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """The Coble quartic as index tables: the 15 labels, the (50, 8)
+def _coble_tables(g: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The quartic table of genus g as index tables: its n labels, the
     exponent matrix of their monomials in label order (each with coefficient
-    1), the first row of each label, and the integer (15, 15) matrix A with
+    1), the first row of each label, and the integer (n, n) matrix A with
     a(Q) = A @ s."""
-    labels = tuple(quartic_labels())
+    table = {3: COBLE_TABLE, 2: KUMMER2_TABLE}[g]
+    labels, n = tuple(table), len(table)
     mons = [quartic_monomials(label) for label in labels]
     expo = np.array([e for label_mons in mons for e, _ in label_mons])
     starts = np.cumsum([0] + [len(m) for m in mons[:-1]])
-    a_of_s = np.array([[COBLE_TABLE[label].get(i, 0) for i in range(1, 16)] for label in labels])
+    a_of_s = np.array([[table[label].get(i, 0) for i in range(1, n + 1)] for label in labels])
     return labels, expo, starts, a_of_s
 
 
 def _powers(x, expo: np.ndarray) -> np.ndarray:
-    """x ** expo multiplied along the last axis, for x in C^8 and exponents 0..4."""
+    """x ** expo multiplied along the last axis, for x in C^n and exponents 0..4."""
     x = np.asarray(x)
-    if x.shape != (8,):
-        raise ValueError("need 8 variable values")
-    return (x ** np.arange(5)[:, None])[expo, np.arange(8)].prod(axis=-1)
+    n = expo.shape[-1]
+    if x.shape != (n,):
+        raise ValueError(f"need {n} variable values")
+    return (x ** np.arange(5)[:, None])[expo, np.arange(n)].prod(axis=-1)
 
 
-def _terms(a: dict[str, complex], mons: np.ndarray) -> np.ndarray:
+def _terms(a: dict[str, complex], tables, mons: np.ndarray) -> np.ndarray:
     """a(Q) times the sum of the monomial values of label Q on the last axis."""
-    labels, _, starts, _ = _coble_tables()
+    labels, _, starts, _ = tables
     return np.array([a[label] for label in labels]) * np.add.reduceat(mons, starts, axis=-1)
+
+
+def _coefficients(g: int, s) -> dict[str, complex]:
+    labels, _, _, a_of_s = _coble_tables(g)
+    return dict(zip(labels, (a_of_s @ s).astype(complex).tolist()))
 
 
 def coble_coefficients(s) -> dict[str, complex]:
@@ -123,8 +138,7 @@ def coble_coefficients(s) -> dict[str, complex]:
     s = np.asarray(s)
     if s.shape != (15,):
         raise ValueError("need a 15-component s vector")
-    labels, _, _, a_of_s = _coble_tables()
-    return dict(zip(labels, (a_of_s @ s).astype(complex).tolist()))
+    return _coefficients(3, s)
 
 
 def coble_monomial_count() -> int:
@@ -155,9 +169,10 @@ def theta2_vector(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL) ->
 
 
 def coble_at(a: dict[str, complex], x) -> tuple[complex, float]:
-    """The quartic sum_Q a(Q) Q(x) at x in C^8 and its term scale
-    max |a(Q) Q(x)|."""
-    terms = _terms(a, _powers(x, _coble_tables()[1]))
+    """The quartic sum_Q a(Q) Q(x) at x in C^(2^g), for the coefficients of
+    either table, and its term scale max |a(Q) Q(x)|."""
+    tables = _coble_tables(2 if a.keys() == KUMMER2_TABLE.keys() else 3)
+    terms = _terms(a, tables, _powers(x, tables[1]))
     return complex(terms.sum()), float(abs(terms).max())
 
 
@@ -166,9 +181,10 @@ def coble_gradient_at(a: dict[str, complex], x) -> tuple[list[complex], list[flo
     term scale max_Q |a(Q) dQ/dx_eps(x)|.  Row v of the monomial table is
     E[:, v] x^(E - e_v); the exponent is clipped at 0 where E[:, v] = 0, so
     no x_v is ever divided out."""
-    expo = _coble_tables()[1]
+    tables = _coble_tables(3)
+    expo = tables[1]
     lowered = np.maximum(expo - np.eye(8, dtype=int)[:, None, :], 0)  # (8, 50, 8)
-    terms = _terms(a, expo.T * _powers(x, lowered))
+    terms = _terms(a, tables, expo.T * _powers(x, lowered))
     return terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist()
 
 
@@ -190,28 +206,13 @@ def coble_gradient(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
     return coble_gradient_at(coble_coefficients(s_vector(tau, tol)), x)
 
 
-KUMMER2_PAIR_TERMS = (
-    # (s index pairing with the coefficient -(s1 + 2 s_i), unordered pairs of eps)
-    (2, (((0, 2), (1, 3)))),  # x00^2 x10^2 + x01^2 x11^2
-    (3, (((0, 1), (2, 3)))),  # x00^2 x01^2 + x10^2 x11^2
-    (4, (((0, 3), (2, 1)))),  # x00^2 x11^2 + x10^2 x01^2
-)
-
-
 def kummer2_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
-    """The explicit genus-2 universal Kummer surface; returns (value, scale)."""
+    """Value of the genus-2 universal Kummer surface (KUMMER2_TABLE) at
+    x = Theta(tau, z) and its term scale max |a(Q) Q(x)|."""
     if tau.g != 2:
         raise ValueError("the universal Kummer surface is a genus-2 object")
     x = theta2_vector(tau, z, tol)
-    s = s_vector(tau, tol)
-    terms = [s[0] * (x**4).sum()]
-    for s_index, pairs in KUMMER2_PAIR_TERMS:
-        quad = sum(x[a] ** 2 * x[b] ** 2 for a, b in pairs)
-        terms.append(-2 * (s[0] + 2 * s[s_index - 1]) * quad)
-    terms.append(8 * (s[0] + s[1] + s[2] + s[3] + 2 * s[4]) * x.prod())
-    value = sum(terms)
-    scale = max(abs(t) for t in terms)
-    return complex(value), float(scale)
+    return coble_at(_coefficients(2, s_vector(tau, tol)), x)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,6 @@ def random_tau(rng: np.random.Generator, g: int) -> PeriodMatrix:
     return PeriodMatrix(g, x + 1j * y)
 
 
-def random_z(rng: np.random.Generator, g: int, scale: float = 0.5) -> PhasePoint:
-    """A phase point with real and imaginary parts uniform in [-scale, scale]."""
-    return PhasePoint(g, rng.uniform(-scale, scale, g) + 1j * rng.uniform(-scale, scale, g))
+def random_z(rng: np.random.Generator, g: int) -> PhasePoint:
+    """A phase point with real and imaginary parts uniform in [-1/2, 1/2]."""
+    return PhasePoint(g, rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-0.5, 0.5, g))

@@ -154,10 +154,6 @@ class SymplecticMatF2:
         rows = tuple((packed >> (w * (w - 1 - i))) & mask for i in range(w))
         return cls(g, rows)
 
-    def to_bitrows(self) -> list[str]:
-        w = 2 * self.g
-        return [format(r, f"0{w}b") for r in self.rows]
-
     def act(self, m: Characteristic) -> Characteristic:
         return act_on_characteristic(self, m)
 

@@ -157,7 +157,7 @@ def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL
     Raises ValueError when the terms of the sum would overflow double
     precision or no radius up to 199 suffices.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     imz_l1 = float(np.abs(z.z.imag).sum())
     radius, bound = _radius(tau.g, tau.lambda_min, imz_l1, tol)

@@ -174,6 +174,14 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "nonsense"])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("option", [["--samples", "-1"], ["--tol", "inf"], ["--tol", "nan"]])
+    def test_out_of_range_option_is_a_clean_error(self, runner, option):
+        res = runner.invoke(main, ["verify", "coble", *option])
+        assert res.exit_code == 1
+        assert res.output.startswith("Error: need samples >= 0")
+        assert res.output.count("\n") == 1 and "PASS" not in res.output
+        assert isinstance(res.exception, SystemExit)
+
 
 class TestExport:
     def test_formula_payload(self, runner):

@@ -104,8 +104,11 @@ class TestFromAronhold:
     def test_every_fano_family_gives_fano(self):
         from thetacoble.points import fano_plane_families
 
-        for fam in fano_plane_families():
-            assert gp.fano_from_aronhold(ARONHOLD_EXAMPLE, fam).kind == "fano"
+        systems = [gp.fano_from_aronhold(ARONHOLD_EXAMPLE, fam) for fam in fano_plane_families()]
+        assert all(s.kind == "fano" for s in systems)
+        # distinct families give distinct systems: the dual-route check of the
+        # jacobi suite takes the first five families without a dedupe
+        assert len({s.idx_set() for s in systems}) == 30
 
     @pytest.mark.parametrize(
         "members",

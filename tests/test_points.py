@@ -1,5 +1,5 @@
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -134,6 +134,11 @@ class TestBrackets:
         assert len(points.fano_plane_families()) == 30
         assert len(points.pascal_families()) == 105
 
+    def test_families_match_recursive_search(self):
+        # the S_7-orbits give the tuples, and the order, of a direct search
+        assert points.fano_plane_families() == _searched_fano_families()
+        assert points.pascal_families() == _searched_pascal_families()
+
     def test_span_rank_15(self):
         cfgs = [random_config2() for _ in range(40)]
         sv = np.linalg.svd(points.bracket_value_matrix(cfgs), compute_uv=False)
@@ -145,6 +150,46 @@ class TestBrackets:
         for cfgs in ([bad, bad], [random_config2(), bad]):
             with pytest.raises(ValueError):
                 points.bracket_value_matrix(cfgs)
+
+
+def _searched_fano_families() -> tuple:
+    """Reference: every 7-subset of the increasing triples on {1..7} whose
+    triples pairwise meet in one point, by a recursive search in
+    lexicographic order."""
+    triples = list(combinations(range(1, 8), 3))
+    out = []
+
+    def extend(chosen, start):
+        if len(chosen) == 7:
+            out.append(tuple(chosen))
+            return
+        for t in range(start, len(triples)):
+            if all(len(set(triples[t]) & set(c)) == 1 for c in chosen):
+                extend(chosen + [triples[t]], t + 1)
+
+    extend([], 0)
+    return tuple(out)
+
+
+def _searched_pascal_families() -> tuple:
+    """Reference: for each common index c, every partition of the other six
+    indices into three pairs, in lexicographic order, laid out as the triples
+    (c a b), then (c,), then the pairs."""
+
+    def pairings(items):
+        if not items:
+            yield []
+            return
+        a = items[0]
+        for b in items[1:]:
+            for tail in pairings([x for x in items[1:] if x != b]):
+                yield [(a, b)] + tail
+
+    return tuple(
+        tuple([(c,) + p for p in ps] + [(c,)] + ps)
+        for c in range(1, 8)
+        for ps in pairings([i for i in range(1, 8) if i != c])
+    )
 
 
 def _scalar_family_products(cfg) -> np.ndarray:

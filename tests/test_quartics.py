@@ -21,6 +21,22 @@ def _naive_q(label, x):
     return sum(x[e] ** 2 * x[e ^ a] ** 2 for e in range(8)) / 2
 
 
+def _kummer2_terms(s, x):
+    """Independent oracle: the genus-2 Kummer quartic written out by hand, as
+    its five terms a(Q) Q(x)."""
+    terms = [s[0] * (x**4).sum()]
+    # (s index pairing with the coefficient -(s1 + 2 s_i), unordered pairs of eps)
+    for s_index, pairs in (
+        (2, ((0, 2), (1, 3))),  # x00^2 x10^2 + x01^2 x11^2
+        (3, ((0, 1), (2, 3))),  # x00^2 x01^2 + x10^2 x11^2
+        (4, ((0, 3), (2, 1))),  # x00^2 x11^2 + x10^2 x01^2
+    ):
+        quad = sum(x[a] ** 2 * x[b] ** 2 for a, b in pairs)
+        terms.append(-2 * (s[0] + 2 * s[s_index - 1]) * quad)
+    terms.append(8 * (s[0] + s[1] + s[2] + s[3] + 2 * s[4]) * x.prod())
+    return terms
+
+
 class TestQuarticBasis:
     def test_labels(self):
         labels = quartics.quartic_labels()
@@ -33,6 +49,10 @@ class TestQuarticBasis:
         for a in ("001", "010", "011", "100", "101", "110", "111"):
             assert len(quartics.quartic_monomials(f"Q{a}")) == 4
             assert len(quartics.quartic_monomials(f"Q'{a}")) == 2
+        # genus 2, read from the bit count: Q'00 is the product of all four x
+        assert [len(quartics.quartic_monomials(label)) for label in quartics.KUMMER2_TABLE] == [
+            4, 2, 2, 2, 1
+        ]
 
     def test_eval_matches_naive_oracle(self):
         x = RNG.standard_normal(8) + 1j * RNG.standard_normal(8)
@@ -41,9 +61,11 @@ class TestQuarticBasis:
                 _naive_q(label, x), rel=1e-12
             )
 
-    def test_bad_label(self):
-        with pytest.raises(ValueError):
-            quartics.quartic_monomials("Q1000")
+    # a-perp has 4 elements only for a != 0 in genus 3 and a = 0 in genus 2
+    @pytest.mark.parametrize("label", ["Q1000", "Q0000", "Q'01", "Q'000", "Q0", "Q'", "P00", "Q02"])
+    def test_bad_label(self, label):
+        with pytest.raises(ValueError, match="bad label"):
+            quartics.quartic_monomials(label)
 
 
 class TestCobleTable:
@@ -122,12 +144,23 @@ class TestKummer2:
         s = s_vector(TAU2)
         x = x.copy()
         x[0] *= 1.1
-        terms = [s[0] * (x**4).sum()]
-        for s_index, pairs in quartics.KUMMER2_PAIR_TERMS:
-            quad = sum(x[a] ** 2 * x[b] ** 2 for a, b in pairs)
-            terms.append(-2 * (s[0] + 2 * s[s_index - 1]) * quad)
-        terms.append(8 * (s[0] + s[1] + s[2] + s[3] + 2 * s[4]) * x.prod())
+        terms = _kummer2_terms(s, x)
         assert abs(sum(terms)) / max(abs(t) for t in terms) > 1e-4
+
+    def test_table_path_matches_oracle(self, monkeypatch):
+        # kummer2_eval against the written-out formula at random (s, x) off
+        # the surface; n = 16 bounds the roundings along one term: the s sum,
+        # the monomial product, a(Q) Q(x) and the sums over monomials and labels
+        bound = 16 * np.finfo(float).eps
+        for _ in range(50):
+            s = RNG.standard_normal(5) + 1j * RNG.standard_normal(5)
+            x = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
+            monkeypatch.setattr(quartics, "s_vector", lambda tau, tol: s)
+            monkeypatch.setattr(quartics, "theta2_vector", lambda tau, z, tol: x)
+            terms = _kummer2_terms(s, x)
+            value, scale = quartics.kummer2_eval(TAU2, PhasePoint.zero(2))
+            assert abs(value - sum(terms)) <= bound * sum(abs(t) for t in terms)
+            assert abs(scale - max(abs(t) for t in terms)) <= bound * scale
 
 
 class TestModularity:

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -24,6 +25,24 @@ class TestReportPlumbing:
         data = run_suite("kummer2", seed=2, samples=4).to_json()
         names = [r["name"] for r in data["records"]]
         assert names == sorted(names)
+
+    @pytest.mark.parametrize(
+        "name, samples, tol",
+        [
+            ("coble", -1, 0.0),
+            ("jacobi", -2, 0.0),
+            ("modularity", -1, 0.0),
+            ("wrank", -1, 0.0),
+            ("coble", 0, math.inf),
+            ("coble", 0, math.nan),
+            ("segre", 0, -1e-10),
+        ],
+    )
+    def test_out_of_range_samples_or_tol_rejected(self, name, samples, tol):
+        # a negative sample count checks nothing and an infinite tol passes
+        # every residual, so neither may produce a report
+        with pytest.raises(ValueError, match="need samples >= 0 and 0 <= tol < inf"):
+            run_suite(name, 1, samples, tol)
 
     def test_all_suites_registered(self):
         assert set(SUITES) == {

@@ -210,7 +210,7 @@ class TestRobustness:
             th.theta(tau, z, Characteristic(g, 0))
 
     def test_non_positive_tol_rejected(self):
-        for tol in (0.0, -1e-12):
+        for tol in (0.0, -1e-12, math.nan):
             with pytest.raises(ValueError, match="tol must be positive"):
                 th.truncation_radius(TAUS[2][0], th.PhasePoint.zero(2), tol)
 
