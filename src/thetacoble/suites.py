@@ -451,7 +451,7 @@ def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 
     # dual route: Jacobian-determinant quotient vs chi_18 product, for the
     # Fano systems of the first 5 families built from the example Aronhold
-    # set; they are distinct, since its 35 triple sums are
+    # set; distinct families give distinct systems, as its 35 triple sums differ
     rng = stream(seed, "jacobi.dualroute")
     taus = [random_tau(rng, 3) for _ in range(10)]
     for k, fam in enumerate(points.fano_plane_families()[:5]):

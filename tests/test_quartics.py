@@ -61,11 +61,11 @@ class TestQuarticBasis:
                 _naive_q(label, x), rel=1e-12
             )
 
-    # a-perp has 4 elements only for a != 0 in genus 3 and a = 0 in genus 2
-    @pytest.mark.parametrize("label", ["Q1000", "Q0000", "Q'01", "Q'000", "Q0", "Q'", "P00", "Q02"])
-    def test_bad_label(self, label):
-        with pytest.raises(ValueError, match="bad label"):
-            quartics.quartic_monomials(label)
+    def test_bad_label(self):
+        # a-perp has 4 elements only for a != 0 in genus 3 and a = 0 in genus 2
+        for label in ("Q1000", "Q0000", "Q'01", "Q'000", "Q0", "Q'", "P00", "Q02"):
+            with pytest.raises(ValueError, match="bad label"):
+                quartics.quartic_monomials(label)
 
 
 class TestCobleTable:
