@@ -4,6 +4,10 @@ A characteristic m = [m'; m''] is a pair of g-bit row vectors.  The canonical
 integer encoding is idx = int(m') * 2^g + int(m''), reading bit strings
 left-to-right with the leftmost bit most significant.  Characteristics
 serialize as "abc;def" strings under the same convention.
+
+The module also holds the breadth-first orbit closure shared by the
+Sp(2g, F_2) and S_7 actions, and the 30 Fano and 105 P-shaped index families
+on {1..7}: the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY.
 """
 
 from __future__ import annotations
@@ -302,42 +306,35 @@ def _check_aronhold(s: CharacteristicSet) -> None:
 def special_fundamental_completion(odds: CharacteristicSet) -> CharacteristicSet:
     """Complete g odd characteristics to a special fundamental system.
 
-    For g=3 the input must be an azygetic triple of odd characteristics; the
-    result is the 5 even characteristics among the 6 admissible ones, the
-    excluded sixth being m1+m2+m3.  For g=2 the input is a pair of distinct
-    odd characteristics and the result is the unique even quadruple making a
-    fundamental system.
+    The input is one odd characteristic for g=1, two distinct ones for g=2
+    and an azygetic triple for g=3.  The result is the g+2 admissible evens
+    (every (m_i, m_j, n) azygetic) other than m_1 + ... + m_g, in index
+    order; the sum is admissible only for g=3, as the sixth.  Every
+    completion lies among the admissible evens, so the count makes it unique.
     """
     g = odds.g
     ms = list(odds.members)
     if any(m.is_even for m in ms):
         raise ValueError("input characteristics must be odd")
-    if g == 3:
-        if len(ms) != 3:
-            raise ValueError("genus 3 requires exactly 3 odd characteristics")
-        if triple_sign(*ms) != -1:
-            raise ValueError("input triple is not azygetic")
-        evens, mask = admissible_evens(3, [m.idx for m in ms])
-        candidates = evens[mask].tolist()
-        if len(candidates) != 6:
-            raise AssertionError(f"expected 6 admissible evens, got {len(candidates)}")
-        excluded = (ms[0] + ms[1] + ms[2]).idx
-        if excluded not in candidates:
-            raise AssertionError("sum of the triple not among admissible evens")
-        return CharacteristicSet(Characteristic(3, n) for n in candidates if n != excluded)
-    if g == 2:
-        if len(ms) != 2:
-            raise ValueError("genus 2 requires exactly 2 odd characteristics")
-        evens = np.flatnonzero(parity_table(2) == 1)
-        quads = evens[np.array(list(combinations(range(len(evens)), 4)))]  # (210, 4)
-        pair = np.broadcast_to([m.idx for m in ms], (len(quads), 2))
-        found = quads[all_azygetic(2, np.concatenate([pair, quads], axis=1))]
-        if len(found) > 1:
-            raise AssertionError("even completion is not unique")
-        if len(found) == 0:
-            raise ValueError("no even completion exists for this pair")
-        return CharacteristicSet(Characteristic(2, int(n)) for n in found[0])
-    raise ValueError("special fundamental completion implemented for g in {2, 3}")
+    if len(ms) != g:
+        raise ValueError(f"genus {g} requires exactly {g} odd characteristics")
+    if g == 3 and triple_sign(*ms) != -1:
+        raise ValueError("input triple is not azygetic")
+    idx = [m.idx for m in ms]
+    evens, mask = admissible_evens(g, idx)
+    candidates = evens[mask].tolist()
+    expected = {1: 3, 2: 4, 3: 6}[g]
+    if len(candidates) != expected:
+        raise AssertionError(f"expected {expected} admissible evens, got {len(candidates)}")
+    total = int(np.bitwise_xor.reduce(idx))
+    if g == 3 and total not in candidates:
+        raise AssertionError("sum of the triple not among admissible evens")
+    completion = [Characteristic(g, n) for n in candidates if n != total]
+    # For g=3 the combinatorics suite checks all 2016 completions as
+    # fundamental systems in one batch, so they are not checked per call.
+    if g < 3 and not is_fundamental_system(CharacteristicSet(ms + completion)):
+        raise AssertionError("completion is not a fundamental system")
+    return CharacteristicSet(completion)
 
 
 def aronhold_classify(aronhold: CharacteristicSet, n0: Characteristic) -> dict:
@@ -415,3 +412,84 @@ ARONHOLD_EXAMPLE = CharacteristicSet.parse(
 FANO_TRIPLE_FAMILY = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 7), (2, 5, 6), (3, 4, 6), (3, 5, 7))
 
 PASCAL_FAMILY = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (1,), (2, 3), (4, 5), (6, 7))
+
+
+def orbit(start, images) -> set:
+    """The orbit of ``start`` under a group, by breadth-first closure over
+    ``images(x)``, the images of x under the group's generators."""
+    found, frontier = {start}, {start}
+    while frontier:
+        frontier = {y for x in frontier for y in images(x)} - found
+        found |= frontier
+    return found
+
+
+# (1 2) and (1 2 ... 7), which generate S_7, as the images of 1..7
+_S7_GENERATORS = ((2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1))
+
+
+def _relabelled(family: frozenset) -> Iterator[frozenset]:
+    """The images of a family of index sets under the generators of S_7."""
+    for perm in _S7_GENERATORS:
+        yield frozenset(frozenset(perm[i - 1] for i in part) for part in family)
+
+
+def _family_key(spec) -> tuple:
+    """Each part sorted, then the parts sorted, all as tuples; also the
+    canonical layout of a Fano-plane family."""
+    return tuple(sorted(tuple(sorted(part)) for part in spec))
+
+
+def _s7_images(reference) -> set:
+    """The S_7-orbit of a family of index tuples, as sets of sets."""
+    return orbit(frozenset(map(frozenset, reference)), _relabelled)
+
+
+def _pascal_form(parts) -> tuple:
+    """The three triples (c a b) ordered by their sorted pair (a, b), then
+    (c,), then the three sorted pairs."""
+    (c,) = next(p for p in parts if len(p) == 1)
+    pairs = sorted(tuple(sorted(p)) for p in parts if len(p) == 2)
+    return tuple((c,) + p for p in pairs) + ((c,),) + tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def fano_plane_families() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """All 30 families of 7 triples on {1..7} pairwise meeting in one point
+    (the labelled Fano planes): the S_7-orbit of FANO_TRIPLE_FAMILY, in
+    lexicographic order."""
+    return tuple(sorted(map(_family_key, _s7_images(FANO_TRIPLE_FAMILY))))
+
+
+@lru_cache(maxsize=None)
+def pascal_families() -> tuple[tuple, ...]:
+    """All 105 P-shaped families, a common index c plus a partition of the
+    other six indices into three pairs: the S_7-orbit of PASCAL_FAMILY, in
+    lexicographic order."""
+    return tuple(sorted(map(_pascal_form, _s7_images(PASCAL_FAMILY))))
+
+
+@lru_cache(maxsize=None)
+def _families_by_key(families) -> dict:
+    """The members of families() under their _family_key."""
+    return {_family_key(f): f for f in families()}
+
+
+def _member(spec, families, kind: str) -> tuple:
+    try:
+        return _families_by_key(families)[_family_key(spec)]
+    except (TypeError, KeyError):
+        raise ValueError(f"{spec!r} is not one of the {kind} families") from None
+
+
+def fano_family(triples) -> tuple:
+    """The member of fano_plane_families() that lists the same triples, in
+    any order of triples and of their entries; ValueError for any other
+    input."""
+    return _member(triples, fano_plane_families, "30 Fano-plane")
+
+
+def pascal_family(spec) -> tuple:
+    """The member of pascal_families() made of the same parts, in any order
+    of parts and of their entries; ValueError for any other input."""
+    return _member(spec, pascal_families, "105 P-shaped")

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -15,8 +14,10 @@ from .characteristics import (
     Characteristic,
     CharacteristicSet,
     _check_aronhold,
+    fano_family,
     pairing_table,
     parity_table,
+    pascal_family,
 )
 
 
@@ -105,30 +106,14 @@ def enumerate_gopel(g: int) -> tuple[GopelSystem, ...]:
     )
 
 
-def _validate_fano_family(triples) -> None:
-    triples = tuple(tuple(t) for t in triples)
-    if len(triples) != 7:
-        raise ValueError("need exactly 7 index triples")
-    idxs = set()
-    for t in triples:
-        if len(set(t)) != 3 or not all(1 <= i <= 7 for i in t):
-            raise ValueError(f"malformed triple {t}")
-        idxs.update(t)
-    if idxs != set(range(1, 8)):
-        raise ValueError("triples must cover indices 1..7")
-    for a, b in combinations(triples, 2):
-        if len(set(a) & set(b)) != 1:
-            raise ValueError(f"triples {a} and {b} do not share exactly one index")
-
-
 def fano_from_aronhold(aronhold: CharacteristicSet, triples) -> GopelSystem:
     """Zero plus the seven triple sums m_i + m_j + m_k of a Fano-plane family
-    of index triples; always a Fano Goepel system."""
+    of index triples, in any order (see fano_family); always a Fano Goepel
+    system."""
     _check_aronhold(aronhold)
-    _validate_fano_family(triples)
     ms = aronhold.members
     idxs = {0}
-    for (i, j, k) in triples:
+    for (i, j, k) in fano_family(triples):
         idxs.add(ms[i - 1].idx ^ ms[j - 1].idx ^ ms[k - 1].idx)
     sys = GopelSystem.from_idxs(3, idxs)
     if sys.kind != "fano":
@@ -136,32 +121,13 @@ def fano_from_aronhold(aronhold: CharacteristicSet, triples) -> GopelSystem:
     return sys
 
 
-def _parse_pascal_family(spec):
-    spec = tuple(tuple(t) if not isinstance(t, int) else (t,) for t in spec)
-    triples = [t for t in spec if len(t) == 3]
-    singles = [t for t in spec if len(t) == 1]
-    pairs = [t for t in spec if len(t) == 2]
-    if len(triples) != 3 or len(singles) != 1 or len(pairs) != 3:
-        raise ValueError("P-family needs 3 triples, 1 singleton, 3 pairs")
-    common = singles[0][0]
-    if not all(common in t for t in triples):
-        raise ValueError("the three triples must share the singleton index")
-    expected_pairs = {tuple(sorted(set(t) - {common})) for t in triples}
-    if {tuple(sorted(p)) for p in pairs} != expected_pairs:
-        raise ValueError("pairs must be the triples minus the common index")
-    covered = set()
-    for t in triples:
-        covered.update(t)
-    if covered != set(range(1, 8)):
-        raise ValueError("family must cover indices 1..7")
-    return common, [tuple(sorted(set(t) - {common})) for t in triples]
-
-
 def pascal_from_aronhold(aronhold: CharacteristicSet, spec) -> GopelSystem:
     """Goepel system from a P-shaped family: three triple sums through one
-    common index, the singleton, and the three complementary pair sums."""
+    common index, the singleton, and the three complementary pair sums.  The
+    parts may come in any order (see pascal_family)."""
     _check_aronhold(aronhold)
-    common, pairs = _parse_pascal_family(spec)
+    family = pascal_family(spec)
+    (common,), pairs = family[3], family[4:]
     ms = aronhold.members
     c = ms[common - 1].idx
     idxs = {0, c}

@@ -16,18 +16,19 @@ from itertools import combinations
 import numpy as np
 
 from .characteristics import (
-    ARONHOLD_EXAMPLE,
     Characteristic,
     CharacteristicSet,
     _check_aronhold,
     enumerate_characteristics,
 )
-from .gopel import GopelSystem, even_coset, fano_basis, pascal_decomposition
+from .gopel import GopelSystem, enumerate_gopel, even_coset, fano_basis, pascal_decomposition
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
+    PhasePoint,
     even_theta_constants,
     jacobian_det,
+    theta,
 )
 
 
@@ -89,8 +90,6 @@ def h_via_jacobian(
 ) -> complex:
     """H(F) along the Jacobian-determinant route:
     D(M_1) ... D(M_7) / theta_{n0}^7, which equals +-pi^21 h_fano(F)."""
-    from .theta import PhasePoint, theta
-
     n0 = aronhold_base_point(aronhold)
     ms = aronhold.members
     num = 1.0 + 0.0j
@@ -226,7 +225,5 @@ def phi_star_triple(tau: PeriodMatrix, n: Characteristic, tol: float = DEFAULT_T
 def goepel_form_matrix(taus, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Rows: sample tau; columns: H over all 135 Goepel systems (30 Fano +
     105 Pascal quotients).  Used for the rank-15 certificate of W."""
-    from .gopel import enumerate_gopel
-
     systems = enumerate_gopel(3)
     return np.array([[h_goepel(tau, s, tol) for s in systems] for tau in taus])

@@ -1,7 +1,10 @@
 """GIT invariants of point configurations: binary invariants of 6 points on
 P^1 (tableaux, Segre cubic, Igusa quartic) and bracket invariants of 7 points
 on P^2 (G_F and G_P).  The 30 Fano and the 105 P-shaped index families of
-G_F and G_P are the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY.
+G_F and G_P are the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY,
+closed under the two generators (1 2) and (1 2 ... 7) of S_7; they are
+defined in ``characteristics``, and a family passed to g_fano or g_pascal is
+accepted when it is one of them.
 
 The Igusa quartic is the image of the ten even genus-2 theta fourth powers,
 which span a 5-dimensional space.  Its 12-monomial form holds in coordinates
@@ -17,8 +20,13 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .characteristics import FANO_TRIPLE_FAMILY, PASCAL_FAMILY, enumerate_characteristics
-from .gopel import _parse_pascal_family, _validate_fano_family
+from .characteristics import (
+    enumerate_characteristics,
+    fano_family,
+    fano_plane_families,
+    pascal_families,
+    pascal_family,
+)
 from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, theta
 
 
@@ -197,15 +205,18 @@ def _signed_columns(triples) -> np.ndarray:
 
 
 def _fano_columns(triples) -> np.ndarray:
-    """The 7 signed columns of a validated Fano-plane family."""
-    _validate_fano_family(triples)
+    """The 7 signed columns of a Fano-plane family, in the caller's order of
+    triples and of their entries."""
+    fano_family(triples)
     return _signed_columns(triples)
 
 
 def _pascal_columns(spec) -> np.ndarray:
-    """The 11 signed columns of a validated P-shaped family: the 3 common
-    triples (c a_i b_i), then the 4 even and the 4 odd choices (see g_pascal)."""
-    common, pairs = _parse_pascal_family(spec)
+    """The 11 signed columns of a P-shaped family, read off its canonical
+    form: the 3 common triples (c a_i b_i), then the 4 even and the 4 odd
+    choices (see g_pascal)."""
+    family = pascal_family(spec)
+    (common,), pairs = family[3], family[4:]
     choices = sorted(product((0, 1), repeat=3), key=lambda ch: sum(ch) % 2)
     return _signed_columns(
         [(common, a, b) for a, b in pairs]
@@ -231,7 +242,8 @@ def g_fano(cfg, triples) -> complex:
 
 def g_pascal(cfg, spec) -> complex:
     """The Pascal bracket polynomial, generalized from the reference family
-    by relabeling: with common index c and pairs {a_i, b_i},
+    by relabeling: with common index c and pairs {a_i, b_i} (sorted, in the
+    order of pascal_family(spec)),
 
     G_P = (c a1 b1)(c a2 b2)(c a3 b3)
           (prod over even choices - prod over odd choices)
@@ -240,45 +252,6 @@ def g_pascal(cfg, spec) -> complex:
     b picks; each product multiplies the four brackets of the chosen triples.
     """
     return complex(_pascal_values(_bracket_table([cfg]), _pascal_columns(spec))[0])
-
-
-def _s7_orbit(family, canonical) -> tuple:
-    """The distinct families obtained by relabelling ``family`` with every
-    permutation of 1..7, each in its canonical form, sorted."""
-    images = {
-        frozenset(frozenset(perm[i - 1] for i in part) for part in family)
-        for perm in permutations(range(1, 8))
-    }
-    return tuple(sorted(canonical(image) for image in images))
-
-
-def _fano_form(parts) -> tuple:
-    """Each triple sorted, then the triples sorted."""
-    return tuple(sorted(tuple(sorted(t)) for t in parts))
-
-
-def _pascal_form(parts) -> tuple:
-    """The three triples (c a b) ordered by their sorted pair (a, b), then
-    (c,), then the three sorted pairs."""
-    (c,) = next(p for p in parts if len(p) == 1)
-    pairs = sorted(tuple(sorted(p)) for p in parts if len(p) == 2)
-    return tuple((c,) + p for p in pairs) + ((c,),) + tuple(pairs)
-
-
-@lru_cache(maxsize=None)
-def fano_plane_families() -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """All 30 families of 7 triples on {1..7} pairwise meeting in one point
-    (the labelled Fano planes): the S_7-orbit of FANO_TRIPLE_FAMILY, in
-    lexicographic order."""
-    return _s7_orbit(FANO_TRIPLE_FAMILY, _fano_form)
-
-
-@lru_cache(maxsize=None)
-def pascal_families() -> tuple[tuple, ...]:
-    """All 105 P-shaped families, a common index c plus a partition of the
-    other six indices into three pairs: the S_7-orbit of PASCAL_FAMILY, in
-    lexicographic order."""
-    return _s7_orbit(PASCAL_FAMILY, _pascal_form)
 
 
 @lru_cache(maxsize=None)

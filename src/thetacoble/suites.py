@@ -211,14 +211,9 @@ def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord
 
 def _orbit(start: frozenset) -> set[frozenset]:
     """Orbit of a set of genus-3 characteristic indices under the affine
-    action of Sp(6, F2), by breadth-first search over its generators."""
+    action of Sp(6, F2), closed over the action tables of its generators."""
     tables = symplectic.action_tables(3, [gm.packed() for gm in symplectic.group_generators(3)])
-    orbit, frontier = {start}, {start}
-    while frontier:
-        images = {frozenset(img) for s in frontier for img in tables[:, list(s)].tolist()}
-        frontier = images - orbit
-        orbit |= frontier
-    return orbit
+    return chars.orbit(start, lambda s: map(frozenset, tables[:, list(s)].tolist()))
 
 
 def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
@@ -372,81 +367,67 @@ def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 # jacobi derivative identities + dual-route H(F)
 
 
+def _jacobi_sides(tau, odds) -> tuple[complex, complex]:
+    """The two sides of Jacobi's derivative formula at tau: D(m_1 ... m_g)
+    and -pi^g times the theta constants of the special fundamental
+    completion of the odd m_i.  They agree up to a sign that depends on the
+    order of the m_i."""
+    z0 = PhasePoint.zero(tau.g)
+    completion = special_fundamental_completion(CharacteristicSet(odds))
+    rhs = -math.pi**tau.g * math.prod(theta(tau, z0, n) for n in completion)
+    return jacobian_det(tau, odds), rhs
+
+
+def _jacobi_sign(tau, odds) -> float:
+    """The sign s with D = s * rhs at tau: the nearer of +-1."""
+    lhs, rhs = _jacobi_sides(tau, odds)
+    return 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
+
+
+def _jacobi_residual(tau, odds, sign: float) -> float:
+    """|D - sign * rhs| relative to the larger side, at tau."""
+    lhs, rhs = _jacobi_sides(tau, odds)
+    return abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs))
+
+
 def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 20
     tol = tol or 1e-8
     recs = []
 
-    # g = 1
+    # g = 1: the single odd characteristic, with sign +1
     rng = stream(seed, "jacobi.g1")
-    worst = 0.0
-    z0 = PhasePoint.zero(1)
-    odd1 = Characteristic.from_string("1;1")
-    for _ in range(samples):
-        tau = random_tau(rng, 1)
-        lhs = jacobian_det(tau, [odd1])
-        rhs = -math.pi * math.prod(
-            theta(tau, z0, Characteristic(1, i)) for i in (0, 1, 2)
-        )
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    odd1 = [Characteristic.from_string("1;1")]
+    worst = max(_jacobi_residual(random_tau(rng, 1), odd1, 1.0) for _ in range(samples))
     recs.append(_residual("jacobi_g1", worst, tol))
 
-    # g = 2: all 15 odd pairs with their even completions.  The determinant
-    # sign depends on the ordering of the odd pair, so the per-pair sign is
-    # resolved once at a reference tau and asserted stable on the samples.
+    # g = 2: all 15 odd pairs.  The determinant sign depends on the ordering
+    # of the odd pair, so the per-pair sign is resolved once at a reference
+    # tau and asserted stable on the samples.
     rng = stream(seed, "jacobi.g2")
-    odds2 = list(enumerate_characteristics(2, "odd"))
-    completions = {
-        (a.idx, b.idx): special_fundamental_completion(CharacteristicSet([a, b]))
-        for a, b in combinations(odds2, 2)
-    }
-
-    def g2_values(tau, pair):
-        comp = completions[(pair[0].idx, pair[1].idx)]
-        z0 = PhasePoint.zero(2)
-        lhs = jacobian_det(tau, pair)
-        rhs = -math.pi**2 * math.prod(theta(tau, z0, n) for n in comp)
-        return lhs, rhs
-
+    pairs = list(combinations(enumerate_characteristics(2, "odd"), 2))
     ref2 = modular.reference_tau2()
-    signs2 = {}
-    for pair in combinations(odds2, 2):
-        lhs, rhs = g2_values(ref2, pair)
-        signs2[(pair[0].idx, pair[1].idx)] = 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
+    signs2 = [_jacobi_sign(ref2, pair) for pair in pairs]
     worst = 0.0
     for _ in range(samples):
         tau = random_tau(rng, 2)
-        pair = list(combinations(odds2, 2))[int(rng.integers(15))]
-        lhs, rhs = g2_values(tau, pair)
-        sign = signs2[(pair[0].idx, pair[1].idx)]
-        worst = max(worst, abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs)))
+        k = int(rng.integers(15))
+        worst = max(worst, _jacobi_residual(tau, pairs[k], signs2[k]))
     recs.append(_residual("jacobi_g2", worst, tol))
 
-    # g = 3: random azygetic odd triples with their 5-even completions; same
-    # reference-tau sign resolution per ordered triple.
+    # g = 3: random azygetic odd triples; same reference-tau sign resolution
+    # per ordered triple.
     rng = stream(seed, "jacobi.g3")
     odds3 = list(enumerate_characteristics(3, "odd"))
     ref3 = modular.reference_tau3()
     worst = 0.0
-    z0 = PhasePoint.zero(3)
     for _ in range(samples):
         while True:
-            pick = rng.choice(28, size=3, replace=False)
-            triple = [odds3[int(i)] for i in pick]
+            triple = [odds3[int(i)] for i in rng.choice(28, size=3, replace=False)]
             if triple_sign(*triple) == -1:
                 break
-        comp = special_fundamental_completion(CharacteristicSet(triple))
-
-        def g3_values(tau):
-            lhs = jacobian_det(tau, triple)
-            rhs = -math.pi**3 * math.prod(theta(tau, PhasePoint.zero(3), n) for n in comp)
-            return lhs, rhs
-
-        lhs, rhs = g3_values(ref3)
-        sign = 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
-        tau = random_tau(rng, 3)
-        lhs, rhs = g3_values(tau)
-        worst = max(worst, abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs)))
+        sign = _jacobi_sign(ref3, triple)
+        worst = max(worst, _jacobi_residual(random_tau(rng, 3), triple, sign))
     recs.append(_residual("jacobi_g3", worst, tol))
 
     # dual route: Jacobian-determinant quotient vs chi_18 product, for the

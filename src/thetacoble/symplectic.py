@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characteristics import Characteristic, _check_genus, pairing_table
+from .gopel import enumerate_lagrangian_subspaces
 
 # ---------------------------------------------------------------------------
 # bit-matrix helpers (rows as integers, width bits per row)
@@ -307,8 +308,6 @@ def parabolic_cosets(g: int = 3) -> list[SymplecticMatF2]:
     """
     if g != 3:
         raise ValueError("parabolic cosets implemented for g = 3")
-    from .gopel import enumerate_lagrangian_subspaces
-
     reps = []
     l0 = frozenset(range(1 << g))  # idx of {m'=0} members
     for lag in enumerate_lagrangian_subspaces(g):

@@ -175,17 +175,39 @@ class TestFundamentalSystems:
         )
 
     def test_completion_excludes_triple_sum(self):
-        ms = list(ARONHOLD_EXAMPLE)
-        triple = CharacteristicSet([ms[0], ms[3], ms[4]])
-        comp = special_fundamental_completion(triple)
-        assert (ms[0] + ms[3] + ms[4]) not in comp
-        assert is_fundamental_system(CharacteristicSet(list(triple) + list(comp)))
+        # every azygetic odd triple: 5 evens, the triple sum not among them,
+        # and a fundamental system with the triple
+        n = 0
+        for t in combinations(enumerate_characteristics(3, "odd"), 3):
+            if triple_sign(*t) != -1:
+                continue
+            comp = special_fundamental_completion(CharacteristicSet(t))
+            assert len(comp) == 5 and all(m.is_even for m in comp)
+            assert (t[0] + t[1] + t[2]) not in comp
+            assert is_fundamental_system(CharacteristicSet(list(t) + list(comp)))
+            n += 1
+        assert n == 2016
 
     def test_completion_rejects_even_input(self):
-        with pytest.raises(ValueError):
-            special_fundamental_completion(
-                CharacteristicSet.parse(3, ["000;000", "111;111", "110;100"])
-            )
+        for g, members in [
+            (3, ["000;000", "111;111", "110;100"]),
+            (2, ["00;00", "11;11"]),
+            (1, ["0;0"]),
+        ]:
+            with pytest.raises(ValueError, match="must be odd"):
+                special_fundamental_completion(CharacteristicSet.parse(g, members))
+
+    @pytest.mark.parametrize("g, k", [(3, 2), (2, 1), (2, 3)])
+    def test_completion_rejects_wrong_count(self, g, k):
+        odds = CharacteristicSet(list(enumerate_characteristics(g, "odd"))[:k])
+        with pytest.raises(ValueError, match=f"exactly {g} odd"):
+            special_fundamental_completion(odds)
+
+    def test_genus1_completion_is_the_three_evens(self):
+        odd = CharacteristicSet.parse(1, ["1;1"])
+        comp = special_fundamental_completion(odd)
+        assert comp.to_strings() == ["0;0", "0;1", "1;0"]
+        assert is_fundamental_system(CharacteristicSet(list(odd) + list(comp)))
 
     def test_batched_check_matches_scalar_oracle(self):
         odds = list(enumerate_characteristics(3, "odd"))
@@ -205,10 +227,14 @@ class TestFundamentalSystems:
         assert scalar_api == expected
 
     def test_genus2_completion_unique_and_even(self):
-        odds = list(enumerate_characteristics(2, "odd"))
-        comp = special_fundamental_completion(CharacteristicSet(odds[:2]))
-        assert len(comp) == 4
-        assert all(n.is_even for n in comp)
+        # every odd pair against a search over all 210 even quadruples
+        odds = enumerate_characteristics(2, "odd")
+        evens = [m.idx for m in enumerate_characteristics(2, "even")]
+        for a, b in combinations(odds, 2):
+            found = [q for q in combinations(evens, 4) if all_azygetic(2, [a.idx, b.idx, *q])]
+            assert len(found) == 1
+            comp = special_fundamental_completion(CharacteristicSet([a, b]))
+            assert [m.idx for m in comp] == list(found[0])
 
 
 class TestAronhold:

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -10,10 +11,13 @@ from thetacoble.characteristics import (
     Characteristic,
     CharacteristicSet,
     _parity_idx,
+    fano_plane_families,
     pairing_table,
+    pascal_families,
     triple_sign,
 )
 from thetacoble import gopel as gp
+from thetacoble import points
 
 
 def _recursive_lagrangians(g):
@@ -102,8 +106,6 @@ class TestFromAronhold:
         assert sys.even_count == 4
 
     def test_every_fano_family_gives_fano(self):
-        from thetacoble.points import fano_plane_families
-
         systems = [gp.fano_from_aronhold(ARONHOLD_EXAMPLE, fam) for fam in fano_plane_families()]
         assert all(s.kind == "fano" for s in systems)
         # distinct families give distinct systems: the dual-route check of the
@@ -137,6 +139,90 @@ class TestFromAronhold:
         bad = tuple(list(FANO_TRIPLE_FAMILY[:6]) + [(1, 2, 4)])
         with pytest.raises(ValueError):
             gp.fano_from_aronhold(ARONHOLD_EXAMPLE, bad)
+
+
+def _shuffled(family, rng) -> tuple:
+    """The family with its parts, and the entries of each part, permuted."""
+    parts = [tuple(rng.permutation(part).tolist()) for part in family]
+    return tuple(parts[i] for i in rng.permutation(len(parts)))
+
+
+def _permutation_sign(t) -> int:
+    return (-1) ** sum(a > b for a, b in combinations(t, 2))
+
+
+def _replaced(family, i, part) -> tuple:
+    return family[:i] + (part,) + family[i + 1:]
+
+
+# Each malformed Fano spec is one of FANO_TRIPLE_FAMILY's 30 relatives
+# spoiled in one way; each malformed P-spec likewise from PASCAL_FAMILY.
+BAD_FANO = {
+    "duplicated_part": _replaced(FANO_TRIPLE_FAMILY, 6, (1, 2, 3)),
+    "repeated_index": _replaced(FANO_TRIPLE_FAMILY, 0, (1, 1, 3)),
+    "index_0": _replaced(FANO_TRIPLE_FAMILY, 0, (0, 2, 3)),
+    "index_8": _replaced(FANO_TRIPLE_FAMILY, 0, (8, 2, 3)),
+    "6_parts": FANO_TRIPLE_FAMILY[:6],
+    "8_parts": FANO_TRIPLE_FAMILY + ((2, 3, 4),),
+    "not_a_plane": _replaced(FANO_TRIPLE_FAMILY, 6, (1, 2, 4)),
+    "p_shape": PASCAL_FAMILY,
+    "part_not_iterable": _replaced(FANO_TRIPLE_FAMILY, 6, 7),
+    "spec_not_iterable": 7,
+}
+BAD_PASCAL = {
+    "duplicated_part": _replaced(PASCAL_FAMILY, 5, (2, 3)),
+    "repeated_index": _replaced(PASCAL_FAMILY, 0, (1, 2, 2)),
+    "index_0": _replaced(_replaced(PASCAL_FAMILY, 2, (1, 6, 0)), 6, (6, 0)),
+    "index_8": _replaced(_replaced(PASCAL_FAMILY, 2, (1, 6, 8)), 6, (6, 8)),
+    "6_parts": PASCAL_FAMILY[:6],
+    "8_parts": PASCAL_FAMILY + ((1,),),
+    "triple_misses_singleton": _replaced(PASCAL_FAMILY, 2, (2, 6, 7)),
+    "pairs_do_not_match": PASCAL_FAMILY[:4] + ((2, 4), (3, 5), (6, 7)),
+    "fano_shape": FANO_TRIPLE_FAMILY,
+    "int_singleton": _replaced(PASCAL_FAMILY, 3, 1),
+    "spec_not_iterable": 1,
+}
+CFG = np.random.default_rng(7).uniform(-1, 1, (7, 3)).astype(complex)
+
+
+class TestFamilyMembership:
+    """A family is any listing of one of the 30 Fano or 105 P-shaped
+    families; everything else is a ValueError."""
+
+    def test_shuffled_fano_members_accepted(self):
+        rng = np.random.default_rng(20121)
+        for fam in fano_plane_families():
+            spec = _shuffled(fam, rng)
+            assert gp.fano_from_aronhold(ARONHOLD_EXAMPLE, spec) == gp.fano_from_aronhold(
+                ARONHOLD_EXAMPLE, fam
+            )
+            # the brackets follow the caller's order of entries
+            sign = math.prod(_permutation_sign(t) for t in spec)
+            expected = sign * points.g_fano(CFG, fam)
+            assert abs(points.g_fano(CFG, spec) - expected) <= 1e-12 * abs(expected)
+
+    def test_shuffled_pascal_members_accepted(self):
+        rng = np.random.default_rng(20122)
+        for fam in pascal_families():
+            spec = _shuffled(fam, rng)
+            assert gp.pascal_from_aronhold(ARONHOLD_EXAMPLE, spec) == gp.pascal_from_aronhold(
+                ARONHOLD_EXAMPLE, fam
+            )
+            assert points.g_pascal(CFG, spec) == points.g_pascal(CFG, fam)
+
+    @pytest.mark.parametrize("spec", list(BAD_FANO.values()), ids=list(BAD_FANO))
+    def test_malformed_fano_family_rejected(self, spec):
+        with pytest.raises(ValueError, match="not one of the 30 Fano-plane families"):
+            gp.fano_from_aronhold(ARONHOLD_EXAMPLE, spec)
+        with pytest.raises(ValueError, match="not one of the 30 Fano-plane families"):
+            points.g_fano(CFG, spec)
+
+    @pytest.mark.parametrize("spec", list(BAD_PASCAL.values()), ids=list(BAD_PASCAL))
+    def test_malformed_pascal_family_rejected(self, spec):
+        with pytest.raises(ValueError, match="not one of the 105 P-shaped families"):
+            gp.pascal_from_aronhold(ARONHOLD_EXAMPLE, spec)
+        with pytest.raises(ValueError, match="not one of the 105 P-shaped families"):
+            points.g_pascal(CFG, spec)
 
 
 class TestEvenCoset:

@@ -1,0 +1,40 @@
+"""Every import in the package and in its tests is used.
+
+A scan of the syntax tree with the standard library, since no linter is a
+dependency: an imported name counts as used when the module reads it as a
+name anywhere, or lists it in ``__all__``.  ``__future__`` imports are
+skipped.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "thetacoble").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    assert FILES
+    unused = [entry for path in FILES for entry in _unused_imports(path)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -6,7 +6,6 @@ import pytest
 from thetacoble.characteristics import (
     ARONHOLD_EXAMPLE,
     FANO_TRIPLE_FAMILY,
-    Characteristic,
     enumerate_characteristics,
 )
 from thetacoble.gopel import enumerate_gopel, even_coset, fano_from_aronhold
