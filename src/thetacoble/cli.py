@@ -126,8 +126,9 @@ def verify_cmd(suite, seed, samples, tol, report_file):
     click.echo(f"suite={suite} seed={seed}")
     for rec in payload["records"]:
         status = "PASS" if rec["pass"] else "FAIL"
+        error = f" ({rec['error']})" if "error" in rec else ""
         click.echo(f"  [{status}] {rec['name']}: value={rec['value']:.6g} "
-                   f"threshold={rec['threshold']:.6g}")
+                   f"threshold={rec['threshold']:.6g}{error}")
     click.echo(f"overall: {'PASS' if payload['pass'] else 'FAIL'} "
                f"({len(payload['records'])} checks, {payload['wall_time']:.1f}s)")
     if report_file:

@@ -206,7 +206,12 @@ def _signed_columns(triples) -> np.ndarray:
 
 def _fano_columns(triples) -> np.ndarray:
     """The 7 signed columns of a Fano-plane family, in the caller's order of
-    triples and of their entries."""
+    triples and of their entries.  The triples are read once, so a one-shot
+    iterable is checked and signed alike."""
+    try:
+        triples = tuple(map(tuple, triples))
+    except TypeError:
+        pass  # not an iterable of iterables: fano_family raises ValueError
     fano_family(triples)
     return _signed_columns(triples)
 

@@ -48,14 +48,18 @@ class CheckRecord:
     value: float
     threshold: float
     passed: bool
+    error: str = ""  # type and message of the exception that stopped the suite
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "value": float(self.value),
             "threshold": float(self.threshold),
             "pass": bool(self.passed),
         }
+        if self.error:
+            out["error"] = self.error
+        return out
 
 
 @dataclass
@@ -754,20 +758,26 @@ SUITES = {
 }
 
 
+def _suite_records(name: str, seed: int, samples: int, tol: float) -> list[CheckRecord]:
+    """The records of one suite.  An exception inside the suite becomes one
+    failing record <name>_error carrying its type and message."""
+    try:
+        return SUITES[name](seed, samples, tol)
+    except Exception as exc:  # noqa: BLE001 - a fault in any check is a FAIL, not a traceback
+        return [CheckRecord(f"{name}_error", 0.0, 1.0, False, f"{type(exc).__name__}: {exc}")]
+
+
 def run_suite(name: str, seed: int = 1, samples: int = 0, tol: float = 0.0) -> Report:
     """Run a named suite (or "all") and assemble its report.  samples and tol
-    of 0 mean the suite defaults."""
+    of 0 mean the suite defaults.  A suite that raises gives one failing
+    <suite>_error record, and the other suites of "all" still run."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)} + ['all']")
     if not (samples >= 0 and 0 <= tol < math.inf):
         raise ValueError(f"need samples >= 0 and 0 <= tol < inf, got {samples} and {tol}")
     start = time.monotonic()
-    records = []
-    if name == "all":
-        for sub in SUITES.values():
-            records.extend(sub(seed, samples, tol))
-    else:
-        records = SUITES[name](seed, samples, tol)
+    records = [r for sub in (SUITES if name == "all" else [name])
+               for r in _suite_records(sub, seed, samples, tol)]
     report = Report(name, seed, samples, tol, records)
     report.wall_time = time.monotonic() - start
     return report

@@ -5,6 +5,13 @@ All lattice sums are truncated at a radius carrying a certified Gaussian tail
 bound; double-precision complex arithmetic throughout.  Each term on the shell
 |p|_inf = r is at most exp(-pi lambda_min (r - 1/2)^2 + 2 pi (r + 1/2) |Im z|_1),
 lambda_min the smallest eigenvalue of Im tau.
+
+One pass per (tau, z, radius) sums every characteristic over the half-integer
+cube |q|_inf <= radius + 1/2, but exponentiates only the terms above the
+rounding floor eps max|term| / (N (1 + 2 pi (radius + 1))), N the cube's point
+count.  So a value, or a gradient entry, is off by at most the certified tail
+plus eps max|term| of skipped terms, max|term| taken over the cube, plus
+rounding.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from types import MappingProxyType
 
 import numpy as np
@@ -166,6 +172,10 @@ def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL
 
 # One bounded memo of read-only values (class sums, constants, gradients, 2 tau)
 # per tau; the whole memo is dropped once it holds more than _MEMO_CAP entries.
+# A cold coble_eval adds 4: one class-sum table each for the theta-2 vector and
+# the constants (2^g x 2^g, up to 4 KB at g = 3 with z = 0 gradients), 2 tau
+# and the constants.  At the cap the values take about 3.1 MB (identities
+# workload, seeds 1-3 in one process).
 _MEMO: dict[tuple, object] = {}
 _MEMO_CAP = 2048
 
@@ -177,20 +187,43 @@ def _remember(key: tuple, value):
     return value
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
+def _half_cube(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of the half-integer cube q in (Z/2)^g, |q|_inf <= radius + 1/2,
+    which is the union over m' of the lattices q = p + m'/2 of
+    _shifted_lattice: its 4 radius + 3 values in increasing order, and, per
+    coordinate i, the bits each value adds to the segment number
+    (m' << g) | c of its point, c = p mod 2, with coordinate 0 the top bit
+    of m' and of c."""
+    k = np.arange(-2 * radius - 1, 2 * radius + 2)
+    mp, c = k & 1, (k >> 1) & 1
+    bits = [(mp << (2 * g - 1 - i)) | (c << (g - 1 - i)) for i in range(g)]
+    return _read_only(k / 2), _read_only(np.array(bits, dtype=np.uint8))
+
+
+def _segment_sort(g: int, radius: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the half-integer cube at the increasing flat (C-order)
+    grid indices flat, stably sorted by segment: their coordinates q and
+    segment numbers.  Within a segment they stay in meshgrid order."""
+    axis, bits = _half_cube(g, radius)
+    ij = np.unravel_index(flat, (len(axis),) * g)
+    seg = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
+    order = np.argsort(seg, kind="stable")
+    return axis[np.stack(ij, axis=1)[order]], seg[order]
+
+
 def _shifted_lattice(radius: int, mp: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The points q = p + m'/2 with |q_i| <= radius + m'_i/2: every p with
     |p|_inf <= radius and, where m'_i = 1, also p_i = -radius - 1.  The set
     is symmetric under q -> -q, so the sum at -z has the same terms as at z;
-    the points left out all lie on shells |p|_inf > radius.  Grouped by the
-    class c = p mod 2 (in bit order), with the start of each group."""
-    blocks = []
-    for c in product((0, 1), repeat=len(mp)):
-        axes = [np.arange(-radius - b + (radius + b + ci) % 2, radius + 1, 2) + b / 2
-                for b, ci in zip(mp, c)]
-        blocks.append(np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1))
-    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-    return _read_only(np.concatenate(blocks)), _read_only(starts)
+    the points left out all lie on shells |p|_inf > radius.  It is block m'
+    of the half-integer cube, grouped by the class c = p mod 2 (in bit
+    order), with the start of each group."""
+    g = len(mp)
+    top = sum(b << (g - 1 - i) for i, b in enumerate(mp)) << g
+    q, seg = _segment_sort(g, radius, np.arange((4 * radius + 3) ** g))
+    lo, hi = np.searchsorted(seg, [top, top + (1 << g)])
+    return q[lo:hi], np.searchsorted(seg[lo:hi], top + np.arange(1 << g))
 
 
 @lru_cache(maxsize=None)
@@ -202,20 +235,56 @@ def _sign_matrix(g: int, mp: int) -> np.ndarray:
                                  for c in range(n)] for k in range(n)]))
 
 
-def _class_sums(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, radius: int) -> np.ndarray:
-    """Row m'' holds theta[m'; m''](tau, z) over the lattice of the given
-    radius and, at z = 0, its z-gradient: one exp over the lattice of the top
-    row m' serves all 2^g characteristics.  Memoized and read-only."""
-    key = tau.cache_key() + (z.z.tobytes(), m.mp_int, radius)
+def _log_floor(n_points: int, radius: int) -> float:
+    """log of the rounding floor eps / (N (1 + 2 pi (radius + 1))) relative to
+    the largest term of an N-point cube.  The terms below it add at most
+    eps max|term| to a value and, since |2 pi q_i| <= 2 pi (radius + 1), at
+    most that to a gradient entry."""
+    return math.log(np.finfo(float).eps / (n_points * (1 + 2 * math.pi * (radius + 1))))
+
+
+def _kept_points(tau: PeriodMatrix, z: PhasePoint, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the half-integer cube whose term is above the rounding
+    floor, in segment order, with their segment numbers.  The log-modulus
+    -pi (q^t Im(tau) q + 2 q.Im z) is summed over the grid axis by axis, so
+    no (N, g) array of the whole cube is built."""
+    g = tau.g
+    axis, _ = _half_cube(g, radius)
+    y, w = tau.tau.imag, z.z.imag
+    qs = [axis.reshape((-1,) + (1,) * (g - 1 - i)) for i in range(g)]
+    form = 0.0
+    for i, q in enumerate(qs):
+        row = y[i, i] * q + 2 * w[i]
+        for j in range(i + 1, g):
+            row = row + 2 * y[i, j] * qs[j]
+        form = form + row * q
+    log_mod = -math.pi * np.ravel(form)
+    flat = np.flatnonzero(log_mod >= log_mod.max() + _log_floor(log_mod.size, radius))
+    return _segment_sort(g, radius, flat)
+
+
+def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
+    """Entry [m', m''] holds theta[m'; m''](tau, z) over the half-integer cube
+    of the given radius and, at z = 0, its z-gradient: one exp over the
+    points above the rounding floor serves all 4^g characteristics.  The
+    terms are summed per segment (m', c) in meshgrid order and combined by
+    the sign matrix of each m'.  Memoized and read-only."""
+    key = tau.cache_key() + (z.z.tobytes(), radius)
     hit = _MEMO.get(key)
     if hit is None:
-        q, starts = _shifted_lattice(radius, m.mp)
-        expo = np.einsum("ni,ni->n", q @ tau.tau, q) + 2.0 * (q @ z.z)
-        terms = np.exp(1j * math.pi * expo)
-        sums = np.add.reduceat(terms, starts)[:, None]
+        g, n = tau.g, 1 << tau.g
+        q, seg = _kept_points(tau, z, radius)
+        terms = np.exp(1j * math.pi * (np.einsum("ni,ni->n", q @ tau.tau, q) + 2.0 * (q @ z.z)))
+        cols = terms[:, None]
         if z.is_zero:
-            sums = np.hstack([sums, 2j * math.pi * np.add.reduceat(q * terms[:, None], starts)])
-        hit = _remember(key, _read_only(_sign_matrix(tau.g, m.mp_int) @ sums))
+            cols = np.hstack([cols, q * cols])
+        counts = np.bincount(seg, minlength=n * n)
+        full = counts > 0
+        sums = np.zeros((n * n, cols.shape[1]), dtype=complex)
+        sums[full] = np.add.reduceat(cols, (np.cumsum(counts) - counts)[full])
+        sums[:, 1:] *= 2j * math.pi
+        signs = np.stack([_sign_matrix(g, mp) for mp in range(n)])
+        hit = _remember(key, _read_only(signs @ sums.reshape(n, n, -1)))
     return hit
 
 
@@ -223,14 +292,16 @@ def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFA
     """Truncated lattice sum for theta[m'; m''](tau, z).
 
     Odd characteristics at z = 0 return exact 0 (the +-p terms cancel in
-    pairs); everything else carries absolute error below tol.
+    pairs).  Everything else carries absolute error below tol (the certified
+    tail) plus at most eps max|term| of terms below the rounding floor, with
+    max|term| over the half-integer cube of the pass, plus rounding.
     """
     if not (tau.g == z.g == m.g):
         raise ValueError("genus mismatch")
     if m.is_odd and z.is_zero:
         return 0.0
     radius = truncation_radius(tau, z, tol).radius
-    return complex(_class_sums(tau, z, m, radius)[m.mpp_int, 0])
+    return complex(_class_sums(tau, z, radius)[m.mp_int, m.mpp_int, 0])
 
 
 def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL) -> complex:
@@ -257,7 +328,7 @@ def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TO
         raise ValueError("gradient at z = 0 requires an odd characteristic")
     z0 = PhasePoint.zero(tau.g)
     radius = truncation_radius(tau, z0, tol).radius
-    return _class_sums(tau, z0, m, radius)[m.mpp_int, 1:]
+    return _class_sums(tau, z0, radius)[m.mp_int, m.mpp_int, 1:]
 
 
 def even_theta_constants(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> MappingProxyType:

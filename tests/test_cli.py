@@ -170,6 +170,19 @@ class TestVerify:
         assert res.exit_code == 1
         assert "[FAIL]" in res.output
 
+    def test_raising_suite_is_a_fail_record_in_the_report(self, runner, monkeypatch, tmp_path):
+        def raises(seed, samples, tol):
+            raise AssertionError("expected 6 admissible evens, got 5")
+
+        monkeypatch.setitem(suites.SUITES, "segre", raises)
+        report = tmp_path / "r.json"
+        res = runner.invoke(main, ["verify", "segre", "--report", str(report)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "[FAIL] segre_error" in res.output and "Traceback" not in res.output
+        (record,) = json.loads(report.read_text())["records"]
+        assert record == {"name": "segre_error", "value": 0.0, "threshold": 1.0, "pass": False,
+                          "error": "AssertionError: expected 6 admissible evens, got 5"}
+
     def test_unknown_suite(self, runner):
         res = runner.invoke(main, ["verify", "nonsense"])
         assert res.exit_code != 0

@@ -130,6 +130,14 @@ class TestBrackets:
         got = points.g_pascal(cfg, PASCAL_FAMILY)
         assert abs(got - direct) < 1e-9 * max(1.0, abs(direct))
 
+    def test_one_shot_iterables_give_the_tuple_value(self):
+        # the family is read once: generators of parts, and of entries, work
+        cfg = random_config2()
+        for g_form, family in ((points.g_fano, FANO_TRIPLE_FAMILY), (points.g_pascal, PASCAL_FAMILY)):
+            want = g_form(cfg, family)
+            assert g_form(cfg, (part for part in family)) == want
+            assert g_form(cfg, ((i for i in part) for part in family)) == want
+
     def test_family_counts(self):
         assert len(points.fano_plane_families()) == 30
         assert len(points.pascal_families()) == 105

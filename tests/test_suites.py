@@ -44,6 +44,21 @@ class TestReportPlumbing:
         with pytest.raises(ValueError, match="need samples >= 0 and 0 <= tol < inf"):
             run_suite(name, 1, samples, tol)
 
+    def test_other_suites_of_all_still_run(self, monkeypatch):
+        def raises(seed, samples, tol):
+            raise ZeroDivisionError("seeded fault")
+
+        for name in ("combinatorics", "group", "gopel", "wrank", "igusa"):
+            monkeypatch.setitem(SUITES, name, raises)
+        report = run_suite("all", seed=1, samples=16)
+        assert not report.passed
+        assert dict(_error_records(report)) == {
+            f"{name}_error": "ZeroDivisionError: seeded fault"
+            for name in ("combinatorics", "group", "gopel", "wrank", "igusa")
+        }
+        names = {r["name"] for r in report.to_json()["records"]}
+        assert {"jacobi_g3", "coble_vanishing", "kummer2_vanishing", "segre_identity"} <= names
+
     def test_all_suites_registered(self):
         assert set(SUITES) == {
             "combinatorics", "group", "gopel", "jacobi", "riemann", "wrank",
@@ -107,6 +122,11 @@ class TestGroupMutations:
         assert records["zero_orbit_even36"] and records["aronhold_orbit"]
 
 
+def _error_records(report) -> list[tuple[str, str]]:
+    """(name, error) of the records that carry an exception."""
+    return [(r["name"], r["error"]) for r in report.to_json()["records"] if "error" in r]
+
+
 class TestParityMutations:
     """A flipped even entry of the parity table, seen at every binding of
     parity_table, must not pass: the batched checks read a non-empty table."""
@@ -131,9 +151,19 @@ class TestParityMutations:
         assert run_suite("combinatorics", seed=1).passed  # warms the memoized enumerations
         self.flip(monkeypatch, 3, 1)
         # The admissible-evens mask shared by the suite and the completion
-        # loses the flipped even; the completion's own check stops the suite.
-        with pytest.raises(AssertionError, match="expected 6 admissible evens, got 5"):
-            run_suite("combinatorics", seed=1)
+        # loses the flipped even; the completion's own check stops the suite,
+        # which reports it as its one failing record.
+        assert _error_records(run_suite("combinatorics", seed=1)) == [
+            ("combinatorics_error", "AssertionError: expected 6 admissible evens, got 5")
+        ]
+
+    def test_gopel_stops_with_an_error_record(self, monkeypatch):
+        assert run_suite("gopel", seed=1).passed
+        self.flip(monkeypatch, 3, 1)
+        ((name, error),) = _error_records(run_suite("gopel", seed=1))
+        assert name == "gopel_error"
+        assert error.startswith("ValueError: {") and error.endswith("is not an Aronhold set "
+                                                                    "(members odd, every triple azygetic)")
 
     @pytest.mark.parametrize(
         "g, failing",

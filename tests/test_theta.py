@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from thetacoble import quartics
 from thetacoble.characteristics import Characteristic, enumerate_characteristics
 from thetacoble.modular import chi
 from thetacoble.sampling import random_tau, random_z, stream
@@ -419,6 +420,108 @@ class TestClassKernel:
         assert _kernel_mismatches(3, 0.25, True) and _kernel_mismatches(3, 0.25, False)
         records = run_suite("coble", 1).to_json()["records"]
         assert not all(r["pass"] for r in records)
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace original at every binding in the thetacoble modules."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thetacoble") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _cube_moduli(tau, z, radius):
+    """Every q in (Z/2)^g with |q|_inf <= radius + 1/2, in meshgrid order,
+    and the modulus exp(-pi (q^t Im(tau) q + 2 q.Im z)) of its term."""
+    axis = np.arange(-2 * radius - 1, 2 * radius + 2) / 2
+    cube = np.stack([a.ravel() for a in np.meshgrid(*([axis] * tau.g), indexing="ij")], axis=1)
+    return cube, np.exp(-math.pi * (np.einsum("ni,ij,nj->n", cube, tau.tau.imag, cube)
+                                    + 2 * cube @ z.z.imag))
+
+
+FLOOR_CASES = [
+    (g, ratio, lam, imz_l1)
+    for g in (1, 2, 3)
+    for ratio in (4.0, 100.0)
+    for lam in (0.25, 1.0)
+    for imz_l1 in (0.0, 1.5)
+    if g > 1 or ratio == 4.0
+]
+
+
+class TestRoundingFloor:
+    """One pass exponentiates only the terms above the rounding floor; the
+    rest of the certified cube adds at most eps max|term|."""
+
+    @staticmethod
+    def _case(g, ratio, lam, imz_l1):
+        rng = stream(17, f"test_theta.floor.{g}.{ratio}.{lam}.{imz_l1}")
+        x = rng.uniform(-0.5, 0.5, (g, g))
+        q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        y = (q * (lam * ratio ** np.linspace(0.0, 1.0, g))) @ q.T
+        tau = th.PeriodMatrix(g, (x + x.T) / 2 + 1j * (y + y.T) / 2)
+        z = _z_with_imz_l1(rng, g, imz_l1) if imz_l1 else th.PhasePoint.zero(g)
+        return tau, z
+
+    @pytest.mark.parametrize("g, ratio, lam, imz_l1", FLOOR_CASES)
+    def test_skipped_mass_below_eps_max_term(self, g, ratio, lam, imz_l1):
+        tau, z = self._case(g, ratio, lam, imz_l1)
+        radius = th.truncation_radius(tau, z).radius
+        cube, modulus = _cube_moduli(tau, z, radius)
+        kept, _ = th._kept_points(tau, z, radius)
+        # q -> its row in the meshgrid order of the cube
+        digits = np.rint(2 * kept + 2 * radius + 1).astype(int)
+        rows = np.ravel_multi_index(digits.T, (4 * radius + 3,) * g)
+        assert np.array_equal(cube[rows], kept) and len(np.unique(rows)) == len(rows)
+        skipped = np.ones(len(cube), dtype=bool)
+        skipped[rows] = False
+        bound = EPS * modulus.max()
+        assert modulus[skipped].sum() <= bound
+        assert np.all((2 * math.pi * np.abs(cube[skipped]) * modulus[skipped, None]).sum(0) <= bound)
+
+    # ratio 4 is the regime of TestClassKernel
+    @pytest.mark.parametrize("g, ratio, lam, imz_l1", [c for c in FLOOR_CASES if c[1] == 100.0])
+    def test_values_match_the_full_cube(self, g, ratio, lam, imz_l1):
+        tau, z = self._case(g, ratio, lam, imz_l1)
+        radius = th.truncation_radius(tau, z).radius
+        skipped_bound = EPS * _cube_moduli(tau, z, radius)[1].max()
+        for m in enumerate_characteristics(g, "all"):
+            value, allowance, grad, grad_allowance = _reference_sum(tau, z, m, radius)
+            assert abs(th.theta(tau, z, m) - value) <= allowance + skipped_bound
+            if not imz_l1 and m.is_odd:
+                assert np.all(np.abs(th.theta_gradient(tau, m) - grad) <= grad_allowance + skipped_bound)
+
+    def test_loosened_floor_is_caught(self, monkeypatch):
+        log_floor = th._log_floor
+
+        def loosened(n_points, radius):
+            return log_floor(n_points, radius) + math.log(1e6)
+
+        _patch_everywhere(monkeypatch, log_floor, loosened)
+        monkeypatch.setattr(th, "_MEMO", {})
+        assert _kernel_mismatches(1, 0.25, True) and _kernel_mismatches(3, 1.0, True)
+
+
+class TestPassCount:
+    """A cold evaluation makes one kernel pass for the theta-2 vector and one
+    for the theta constants (with their gradients)."""
+
+    @pytest.mark.parametrize("kind, g", [("coble_eval", 3), ("kummer2_eval", 2)])
+    def test_two_passes_per_cold_eval(self, monkeypatch, kind, g):
+        passes = []
+        kept_points = th._kept_points
+
+        def counted(tau, z, radius):
+            passes.append(z.is_zero)
+            return kept_points(tau, z, radius)
+
+        _patch_everywhere(monkeypatch, kept_points, counted)
+        monkeypatch.setattr(th, "_MEMO", {})
+        rng = stream(19, f"test_theta.passes.{kind}")
+        value, scale = getattr(quartics, kind)(random_tau(rng, g), random_z(rng, g))
+        assert abs(value) < 1e-8 * scale
+        assert sorted(passes) == [False, True]
 
 
 class TestReadOnlyMemo:
