@@ -120,7 +120,7 @@ def verify_cmd(suite, seed, samples, tol, report_file):
     """Run a named verification suite; exit code 0 iff every check passes."""
     try:
         report = suites.run_suite(suite, seed=seed, samples=samples, tol=tol)
-    except ValueError as exc:  # negative samples, or a negative or non-finite tol
+    except ValueError as exc:  # samples < 0 or too few for a rank check, or a tol < 0 or not finite
         raise click.ClickException(str(exc)) from exc
     payload = report.to_json()
     click.echo(f"suite={suite} seed={seed}")

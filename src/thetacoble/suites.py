@@ -228,26 +228,26 @@ def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 
     enum3 = symplectic.enumerate_group(3)
     rng = stream(seed, "group.closure")
-    ok = True
-    for _ in range(200):
-        a = enum3.element(int(rng.integers(len(enum3))))
-        b = enum3.element(int(rng.integers(len(enum3))))
-        if (a * b) not in enum3 or a.inverse() not in enum3:
-            ok = False
+    # row t is the pair (a_t, b_t), drawn in turn
+    a, b = symplectic.unpack(3, enum3.packed[rng.integers(len(enum3), size=(200, 2))].T)
+    products = symplectic.pack(symplectic.multiply(a, b))
+    inverses = symplectic.invert(a)
+    # membership alone would pass any inverse that stays in the group
+    ok = bool(enum3.contains(products).all() and enum3.contains(symplectic.pack(inverses)).all()
+              and (symplectic.multiply(a, inverses) == np.eye(6, dtype=np.uint8)).all())
     recs.append(_flag("closure_and_inverse_sampled", ok))
 
-    reps = symplectic.parabolic_cosets(3)
+    reps = np.array([r.packed() for r in symplectic.parabolic_cosets(3)], dtype=np.uint64)
     recs.append(_count("parabolic_index", len(reps), 135))
-    images = {symplectic.lagrangian_image(r) for r in reps}
-    recs.append(_count("parabolic_distinct_images", len(images), 135))
-    by_image = {symplectic.lagrangian_image(r): r for r in reps}
+    by_image = dict(zip(symplectic.lagrangian_image(3, reps), reps))
+    recs.append(_count("parabolic_distinct_images", len(by_image), 135))
     rng = stream(seed, "group.factorization")
-    ok = True
-    for _ in range(100):
-        gmm = enum3.element(int(rng.integers(len(enum3))))
-        rep = by_image[symplectic.lagrangian_image(gmm)]
-        if not symplectic.has_zero_c_block(rep.inverse() * gmm):
-            ok = False
+    gmm = enum3.packed[rng.integers(len(enum3), size=100)]
+    coset_rep = np.array([by_image[im] for im in symplectic.lagrangian_image(3, gmm)])
+    # rep^{-1} gamma lies in the parabolic subgroup {C = 0}
+    quotient = symplectic.multiply(symplectic.invert(symplectic.unpack(3, coset_rep)),
+                                   symplectic.unpack(3, gmm))
+    ok = bool(symplectic.has_zero_c_block(quotient).all())
     recs.append(_flag("parabolic_factorization_sampled", ok))
 
     # parity and triple-sign invariance, exhaustive over Sp(4, F2)
@@ -287,7 +287,8 @@ def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     # transitivity on the 288 unordered Aronhold sets
     recs.append(_count("aronhold_orbit", len(_orbit(ARONHOLD_EXAMPLE.idx_set())), 288))
 
-    recs.append(_flag("j_is_symplectic", symplectic.is_symplectic(symplectic.symplectic_j(3))))
+    j_ok = bool(symplectic.is_symplectic(symplectic.symplectic_j(3)))
+    recs.append(_flag("j_is_symplectic", j_ok))
     return recs
 
 
@@ -476,19 +477,26 @@ def suite_riemann(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # W rank
 
+# The rank-15 certificate reads the 16th singular value, so its matrix needs
+# at least this many rows (one per sample).
+RANK_ROWS = 16
+RANK_SUITES = ("wrank", "points")
+
+
+def _rank_records(rank_name: str, gap_name: str, matrix: np.ndarray) -> list[CheckRecord]:
+    """Rank 15 of matrix: its numerical rank at 1e-8 sigma_1, and the gap
+    sigma_15 / sigma_16 against 1e6."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    rank = int((sv > 1e-8 * sv[0]).sum())
+    gap = sv[14] / sv[15] if sv[15] > 0 else math.inf
+    return [_count(rank_name, rank, 15), CheckRecord(gap_name, float(gap), 1e6, gap >= 1e6)]
+
 
 def suite_wrank(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 40
     rng = stream(seed, "wrank.taus")
     taus = [random_tau(rng, 3) for _ in range(samples)]
-    matrix = modular.goepel_form_matrix(taus)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    gap = sv[14] / sv[15] if sv[15] > 0 else math.inf
-    rank = int((sv > 1e-8 * sv[0]).sum())
-    return [
-        _count("w_rank", rank, 15),
-        CheckRecord("w_sv_gap", float(gap), 1e6, gap >= 1e6),
-    ]
+    return _rank_records("w_rank", "w_sv_gap", modular.goepel_form_matrix(taus))
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +738,7 @@ def suite_points(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 
     cfgs = [_random_config2(rng) for _ in range(samples)]
     matrix = points.bracket_value_matrix(cfgs)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    rank = int((sv > 1e-8 * sv[0]).sum())
-    gap = sv[14] / sv[15] if sv[15] > 0 else math.inf
-    recs.append(_count("bracket_span_rank", rank, 15))
-    recs.append(CheckRecord("bracket_sv_gap", float(gap), 1e6, gap >= 1e6))
-    return recs
+    return recs + _rank_records("bracket_span_rank", "bracket_sv_gap", matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +778,9 @@ def run_suite(name: str, seed: int = 1, samples: int = 0, tol: float = 0.0) -> R
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)} + ['all']")
     if not (samples >= 0 and 0 <= tol < math.inf):
         raise ValueError(f"need samples >= 0 and 0 <= tol < inf, got {samples} and {tol}")
+    if name in RANK_SUITES + ("all",) and 0 < samples < RANK_ROWS:
+        raise ValueError(f"need samples >= {RANK_ROWS} (or 0) for the rank checks of "
+                         f"{' and '.join(RANK_SUITES)}, got {samples}")
     start = time.monotonic()
     records = [r for sub in (SUITES if name == "all" else [name])
                for r in _suite_records(sub, seed, samples, tol)]

@@ -1,9 +1,12 @@
-"""The symplectic group Sp(2g, F_2): bit-matrix arithmetic, the affine action
-on theta characteristics, full enumeration for g <= 3, and the 135 cosets of
-the parabolic subgroup {C = 0} for g = 3.
+"""The symplectic group Sp(2g, F_2): the affine action on theta
+characteristics, full enumeration for g <= 3, and the 135 cosets of the
+parabolic subgroup {C = 0} for g = 3.
 
-Matrices are tuples of row integers; within a row the leftmost column is the
-most significant bit, matching the characteristic encoding.
+An element is one packed integer: its (2g)^2 entries row by row, entry
+(0, 0) the most significant bit, so that within a row the leftmost column
+is the most significant bit, matching the characteristic encoding.  The
+arithmetic unpacks to (..., 2g, 2g) uint8 bit arrays, so one call handles
+one element or a batch.
 """
 
 from __future__ import annotations
@@ -16,174 +19,122 @@ import numpy as np
 from .characteristics import Characteristic, _check_genus, pairing_table
 from .gopel import enumerate_lagrangian_subspaces
 
-# ---------------------------------------------------------------------------
-# bit-matrix helpers (rows as integers, width bits per row)
+
+def unpack(g: int, packed) -> np.ndarray:
+    """The (..., 2g, 2g) bit arrays of packed elements (an int or an array)."""
+    w = 2 * g
+    shifts = np.arange(w * w - 1, -1, -1, dtype=np.uint64).reshape(w, w)
+    packed = np.asarray(packed, dtype=np.uint64)[..., None, None]
+    return ((packed >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
-def bm_identity(n: int) -> tuple[int, ...]:
-    return tuple(1 << (n - 1 - i) for i in range(n))
+def pack(m: np.ndarray) -> np.ndarray:
+    """The packed uint64 values of (..., 2g, 2g) bit arrays."""
+    w = m.shape[-1]
+    weights = np.uint64(1) << np.arange(w * w - 1, -1, -1, dtype=np.uint64)
+    return (m.reshape(*m.shape[:-2], w * w).astype(np.uint64) * weights).sum(axis=-1)
 
 
-def bm_zero(n: int) -> tuple[int, ...]:
-    return (0,) * n
+def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a_t b_t over F_2."""
+    return (a @ b) & 1
 
 
-def bm_transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
-    n = len(rows)
-    out = []
-    for j in range(width):
-        col = 0
-        for i in range(n):
-            col = (col << 1) | ((rows[i] >> (width - 1 - j)) & 1)
-        out.append(col)
-    return tuple(out)
+def swap_blocks(m: np.ndarray) -> np.ndarray:
+    """(A B; C D) -> (D C; B A), which is J M J."""
+    w = m.shape[-1]
+    p = (np.arange(w) + w // 2) % w
+    return m[..., p[:, None], p]
 
 
-def bm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product over F_2; a is n x k (k = len(b)), b is k x width."""
-    k = len(b)
-    out = []
-    for row in a:
-        acc = 0
-        for j in range(k):
-            if (row >> (k - 1 - j)) & 1:
-                acc ^= b[j]
-        out.append(acc)
-    return tuple(out)
+def invert(m: np.ndarray) -> np.ndarray:
+    # over F_2: M^{-1} = J M^t J since J^2 = I
+    return swap_blocks(m.swapaxes(-2, -1))
 
 
-def bm_matvec(rows: tuple[int, ...], v: int) -> int:
-    """Apply to a column vector packed as an int (leftmost entry = msb)."""
-    out = 0
-    for row in rows:
-        out = (out << 1) | ((row & v).bit_count() & 1)
-    return out
-
-
-def bm_diag(rows: tuple[int, ...]) -> int:
-    n = len(rows)
-    out = 0
-    for i, row in enumerate(rows):
-        out = (out << 1) | ((row >> (n - 1 - i)) & 1)
-    return out
-
-
-def bm_block(tl, tr, bl, br, n: int) -> tuple[int, ...]:
-    """Assemble a 2n x 2n matrix from four n x n blocks."""
-    top = tuple((tl[i] << n) | tr[i] for i in range(n))
-    bot = tuple((bl[i] << n) | br[i] for i in range(n))
-    return top + bot
-
-
-def bm_unblock(rows: tuple[int, ...], n: int):
-    mask = (1 << n) - 1
-    tl = tuple(r >> n for r in rows[:n])
-    tr = tuple(r & mask for r in rows[:n])
-    bl = tuple(r >> n for r in rows[n:])
-    br = tuple(r & mask for r in rows[n:])
-    return tl, tr, bl, br
-
-
-def symplectic_j(n: int) -> tuple[int, ...]:
+def symplectic_j(g: int) -> np.ndarray:
     """The standard form matrix J = (0 I; I 0) over F_2."""
-    return bm_block(bm_zero(n), bm_identity(n), bm_identity(n), bm_zero(n), n)
+    return np.eye(2 * g, k=g, dtype=np.uint8) | np.eye(2 * g, k=-g, dtype=np.uint8)
 
 
-def is_symplectic(rows: tuple[int, ...]) -> bool:
-    """True iff the 2n x 2n bit matrix preserves the standard pairing."""
-    m = len(rows)
-    if m % 2 or m > 6:
+def is_symplectic(m: np.ndarray) -> np.ndarray:
+    """Whether each (..., 2g, 2g) bit matrix preserves the standard pairing."""
+    w = m.shape[-1]
+    if m.shape[-2] != w or w % 2 or w > 6:
         raise ValueError("need a square even-dimension matrix of size <= 6")
-    n = m // 2
-    j = symplectic_j(n)
-    return bm_mul(bm_mul(bm_transpose(rows, m), j), rows) == j
+    j = symplectic_j(w // 2)
+    return (((m.swapaxes(-2, -1) @ j @ m) & 1) == j).all(axis=(-2, -1))
+
+
+def has_zero_c_block(m: np.ndarray) -> np.ndarray:
+    """Whether each matrix lies in the parabolic subgroup {C = 0}."""
+    g = m.shape[-1] // 2
+    return ~m[..., g:, :g].any(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class SymplecticMatF2:
-    """An element of Sp(2g, F_2) in block form (A B; C D)."""
+    """An element (A B; C D) of Sp(2g, F_2), held as its packed integer."""
 
     g: int
-    rows: tuple[int, ...]
+    bits: int
 
     def __post_init__(self):
         _check_genus(self.g)
-        if len(self.rows) != 2 * self.g:
-            raise ValueError("row count does not match genus")
-        if not is_symplectic(self.rows):
+        if not 0 <= self.bits < 1 << (4 * self.g * self.g):
+            raise ValueError("packed value does not fit a 2g x 2g matrix")
+        if not is_symplectic(unpack(self.g, self.bits)):
             raise ValueError("matrix is not symplectic over F_2")
 
     @classmethod
-    def from_blocks(cls, g, a, b, c, d) -> "SymplecticMatF2":
-        return cls(g, bm_block(a, b, c, d, g))
+    def from_matrix(cls, m: np.ndarray) -> "SymplecticMatF2":
+        return cls(m.shape[-1] // 2, int(pack(m)))
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticMatF2":
-        return cls(g, bm_identity(2 * g))
+        return cls.from_matrix(np.eye(2 * g, dtype=np.uint8))
 
     @classmethod
     def j(cls, g: int) -> "SymplecticMatF2":
-        return cls(g, symplectic_j(g))
-
-    @property
-    def blocks(self):
-        return bm_unblock(self.rows, self.g)
+        return cls.from_matrix(symplectic_j(g))
 
     def __mul__(self, other: "SymplecticMatF2") -> "SymplecticMatF2":
         if self.g != other.g:
             raise ValueError("genus mismatch")
-        return SymplecticMatF2(self.g, bm_mul(self.rows, other.rows))
+        return SymplecticMatF2.from_matrix(multiply(*unpack(self.g, [self.bits, other.bits])))
 
     def inverse(self) -> "SymplecticMatF2":
-        # over F_2: M^{-1} = J M^t J since J^2 = I
-        j = symplectic_j(self.g)
-        return SymplecticMatF2(
-            self.g, bm_mul(bm_mul(j, bm_transpose(self.rows, 2 * self.g)), j)
-        )
+        return SymplecticMatF2.from_matrix(invert(unpack(self.g, self.bits)))
 
     def packed(self) -> int:
-        w = 2 * self.g
-        out = 0
-        for r in self.rows:
-            out = (out << w) | r
-        return out
+        return self.bits
 
     @classmethod
     def from_packed(cls, g: int, packed: int) -> "SymplecticMatF2":
-        w = 2 * g
-        mask = (1 << w) - 1
-        rows = tuple((packed >> (w * (w - 1 - i))) & mask for i in range(w))
-        return cls(g, rows)
+        return cls(g, int(packed))
 
     def act(self, m: Characteristic) -> Characteristic:
         return act_on_characteristic(self, m)
 
 
 def act_on_characteristic(gamma: SymplecticMatF2, m: Characteristic) -> Characteristic:
-    """The affine action (D -C; -B A)(m'; m'') + (diag(C D^t); diag(A B^t))."""
+    """gamma . m, read from the action table of gamma.  The one body behind
+    SymplecticMatF2.act; perfbench's tracer wraps it by name."""
     if gamma.g != m.g:
         raise ValueError("genus mismatch")
-    g = gamma.g
-    a, b, c, d = gamma.blocks
-    lin = bm_block(d, c, b, a, g)  # signs vanish mod 2
-    bt = bm_transpose(b, g)
-    dt = bm_transpose(d, g)
-    offset = (bm_diag(bm_mul(c, dt)) << g) | bm_diag(bm_mul(a, bt))
-    return Characteristic(g, bm_matvec(lin, m.idx) ^ offset)
+    return Characteristic(m.g, int(action_tables(m.g, gamma.bits)[0, m.idx]))
 
 
 def action_tables(g: int, packed) -> np.ndarray:
-    """act_on_characteristic of each packed gamma_t on all 2^{2g} indices:
-    entry (t, i) is the index of gamma_t . m_i, from the linear part (D C; B A)
-    and the offset (diag(C D^t); diag(A B^t)) applied to every index at once."""
+    """The affine action (D -C; -B A)(m'; m'') + (diag(C D^t); diag(A B^t))
+    of each packed gamma_t on all 2^{2g} indices: entry (t, i) is the index
+    of gamma_t . m_i.  The signs vanish mod 2, so the linear part is
+    (D C; B A), applied to every index at once."""
     _check_genus(g)
     w = 2 * g
-    packed = np.asarray(packed, dtype=np.uint64).reshape(-1)
-    shifts = np.arange(w * w - 1, -1, -1, dtype=np.uint64).reshape(w, w)
-    m = ((packed[:, None, None] >> shifts) & np.uint64(1)).astype(np.uint8)  # (n, w, w)
-    a, b, c, d = m[:, :g, :g], m[:, :g, g:], m[:, g:, :g], m[:, g:, g:]
-    lin = np.block([[d, c], [b, a]])
-    offset = np.concatenate([(c * d).sum(axis=2), (a * b).sum(axis=2)], axis=1).astype(np.uint8)
+    lin = swap_blocks(unpack(g, np.reshape(packed, -1)))  # (n, w, w)
+    # (diag(C D^t); diag(A B^t)): row i of (D C; B A) pairs D_i with C_i, then B_i with A_i
+    offset = (lin[:, :, :g] & lin[:, :, g:]).sum(axis=2, dtype=np.uint8)
     weights = 1 << np.arange(w - 1, -1, -1)  # msb first
     vecs = ((np.arange(1 << w)[:, None] & weights) > 0).astype(np.uint8)  # (2^{2g}, w)
     images = (lin @ vecs.T + offset[:, :, None]) & 1  # (n, w, 2^{2g})
@@ -191,19 +142,13 @@ def action_tables(g: int, packed) -> np.ndarray:
 
 
 def translation_generators(g: int):
-    """All matrices (I S; 0 I) with S symmetric over F_2."""
+    """All matrices (I S; 0 I) with S symmetric over F_2, S != 0."""
     pairs = [(i, j) for i in range(g) for j in range(i, g)]
-    gens = []
-    for mask in range(1, 1 << len(pairs)):
-        s = [0] * g
-        for t, (i, j) in enumerate(pairs):
-            if (mask >> t) & 1:
-                s[i] |= 1 << (g - 1 - j)
-                s[j] |= 1 << (g - 1 - i)
-        gens.append(
-            SymplecticMatF2.from_blocks(g, bm_identity(g), tuple(s), bm_zero(g), bm_identity(g))
-        )
-    return gens
+    masks = np.arange(1, 1 << len(pairs))
+    m = np.tile(np.eye(2 * g, dtype=np.uint8), (len(masks), 1, 1))
+    for t, (i, j) in enumerate(pairs):
+        m[:, i, g + j] = m[:, j, g + i] = (masks >> t) & 1
+    return [SymplecticMatF2(g, int(p)) for p in pack(m)]
 
 
 def group_generators(g: int):
@@ -228,9 +173,13 @@ class GroupEnumeration:
         return len(self.packed)
 
     def __contains__(self, gamma: SymplecticMatF2) -> bool:
-        p = np.uint64(gamma.packed())
-        i = int(np.searchsorted(self.packed, p))
-        return i < len(self.packed) and self.packed[i] == p
+        return bool(self.contains(gamma.packed()))
+
+    def contains(self, packed) -> np.ndarray:
+        """Membership of each packed value (an int or an array)."""
+        packed = np.asarray(packed, dtype=np.uint64)
+        i = np.minimum(np.searchsorted(self.packed, packed), len(self.packed) - 1)
+        return self.packed[i] == packed
 
     def element(self, i: int) -> SymplecticMatF2:
         return SymplecticMatF2.from_packed(self.g, int(self.packed[i]))
@@ -252,7 +201,7 @@ def _symplectic_bases(g: int) -> np.ndarray:
     for k in range(w):
         keep = np.ones((len(rows[0]) if rows else 1, n), dtype=bool)
         for i, row in enumerate(rows):
-            keep &= match[(j[i] >> (w - 1 - k)) & 1][row]
+            keep &= match[j[i, k]][row]
         t, v = np.nonzero(keep)
         rows = [row[t] for row in rows] + [v.astype(np.uint8)]
     packed = np.zeros(len(rows[0]), dtype=np.uint64)
@@ -273,10 +222,6 @@ def enumerate_group(g: int) -> GroupEnumeration:
     return GroupEnumeration(g, packed)
 
 
-def has_zero_c_block(gamma: SymplecticMatF2) -> bool:
-    return all(r == 0 for r in gamma.blocks[2])
-
-
 def _complete_to_symplectic_basis(g: int, lag_basis: list[int]) -> SymplecticMatF2:
     """Build gamma in Sp(2g, F2) whose linear action maps {m'=0} onto the
     Lagrangian spanned by lag_basis (packed 2g-bit vectors)."""
@@ -290,14 +235,10 @@ def _complete_to_symplectic_basis(g: int, lag_basis: list[int]) -> SymplecticMat
         if not ok.any():
             raise AssertionError("failed to complete symplectic basis")
         us.append(int(ok.argmax()))
-    cols = us + lag_basis
-    n_rows = tuple(
-        sum(((cols[j] >> (w - 1 - i)) & 1) << (w - 1 - j) for j in range(w))
-        for i in range(w)
-    )
-    # N = (D C; B A) must be symplectic; recover gamma = (A B; C D)
-    d, c, b, a = bm_unblock(n_rows, g)
-    return SymplecticMatF2.from_blocks(g, a, b, c, d)
+    # N, with columns us + lag_basis, is the linear part (D C; B A) of gamma
+    cols = np.array(us + lag_basis)
+    n = ((cols[None, :] >> np.arange(w - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
+    return SymplecticMatF2.from_matrix(swap_blocks(n))
 
 
 def parabolic_cosets(g: int = 3) -> list[SymplecticMatF2]:
@@ -330,7 +271,8 @@ def _subspace_basis(subspace: frozenset) -> list[int]:
     return basis
 
 
-def lagrangian_image(gamma: SymplecticMatF2) -> frozenset:
-    """Image of the Lagrangian {m' = 0} under the linearized action."""
-    table = action_tables(gamma.g, [gamma.packed()])[0]
-    return frozenset((table[: 1 << gamma.g] ^ table[0]).tolist())
+def lagrangian_image(g: int, packed) -> list[frozenset]:
+    """Image of the Lagrangian {m' = 0} under the linearized action of each
+    packed element."""
+    tables = action_tables(g, packed)[:, : 1 << g]
+    return [frozenset(row) for row in (tables ^ tables[:, :1]).tolist()]

@@ -195,6 +195,13 @@ class TestVerify:
         assert res.output.count("\n") == 1 and "PASS" not in res.output
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("suite", ["wrank", "points", "all"])
+    def test_too_few_samples_is_a_clean_error(self, runner, suite):
+        res = runner.invoke(main, ["verify", suite, "--samples", "8"])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: need samples >= 16")
+        assert res.output.count("\n") == 1 and "PASS" not in res.output
+
 
 class TestExport:
     def test_formula_payload(self, runner):

@@ -44,6 +44,18 @@ class TestReportPlumbing:
         with pytest.raises(ValueError, match="need samples >= 0 and 0 <= tol < inf"):
             run_suite(name, 1, samples, tol)
 
+    @pytest.mark.parametrize("samples", (1, 8, 15))
+    @pytest.mark.parametrize("name", ("wrank", "points", "all"))
+    def test_too_few_samples_for_a_rank_check_rejected(self, name, samples):
+        # the rank-15 certificate reads the 16th singular value
+        with pytest.raises(ValueError, match=f"need samples >= 16 .* got {samples}$"):
+            run_suite(name, 1, samples)
+
+    @pytest.mark.parametrize("name", ("wrank", "points"))
+    def test_sixteen_samples_suffice(self, name):
+        report = run_suite(name, 1, 16)
+        assert report.passed and len(report.records) >= 2
+
     def test_other_suites_of_all_still_run(self, monkeypatch):
         def raises(seed, samples, tol):
             raise ZeroDivisionError("seeded fault")
@@ -120,6 +132,33 @@ class TestGroupMutations:
         records = {r["name"]: r["pass"] for r in run_suite("group", seed=1).to_json()["records"]}
         assert records[record] is False
         assert records["zero_orbit_even36"] and records["aronhold_orbit"]
+
+
+def _flipped_product(a, b):
+    """The product with its last D entry flipped: outside the group, same C block."""
+    m = (a @ b) & 1
+    m[..., -1, -1] ^= 1
+    return m
+
+
+class TestBatchedGroupChecks:
+    """A fault in the batched product or inverse fails the record that reads it."""
+
+    @pytest.mark.parametrize(
+        "name, fault, failing",
+        [
+            # the transpose of a symplectic matrix is symplectic, so membership
+            # alone would not see it
+            ("invert", lambda m: m.swapaxes(-2, -1),
+             {"closure_and_inverse_sampled", "parabolic_factorization_sampled"}),
+            ("multiply", _flipped_product, {"closure_and_inverse_sampled"}),
+        ],
+    )
+    def test_fault_fails_its_record(self, monkeypatch, name, fault, failing):
+        assert run_suite("group", seed=1).passed
+        monkeypatch.setattr(symplectic, name, fault)
+        records = run_suite("group", seed=1).to_json()["records"]
+        assert {r["name"] for r in records if not r["pass"]} == failing
 
 
 def _error_records(report) -> list[tuple[str, str]]:
