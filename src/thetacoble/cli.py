@@ -62,6 +62,12 @@ def _load_z(path: str, g: int) -> PhasePoint:
         return PhasePoint.from_json(json.load(f))
 
 
+def _normalized(value: complex, scale: float):
+    """|value| / scale, or None when every term is 0 (as on the reducible
+    locus, where all coefficients of the quartic vanish)."""
+    return abs(value) / scale if scale else None
+
+
 @main.command("eval")
 @click.argument("what", type=click.Choice(["theta", "theta2", "coble", "coble-grad", "kummer2"]))
 @click.option("--tau", "tau_file", required=True, type=click.Path(exists=True),
@@ -93,17 +99,17 @@ def eval_cmd(what, tau_file, z_file, char_str, tol):
             value, scale = quartics.coble_eval(tau, z, tol)
             out["value"] = [value.real, value.imag]
             out["term_scale"] = scale
-            out["normalized_residual"] = abs(value) / scale
+            out["normalized_residual"] = _normalized(value, scale)
         elif what == "coble-grad":
             values, scales = quartics.coble_gradient(tau, z, tol)
             out["values"] = [[v.real, v.imag] for v in values]
             out["term_scales"] = scales
-            out["normalized_residuals"] = [abs(v) / s for v, s in zip(values, scales)]
+            out["normalized_residuals"] = [_normalized(v, s) for v, s in zip(values, scales)]
         else:  # kummer2
             value, scale = quartics.kummer2_eval(tau, z, tol)
             out["value"] = [value.real, value.imag]
             out["term_scale"] = scale
-            out["normalized_residual"] = abs(value) / scale
+            out["normalized_residual"] = _normalized(value, scale)
     except ValueError as exc:  # bad tau/z/char input or out-of-domain request
         raise click.ClickException(str(exc)) from exc
     click.echo(json.dumps(out, indent=2))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characteristics import Characteristic, _check_genus, pairing_table
+from .characteristics import Characteristic, _check_genus, _read_only, pairing_table
 from .gopel import enumerate_lagrangian_subspaces
 
 
@@ -118,26 +118,39 @@ class SymplecticMatF2:
 
 
 def act_on_characteristic(gamma: SymplecticMatF2, m: Characteristic) -> Characteristic:
-    """gamma . m, read from the action table of gamma.  The one body behind
+    """gamma . m, the one image of the affine action.  The one body behind
     SymplecticMatF2.act; perfbench's tracer wraps it by name."""
     if gamma.g != m.g:
         raise ValueError("genus mismatch")
-    return Characteristic(m.g, int(action_tables(m.g, gamma.bits)[0, m.idx]))
+    return Characteristic(m.g, int(_images(m.g, gamma.bits, [m.idx])[0, 0]))
 
 
 def action_tables(g: int, packed) -> np.ndarray:
-    """The affine action (D -C; -B A)(m'; m'') + (diag(C D^t); diag(A B^t))
-    of each packed gamma_t on all 2^{2g} indices: entry (t, i) is the index
-    of gamma_t . m_i.  The signs vanish mod 2, so the linear part is
-    (D C; B A), applied to every index at once."""
+    """The affine action of each packed gamma_t on all 2^{2g} indices: entry
+    (t, i) is the index of gamma_t . m_i."""
     _check_genus(g)
+    return _images(g, packed, slice(None))
+
+
+@lru_cache(maxsize=None)
+def _action_layout(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The msb-first bit weights of an index and the bit vectors of all
+    2^{2g} indices."""
     w = 2 * g
+    weights = 1 << np.arange(w - 1, -1, -1)
+    bits = ((np.arange(1 << w)[:, None] & weights) > 0).astype(np.uint8)
+    return _read_only(weights), _read_only(bits)
+
+
+def _images(g: int, packed, idx) -> np.ndarray:
+    """Entry (t, k): the index of gamma_t . m_{idx_k} under the affine action
+    (D -C; -B A)(m'; m'') + (diag(C D^t); diag(A B^t)).  The signs vanish
+    mod 2, so the linear part is (D C; B A), applied to every index at once."""
+    weights, bits = _action_layout(g)
     lin = swap_blocks(unpack(g, np.reshape(packed, -1)))  # (n, w, w)
     # (diag(C D^t); diag(A B^t)): row i of (D C; B A) pairs D_i with C_i, then B_i with A_i
     offset = (lin[:, :, :g] & lin[:, :, g:]).sum(axis=2, dtype=np.uint8)
-    weights = 1 << np.arange(w - 1, -1, -1)  # msb first
-    vecs = ((np.arange(1 << w)[:, None] & weights) > 0).astype(np.uint8)  # (2^{2g}, w)
-    images = (lin @ vecs.T + offset[:, :, None]) & 1  # (n, w, 2^{2g})
+    images = (lin @ bits[idx].T + offset[:, :, None]) & 1  # (n, w, k)
     return images.transpose(0, 2, 1) @ weights
 
 

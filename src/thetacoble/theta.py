@@ -11,7 +11,12 @@ cube |q|_inf <= radius + 1/2, but exponentiates only the terms above the
 rounding floor eps max|term| / (N (1 + 2 pi (radius + 1))), N the cube's point
 count.  So a value, or a gradient entry, is off by at most the certified tail
 plus eps max|term| of skipped terms, max|term| taken over the cube, plus
-rounding.
+rounding.  The kept points stay in meshgrid order: each term goes to its
+segment (m', p mod 2) by one bincount per real column, with no sort.
+
+The facts a pass reads of its inputs (the memo key of tau; is_zero, |Im z|_1,
+the key bytes and the doubled point 2 z of z; the TruncationSpec of each
+(g, lambda_min, |Im z|_1, tol)) are computed once per object.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -37,6 +42,12 @@ def _json_fields(data: dict, what: str, *keys: str) -> list:
     return [data[key] for key in keys]
 
 
+# The quadratic form of a pass, at 2 tau and |q_i| <= _MAX_RADIUS + 1/2, is at
+# most about 1e6 max|tau_ij| in modulus: below this bound it cannot overflow.
+# The bound is on tau; theta2's 2 tau may pass it and is not checked again.
+_TAU_MAX = 1e300
+
+
 @dataclass(frozen=True)
 class PeriodMatrix:
     """A complex symmetric g x g matrix with positive-definite imaginary part."""
@@ -44,6 +55,7 @@ class PeriodMatrix:
     g: int
     tau: np.ndarray
     lambda_min: float = field(init=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=complex)
@@ -51,32 +63,53 @@ class PeriodMatrix:
             raise ValueError("tau shape does not match genus")
         if not np.all(np.isfinite(tau)):
             raise ValueError("tau entries must be finite")
-        if not np.allclose(tau, tau.T, rtol=0, atol=1e-12):
+        if np.abs(tau).max() > _TAU_MAX:
+            raise ValueError(f"tau entries must be at most {_TAU_MAX:.0e} in modulus")
+        if np.abs(tau - tau.T).max() > 1e-12:
             raise ValueError("tau must be symmetric")
-        tau = (tau + tau.T) / 2
+        tau = tau / 2 + tau.T / 2
         lam = float(np.linalg.eigvalsh(tau.imag).min())
         if lam <= 0:
             raise ValueError("Im(tau) must be positive definite")
+        tau.setflags(write=False)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "lambda_min", lam)
-        tau.setflags(write=False)
+        object.__setattr__(self, "_key", (self.g, tau.tobytes()))
 
     @classmethod
     def from_json(cls, data: dict) -> "PeriodMatrix":
         g, re, im = _json_fields(data, "tau", "g", "re", "im")
-        return cls(int(g), np.array(re, float) + 1j * np.array(im, float))
+        if type(g) is not int:
+            raise ValueError(f"tau JSON key 'g' must be an integer, not {g!r}")
+        return cls(g, np.array(re, float) + 1j * np.array(im, float))
 
     def to_json(self) -> dict:
         return {"g": self.g, "re": self.tau.real.tolist(), "im": self.tau.imag.tolist()}
 
     def cache_key(self) -> tuple:
-        return (self.g, self.tau.tobytes())
+        return self._key
+
+    def _doubled(self) -> "PeriodMatrix":
+        """2 tau.  It is symmetric with positive-definite imaginary part by
+        construction, so only lambda_min is computed, not the checks."""
+        two, tau = object.__new__(PeriodMatrix), _read_only(2 * self.tau)
+        for name, value in (("g", self.g), ("tau", tau),
+                            ("lambda_min", float(np.linalg.eigvalsh(tau.imag).min())),
+                            ("_key", (self.g, tau.tobytes()))):
+            object.__setattr__(two, name, value)
+        return two
 
 
 @dataclass(frozen=True)
 class PhasePoint:
+    """A point z in C^g, with the facts every pass at z reads: whether it is
+    0, |Im z|_1 and its memo key bytes."""
+
     g: int
     z: np.ndarray
+    is_zero: bool = field(init=False, repr=False, compare=False)
+    imz_l1: float = field(init=False, repr=False, compare=False)
+    key: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=complex).reshape(-1)
@@ -84,8 +117,11 @@ class PhasePoint:
             raise ValueError("z length does not match genus")
         if not np.all(np.isfinite(z.view(float))):
             raise ValueError("z entries must be finite")
-        object.__setattr__(self, "z", z)
         z.setflags(write=False)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "is_zero", not z.any())
+        object.__setattr__(self, "imz_l1", float(np.abs(z.imag).sum()))
+        object.__setattr__(self, "key", z.tobytes())
 
     @classmethod
     def zero(cls, g: int) -> "PhasePoint":
@@ -100,9 +136,10 @@ class PhasePoint:
     def to_json(self) -> dict:
         return {"re": self.z.real.tolist(), "im": self.z.imag.tolist()}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.z.any()
+    @cached_property
+    def doubled(self) -> "PhasePoint":
+        """The point 2 z, built on first use."""
+        return PhasePoint(self.g, 2 * self.z)
 
 
 @dataclass(frozen=True)
@@ -134,11 +171,12 @@ def _term_log_bound(lam: float, imz_l1: float, r):
 
 
 @lru_cache(maxsize=256)
-def _radius(g: int, lam: float, imz_l1: float, tol: float) -> tuple[int, float]:
+def _radius(g: int, lam: float, imz_l1: float, tol: float) -> TruncationSpec:
     """The smallest radius <= _MAX_RADIUS whose tail bound is below tol, and
-    that bound.  The tail past radius R is the sum over shells r > R of the
-    shell's point count (2r + 1)^g - (2r - 1)^g times its term bound,
-    summed in the log domain."""
+    that bound, as one TruncationSpec shared by every equal request.  The
+    tail past radius R is the sum over shells r > R of the shell's point
+    count (2r + 1)^g - (2r - 1)^g times its term bound, summed in the log
+    domain."""
     r = np.arange(1, _SHELLS + 1, dtype=float)
     log_count = g * np.log(2 * r + 1) + np.log1p(-(((2 * r - 1) / (2 * r + 1)) ** g))
     log_shell = log_count + _term_log_bound(lam, imz_l1, r)
@@ -154,7 +192,7 @@ def _radius(g: int, lam: float, imz_l1: float, tol: float) -> tuple[int, float]:
     below = np.flatnonzero(tails < tol)
     if below.size == 0:
         raise ValueError("truncation radius exceeds the supported range")
-    return int(below[0]) + 1, float(tails[below[0]])
+    return TruncationSpec(int(below[0]) + 1, tol, float(tails[below[0]]))
 
 
 def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL) -> TruncationSpec:
@@ -165,9 +203,7 @@ def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    imz_l1 = float(np.abs(z.z.imag).sum())
-    radius, bound = _radius(tau.g, tau.lambda_min, imz_l1, tol)
-    return TruncationSpec(radius, tol, bound)
+    return _radius(tau.g, tau.lambda_min, z.imz_l1, tol)
 
 
 # One bounded memo of read-only values (class sums, constants, gradients, 2 tau)
@@ -190,40 +226,17 @@ def _remember(key: tuple, value):
 @lru_cache(maxsize=None)
 def _half_cube(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """One axis of the half-integer cube q in (Z/2)^g, |q|_inf <= radius + 1/2,
-    which is the union over m' of the lattices q = p + m'/2 of
-    _shifted_lattice: its 4 radius + 3 values in increasing order, and, per
-    coordinate i, the bits each value adds to the segment number
+    which is the union over m' of the lattices q = p + m'/2 with
+    |q_i| <= radius + m'_i/2: its 4 radius + 3 values in increasing order,
+    and, per coordinate i, the bits each value adds to the segment number
     (m' << g) | c of its point, c = p mod 2, with coordinate 0 the top bit
-    of m' and of c."""
+    of m' and of c.  The cube is symmetric under q -> -q, so the sum at -z
+    has the same terms as at z; the points it adds to the lattice
+    |p|_inf <= radius all lie on shells |p|_inf > radius."""
     k = np.arange(-2 * radius - 1, 2 * radius + 2)
     mp, c = k & 1, (k >> 1) & 1
     bits = [(mp << (2 * g - 1 - i)) | (c << (g - 1 - i)) for i in range(g)]
     return _read_only(k / 2), _read_only(np.array(bits, dtype=np.uint8))
-
-
-def _segment_sort(g: int, radius: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points of the half-integer cube at the increasing flat (C-order)
-    grid indices flat, stably sorted by segment: their coordinates q and
-    segment numbers.  Within a segment they stay in meshgrid order."""
-    axis, bits = _half_cube(g, radius)
-    ij = np.unravel_index(flat, (len(axis),) * g)
-    seg = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
-    order = np.argsort(seg, kind="stable")
-    return axis[np.stack(ij, axis=1)[order]], seg[order]
-
-
-def _shifted_lattice(radius: int, mp: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The points q = p + m'/2 with |q_i| <= radius + m'_i/2: every p with
-    |p|_inf <= radius and, where m'_i = 1, also p_i = -radius - 1.  The set
-    is symmetric under q -> -q, so the sum at -z has the same terms as at z;
-    the points left out all lie on shells |p|_inf > radius.  It is block m'
-    of the half-integer cube, grouped by the class c = p mod 2 (in bit
-    order), with the start of each group."""
-    g = len(mp)
-    top = sum(b << (g - 1 - i) for i, b in enumerate(mp)) << g
-    q, seg = _segment_sort(g, radius, np.arange((4 * radius + 3) ** g))
-    lo, hi = np.searchsorted(seg, [top, top + (1 << g)])
-    return q[lo:hi], np.searchsorted(seg[lo:hi], top + np.arange(1 << g))
 
 
 @lru_cache(maxsize=None)
@@ -243,45 +256,54 @@ def _log_floor(n_points: int, radius: int) -> float:
     return math.log(np.finfo(float).eps / (n_points * (1 + 2 * math.pi * (radius + 1))))
 
 
+def _quadratic_form(a: np.ndarray, b: np.ndarray, qs: list) -> np.ndarray:
+    """q^t a q + 2 q.b for the coordinate arrays qs (broadcast against each
+    other), a symmetric, summed axis by axis:
+    sum_i q_i (a_ii q_i + 2 b_i + 2 sum_{j>i} a_ij q_j)."""
+    form = 0.0
+    for i, q in enumerate(qs):
+        row = a[i, i] * q + 2 * b[i]
+        for j in range(i + 1, len(qs)):
+            row = row + 2 * a[i, j] * qs[j]
+        form = form + row * q
+    return form
+
+
 def _kept_points(tau: PeriodMatrix, z: PhasePoint, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points of the half-integer cube whose term is above the rounding
-    floor, in segment order, with their segment numbers.  The log-modulus
+    """The points q of the half-integer cube whose term is above the rounding
+    floor, in meshgrid order, with their segment numbers.  The log-modulus
     -pi (q^t Im(tau) q + 2 q.Im z) is summed over the grid axis by axis, so
     no (N, g) array of the whole cube is built."""
     g = tau.g
-    axis, _ = _half_cube(g, radius)
-    y, w = tau.tau.imag, z.z.imag
+    axis, bits = _half_cube(g, radius)
     qs = [axis.reshape((-1,) + (1,) * (g - 1 - i)) for i in range(g)]
-    form = 0.0
-    for i, q in enumerate(qs):
-        row = y[i, i] * q + 2 * w[i]
-        for j in range(i + 1, g):
-            row = row + 2 * y[i, j] * qs[j]
-        form = form + row * q
-    log_mod = -math.pi * np.ravel(form)
-    flat = np.flatnonzero(log_mod >= log_mod.max() + _log_floor(log_mod.size, radius))
-    return _segment_sort(g, radius, flat)
+    log_mod = -math.pi * _quadratic_form(tau.tau.imag, z.z.imag, qs)
+    ij = np.nonzero(log_mod >= log_mod.max() + _log_floor(log_mod.size, radius))
+    seg = bits[0][ij[0]]
+    for b, i in zip(bits[1:], ij[1:]):
+        seg = seg | b[i]
+    return axis[np.stack(ij, axis=1)], seg
 
 
 def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     """Entry [m', m''] holds theta[m'; m''](tau, z) over the half-integer cube
     of the given radius and, at z = 0, its z-gradient: one exp over the
     points above the rounding floor serves all 4^g characteristics.  The
-    terms are summed per segment (m', c) in meshgrid order and combined by
-    the sign matrix of each m'.  Memoized and read-only."""
-    key = tau.cache_key() + (z.z.tobytes(), radius)
+    exponent is the axis-by-axis quadratic form of _kept_points with complex
+    tau and z.  Each segment (m', c) sums its terms, in meshgrid order, by
+    one bincount per real and imaginary part of the value column (and, at
+    z = 0, of the g gradient columns); the sign matrix of each m' combines
+    them.  Memoized and read-only."""
+    key = tau.cache_key() + (z.key, radius)
     hit = _MEMO.get(key)
     if hit is None:
         g, n = tau.g, 1 << tau.g
         q, seg = _kept_points(tau, z, radius)
-        terms = np.exp(1j * math.pi * (np.einsum("ni,ni->n", q @ tau.tau, q) + 2.0 * (q @ z.z)))
-        cols = terms[:, None]
-        if z.is_zero:
-            cols = np.hstack([cols, q * cols])
-        counts = np.bincount(seg, minlength=n * n)
-        full = counts > 0
-        sums = np.zeros((n * n, cols.shape[1]), dtype=complex)
-        sums[full] = np.add.reduceat(cols, (np.cumsum(counts) - counts)[full])
+        qs = list(q.T)
+        terms = np.exp(1j * math.pi * _quadratic_form(tau.tau, z.z, qs))
+        cols = [terms] + ([x * terms for x in qs] if z.is_zero else [])
+        sums = np.array([np.bincount(seg, col.real, n * n) + 1j * np.bincount(seg, col.imag, n * n)
+                         for col in cols]).T
         sums[:, 1:] *= 2j * math.pi
         signs = np.stack([_sign_matrix(g, mp) for mp in range(n)])
         hit = _remember(key, _read_only(signs @ sums.reshape(n, n, -1)))
@@ -306,14 +328,20 @@ def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFA
 
 def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL) -> complex:
     """Second-order theta: Theta[eps](tau, z) = theta[eps; 0](2 tau, 2 z), with
-    the top row eps given as a bit string such as "101"; 2 tau is built once."""
+    the top row eps given as a bit string such as "101"; 2 tau is built once
+    per tau and 2 z once per point."""
     g = tau.g
     if len(eps) != g:
         raise ValueError("eps length does not match genus")
-    m = Characteristic.from_bits([int(b) for b in eps], (0,) * g)
     key = tau.cache_key() + ("2tau",)
-    tau2 = _MEMO.get(key) or _remember(key, PeriodMatrix(g, 2 * tau.tau))
-    return theta(tau2, PhasePoint(g, 2 * z.z), m, tol)
+    tau2 = _MEMO.get(key) or _remember(key, tau._doubled())
+    return theta(tau2, z.doubled, _second_order(eps), tol)
+
+
+@lru_cache(maxsize=None)
+def _second_order(eps: str) -> Characteristic:
+    """The characteristic [eps; 0] of the second-order theta with top row eps."""
+    return Characteristic.from_bits([int(b) for b in eps], (0,) * len(eps))
 
 
 def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TOL) -> np.ndarray:

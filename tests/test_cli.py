@@ -136,6 +136,25 @@ class TestEval:
         assert res.output.strip() == "Error: tau entries must be finite"
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("g", [None, 3.9, True])
+    def test_non_integer_genus_is_a_clean_error(self, runner, tau3_file, tmp_path, g):
+        data = dict(json.loads(open(tau3_file).read()), g=g)
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["eval", "coble", "--tau", str(path)])
+        assert res.exit_code == 1
+        assert res.output.strip() == f"Error: tau JSON key 'g' must be an integer, not {g!r}"
+        assert isinstance(res.exception, SystemExit)
+
+    def test_huge_tau_is_a_clean_error(self, runner, tmp_path):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"g": 3, "re": [[0.0] * 3] * 3,
+                                    "im": [[1e308 * (i == j) for j in range(3)] for i in range(3)]}))
+        res = runner.invoke(main, ["eval", "coble", "--tau", str(path)])
+        assert res.exit_code == 1
+        assert res.output.strip() == "Error: tau entries must be at most 1e+300 in modulus"
+        assert isinstance(res.exception, SystemExit)
+
     def test_z_missing_key_is_a_clean_error(self, runner, tau3_file, tmp_path):
         path = tmp_path / "z.json"
         path.write_text(json.dumps({"re": [0.1, -0.2, 0.05]}))
@@ -143,6 +162,24 @@ class TestEval:
         assert res.exit_code == 1
         assert "'im'" in res.output
         assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("what, scale, residual", [
+        ("coble", "term_scale", "normalized_residual"),
+        ("coble-grad", "term_scales", "normalized_residuals"),
+    ])
+    def test_zero_term_scale_has_no_normalized_residual(self, runner, tmp_path, what, scale,
+                                                        residual):
+        # at the diagonal tau = i I every coefficient of the quartic and every term is 0
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"g": 3, "re": [[0.0] * 3] * 3,
+                                    "im": [[float(i == j) for j in range(3)] for i in range(3)]}))
+        res = runner.invoke(main, ["eval", what, "--tau", str(path)])
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        if what == "coble":
+            assert (out[scale], out[residual]) == (0.0, None)
+        else:
+            assert (out[scale], out[residual]) == ([0.0] * 8, [None] * 8)
 
     def test_kummer2(self, runner, tau2_file):
         res = runner.invoke(main, ["eval", "kummer2", "--tau", tau2_file])

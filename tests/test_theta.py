@@ -1,6 +1,7 @@
+import dataclasses
 import math
 import sys
-from itertools import product
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,91 @@ class TestPeriodMatrix:
         z = random_z(RNG, 3)
         again = th.PhasePoint.from_json(z.to_json())
         assert np.allclose(again.z, z.z)
+
+    @pytest.mark.parametrize("g", [None, 3.9, 3.0, True, "3", [3]])
+    def test_json_genus_must_be_an_integer(self, g):
+        data = dict(TAUS[3][0].to_json(), g=g)
+        with pytest.raises(ValueError, match="'g' must be an integer"):
+            th.PeriodMatrix.from_json(data)
+
+    def test_huge_entries_are_a_clean_error(self):
+        # 1e308 + 1e308 overflows; the check, and the symmetrization, must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at most 1e[+]300 in modulus"):
+                th.PeriodMatrix(3, 1e308j * np.eye(3))
+            tau = th.PeriodMatrix(3, 1e299j * (np.eye(3) - np.eye(3)[::-1] / 4))
+            assert tau.lambda_min == pytest.approx(0.75e299)
+            assert th.theta(tau, th.PhasePoint.zero(3), Characteristic(3, 0)) == 1.0
+            assert th.theta2(tau, random_z(RNG, 3), "000") == 1.0
+            # 2 tau passes the bound on tau and is not checked again
+            tau = th.PeriodMatrix(3, 6e299j * np.eye(3))
+            assert th.theta2(tau, random_z(RNG, 3), "000") == 1.0
+
+    def test_symmetry_tolerance(self):
+        base = np.array(TAUS[2][0].tau)
+        for asym, ok in ((2e-12, False), (5e-13, True)):
+            tau = base.copy()
+            tau[0, 1] += asym
+            if ok:
+                assert np.array_equal(th.PeriodMatrix(2, tau).tau, th.PeriodMatrix(2, tau).tau.T)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    th.PeriodMatrix(2, tau)
+
+    def test_cache_key_is_genus_and_bytes(self):
+        tau = TAUS[3][1]
+        assert tau.cache_key() == (3, tau.tau.tobytes())
+        assert tau.cache_key() is tau.cache_key()
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_doubled_equals_the_checked_2tau(self, g):
+        for tau in TAUS[g]:
+            two, checked = tau._doubled(), th.PeriodMatrix(g, 2 * tau.tau)
+            assert np.array_equal(two.tau, checked.tau) and not two.tau.flags.writeable
+            assert (two.g, two.lambda_min, two.cache_key()) == \
+                (g, checked.lambda_min, checked.cache_key())
+
+
+class TestPhasePointFacts:
+    """is_zero, |Im z|_1, the key bytes and 2 z are computed once per point."""
+
+    @pytest.mark.parametrize("z", [
+        [0.0, 0.0, 0.0],
+        [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)],
+        [0.0, 1e-300j, 0.0],
+        [-2.5e-310, 0.0, 0.0],
+        [0.3 - 0.2j, -0.1 + 0.4j, 0.05j],
+    ])
+    def test_facts_match_their_definitions(self, z):
+        point = th.PhasePoint(3, np.array(z, dtype=complex))
+        assert point.is_zero == (not any(v != 0 for v in z))
+        assert point.imz_l1 == sum(abs(complex(v).imag) for v in z)
+        assert point.key == np.array(z, dtype=complex).tobytes()
+
+    def test_doubled_point_is_built_once(self, monkeypatch):
+        z = random_z(stream(21, "test_theta.doubled"), 3)
+        built = []
+        post_init = th.PhasePoint.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(th.PhasePoint, "__post_init__", counted)
+        quartics.theta2_vector(TAUS[3][2], z)
+        assert len(built) == 1 and np.array_equal(built[0].z, 2 * z.z)
+        assert z.doubled is built[0]
+        quartics.theta2_vector(TAUS[3][0], z)
+        assert len(built) == 1
+
+    def test_equal_inputs_share_one_truncation_spec(self):
+        tau, z = TAUS[2][1], random_z(RNG, 2)
+        spec = th.truncation_radius(tau, z, 1e-10)
+        again = th.truncation_radius(th.PeriodMatrix(2, tau.tau.copy()), th.PhasePoint(2, z.z.copy()), 1e-10)
+        assert again is spec and spec.tol == 1e-10
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.radius = 1
 
 
 class TestTruncation:
@@ -393,17 +479,20 @@ class TestClassKernel:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_lattice_is_the_meshgrid_grouped_by_class(self, g):
+        # the cube is the meshgrid of one axis, and the bits of _half_cube give
+        # every q = p + m'/2 in it the segment (m' << g) | (p mod 2), read with
+        # coordinate 0 most significant
+        weights = 1 << np.arange(g - 1, -1, -1)
         for radius in (1, 2, 5):
-            for mp in product((0, 1), repeat=g):
-                q, starts = th._shifted_lattice(radius, mp)
-                want = _meshgrid_lattice(radius, mp)
-                assert sorted(map(tuple, q.tolist())) == sorted(map(tuple, want.tolist()))
-                p = (q - np.array(mp) / 2).astype(int)
-                ends = [*starts[1:], len(q)]
-                assert len(starts) == 1 << g and starts[0] == 0
-                for c, (start, end) in enumerate(zip(starts, ends)):
-                    bits = [(c >> (g - 1 - i)) & 1 for i in range(g)]
-                    assert end > start and np.all(p[start:end] % 2 == bits)
+            axis, bits = th._half_cube(g, radius)
+            assert np.array_equal(axis, np.arange(-2 * radius - 1, 2 * radius + 2) / 2)
+            ij = np.indices((len(axis),) * g).reshape(g, -1)
+            q = axis[ij.T]
+            mp = np.rint(2 * q).astype(int) % 2
+            p = np.rint(q - mp / 2).astype(int)
+            want = ((mp @ weights) << g) | (p % 2) @ weights
+            seg = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
+            assert np.array_equal(seg, want)
 
     def test_swapped_sign_columns_are_caught(self, monkeypatch):
         sign_matrix = th._sign_matrix
