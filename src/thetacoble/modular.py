@@ -4,7 +4,10 @@ genus-2 triple-product identity behind the phi* substitution.
 
 Quotients by theta constants are never taken numerically: every H-form is
 computed as the product of the even theta constants in the complement of the
-relevant even coset.
+relevant even coset.  Each complement is one cached tuple of even indices in
+enumeration order (chi is the complement of the empty set), and
+goepel_form_matrix multiplies the columns of one cached (135, 28) position
+table over the (n_tau, 36) array of constants.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .characteristics import (
     Characteristic,
     CharacteristicSet,
     _check_aronhold,
+    _read_only,
     enumerate_characteristics,
 )
 from .gopel import GopelSystem, enumerate_gopel, even_coset, fano_basis, pascal_decomposition
@@ -40,12 +44,19 @@ def chi(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> complex:
     """Product of all even theta constants: chi_5 (g=2) or chi_18 (g=3)."""
     if tau.g not in (2, 3):
         raise ValueError("chi is defined for g in {2, 3}")
-    return math.prod(even_theta_constants(tau, tol).values())
+    return _complement_product(tau, frozenset(), tol)
+
+
+@lru_cache(maxsize=None)
+def _complement_keys(g: int, excluded: frozenset) -> tuple[int, ...]:
+    """The indices of the even characteristics of genus g outside excluded, in
+    enumeration order, which is the key order of even_theta_constants."""
+    return tuple(m.idx for m in enumerate_characteristics(g, "even") if m.idx not in excluded)
 
 
 def _complement_product(tau: PeriodMatrix, excluded: frozenset, tol: float) -> complex:
     consts = even_theta_constants(tau, tol)
-    return math.prod(v for i, v in consts.items() if i not in excluded)
+    return math.prod(map(consts.__getitem__, _complement_keys(tau.g, excluded)))
 
 
 def h_fano(tau: PeriodMatrix, system: GopelSystem, tol: float = DEFAULT_TOL) -> complex:
@@ -222,8 +233,29 @@ def phi_star_triple(tau: PeriodMatrix, n: Characteristic, tol: float = DEFAULT_T
     )
 
 
+@lru_cache(maxsize=1)
+def _goepel_positions() -> np.ndarray:
+    """(135, 28): row k holds the positions, in the vector of the 36 even
+    constants, of the evens outside the even coset of the k-th Goepel system
+    of enumerate_gopel(3), in the order h_goepel multiplies them."""
+    position = {m.idx: k for k, m in enumerate(enumerate_characteristics(3, "even"))}
+    return _read_only(np.array([[position[i] for i in _complement_keys(3, even_coset(s))]
+                                for s in enumerate_gopel(3)]))
+
+
 def goepel_form_matrix(taus, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Rows: sample tau; columns: H over all 135 Goepel systems (30 Fano +
-    105 Pascal quotients).  Used for the rank-15 certificate of W."""
-    systems = enumerate_gopel(3)
-    return np.array([[h_goepel(tau, s, tol) for s in systems] for tau in taus])
+    105 Pascal quotients).  Used for the rank-15 certificate of W.
+
+    The 28 constant columns of each H are multiplied into the (n_tau, 135)
+    result one at a time, in place, so no (n_tau, 135, 28) gather is built."""
+    taus = list(taus)
+    if any(tau.g != 3 for tau in taus):
+        raise ValueError("genus mismatch")
+    consts = np.array([tuple(even_theta_constants(tau, tol).values()) for tau in taus],
+                      dtype=complex).reshape(-1, 36)
+    positions = _goepel_positions()
+    out = consts[:, positions[:, 0]]
+    for column in positions.T[1:]:
+        out *= consts[:, column]
+    return out

@@ -14,9 +14,12 @@ plus eps max|term| of skipped terms, max|term| taken over the cube, plus
 rounding.  The kept points stay in meshgrid order: each term goes to its
 segment (m', p mod 2) by one bincount per real column, with no sort.
 
-The facts a pass reads of its inputs (the memo key of tau; is_zero, |Im z|_1,
-the key bytes and the doubled point 2 z of z; the TruncationSpec of each
-(g, lambda_min, |Im z|_1, tol)) are computed once per object.
+The facts a pass reads of its inputs (the memo key of tau; the reduced point,
+is_zero, |Im z|_1, the key bytes and the doubled point 2 z of z; the
+TruncationSpec of each (g, lambda_min, |Im z|_1, tol)) are computed once per
+object.  The reduced point shifts z by an even integer vector 2 b so that
+every |Re z_i| <= 1; theta[m](z + 2 b) = theta[m](z), so a pass sums at it,
+and a huge Re z neither loses the phase of its terms nor overflows.
 """
 
 from __future__ import annotations
@@ -81,7 +84,11 @@ class PeriodMatrix:
         g, re, im = _json_fields(data, "tau", "g", "re", "im")
         if type(g) is not int:
             raise ValueError(f"tau JSON key 'g' must be an integer, not {g!r}")
-        return cls(g, np.array(re, float) + 1j * np.array(im, float))
+        re, im = np.array(re, float), np.array(im, float)
+        if re.shape != (g, g) or im.shape != (g, g):
+            raise ValueError(f"tau JSON 're' and 'im' must both have shape {(g, g)}, "
+                             f"not {re.shape} and {im.shape}")
+        return cls(g, re + 1j * im)
 
     def to_json(self) -> dict:
         return {"g": self.g, "re": self.tau.real.tolist(), "im": self.tau.imag.tolist()}
@@ -102,11 +109,15 @@ class PeriodMatrix:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point z in C^g, with the facts every pass at z reads: whether it is
-    0, |Im z|_1 and its memo key bytes."""
+    """A point z in C^g, with the facts every pass at z reads: the reduced
+    point z - 2 b, b the integer vector nearest Re z / 2 where |Re z_i| > 1
+    and 0 elsewhere (exact, and z itself when every |Re z_i| <= 1), whether
+    it is 0, |Im z|_1 and its memo key bytes.  Theta takes equal values at
+    z and at the reduced point, which the pass sums at."""
 
     g: int
     z: np.ndarray
+    reduced: np.ndarray = field(init=False, repr=False, compare=False)
     is_zero: bool = field(init=False, repr=False, compare=False)
     imz_l1: float = field(init=False, repr=False, compare=False)
     key: bytes = field(init=False, repr=False, compare=False)
@@ -118,10 +129,14 @@ class PhasePoint:
         if not np.all(np.isfinite(z.view(float))):
             raise ValueError("z entries must be finite")
         z.setflags(write=False)
+        x, reduced = z.real, z
+        if max(map(abs, x.tolist()), default=0.0) > 1:
+            reduced = _read_only(z - np.where(np.abs(x) > 1, 2 * np.round(x / 2), 0.0))
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "is_zero", not z.any())
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "is_zero", not reduced.any())
         object.__setattr__(self, "imz_l1", float(np.abs(z.imag).sum()))
-        object.__setattr__(self, "key", z.tobytes())
+        object.__setattr__(self, "key", reduced.tobytes())
 
     @classmethod
     def zero(cls, g: int) -> "PhasePoint":
@@ -130,16 +145,20 @@ class PhasePoint:
     @classmethod
     def from_json(cls, data: dict) -> "PhasePoint":
         re, im = _json_fields(data, "z", "re", "im")
-        z = np.array(re, float) + 1j * np.array(im, float)
-        return cls(len(z), z)
+        re, im = np.array(re, float), np.array(im, float)
+        if re.ndim != 1 or re.shape != im.shape:
+            raise ValueError("z JSON 're' and 'im' must both be lists of one length, "
+                             f"not of shapes {re.shape} and {im.shape}")
+        return cls(len(re), re + 1j * im)
 
     def to_json(self) -> dict:
         return {"re": self.z.real.tolist(), "im": self.z.imag.tolist()}
 
     @cached_property
     def doubled(self) -> "PhasePoint":
-        """The point 2 z, built on first use."""
-        return PhasePoint(self.g, 2 * self.z)
+        """The point 2 z, built on first use from the reduced point (theta is
+        unchanged by the shift 4 b, and 2 z cannot overflow)."""
+        return PhasePoint(self.g, 2 * self.reduced)
 
 
 @dataclass(frozen=True)
@@ -170,6 +189,17 @@ def _term_log_bound(lam: float, imz_l1: float, r):
     return -math.pi * lam * (r - 0.5) ** 2 + 2 * math.pi * (r + 0.5) * imz_l1
 
 
+@lru_cache(maxsize=None)
+def _shells(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per shell r = 1 .. _SHELLS: the log of its point count
+    (2r + 1)^g - (2r - 1)^g, and the (r - 1/2)^2 and 2 pi (r + 1/2) of its
+    term bound, so that -pi lam (r - 1/2)^2 + 2 pi (r + 1/2) |Im z|_1 takes
+    the floating-point operations of _term_log_bound."""
+    r = np.arange(1, _SHELLS + 1, dtype=float)
+    log_count = g * np.log(2 * r + 1) + np.log1p(-(((2 * r - 1) / (2 * r + 1)) ** g))
+    return _read_only(log_count), _read_only((r - 0.5) ** 2), _read_only(2 * math.pi * (r + 0.5))
+
+
 @lru_cache(maxsize=256)
 def _radius(g: int, lam: float, imz_l1: float, tol: float) -> TruncationSpec:
     """The smallest radius <= _MAX_RADIUS whose tail bound is below tol, and
@@ -177,9 +207,8 @@ def _radius(g: int, lam: float, imz_l1: float, tol: float) -> TruncationSpec:
     tail past radius R is the sum over shells r > R of the shell's point
     count (2r + 1)^g - (2r - 1)^g times its term bound, summed in the log
     domain."""
-    r = np.arange(1, _SHELLS + 1, dtype=float)
-    log_count = g * np.log(2 * r + 1) + np.log1p(-(((2 * r - 1) / (2 * r + 1)) ** g))
-    log_shell = log_count + _term_log_bound(lam, imz_l1, r)
+    log_count, sq, lin = _shells(g)
+    log_shell = log_count + (-math.pi * lam * sq + lin * imz_l1)
     # log_tail[k] = log of the sum over shells r >= k + 1
     log_tail = np.logaddexp.accumulate(log_shell[::-1])[::-1]
     # shell 0 is one point with |q|_inf <= 1/2: term bound pi |Im z|_1
@@ -290,17 +319,17 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     of the given radius and, at z = 0, its z-gradient: one exp over the
     points above the rounding floor serves all 4^g characteristics.  The
     exponent is the axis-by-axis quadratic form of _kept_points with complex
-    tau and z.  Each segment (m', c) sums its terms, in meshgrid order, by
-    one bincount per real and imaginary part of the value column (and, at
-    z = 0, of the g gradient columns); the sign matrix of each m' combines
-    them.  Memoized and read-only."""
+    tau and the reduced z.  Each segment (m', c) sums its terms, in meshgrid
+    order, by one bincount per real and imaginary part of the value column
+    (and, at z = 0, of the g gradient columns); the sign matrix of each m'
+    combines them.  Memoized and read-only."""
     key = tau.cache_key() + (z.key, radius)
     hit = _MEMO.get(key)
     if hit is None:
         g, n = tau.g, 1 << tau.g
         q, seg = _kept_points(tau, z, radius)
         qs = list(q.T)
-        terms = np.exp(1j * math.pi * _quadratic_form(tau.tau, z.z, qs))
+        terms = np.exp(1j * math.pi * _quadratic_form(tau.tau, z.reduced, qs))
         cols = [terms] + ([x * terms for x in qs] if z.is_zero else [])
         sums = np.array([np.bincount(seg, col.real, n * n) + 1j * np.bincount(seg, col.imag, n * n)
                          for col in cols]).T

@@ -155,6 +155,23 @@ class TestEval:
         assert res.output.strip() == "Error: tau entries must be at most 1e+300 in modulus"
         assert isinstance(res.exception, SystemExit)
 
+    def test_broadcast_tau_is_a_clean_error(self, runner, tmp_path):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"g": 3, "re": 0.1,
+                                    "im": [[float(i == j) for j in range(3)] for i in range(3)]}))
+        res = runner.invoke(main, ["eval", "coble", "--tau", str(path)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.strip() == ("Error: tau JSON 're' and 'im' must both have shape (3, 3), "
+                                      "not () and (3, 3)")
+
+    def test_broadcast_z_is_a_clean_error(self, runner, tau3_file, tmp_path):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"re": [0.1, 0.2, 0.3], "im": [0.5]}))
+        res = runner.invoke(main, ["eval", "coble", "--tau", tau3_file, "--z", str(path)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.strip() == ("Error: z JSON 're' and 'im' must both be lists of one "
+                                      "length, not of shapes (3,) and (1,)")
+
     def test_z_missing_key_is_a_clean_error(self, runner, tau3_file, tmp_path):
         path = tmp_path / "z.json"
         path.write_text(json.dumps({"re": [0.1, -0.2, 0.05]}))

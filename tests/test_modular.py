@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ from thetacoble.characteristics import (
     FANO_TRIPLE_FAMILY,
     enumerate_characteristics,
 )
-from thetacoble.gopel import enumerate_gopel, even_coset, fano_from_aronhold
+from thetacoble.gopel import enumerate_gopel, even_coset, fano_basis, fano_from_aronhold
 from thetacoble import modular
 from thetacoble.sampling import random_tau, stream
+from thetacoble.suites import run_suite
 from thetacoble.theta import PhasePoint, even_theta_constants, theta
+
+th = importlib.import_module("thetacoble.theta")
 
 RNG = stream(7, "test_modular")
 TAU3 = random_tau(RNG, 3)
@@ -65,6 +69,8 @@ class TestHForms:
         for h, s in ((modular.h_fano, fano), (modular.h_pascal, pascal), (modular.h_goepel, pascal)):
             with pytest.raises(ValueError, match="genus mismatch"):
                 h(tau2, s)
+        with pytest.raises(ValueError, match="genus mismatch"):
+            modular.goepel_form_matrix([TAU3, tau2])
 
 
 class TestDualRoute:
@@ -148,3 +154,64 @@ class TestGoepelMatrix:
         assert matrix.shape == (18, 135)
         sv = np.linalg.svd(matrix, compute_uv=False)
         assert int((sv > 1e-8 * sv[0]).sum()) == 15
+
+
+def _filtered_product(tau, excluded):
+    """The complement product as a filter over every even constant."""
+    consts = even_theta_constants(tau)
+    return math.prod(v for i, v in consts.items() if i not in excluded)
+
+
+class TestComplementTables:
+    def test_h_forms_equal_the_filtered_product_bit_for_bit(self):
+        for tau in (TAU3, random_tau(RNG, 3)):
+            for s in enumerate_gopel(3):
+                assert modular.h_goepel(tau, s) == _filtered_product(tau, even_coset(s))
+            assert modular.chi(tau) == _filtered_product(tau, frozenset())
+        assert modular.chi(TAU2) == _filtered_product(TAU2, frozenset())
+        for q, value in zip(modular.GENUS2_QUADRUPLES, modular.s_vector(TAU2)):
+            assert value == _filtered_product(TAU2, q.idx_set()) ** 2
+
+    def test_position_rows_are_the_complements(self):
+        evens = [m.idx for m in enumerate_characteristics(3, "even")]
+        positions = modular._goepel_positions()
+        assert positions.shape == (135, 28) and not positions.flags.writeable
+        for row, s in zip(positions, enumerate_gopel(3)):
+            assert len(set(row.tolist())) == 28
+            assert not {evens[k] for k in row} & even_coset(s)
+
+    def test_matrix_equals_the_per_system_h_forms(self):
+        taus = [random_tau(RNG, 3) for _ in range(6)]
+        matrix = modular.goepel_form_matrix(iter(taus))
+        want = np.array([[modular.h_goepel(tau, s) for s in enumerate_gopel(3)] for tau in taus])
+        assert np.all(np.abs(matrix - want) <= 1e-14 * np.abs(want))
+        assert modular.goepel_form_matrix([]).shape == (0, 135)
+
+    @pytest.mark.parametrize("kind, caught", [
+        ("fano", {"w_rank", "riemann_stable_pascals", "coble_vanishing"}),
+        ("pascal", {"w_rank", "riemann_stable_pascals"}),
+    ])
+    def test_swapped_table_entry_is_caught(self, monkeypatch, kind, caught):
+        # the first complement entry of one system swapped for a member of its
+        # even coset, in h_goepel (through s_vector and riemann_relation) and
+        # in the position table of goepel_form_matrix
+        target = fano_basis()[0] if kind == "fano" else next(
+            s for s in enumerate_gopel(3) if s.kind == "pascal")
+        coset = even_coset(target)
+        keys = modular._complement_keys
+
+        def faulty(g, excluded):
+            out = keys(g, excluded)
+            return (min(excluded),) + out[1:] if excluded == coset else out
+
+        monkeypatch.setattr(modular, "_complement_keys", faulty)
+        monkeypatch.setattr(th, "_MEMO", {})
+        modular._goepel_positions.cache_clear()
+        try:
+            failed = {r.name for name, samples in (("wrank", 16), ("riemann", 3), ("coble", 2))
+                      for r in run_suite(name, 1, samples).records if not r.passed}
+        finally:
+            monkeypatch.undo()
+            modular._goepel_positions.cache_clear()
+        assert caught <= failed
+

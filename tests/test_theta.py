@@ -113,6 +113,26 @@ class TestPeriodMatrix:
         again = th.PhasePoint.from_json(z.to_json())
         assert np.allclose(again.z, z.z)
 
+    @pytest.mark.parametrize("re, im", [
+        (0.1, [[1.0, 0.0], [0.0, 1.0]]),
+        ([[0.1, 0.0], [0.0, 0.1]], [1.0, 1.0]),
+        ([[0.1]], [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_json_arrays_must_be_g_by_g(self, re, im):
+        # each of these would broadcast to a valid 2 x 2 tau
+        with pytest.raises(ValueError, match=r"must both have shape \(2, 2\)"):
+            th.PeriodMatrix.from_json({"g": 2, "re": re, "im": im})
+
+    @pytest.mark.parametrize("re, im", [
+        ([0.1, 0.2, 0.3], [0.5]),
+        ([0.1], [0.5, 0.5, 0.5]),
+        (0.1, 0.5),
+        ([[0.1, 0.2]], [[0.5, 0.5]]),
+    ])
+    def test_phase_point_json_arrays_must_match(self, re, im):
+        with pytest.raises(ValueError, match="must both be lists of one length"):
+            th.PhasePoint.from_json({"re": re, "im": im})
+
     @pytest.mark.parametrize("g", [None, 3.9, 3.0, True, "3", [3]])
     def test_json_genus_must_be_an_integer(self, g):
         data = dict(TAUS[3][0].to_json(), g=g)
@@ -174,6 +194,18 @@ class TestPhasePointFacts:
         assert point.imz_l1 == sum(abs(complex(v).imag) for v in z)
         assert point.key == np.array(z, dtype=complex).tobytes()
 
+    def test_reduced_point_is_an_exact_even_shift(self):
+        z = np.array([3.7 - 0.2j, -1e17 + 0.1j, 1.0, -1.0 - 0.0j, 1e308, -2.5, 1 + 2 ** -52, 0.3j])
+        point = th.PhasePoint(len(z), z)
+        x, r = point.z.real, point.reduced.real
+        assert np.all(np.abs(r) <= 1) and not point.reduced.flags.writeable
+        assert np.all((x - r) % 2 == 0) and np.array_equal(point.reduced.imag, z.imag)
+        assert np.array_equal(r[[2, 3, 7]], x[[2, 3, 7]])
+        assert point.key == point.reduced.tobytes() and not point.is_zero
+        assert th.PhasePoint(2, [2.0, -4.0]).is_zero
+        near = th.PhasePoint(3, [1.0, -0.0, 0.5j])
+        assert near.reduced is near.z
+
     def test_doubled_point_is_built_once(self, monkeypatch):
         z = random_z(stream(21, "test_theta.doubled"), 3)
         built = []
@@ -200,6 +232,18 @@ class TestPhasePointFacts:
 
 
 class TestTruncation:
+    def test_shell_tables_give_the_term_bound_bit_for_bit(self):
+        rng = stream(6, "test_theta.shells")
+        r = np.arange(1, th._SHELLS + 1, dtype=float)
+        for g in (1, 2, 3):
+            log_count, sq, lin = th._shells(g)
+            assert np.array_equal(log_count, g * np.log(2 * r + 1)
+                                  + np.log1p(-(((2 * r - 1) / (2 * r + 1)) ** g)))
+            for _ in range(50):
+                lam, imz_l1 = float(np.exp(rng.uniform(-6.0, 2.0))), float(rng.uniform(0.0, 40.0))
+                assert np.array_equal(-math.pi * lam * sq + lin * imz_l1,
+                                      th._term_log_bound(lam, imz_l1, r))
+
     def test_tail_bound_below_tol(self):
         for g in (1, 2, 3):
             spec = th.truncation_radius(TAUS[g][0], th.PhasePoint.zero(g), 1e-12)
@@ -295,6 +339,29 @@ class TestRobustness:
         z = th.PhasePoint(g, [imz * 1j] + [0] * (g - 1))
         with pytest.raises(ValueError, match="lambda_min = 1, [|]Im z[|]_1 = " + str(int(imz))):
             th.theta(tau, z, Characteristic(g, 0))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_even_integer_shift_of_z(self, g):
+        # theta[m](z + 2 b) = theta[m](z) for integer b
+        rng = stream(31, f"test_theta.even_shift.{g}")
+        tau, z = TAUS[g][0], random_z(rng, g)
+        shifted = th.PhasePoint(g, z.z + 2 * rng.integers(-4, 5, g))
+        radius = th.truncation_radius(tau, z).radius
+        for m in enumerate_characteristics(g, "all"):
+            want, allowance, _, _ = _reference_sum(tau, z, m, radius)
+            assert abs(th.theta(tau, shifted, m) - want) <= 1e-12 + allowance
+
+    def test_huge_real_z(self):
+        # Re z = 1e17 is an even integer: the terms' phases are those at Re z = 0,
+        # which a sum at 1e17 loses (normalized Coble residual 0.011)
+        tau = th.PeriodMatrix(3, 1j * np.eye(3) + 0.05)
+        far, near = (th.PhasePoint(3, np.array([x0, 0.1, 0.2]) + 0.1j) for x0 in (1e17, 0.0))
+        value, scale = quartics.coble_eval(tau, far)
+        assert abs(value) / scale < 1e-12
+        assert (value, scale) == quartics.coble_eval(tau, near)
+        z = th.PhasePoint(3, [1e308, 0.3, -1e308 + 0.1j])
+        for value in (th.theta(tau, z, Characteristic(3, 0)), th.theta2(tau, z, "101")):
+            assert np.isfinite(value) and value != 0
 
     def test_non_positive_tol_rejected(self):
         for tol in (0.0, -1e-12, math.nan):
