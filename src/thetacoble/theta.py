@@ -11,13 +11,18 @@ cube |q|_inf <= radius + 1/2, but exponentiates only the terms above the
 rounding floor eps max|term| / (N (1 + 2 pi (radius + 1))), N the cube's point
 count.  So a value, or a gradient entry, is off by at most the certified tail
 plus eps max|term| of skipped terms, max|term| taken over the cube, plus
-rounding.  The kept points stay in meshgrid order: each term goes to its
-segment (m', p mod 2) by one bincount per real column, with no sort.
+rounding.  The largest term is at least 1 (the point q = 0), so the kept
+terms lie in an ellipsoid, and the pass computes log-moduli only over its
+bounding box, clipped to the cube; the kept points, and so the sums, are
+those of the whole cube bit for bit.  The kept points stay in meshgrid order:
+each term goes to its segment (m', p mod 2) by one bincount per real column,
+with no sort.  At z = 0 they come in pairs +-q with equal terms, and only
+half of them are exponentiated.
 
-The facts a pass reads of its inputs (the memo key of tau; the reduced point,
-is_zero, |Im z|_1, the key bytes and the doubled point 2 z of z; the
-TruncationSpec of each (g, lambda_min, |Im z|_1, tol)) are computed once per
-object.  The reduced point shifts z by an even integer vector 2 b so that
+The facts a pass reads of its inputs (the memo key and (Im tau)^-1 of tau;
+the reduced point, its Python floats, is_zero, |Im z|_1, the key bytes and
+the doubled point 2 z of z; the TruncationSpec of each (g, lambda_min,
+|Im z|_1, tol)) are computed once per object.  The reduced point shifts z by an even integer vector 2 b so that
 every |Re z_i| <= 1; theta[m](z + 2 b) = theta[m](z), so a pass sums at it,
 and a huge Re z neither loses the phase of its terms nor overflows.
 """
@@ -25,6 +30,7 @@ and a huge Re z neither loses the phase of its terms nor overflows.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -45,6 +51,31 @@ def _json_fields(data: dict, what: str, *keys: str) -> list:
     return [data[key] for key in keys]
 
 
+def _json_numbers(value, what: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array; ValueError
+    for anything else (an object, a string, a boolean, null) and for an
+    integer beyond the float range."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif type(item) not in (int, float):
+            raise ValueError(f"{what} must hold JSON numbers only, not {item!r}")
+    try:
+        return np.array(value, float)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer beyond the float range") from None
+
+
+# Above this bound on trace(Im tau) / lambda_min, which is at least the
+# condition number of Im tau, the floor box is the whole cube.  The error of a
+# float inverse grows as the condition number times eps: at condition 1e8 the
+# box's centre and half-widths were off by at most 3e-6 (60 random Im tau
+# against a 60-digit inverse), at 1e14 by up to 0.6, more than the grid step
+# of 1/2 the box is widened by.
+_BOX_CONDITION = 1e8
+
 # The quadratic form of a pass, at 2 tau and |q_i| <= _MAX_RADIUS + 1/2, is at
 # most about 1e6 max|tau_ij| in modulus: below this bound it cannot overflow.
 # The bound is on tau; theta2's 2 tau may pass it and is not checked again.
@@ -59,6 +90,7 @@ class PeriodMatrix:
     tau: np.ndarray
     lambda_min: float = field(init=False)
     _key: tuple = field(init=False, repr=False, compare=False)
+    y_inv: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=complex)
@@ -78,13 +110,14 @@ class PeriodMatrix:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "lambda_min", lam)
         object.__setattr__(self, "_key", (self.g, tau.tobytes()))
+        object.__setattr__(self, "y_inv", _inverse(tau.imag, lam))
 
     @classmethod
     def from_json(cls, data: dict) -> "PeriodMatrix":
         g, re, im = _json_fields(data, "tau", "g", "re", "im")
         if type(g) is not int:
             raise ValueError(f"tau JSON key 'g' must be an integer, not {g!r}")
-        re, im = np.array(re, float), np.array(im, float)
+        re, im = _json_numbers(re, "tau JSON 're'"), _json_numbers(im, "tau JSON 'im'")
         if re.shape != (g, g) or im.shape != (g, g):
             raise ValueError(f"tau JSON 're' and 'im' must both have shape {(g, g)}, "
                              f"not {re.shape} and {im.shape}")
@@ -98,13 +131,24 @@ class PeriodMatrix:
 
     def _doubled(self) -> "PeriodMatrix":
         """2 tau.  It is symmetric with positive-definite imaginary part by
-        construction, so only lambda_min is computed, not the checks."""
+        construction, so only lambda_min is computed, not the checks, and its
+        y_inv is that of tau halved (exactly)."""
         two, tau = object.__new__(PeriodMatrix), _read_only(2 * self.tau)
+        y_inv = None if self.y_inv is None else _read_only(self.y_inv / 2)
         for name, value in (("g", self.g), ("tau", tau),
                             ("lambda_min", float(np.linalg.eigvalsh(tau.imag).min())),
-                            ("_key", (self.g, tau.tobytes()))):
+                            ("_key", (self.g, tau.tobytes())), ("y_inv", y_inv)):
             object.__setattr__(two, name, value)
         return two
+
+
+def _inverse(y: np.ndarray, lambda_min: float) -> np.ndarray | None:
+    """y^-1 (read-only), which bounds the floor box of every pass at tau, or
+    None when trace(y) > _BOX_CONDITION lambda_min, where a float inverse may
+    be too far off to bound the box (and may not exist)."""
+    if sum(y.diagonal().tolist()) > _BOX_CONDITION * lambda_min:
+        return None
+    return _read_only(np.linalg.inv(y))
 
 
 @dataclass(frozen=True)
@@ -112,8 +156,9 @@ class PhasePoint:
     """A point z in C^g, with the facts every pass at z reads: the reduced
     point z - 2 b, b the integer vector nearest Re z / 2 where |Re z_i| > 1
     and 0 elsewhere (exact, and z itself when every |Re z_i| <= 1), whether
-    it is 0, |Im z|_1 and its memo key bytes.  Theta takes equal values at
-    z and at the reduced point, which the pass sums at."""
+    it is 0, |Im z|_1, its memo key bytes and the real and imaginary parts of
+    the reduced point as Python floats.  Theta takes equal values at z and at
+    the reduced point, which the pass sums at."""
 
     g: int
     z: np.ndarray
@@ -121,6 +166,7 @@ class PhasePoint:
     is_zero: bool = field(init=False, repr=False, compare=False)
     imz_l1: float = field(init=False, repr=False, compare=False)
     key: bytes = field(init=False, repr=False, compare=False)
+    parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=complex).reshape(-1)
@@ -137,15 +183,17 @@ class PhasePoint:
         object.__setattr__(self, "is_zero", not reduced.any())
         object.__setattr__(self, "imz_l1", float(np.abs(z.imag).sum()))
         object.__setattr__(self, "key", reduced.tobytes())
+        object.__setattr__(self, "parts", (tuple(reduced.real.tolist()), tuple(reduced.imag.tolist())))
 
     @classmethod
     def zero(cls, g: int) -> "PhasePoint":
-        return cls(g, np.zeros(g, dtype=complex))
+        """The point 0 of C^g: one shared instance per g, with read-only arrays."""
+        return _zero_point(g)
 
     @classmethod
     def from_json(cls, data: dict) -> "PhasePoint":
         re, im = _json_fields(data, "z", "re", "im")
-        re, im = np.array(re, float), np.array(im, float)
+        re, im = _json_numbers(re, "z JSON 're'"), _json_numbers(im, "z JSON 'im'")
         if re.ndim != 1 or re.shape != im.shape:
             raise ValueError("z JSON 're' and 'im' must both be lists of one length, "
                              f"not of shapes {re.shape} and {im.shape}")
@@ -159,6 +207,11 @@ class PhasePoint:
         """The point 2 z, built on first use from the reduced point (theta is
         unchanged by the shift 4 b, and 2 z cannot overflow)."""
         return PhasePoint(self.g, 2 * self.reduced)
+
+
+@lru_cache(maxsize=8)
+def _zero_point(g: int) -> PhasePoint:
+    return PhasePoint(g, np.zeros(g, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -285,54 +338,115 @@ def _log_floor(n_points: int, radius: int) -> float:
     return math.log(np.finfo(float).eps / (n_points * (1 + 2 * math.pi * (radius + 1))))
 
 
-def _quadratic_form(a: np.ndarray, b: np.ndarray, qs: list) -> np.ndarray:
-    """q^t a q + 2 q.b for the coordinate arrays qs (broadcast against each
-    other), a symmetric, summed axis by axis:
-    sum_i q_i (a_ii q_i + 2 b_i + 2 sum_{j>i} a_ij q_j)."""
-    form = 0.0
+def _quadratic_form(a: list, b: tuple, qs: list, scale: float) -> np.ndarray:
+    """scale (q^t a q + 2 q.b) for the coordinate arrays qs (broadcast against
+    each other), a symmetric, given as lists of Python floats, and b Python
+    floats, summed axis by axis: sum_i q_i (a_ii q_i + 2 b_i + 2 sum_{j>i} a_ij q_j),
+    then scaled in place."""
+    form = None
     for i, q in enumerate(qs):
-        row = a[i, i] * q + 2 * b[i]
+        row = a[i][i] * q + 2 * b[i]
         for j in range(i + 1, len(qs)):
-            row = row + 2 * a[i, j] * qs[j]
-        form = form + row * q
+            row = row + 2 * a[i][j] * qs[j]
+        if form is None:
+            form = row * q
+        else:
+            form += row * q
+    form *= scale
     return form
 
 
-def _kept_points(tau: PeriodMatrix, z: PhasePoint, radius: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=32)
+def _segments(g: int, radius: int) -> np.ndarray:
+    """The segment number of every point of the half-integer cube, as a
+    read-only (4 radius + 3)^g uint8 array in meshgrid order: the bits of
+    _half_cube of each coordinate, or-ed together."""
+    _, bits = _half_cube(g, radius)
+    seg = np.zeros((len(bits[0]),) * g, dtype=np.uint8)
+    for i, b in enumerate(bits):
+        seg |= b.reshape((-1,) + (1,) * (g - 1 - i))
+    return _read_only(seg)
+
+
+def _floor_box(tau: PeriodMatrix, z: PhasePoint, radius: int, log_floor: float) -> tuple:
+    """Per axis, the slice of _half_cube's axis that holds every point whose
+    log-modulus reaches log_floor <= 0.  With Y = Im(tau), w = Im z and
+    c = -Y^-1 w, -pi (q^t Y q + 2 q.w) >= log_floor is the ellipsoid
+    (q - c)^t Y (q - c) <= w^t Y^-1 w - log_floor / pi =: R^2, which lies
+    in the box |q_i - c_i| <= sqrt(R^2 (Y^-1)_ii).  Each slice is widened by
+    one grid step on either side, against rounding, and clipped to the cube.
+    The cube's largest term is at least 1 (its point q = 0, which the box
+    holds: c_i^2 <= (Y^-1)_ii w^t Y^-1 w < R^2 (Y^-1)_ii), so every term
+    above the rounding floor lies in the box.  Where tau holds no inverse
+    (Im tau ill-conditioned), the box is the whole cube."""
+    # the axis holds q = (k - mid) / 2 at index k
+    mid, size = 2 * radius + 1, 4 * radius + 3
+    if tau.y_inv is None:
+        return (slice(0, size),) * tau.g
+    y_inv, w = tau.y_inv.tolist(), z.parts[1]
+    c = [-sum(map(operator.mul, row, w)) for row in y_inv]
+    r2 = -sum(map(operator.mul, c, w)) - log_floor / math.pi
+    box = []
+    for i, ci in enumerate(c):
+        s = math.sqrt(r2 * y_inv[i][i])
+        box.append(slice(max(math.floor(2 * (ci - s)) + mid - 1, 0),
+                         min(math.ceil(2 * (ci + s)) + mid + 2, size)))
+    return tuple(box)
+
+
+def _kept_points(tau: PeriodMatrix, z: PhasePoint,
+                 radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points q of the half-integer cube whose term is above the rounding
-    floor, in meshgrid order, with their segment numbers.  The log-modulus
-    -pi (q^t Im(tau) q + 2 q.Im z) is summed over the grid axis by axis, so
-    no (N, g) array of the whole cube is built."""
+    floor, in meshgrid order, with their segment numbers and log-moduli
+    -pi (q^t Im(tau) q + 2 q.Im z).  The log-modulus is summed axis by axis
+    over the floor box of _floor_box only, so no array of the whole cube is
+    built.  The floor is taken relative to the box's largest term, which is
+    the cube's, for the cube's point count N: the kept points are those of
+    the whole cube, and the error statement of theta is unchanged."""
     g = tau.g
-    axis, bits = _half_cube(g, radius)
-    qs = [axis.reshape((-1,) + (1,) * (g - 1 - i)) for i in range(g)]
-    log_mod = -math.pi * _quadratic_form(tau.tau.imag, z.z.imag, qs)
-    ij = np.nonzero(log_mod >= log_mod.max() + _log_floor(log_mod.size, radius))
-    seg = bits[0][ij[0]]
-    for b, i in zip(bits[1:], ij[1:]):
-        seg = seg | b[i]
-    return axis[np.stack(ij, axis=1)], seg
+    axis, _ = _half_cube(g, radius)
+    log_floor = _log_floor((4 * radius + 3) ** g, radius)
+    box = _floor_box(tau, z, radius, log_floor)
+    qs = [axis[s].reshape((-1,) + (1,) * (g - 1 - i)) for i, s in enumerate(box)]
+    log_mod = _quadratic_form(tau.tau.imag.tolist(), z.parts[1], qs, -math.pi)
+    keep = log_mod >= log_mod.max() + log_floor
+    q = axis[np.array(np.nonzero(keep)).T + [s.start for s in box]]
+    return q, _segments(g, radius)[box][keep], log_mod[keep]
 
 
 def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     """Entry [m', m''] holds theta[m'; m''](tau, z) over the half-integer cube
     of the given radius and, at z = 0, its z-gradient: one exp over the
     points above the rounding floor serves all 4^g characteristics.  The
-    exponent is the axis-by-axis quadratic form of _kept_points with complex
-    tau and the reduced z.  Each segment (m', c) sums its terms, in meshgrid
-    order, by one bincount per real and imaginary part of the value column
-    (and, at z = 0, of the g gradient columns); the sign matrix of each m'
-    combines them.  Memoized and read-only."""
+    exponent of a point is its log-modulus plus i pi times the axis-by-axis
+    quadratic form of Re tau and the reduced Re z, bit for bit the real and
+    imaginary parts of i pi (q^t tau q + 2 q.z) up to the sign of a zero.
+    At z = 0 the kept points are symmetric, q at position K - 1 - k being
+    -q at k, with equal terms, so only the first half is exponentiated and
+    mirrored.  Each segment
+    (m', c) sums its terms, in meshgrid order, by one bincount per real and
+    imaginary part of the value column (and, at z = 0, of the g gradient
+    columns); the sign matrix of each m' combines them.  Memoized and
+    read-only."""
     key = tau.cache_key() + (z.key, radius)
     hit = _MEMO.get(key)
     if hit is None:
         g, n = tau.g, 1 << tau.g
-        q, seg = _kept_points(tau, z, radius)
-        qs = list(q.T)
-        terms = np.exp(1j * math.pi * _quadratic_form(tau.tau, z.reduced, qs))
-        cols = [terms] + ([x * terms for x in qs] if z.is_zero else [])
-        sums = np.array([np.bincount(seg, col.real, n * n) + 1j * np.bincount(seg, col.imag, n * n)
-                         for col in cols]).T
+        q, seg, log_mod = _kept_points(tau, z, radius)
+        qs, seg = list(q.T), seg.astype(np.intp)
+        half = (len(q) + 1) // 2 if z.is_zero else len(q)
+        expo = np.empty(half, dtype=complex)
+        expo.real = log_mod[:half]
+        expo.imag = _quadratic_form(tau.tau.real.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)
+        terms = np.exp(expo)
+        if z.is_zero:
+            terms = np.concatenate((terms, terms[-2::-1]))
+        re_im = [terms.real, terms.imag]
+        cols = [re_im] + ([[x * part for part in re_im] for x in qs] if z.is_zero else [])
+        sums = np.empty((len(cols), n * n), dtype=complex)
+        for col, (re, im) in zip(sums, cols):
+            col.real, col.imag = np.bincount(seg, re, n * n), np.bincount(seg, im, n * n)
+        sums = sums.T
         sums[:, 1:] *= 2j * math.pi
         signs = np.stack([_sign_matrix(g, mp) for mp in range(n)])
         hit = _remember(key, _read_only(signs @ sums.reshape(n, n, -1)))

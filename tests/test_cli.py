@@ -172,6 +172,21 @@ class TestEval:
         assert res.output.strip() == ("Error: z JSON 're' and 'im' must both be lists of one "
                                       "length, not of shapes (3,) and (1,)")
 
+    @pytest.mark.parametrize("re, shown", [({"a": 1}, "{'a': 1}"), ([[True]], "True"), ([["0.1"]], "'0.1'")])
+    def test_non_number_tau_is_a_clean_error(self, runner, tmp_path, re, shown):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"g": 1, "re": re, "im": [[1.0]]}))
+        res = runner.invoke(main, ["eval", "theta", "--tau", str(path), "--char", "0;0"])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.strip() == f"Error: tau JSON 're' must hold JSON numbers only, not {shown}"
+
+    def test_non_number_z_is_a_clean_error(self, runner, tau3_file, tmp_path):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"re": [0.1, 0.2, 0.3], "im": [0.0, None, 0.0]}))
+        res = runner.invoke(main, ["eval", "coble", "--tau", tau3_file, "--z", str(path)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.strip() == "Error: z JSON 'im' must hold JSON numbers only, not None"
+
     def test_z_missing_key_is_a_clean_error(self, runner, tau3_file, tmp_path):
         path = tmp_path / "z.json"
         path.write_text(json.dumps({"re": [0.1, -0.2, 0.05]}))

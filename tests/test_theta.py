@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetacoble import quartics
 from thetacoble.characteristics import Characteristic, enumerate_characteristics
@@ -133,6 +135,22 @@ class TestPeriodMatrix:
         with pytest.raises(ValueError, match="must both be lists of one length"):
             th.PhasePoint.from_json({"re": re, "im": im})
 
+    @pytest.mark.parametrize("bad", [{"a": 1}, "0.1", True, None, [1.0, "x"], 10 ** 400])
+    def test_json_arrays_must_hold_numbers(self, bad):
+        re = [[0.1, 0.0], [0.0, bad]]
+        with pytest.raises(ValueError, match="tau JSON 're'"):
+            th.PeriodMatrix.from_json({"g": 2, "re": re, "im": [[1.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(ValueError, match="tau JSON 're'"):
+            th.PeriodMatrix.from_json({"g": 2, "re": bad, "im": [[1.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(ValueError, match="z JSON 'im'"):
+            th.PhasePoint.from_json({"re": [0.1, 0.2], "im": [0.0, bad]})
+
+    def test_json_numbers_keep_their_values(self):
+        tau = th.PeriodMatrix.from_json({"g": 2, "re": [[0, 1], [1, -2]], "im": [[2, 0.5], [0.5, 1.0]]})
+        assert np.array_equal(tau.tau, [[2j, 1 + 0.5j], [1 + 0.5j, -2 + 1j]])
+        z = th.PhasePoint.from_json({"re": [1, -0.5], "im": [0, 2]})
+        assert np.array_equal(z.z, [1, -0.5 + 2j])
+
     @pytest.mark.parametrize("g", [None, 3.9, 3.0, True, "3", [3]])
     def test_json_genus_must_be_an_integer(self, g):
         data = dict(TAUS[3][0].to_json(), g=g)
@@ -163,6 +181,14 @@ class TestPeriodMatrix:
             else:
                 with pytest.raises(ValueError, match="symmetric"):
                     th.PeriodMatrix(2, tau)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_inverse_of_im_tau_is_held_read_only(self, g):
+        tau = TAUS[g][1]
+        assert np.allclose(tau.y_inv @ tau.tau.imag, np.eye(g), rtol=0, atol=1e-12)
+        assert not tau.y_inv.flags.writeable
+        two = tau._doubled()
+        assert np.array_equal(two.y_inv, tau.y_inv / 2) and not two.y_inv.flags.writeable
 
     def test_cache_key_is_genus_and_bytes(self):
         tau = TAUS[3][1]
@@ -221,6 +247,27 @@ class TestPhasePointFacts:
         assert z.doubled is built[0]
         quartics.theta2_vector(TAUS[3][0], z)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_zero_is_one_read_only_instance(self, g):
+        zero = th.PhasePoint.zero(g)
+        assert th.PhasePoint.zero(g) is zero and zero.is_zero and zero.g == g
+        assert np.array_equal(zero.z, np.zeros(g)) and zero.reduced is zero.z
+        for array in (zero.z, zero.reduced):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert zero.parts == ((0.0,) * g, (0.0,) * g)
+
+    def test_shared_zero_leaves_reports_unchanged(self, monkeypatch):
+        def reports():
+            monkeypatch.setattr(th, "_MEMO", {})
+            return [{k: v for k, v in run_suite(name, 2).to_json().items() if k != "wall_time"}
+                    for name in ("jacobi", "coble", "kummer2", "points")]
+
+        shared = reports()
+        monkeypatch.setattr(th.PhasePoint, "zero", classmethod(lambda cls, g: cls(g, np.zeros(g, complex))))
+        assert th.PhasePoint.zero(3) is not th.PhasePoint.zero(3)
+        assert reports() == shared
 
     def test_equal_inputs_share_one_truncation_spec(self):
         tau, z = TAUS[2][1], random_z(RNG, 2)
@@ -561,6 +608,16 @@ class TestClassKernel:
             seg = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
             assert np.array_equal(seg, want)
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_segment_table_is_the_or_of_the_bits(self, g):
+        for radius in (1, 2, 5):
+            _, bits = th._half_cube(g, radius)
+            table = th._segments(g, radius)
+            ij = np.indices((4 * radius + 3,) * g).reshape(g, -1)
+            want = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
+            assert table.dtype == np.uint8 and not table.flags.writeable
+            assert np.array_equal(table.ravel(), want) and th._segments(g, radius) is table
+
     def test_swapped_sign_columns_are_caught(self, monkeypatch):
         sign_matrix = th._sign_matrix
 
@@ -625,7 +682,7 @@ class TestRoundingFloor:
         tau, z = self._case(g, ratio, lam, imz_l1)
         radius = th.truncation_radius(tau, z).radius
         cube, modulus = _cube_moduli(tau, z, radius)
-        kept, _ = th._kept_points(tau, z, radius)
+        kept, _, _ = th._kept_points(tau, z, radius)
         # q -> its row in the meshgrid order of the cube
         digits = np.rint(2 * kept + 2 * radius + 1).astype(int)
         rows = np.ravel_multi_index(digits.T, (4 * radius + 3,) * g)
@@ -657,6 +714,163 @@ class TestRoundingFloor:
         _patch_everywhere(monkeypatch, log_floor, loosened)
         monkeypatch.setattr(th, "_MEMO", {})
         assert _kernel_mismatches(1, 0.25, True) and _kernel_mismatches(3, 1.0, True)
+
+
+def _whole_cube_form(a, b, qs):
+    """q^t a q + 2 q.b axis by axis, with numpy coefficients, as the
+    whole-cube pass summed it."""
+    form = 0.0
+    for i, q in enumerate(qs):
+        row = a[i, i] * q + 2 * b[i]
+        for j in range(i + 1, len(qs)):
+            row = row + 2 * a[i, j] * qs[j]
+        form = form + row * q
+    return form
+
+
+def _whole_cube_class_sums(tau, z, radius):
+    """The class-sum table of the whole-cube pass: the log-modulus of every
+    point of the half-integer cube, the floor relative to the cube's largest
+    term, the segment numbers or-ed from the bits of each coordinate, and one
+    exp of the complex quadratic form per kept point."""
+    g, n = tau.g, 1 << tau.g
+    axis, bits = th._half_cube(g, radius)
+    qs = [axis.reshape((-1,) + (1,) * (g - 1 - i)) for i in range(g)]
+    log_mod = -math.pi * _whole_cube_form(tau.tau.imag, z.z.imag, qs)
+    ij = np.nonzero(log_mod >= log_mod.max() + th._log_floor(log_mod.size, radius))
+    seg = bits[0][ij[0]]
+    for b, i in zip(bits[1:], ij[1:]):
+        seg = seg | b[i]
+    qs = list(axis[np.stack(ij, axis=1)].T)
+    terms = np.exp(1j * math.pi * _whole_cube_form(tau.tau, z.reduced, qs))
+    cols = [terms] + ([x * terms for x in qs] if z.is_zero else [])
+    sums = np.array([np.bincount(seg, col.real, n * n) + 1j * np.bincount(seg, col.imag, n * n)
+                     for col in cols]).T
+    sums[:, 1:] *= 2j * math.pi
+    signs = np.stack([th._sign_matrix(g, mp) for mp in range(n)])
+    return signs @ sums.reshape(n, n, -1)
+
+
+def _box_cases():
+    """(tau, z, radius): the FLOOR_CASES at their certified radius, each at
+    z = 0 and at a z != 0, plus Im z = 0 with Re z != 0, |Re z| > 1, and
+    radii below the certified one, where the cube clips the box."""
+    cases = []
+    for g, ratio, lam, imz_l1 in FLOOR_CASES:
+        tau, z = TestRoundingFloor._case(g, ratio, lam, imz_l1 or 0.8)
+        for point in (z, th.PhasePoint.zero(g)):
+            cases.append((tau, point, th.truncation_radius(tau, point).radius))
+    rng = stream(23, "test_theta.box")
+    for g in (1, 2, 3):
+        tau = _anisotropic_tau(rng, g, 0.3)
+        far = th.PhasePoint(g, rng.uniform(-40.0, 40.0, g) + 3 + 1j * rng.uniform(-0.4, 0.4, g))
+        real = th.PhasePoint(g, rng.uniform(-0.5, 0.5, g))
+        for point in (far, real):
+            cases.append((tau, point, th.truncation_radius(tau, point).radius))
+        for radius in (1, 2):
+            cases.append((tau, th.PhasePoint.zero(g), radius))
+            cases.append((tau, far, radius))
+    for cond in (1e6, 1e9):
+        tau = _conditioned_tau(rng, cond)
+        for point in (th.PhasePoint.zero(3), _z_with_imz_l1(rng, 3, 0.5)):
+            cases.append((tau, point, 3))
+    return cases
+
+
+def _conditioned_tau(rng, cond):
+    """A genus-3 tau whose Im tau has eigenvalues 2, 4 and 2 cond, in a
+    random orthonormal basis."""
+    x = rng.uniform(-0.5, 0.5, (3, 3))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    y = (q * np.array([2.0, 4.0, 2.0 * cond])) @ q.T
+    return th.PeriodMatrix(3, (x + x.T) / 2 + 1j * (y + y.T) / 2)
+
+
+BOX_CASES = _box_cases()
+
+
+class TestFloorBox:
+    """A pass sums only the box around the floor ellipsoid, and its tables
+    are those of the whole-cube pass bit for bit."""
+
+    @pytest.mark.parametrize("k", range(len(BOX_CASES)))
+    def test_tables_equal_the_whole_cube_pass_bit_for_bit(self, monkeypatch, k):
+        tau, z, radius = BOX_CASES[k]
+        monkeypatch.setattr(th, "_MEMO", {})
+        got = th._class_sums(tau, z, radius)
+        assert got.tobytes() == _whole_cube_class_sums(tau, z, radius).tobytes()
+
+    def test_cases_cover_clipped_and_strict_boxes(self):
+        size = {k: 4 * r + 3 for k, (_, _, r) in enumerate(BOX_CASES)}
+        boxes = {k: th._floor_box(tau, z, r, th._log_floor(size[k] ** tau.g, r))
+                 for k, (tau, z, r) in enumerate(BOX_CASES)}
+        clipped = [k for k, box in boxes.items() if any(s.start == 0 or s.stop == size[k] for s in box)]
+        strict = [k for k, box in boxes.items() if all(0 < s.start and s.stop < size[k] for s in box)]
+        assert clipped and strict
+        assert any(not z.is_zero and np.abs(z.z.real).max() > 1 for tau, z, r in BOX_CASES)
+        assert {tau.g for tau, _, _ in BOX_CASES} == {1, 2, 3}
+
+    def test_ill_conditioned_tau_sums_the_whole_cube(self):
+        rng = stream(31, "test_theta.conditioned")
+        well, ill = _conditioned_tau(rng, 1e6), _conditioned_tau(rng, 1e9)
+        assert well.y_inv is not None and ill.y_inv is None and ill._doubled().y_inv is None
+        z = _z_with_imz_l1(rng, 3, 0.5)
+        assert th._floor_box(ill, z, 3, th._log_floor(15 ** 3, 3)) == (slice(0, 15),) * 3
+        assert th._floor_box(well, z, 3, th._log_floor(15 ** 3, 3)) != (slice(0, 15),) * 3
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_mirror_of_the_kept_points_at_zero(self, g):
+        tau = _anisotropic_tau(stream(29, f"test_theta.mirror.{g}"), g, 0.25)
+        z0 = th.PhasePoint.zero(g)
+        q, seg, log_mod = th._kept_points(tau, z0, th.truncation_radius(tau, z0).radius)
+        assert len(q) % 2 == 1 and np.array_equal(q[::-1], -q) and np.array_equal(log_mod[::-1], log_mod)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.05, 3.0),
+           ratio=st.floats(1.0, 200.0), imz=st.floats(0.0, 2.0), radius=st.integers(1, 6))
+    def test_points_outside_the_box_are_below_the_floor(self, g, seed, lam, ratio, imz, radius):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        y = (q * (lam * ratio ** np.linspace(0.0, 1.0, g))) @ q.T
+        x = rng.uniform(-0.5, 0.5, (g, g))
+        tau = th.PeriodMatrix(g, (x + x.T) / 2 + 1j * (y + y.T) / 2)
+        v = rng.uniform(-1.0, 1.0, g)
+        z = th.PhasePoint(g, rng.uniform(-3.0, 3.0, g) + 1j * v * (imz / max(np.abs(v).sum(), 1e-300)))
+        cube, modulus = _cube_moduli(tau, z, radius)
+        with np.errstate(divide="ignore"):
+            log_mod = np.log(modulus)
+        log_floor = th._log_floor(len(cube), radius)
+        box = th._floor_box(tau, z, radius, log_floor)
+        k = np.rint(2 * cube + 2 * radius + 1).astype(int)
+        inside = np.all([(s.start <= k[:, i]) & (k[:, i] < s.stop) for i, s in enumerate(box)], axis=0)
+        assert inside[np.flatnonzero(np.all(cube == 0, axis=1))].all()
+        assert np.all(log_mod[~inside] < log_mod.max() + log_floor)
+
+    def test_face_moved_in_by_a_grid_step_is_caught(self, monkeypatch):
+        # The box is widened by one grid step against rounding, so where the
+        # cube does not clip a face, moving it in by a step changes no table.
+        # Where the cube clips it, the step drops the cube's outer slab: the
+        # tables differ from the whole-cube pass (or, at z = 0, the kept set
+        # loses its mirror and the pass raises), and the coble records fail.
+        floor_box = th._floor_box
+
+        def moved(tau, z, radius, log_floor):
+            box = floor_box(tau, z, radius, log_floor)
+            return (slice(box[0].start + 1, box[0].stop),) + box[1:]
+
+        _patch_everywhere(monkeypatch, floor_box, moved)
+        unchanged = {False: set(), True: set()}  # by whether the cube clips the face
+        for tau, z, radius in BOX_CASES:
+            monkeypatch.setattr(th, "_MEMO", {})
+            clipped = floor_box(tau, z, radius, th._log_floor((4 * radius + 3) ** tau.g, radius))[0].start == 0
+            try:
+                table = th._class_sums(tau, z, radius).tobytes()
+            except ValueError:
+                table = None
+            unchanged[clipped].add(table == _whole_cube_class_sums(tau, z, radius).tobytes())
+        assert unchanged == {False: {True}, True: {True, False}}
+        monkeypatch.setattr(th, "_MEMO", {})
+        assert not all(r["pass"] for r in run_suite("coble", 1).to_json()["records"])
 
 
 class TestPassCount:
