@@ -117,7 +117,8 @@ def riemann_relation(pascal: GopelSystem, taus, tol: float = 1e-8):
     """Sign pair (eps1, eps2) with H(P) = eps1 H(F') + eps2 H(F'').
 
     Signs are resolved at a fixed reference tau and then asserted stable on
-    the supplied sample matrices (relative residual below tol at each).
+    the supplied sample matrices (relative residual below tol at each).  A
+    NaN at any probe makes every sign pair's residual NaN, which raises.
     """
     dec = pascal_decomposition(pascal)
     probes = [reference_tau3()] + list(taus)
@@ -130,13 +131,12 @@ def riemann_relation(pascal: GopelSystem, taus, tol: float = 1e-8):
     best = None
     for e1 in (1, -1):
         for e2 in (1, -1):
-            worst = max(
-                abs(hp - e1 * h1 - e2 * h2) / scale for hp, h1, h2, scale in values
-            )
+            # np.max keeps a NaN, where max() drops one after the first probe
+            worst = np.max([abs(hp - e1 * h1 - e2 * h2) / scale for hp, h1, h2, scale in values])
             if best is None or worst < best[0]:
                 best = (worst, e1, e2)
     worst, e1, e2 = best
-    if worst >= tol:
+    if not worst < tol:
         raise RiemannSignError(
             f"no stable sign pair (best residual {worst:.3e} >= {tol:.1e})"
         )

@@ -8,6 +8,10 @@ thread count is fixed.  The singular-value gaps `w_sv_gap` (wrank) and
 matrix, which is round-off; its last digits follow the BLAS summation order,
 which changes with the thread count.  Their pass/fail does not: the gaps sit
 many decades above the 1e6 threshold.
+
+A residual check keeps the worst of its residuals over the samples, with
+`_worst`; most draw their samples through one driver, `_sampled`.  A residual
+that is NaN at any sample makes the worst NaN, which fails its record.
 """
 
 from __future__ import annotations
@@ -99,6 +103,32 @@ def _flag(name: str, ok: bool) -> CheckRecord:
     return CheckRecord(name, 1.0 if ok else 0.0, 1.0, ok)
 
 
+def _worst(residuals) -> float:
+    """The largest of residuals, 0 for none.  A NaN anywhere makes it NaN,
+    which fails any threshold (Python's max drops a NaN that follows a
+    number)."""
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+
+
+def _sampled(seed: int, stream_name: str, n: int, draw, evaluate, names,
+             tols) -> list[CheckRecord]:
+    """One residual record per name, over n samples.  The samples are drawn
+    first, each by draw(rng) in turn from stream(seed, stream_name);
+    evaluate(*sample) then gives one residual per name, and each record keeps
+    the worst of its residuals against its tol."""
+    rng = stream(seed, stream_name)
+    rows = [evaluate(*sample) for sample in [draw(rng) for _ in range(n)]]
+    return [_residual(name, _worst(row[k] for row in rows), tol)
+            for k, (name, tol) in enumerate(zip(names, tols))]
+
+
+def _gopel_counts(systems) -> list[CheckRecord]:
+    """The genus-3 Goepel systems: 135, of which 30 Fano and 105 Pascal."""
+    kinds = [s.kind for s in systems]
+    return [_count("gopel135", len(systems), 135), _count("fano30", kinds.count("fano"), 30),
+            _count("pascal105", kinds.count("pascal"), 105)]
+
+
 # ---------------------------------------------------------------------------
 # combinatorics
 
@@ -120,11 +150,7 @@ def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord
     recs.append(_count("odd1_g1", len(enumerate_characteristics(1, "odd")), 1))
     recs.append(_count("aronhold288", len(enumerate_aronhold_sets()), 288))
 
-    systems = gp.enumerate_gopel(3)
-    kinds = [s.kind for s in systems]
-    recs.append(_count("gopel135", len(systems), 135))
-    recs.append(_count("fano30", kinds.count("fano"), 30))
-    recs.append(_count("pascal105", kinds.count("pascal"), 105))
+    recs += _gopel_counts(gp.enumerate_gopel(3))
     recs.append(_count("gopel15_g2", len(gp.enumerate_gopel(2)), 15))
 
     zero = Characteristic(3, 0)
@@ -153,29 +179,16 @@ def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord
     recs.append(_count("azygetic_odd_triple_count", len(triples), 2016))
 
     # Within the fixed fundamental system {0} u (example): any two
-    # azygetic odd triples sharing m1 have completions meeting in {m1, n0}.
+    # azygetic odd triples sharing exactly m_i have completions meeting in
+    # {m_i, n0}.  The completion depends only on the unordered triple.
     ms = list(ARONHOLD_EXAMPLE)
-    intersections_ok = True
-    sfs_cache = {}
-    for i1 in range(7):
-        others = [t for t in range(7) if t != i1]
-        for pair_a in combinations(others, 2):
-            for pair_b in combinations([t for t in others if t not in pair_a], 2):
-                if pair_a > pair_b:
-                    continue
-                key_a = (i1,) + pair_a
-                key_b = (i1,) + pair_b
-
-                def sfs_for(key):
-                    if key not in sfs_cache:
-                        triple = CharacteristicSet([ms[t] for t in key])
-                        comp = special_fundamental_completion(triple)
-                        sfs_cache[key] = triple.idx_set() | comp.idx_set()
-                    return sfs_cache[key]
-
-                inter = sfs_for(key_a) & sfs_for(key_b)
-                if inter != {ms[i1].idx, 0}:
-                    intersections_ok = False
+    sfs = {}
+    for key in combinations(range(7), 3):
+        triple = CharacteristicSet([ms[t] for t in key])
+        sfs[key] = triple.idx_set() | special_fundamental_completion(triple).idx_set()
+    meets = [(a, b, set(a) & set(b)) for a, b in combinations(sfs, 2)]  # 595 pairs
+    intersections_ok = all(sfs[a] & sfs[b] == {ms[i].idx for i in common} | {0}
+                           for a, b, common in meets if len(common) == 1)  # 315 of them
     recs.append(_flag("fixed_system_intersections", intersections_ok))
 
     # Aronhold classification partition 1 + 7 + 21 + 35 (raises internally on failure).
@@ -297,12 +310,8 @@ def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 
 
 def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
-    recs = []
     systems = gp.enumerate_gopel(3)
-    recs.append(_count("gopel135", len(systems), 135))
-    kinds = [s.kind for s in systems]
-    recs.append(_count("fano30", kinds.count("fano"), 30))
-    recs.append(_count("pascal105", kinds.count("pascal"), 105))
+    recs = _gopel_counts(systems)
 
     ex1 = gp.fano_from_aronhold(ARONHOLD_EXAMPLE, FANO_TRIPLE_FAMILY)
     expected_ex1 = CharacteristicSet.parse(
@@ -398,42 +407,38 @@ def _jacobi_residual(tau, odds, sign: float) -> float:
 def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 20
     tol = tol or 1e-8
-    recs = []
 
     # g = 1: the single odd characteristic, with sign +1
-    rng = stream(seed, "jacobi.g1")
     odd1 = [Characteristic.from_string("1;1")]
-    worst = max(_jacobi_residual(random_tau(rng, 1), odd1, 1.0) for _ in range(samples))
-    recs.append(_residual("jacobi_g1", worst, tol))
+    recs = _sampled(seed, "jacobi.g1", samples, lambda rng: (random_tau(rng, 1),),
+                    lambda tau: (_jacobi_residual(tau, odd1, 1.0),), ("jacobi_g1",), (tol,))
 
     # g = 2: all 15 odd pairs.  The determinant sign depends on the ordering
     # of the odd pair, so the per-pair sign is resolved once at a reference
     # tau and asserted stable on the samples.
-    rng = stream(seed, "jacobi.g2")
     pairs = list(combinations(enumerate_characteristics(2, "odd"), 2))
     ref2 = modular.reference_tau2()
     signs2 = [_jacobi_sign(ref2, pair) for pair in pairs]
-    worst = 0.0
-    for _ in range(samples):
-        tau = random_tau(rng, 2)
-        k = int(rng.integers(15))
-        worst = max(worst, _jacobi_residual(tau, pairs[k], signs2[k]))
-    recs.append(_residual("jacobi_g2", worst, tol))
+    recs += _sampled(seed, "jacobi.g2", samples,
+                     lambda rng: (random_tau(rng, 2), int(rng.integers(15))),
+                     lambda tau, k: (_jacobi_residual(tau, pairs[k], signs2[k]),),
+                     ("jacobi_g2",), (tol,))
 
     # g = 3: random azygetic odd triples; same reference-tau sign resolution
     # per ordered triple.
-    rng = stream(seed, "jacobi.g3")
     odds3 = list(enumerate_characteristics(3, "odd"))
     ref3 = modular.reference_tau3()
-    worst = 0.0
-    for _ in range(samples):
+
+    def draw3(rng):
         while True:
             triple = [odds3[int(i)] for i in rng.choice(28, size=3, replace=False)]
             if triple_sign(*triple) == -1:
-                break
-        sign = _jacobi_sign(ref3, triple)
-        worst = max(worst, _jacobi_residual(random_tau(rng, 3), triple, sign))
-    recs.append(_residual("jacobi_g3", worst, tol))
+                return triple, random_tau(rng, 3)
+
+    def residual3(triple, tau):
+        return (_jacobi_residual(tau, triple, _jacobi_sign(ref3, triple)),)
+
+    recs += _sampled(seed, "jacobi.g3", samples, draw3, residual3, ("jacobi_g3",), (tol,))
 
     # dual route: Jacobian-determinant quotient vs chi_18 product, for the
     # Fano systems of the first 5 families built from the example Aronhold
@@ -448,8 +453,7 @@ def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
             via_chi = modular.h_fano(tau, sys)
             ratios.append(via_d / (modular.PI21 * via_chi))
         sign = 1.0 if ratios[0].real > 0 else -1.0
-        worst = max(abs(r - sign) for r in ratios)
-        recs.append(_residual(f"dual_route_f{k}", worst, tol))
+        recs.append(_residual(f"dual_route_f{k}", _worst(abs(r - sign) for r in ratios), tol))
     return recs
 
 
@@ -506,25 +510,18 @@ def suite_wrank(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 def suite_coble(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 20
     tol = tol or 1e-7
-    rng = stream(seed, "coble.samples")
-    worst_val = 0.0
-    worst_grad = 0.0
-    worst_sym = 0.0
-    for _ in range(samples):
-        tau = random_tau(rng, 3)
-        z = random_z(rng, 3)
+
+    def residuals(tau, z):
         value, scale = quartics.coble_eval(tau, z)
-        worst_val = max(worst_val, abs(value) / scale)
         grads, scales = quartics.coble_gradient(tau, z)
-        worst_grad = max(worst_grad, max(abs(v) / s for v, s in zip(grads, scales)))
-        neg = PhasePoint(3, -z.z)
-        value_neg, _ = quartics.coble_eval(tau, neg)
-        worst_sym = max(worst_sym, abs(value_neg - value) / scale)
-    recs = [
-        _residual("coble_vanishing", worst_val, tol),
-        _residual("coble_gradient_vanishing", worst_grad, tol),
-        _residual("coble_z_symmetry", worst_sym, 1e-10),
-    ]
+        value_neg, _ = quartics.coble_eval(tau, PhasePoint(3, -z.z))
+        return (abs(value) / scale, _worst(abs(v) / s for v, s in zip(grads, scales)),
+                abs(value_neg - value) / scale)
+
+    recs = _sampled(seed, "coble.samples", samples,
+                    lambda rng: (random_tau(rng, 3), random_z(rng, 3)), residuals,
+                    ("coble_vanishing", "coble_gradient_vanishing", "coble_z_symmetry"),
+                    (tol, tol, 1e-10))
 
     # negative control: generic x not of theta form is not on the quartic
     tau = random_tau(stream(seed, "coble.control"), 3)
@@ -546,20 +543,15 @@ def suite_modularity(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     rng = stream(seed, "modularity.samples")
     pairs = [(random_tau(rng, 3), random_z(rng, 3)) for _ in range(samples)]
 
-    recs = []
-    worst = 0.0
-    for tau, z in pairs:
-        worst = max(worst, quartics.jacobi_form_residual(("J",), tau, z))
-    recs.append(_residual("inversion_residual", worst, tol))
+    def worst_on_pairs(gen) -> float:
+        return _worst(quartics.jacobi_form_residual(gen, tau, z) for tau, z in pairs)
 
+    recs = [_residual("inversion_residual", worst_on_pairs(("J",)), tol)]
     srng = stream(seed, "modularity.translations")
     for k in range(5):
         s = srng.integers(0, 2, size=(3, 3))
         s = np.triu(s) + np.triu(s, 1).T
-        worst = 0.0
-        for tau, z in pairs:
-            worst = max(worst, quartics.jacobi_form_residual(("S", s), tau, z))
-        recs.append(_residual(f"translation_residual_{k}", worst, tol))
+        recs.append(_residual(f"translation_residual_{k}", worst_on_pairs(("S", s)), tol))
 
     tau, z = pairs[0]
     recs.append(
@@ -578,27 +570,22 @@ def suite_modularity(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 def suite_kummer2(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 20
     tol = tol or 1e-8
-    rng = stream(seed, "kummer2.samples")
-    worst = 0.0
-    worst_sym = 0.0
-    for _ in range(samples):
-        tau = random_tau(rng, 2)
-        z = random_z(rng, 2)
+
+    def residuals(tau, z):
         value, scale = quartics.kummer2_eval(tau, z)
-        worst = max(worst, abs(value) / scale)
         value_neg, _ = quartics.kummer2_eval(tau, PhasePoint(2, -z.z))
-        worst_sym = max(worst_sym, abs(value_neg - value) / scale)
-    recs = [
-        _residual("kummer2_vanishing", worst, tol),
-        _residual("kummer2_z_symmetry", worst_sym, 1e-10),
-    ]
+        return abs(value) / scale, abs(value_neg - value) / scale
+
+    recs = _sampled(seed, "kummer2.samples", samples,
+                    lambda rng: (random_tau(rng, 2), random_z(rng, 2)), residuals,
+                    ("kummer2_vanishing", "kummer2_z_symmetry"), (tol, 1e-10))
 
     # triple-product identity |D D D| = pi^6 |chi_5 theta_n^2| for all 10
     # even n, with complementary-triple and phi*psi* consistency
     rng = stream(seed, "kummer2.triples")
     taus = [random_tau(rng, 2) for _ in range(min(samples, 10))]
     odds = list(enumerate_characteristics(2, "odd"))
-    worst_mag = 0.0
+    magnitudes = []
     comp_sign_ok = True
     phi_psi_ok = True
     z0 = PhasePoint.zero(2)
@@ -614,20 +601,20 @@ def suite_kummer2(seed: int, samples: int, tol: float) -> list[CheckRecord]:
                 * jacobian_det(tau, (odds[u2], odds[u3]))
             )
             target = math.pi**6 * modular.chi(tau) * theta(tau, z0, n) ** 2
-            worst_mag = max(worst_mag, abs(abs(prod1) / abs(target) - 1))
+            magnitudes.append(abs(abs(prod1) / abs(target) - 1))
             ratio = prod1 / prod2
             comp_signs.add(1 if ratio.real > 0 else -1)
-            if abs(abs(ratio) - 1) > tol:
+            if not abs(abs(ratio) - 1) <= tol:  # a NaN fails too
                 comp_sign_ok = False
             # product of the two triple products = +- pi^12 chi_5^2 theta_n^4
             full = prod1 * prod2
             target2 = math.pi**12 * modular.chi(tau) ** 2 * theta(tau, z0, n) ** 4
             phi_signs.add(1 if (full / target2).real > 0 else -1)
-            if abs(abs(full) / abs(target2) - 1) > tol:
+            if not abs(abs(full) / abs(target2) - 1) <= tol:
                 phi_psi_ok = False
         if len(comp_signs) != 1 or len(phi_signs) != 1:
             comp_sign_ok = False
-    recs.append(_residual("triple_product_magnitude", worst_mag, tol))
+    recs.append(_residual("triple_product_magnitude", _worst(magnitudes), tol))
     recs.append(_flag("triple_product_complement_sign", comp_sign_ok))
     recs.append(_flag("phi_psi_star_identity", phi_psi_ok))
     return recs
@@ -647,17 +634,17 @@ def _random_config1(rng) -> np.ndarray:
 def suite_segre(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 50
     tol = tol or 1e-10
-    rng = stream(seed, "segre.configs")
-    worst = 0.0
-    for _ in range(samples):
-        x = _random_config1(rng)
+
+    def residual(x):
         t = points.standard_invariants(x)
-        worst = max(worst, abs(points.segre_eval(t)) / points.segre_scale(t))
-    recs = [_residual("segre_identity", worst, tol)]
+        return (abs(points.segre_eval(t)) / points.segre_scale(t),)
+
+    recs = _sampled(seed, "segre.configs", samples, lambda rng: (_random_config1(rng),),
+                    residual, ("segre_identity",), (tol,))
 
     # PGL invariance of the degree-1 binary invariants
     rng = stream(seed, "segre.moebius")
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         x = _random_config1(rng)
         a, b, c, d = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
@@ -667,8 +654,8 @@ def suite_segre(seed: int, samples: int, tol: float) -> list[CheckRecord]:
         for t in points.STANDARD_TABLEAUX:
             lhs = points.tableau_invariant(t, gx)
             rhs = points.tableau_invariant(t, x) / np.prod(c * x + d) * (a * d - b * c) ** 3
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    recs.append(_residual("pgl_invariance", worst, 1e-9))
+            residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    recs.append(_residual("pgl_invariance", _worst(residuals), 1e-9))
     return recs
 
 
@@ -685,7 +672,7 @@ def suite_igusa(seed: int, samples: int, tol: float) -> list[CheckRecord]:
         return [_flag("igusa_search_succeeds", False)]
 
     rng = stream(seed, "igusa.holdout")
-    holdout = max(
+    holdout = _worst(
         points.igusa_residual(forms @ points.theta4_constants(random_tau(rng, 2)))
         for _ in range(10)
     )
@@ -693,7 +680,7 @@ def suite_igusa(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     # negative control: swapping two slots of the found tuple breaks the
     # relation on the search samples
     wrong = forms[[3, 1, 2, 0, 4]]
-    control = max(
+    control = _worst(
         points.igusa_residual(wrong @ points.theta4_constants(tau)) for tau in search_taus
     )
     return [_flag("igusa_search_succeeds", holdout < tol and control > tol)]

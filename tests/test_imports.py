@@ -1,4 +1,4 @@
-"""Every import in the package and in its tests is used.
+"""Every import in the package, its tests and its benchmark is used.
 
 A scan of the syntax tree with the standard library, since no linter is a
 dependency: an imported name counts as used when the module reads it as a
@@ -10,7 +10,8 @@ import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "thetacoble").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+FILES = [path for folder in (ROOT / "src" / "thetacoble", ROOT / "tests", ROOT / "perfbench")
+         for path in sorted(folder.glob("*.py"))]
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:

@@ -212,3 +212,53 @@ class TestParityMutations:
         self.flip(monkeypatch, g, 1)
         records = run_suite("group", seed=1).to_json()["records"]
         assert {r["name"] for r in records if not r["pass"]} == failing
+
+
+def _with_nan(out):
+    """out with its value made NaN: the first entry of a (value, scale)
+    pair, every entry of a list, or the value itself."""
+    if isinstance(out, tuple):
+        return (_with_nan(out[0]),) + out[1:]
+    if isinstance(out, list):
+        return [v * math.nan for v in out]
+    return out * math.nan
+
+
+class TestNaNResiduals:
+    """A residual that is NaN at one sample, not the first, fails its record;
+    a worst-of kept by Python's max would drop it and pass."""
+
+    @pytest.mark.parametrize(
+        "target, suite, samples, call, failing",
+        [
+            ("quartics.coble_eval", "coble", 4, 3, {"coble_vanishing", "coble_z_symmetry"}),
+            ("quartics.coble_gradient", "coble", 4, 2, {"coble_gradient_vanishing"}),
+            ("quartics.kummer2_eval", "kummer2", 4, 3,
+             {"kummer2_vanishing", "kummer2_z_symmetry"}),
+            ("quartics.jacobi_form_residual", "modularity", 3, 2, {"inversion_residual"}),
+            ("quartics.jacobi_form_residual", "modularity", 3, 5, {"translation_residual_0"}),
+            ("points.segre_eval", "segre", 0, 2, {"segre_identity"}),
+            # the first 250 calls are the 50 segre_identity samples
+            ("points.tableau_invariant", "segre", 0, 300, {"pgl_invariance"}),
+            ("modular.h_fano", "jacobi", 4, 2, {"dual_route_f0"}),
+            ("modular.h_pascal", "riemann", 3, 2, {"riemann_stable_pascals"}),
+            ("modular.phi_star_triple", "kummer2", 4, 2,
+             {"triple_product_magnitude", "triple_product_complement_sign",
+              "phi_psi_star_identity"}),
+        ],
+    )
+    def test_nan_at_one_sample_fails_its_record(self, monkeypatch, target, suite, samples,
+                                                call, failing):
+        module, name = target.split(".")
+        evaluate = getattr(sys.modules[f"thetacoble.{module}"], name)
+        calls = []
+
+        def nan_at_call(*args, **kwargs):
+            calls.append(None)
+            out = evaluate(*args, **kwargs)
+            return _with_nan(out) if len(calls) == call else out
+
+        monkeypatch.setattr(f"thetacoble.{target}", nan_at_call)
+        report = run_suite(suite, seed=1, samples=samples)
+        assert len(calls) > call and not _error_records(report)
+        assert {r["name"] for r in report.to_json()["records"] if not r["pass"]} == failing
