@@ -197,6 +197,19 @@ def s_vector(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     raise ValueError("s_vector is defined for g in {2, 3}")
 
 
+@lru_cache(maxsize=1)
+def _odd_triple_table() -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Even genus-2 index -> (the first odd index triple, in lexicographic
+    order, that sums to it; the other three).  The 6 odd characteristics sum
+    to 0, so the other three sum to it too."""
+    odds = list(enumerate_characteristics(2, "odd"))
+    table = {}
+    for triple in combinations(range(6), 3):
+        n = odds[triple[0]] + odds[triple[1]] + odds[triple[2]]
+        table.setdefault(n.idx, (triple, tuple(i for i in range(6) if i not in triple)))
+    return table
+
+
 def odd_triple_partition(n: Characteristic):
     """Split of an even genus-2 characteristic as two odd triple sums.
 
@@ -207,30 +220,24 @@ def odd_triple_partition(n: Characteristic):
         raise ValueError("genus-2 operation")
     if n.is_odd:
         raise ValueError("characteristic must be even")
-    odds = list(enumerate_characteristics(2, "odd"))
-    for triple in combinations(range(6), 3):
-        s = odds[triple[0]] + odds[triple[1]] + odds[triple[2]]
-        if s == n:
-            rest = tuple(i for i in range(6) if i not in triple)
-            check = odds[rest[0]] + odds[rest[1]] + odds[rest[2]]
-            if check != n:
-                raise AssertionError("complementary triple does not sum to n")
-            return triple, rest
-    raise ValueError(f"no odd-triple partition for {n}")
+    return _odd_triple_table()[n.idx]
+
+
+def odd_triple_product(tau: PeriodMatrix, triple, tol: float = DEFAULT_TOL) -> complex:
+    """D(m_a, m_b) D(m_a, m_c) D(m_b, m_c) for an index triple (a, b, c) into
+    the sorted list of the 6 odd genus-2 characteristics."""
+    odds = enumerate_characteristics(2, "odd").members
+    a, b, c = (odds[i] for i in triple)
+    return (jacobian_det(tau, (a, b), tol) * jacobian_det(tau, (a, c), tol)
+            * jacobian_det(tau, (b, c), tol))
 
 
 def phi_star_triple(tau: PeriodMatrix, n: Characteristic, tol: float = DEFAULT_TOL) -> complex:
-    """D(m_i1, m_i2) D(m_i1, m_i3) D(m_i2, m_i3) over the first odd triple
-    summing to n; equals -+pi^6 chi_5 theta_n^2 up to a tau-independent sign."""
+    """odd_triple_product over the first odd triple summing to n; equals
+    -+pi^6 chi_5 theta_n^2 up to a tau-independent sign."""
     if tau.g != 2:
         raise ValueError("genus-2 operation")
-    (i1, i2, i3), _ = odd_triple_partition(n)
-    odds = list(enumerate_characteristics(2, "odd"))
-    return (
-        jacobian_det(tau, (odds[i1], odds[i2]), tol)
-        * jacobian_det(tau, (odds[i1], odds[i3]), tol)
-        * jacobian_det(tau, (odds[i2], odds[i3]), tol)
-    )
+    return odd_triple_product(tau, odd_triple_partition(n)[0], tol)
 
 
 @lru_cache(maxsize=1)

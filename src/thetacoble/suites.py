@@ -9,9 +9,11 @@ matrix, which is round-off; its last digits follow the BLAS summation order,
 which changes with the thread count.  Their pass/fail does not: the gaps sit
 many decades above the 1e6 threshold.
 
-A residual check keeps the worst of its residuals over the samples, with
-`_worst`; most draw their samples through one driver, `_sampled`.  A residual
-that is NaN at any sample makes the worst NaN, which fails its record.
+Every sampled check runs through one driver, `_sampled`, which draws all its
+samples first and keeps the worst of each residual (`_worst`): a NaN at any
+sample fails the record.  A sign that does not depend on tau is read at the
+reference tau of `modular` by `_reference_sign`; a NaN or a tie there makes it
+NaN, which fails every record that reads it.
 """
 
 from __future__ import annotations
@@ -103,6 +105,12 @@ def _flag(name: str, ok: bool) -> CheckRecord:
     return CheckRecord(name, 1.0 if ok else 0.0, 1.0, ok)
 
 
+def _abs(z: complex) -> float:
+    """|z|, NaN for a NaN z.  CPython 3.11's abs of a complex NaN raises
+    OverflowError when an earlier libm call left errno at ERANGE."""
+    return abs(z) if z == z else math.nan
+
+
 def _worst(residuals) -> float:
     """The largest of residuals, 0 for none.  A NaN anywhere makes it NaN,
     which fails any threshold (Python's max drops a NaN that follows a
@@ -110,16 +118,26 @@ def _worst(residuals) -> float:
     return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
 
 
-def _sampled(seed: int, stream_name: str, n: int, draw, evaluate, names,
-             tols) -> list[CheckRecord]:
-    """One residual record per name, over n samples.  The samples are drawn
-    first, each by draw(rng) in turn from stream(seed, stream_name);
-    evaluate(*sample) then gives one residual per name, and each record keeps
-    the worst of its residuals against its tol."""
+def _sampled(seed: int, stream_name: str, n: int, draw, evaluate) -> list[float]:
+    """The worst of each residual position over n samples.  The samples are
+    drawn first, each by draw(rng) in turn from stream(seed, stream_name);
+    evaluate(*sample) then gives the residuals of one sample, in a fixed
+    order."""
     rng = stream(seed, stream_name)
     rows = [evaluate(*sample) for sample in [draw(rng) for _ in range(n)]]
-    return [_residual(name, _worst(row[k] for row in rows), tol)
-            for k, (name, tol) in enumerate(zip(names, tols))]
+    return [_worst(column) for column in zip(*rows)]
+
+
+def _reference_sign(ratio: complex) -> float:
+    """The nearer of +-1 to ratio, a quotient at the reference tau that is +-1
+    at every tau; NaN when ratio is NaN or equally near to both."""
+    plus, minus = _abs(ratio - 1), _abs(ratio + 1)
+    return 1.0 if plus < minus else -1.0 if minus < plus else math.nan
+
+
+def _relative(lhs: complex, rhs: complex) -> float:
+    """|lhs - rhs| relative to the larger side."""
+    return _abs(lhs - rhs) / max(_abs(lhs), _abs(rhs))
 
 
 def _gopel_counts(systems) -> list[CheckRecord]:
@@ -392,16 +410,16 @@ def _jacobi_sides(tau, odds) -> tuple[complex, complex]:
     return jacobian_det(tau, odds), rhs
 
 
-def _jacobi_sign(tau, odds) -> float:
-    """The sign s with D = s * rhs at tau: the nearer of +-1."""
-    lhs, rhs = _jacobi_sides(tau, odds)
-    return 1.0 if abs(lhs - rhs) < abs(lhs + rhs) else -1.0
+def _jacobi_sign(ref, odds) -> float:
+    """The sign s with D = s * rhs, read at the reference tau ref."""
+    lhs, rhs = _jacobi_sides(ref, odds)
+    return _reference_sign(lhs / rhs)
 
 
 def _jacobi_residual(tau, odds, sign: float) -> float:
     """|D - sign * rhs| relative to the larger side, at tau."""
     lhs, rhs = _jacobi_sides(tau, odds)
-    return abs(lhs - sign * rhs) / max(abs(lhs), abs(rhs))
+    return _relative(lhs, sign * rhs)
 
 
 def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
@@ -410,24 +428,20 @@ def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 
     # g = 1: the single odd characteristic, with sign +1
     odd1 = [Characteristic.from_string("1;1")]
-    recs = _sampled(seed, "jacobi.g1", samples, lambda rng: (random_tau(rng, 1),),
-                    lambda tau: (_jacobi_residual(tau, odd1, 1.0),), ("jacobi_g1",), (tol,))
+    worst = _sampled(seed, "jacobi.g1", samples, lambda rng: (random_tau(rng, 1),),
+                     lambda tau: (_jacobi_residual(tau, odd1, 1.0),))
 
     # g = 2: all 15 odd pairs.  The determinant sign depends on the ordering
-    # of the odd pair, so the per-pair sign is resolved once at a reference
-    # tau and asserted stable on the samples.
+    # of the odd pair, so the per-pair sign is read at the reference tau.
     pairs = list(combinations(enumerate_characteristics(2, "odd"), 2))
-    ref2 = modular.reference_tau2()
-    signs2 = [_jacobi_sign(ref2, pair) for pair in pairs]
-    recs += _sampled(seed, "jacobi.g2", samples,
-                     lambda rng: (random_tau(rng, 2), int(rng.integers(15))),
-                     lambda tau, k: (_jacobi_residual(tau, pairs[k], signs2[k]),),
-                     ("jacobi_g2",), (tol,))
+    signs2 = [_jacobi_sign(modular.reference_tau2(), pair) for pair in pairs]
+    worst += _sampled(seed, "jacobi.g2", samples,
+                      lambda rng: (random_tau(rng, 2), int(rng.integers(15))),
+                      lambda tau, k: (_jacobi_residual(tau, pairs[k], signs2[k]),))
 
-    # g = 3: random azygetic odd triples; same reference-tau sign resolution
-    # per ordered triple.
+    # g = 3: random azygetic odd triples; the sign of each ordered triple is
+    # read at the reference tau too.
     odds3 = list(enumerate_characteristics(3, "odd"))
-    ref3 = modular.reference_tau3()
 
     def draw3(rng):
         while True:
@@ -436,25 +450,26 @@ def suite_jacobi(seed: int, samples: int, tol: float) -> list[CheckRecord]:
                 return triple, random_tau(rng, 3)
 
     def residual3(triple, tau):
-        return (_jacobi_residual(tau, triple, _jacobi_sign(ref3, triple)),)
+        return (_jacobi_residual(tau, triple, _jacobi_sign(modular.reference_tau3(), triple)),)
 
-    recs += _sampled(seed, "jacobi.g3", samples, draw3, residual3, ("jacobi_g3",), (tol,))
+    worst += _sampled(seed, "jacobi.g3", samples, draw3, residual3)
 
     # dual route: Jacobian-determinant quotient vs chi_18 product, for the
     # Fano systems of the first 5 families built from the example Aronhold
-    # set; distinct families give distinct systems, as its 35 triple sums differ
-    rng = stream(seed, "jacobi.dualroute")
-    taus = [random_tau(rng, 3) for _ in range(10)]
-    for k, fam in enumerate(points.fano_plane_families()[:5]):
-        sys = gp.fano_from_aronhold(ARONHOLD_EXAMPLE, fam)
-        ratios = []
-        for tau in taus:
-            via_d = modular.h_via_jacobian(tau, ARONHOLD_EXAMPLE, fam)
-            via_chi = modular.h_fano(tau, sys)
-            ratios.append(via_d / (modular.PI21 * via_chi))
-        sign = 1.0 if ratios[0].real > 0 else -1.0
-        recs.append(_residual(f"dual_route_f{k}", _worst(abs(r - sign) for r in ratios), tol))
-    return recs
+    # set; distinct families give distinct systems, as its 35 triple sums
+    # differ.  Each quotient is a sign, read at the reference tau.
+    systems = [(fam, gp.fano_from_aronhold(ARONHOLD_EXAMPLE, fam))
+               for fam in points.fano_plane_families()[:5]]
+
+    def dual_ratios(tau):
+        return [modular.h_via_jacobian(tau, ARONHOLD_EXAMPLE, fam)
+                / (modular.PI21 * modular.h_fano(tau, sys)) for fam, sys in systems]
+
+    signs = [_reference_sign(r) for r in dual_ratios(modular.reference_tau3())]
+    worst += _sampled(seed, "jacobi.dualroute", 10, lambda rng: (random_tau(rng, 3),),
+                      lambda tau: [_abs(r - s) for r, s in zip(dual_ratios(tau), signs)])
+    names = [f"jacobi_g{g}" for g in (1, 2, 3)] + [f"dual_route_f{k}" for k in range(5)]
+    return [_residual(name, value, tol) for name, value in zip(names, worst)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +530,13 @@ def suite_coble(seed: int, samples: int, tol: float) -> list[CheckRecord]:
         value, scale = quartics.coble_eval(tau, z)
         grads, scales = quartics.coble_gradient(tau, z)
         value_neg, _ = quartics.coble_eval(tau, PhasePoint(3, -z.z))
-        return (abs(value) / scale, _worst(abs(v) / s for v, s in zip(grads, scales)),
-                abs(value_neg - value) / scale)
+        return (_abs(value) / scale, _worst(_abs(v) / s for v, s in zip(grads, scales)),
+                _abs(value_neg - value) / scale)
 
-    recs = _sampled(seed, "coble.samples", samples,
-                    lambda rng: (random_tau(rng, 3), random_z(rng, 3)), residuals,
-                    ("coble_vanishing", "coble_gradient_vanishing", "coble_z_symmetry"),
-                    (tol, tol, 1e-10))
+    worst = _sampled(seed, "coble.samples", samples,
+                     lambda rng: (random_tau(rng, 3), random_z(rng, 3)), residuals)
+    recs = list(map(_residual, ("coble_vanishing", "coble_gradient_vanishing",
+                                "coble_z_symmetry"), worst, (tol, tol, 1e-10)))
 
     # negative control: generic x not of theta form is not on the quartic
     tau = random_tau(stream(seed, "coble.control"), 3)
@@ -540,27 +555,21 @@ def suite_coble(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 def suite_modularity(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 10
     tol = tol or 1e-6
-    rng = stream(seed, "modularity.samples")
-    pairs = [(random_tau(rng, 3), random_z(rng, 3)) for _ in range(samples)]
-
-    def worst_on_pairs(gen) -> float:
-        return _worst(quartics.jacobi_form_residual(gen, tau, z) for tau, z in pairs)
-
-    recs = [_residual("inversion_residual", worst_on_pairs(("J",)), tol)]
     srng = stream(seed, "modularity.translations")
-    for k in range(5):
-        s = srng.integers(0, 2, size=(3, 3))
-        s = np.triu(s) + np.triu(s, 1).T
-        recs.append(_residual(f"translation_residual_{k}", worst_on_pairs(("S", s)), tol))
+    upper = [srng.integers(0, 2, size=(3, 3)) for _ in range(5)]
+    gens = [("J",)] + [("S", np.triu(s) + np.triu(s, 1).T) for s in upper]
 
-    tau, z = pairs[0]
-    recs.append(
-        _flag(
-            "translation_zero_exact",
-            quartics.jacobi_form_residual(("S", np.zeros((3, 3))), tau, z) == 0.0,
-        )
-    )
-    return recs
+    def draw(rng):
+        return random_tau(rng, 3), random_z(rng, 3)
+
+    worst = _sampled(seed, "modularity.samples", samples, draw,
+                     lambda tau, z: [quartics.jacobi_form_residual(gen, tau, z) for gen in gens])
+    names = ["inversion_residual"] + [f"translation_residual_{k}" for k in range(5)]
+    recs = [_residual(name, value, tol) for name, value in zip(names, worst)]
+
+    tau, z = draw(stream(seed, "modularity.samples"))  # the first pair
+    zero = quartics.jacobi_form_residual(("S", np.zeros((3, 3))), tau, z)
+    return recs + [_flag("translation_zero_exact", zero == 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -574,49 +583,38 @@ def suite_kummer2(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     def residuals(tau, z):
         value, scale = quartics.kummer2_eval(tau, z)
         value_neg, _ = quartics.kummer2_eval(tau, PhasePoint(2, -z.z))
-        return abs(value) / scale, abs(value_neg - value) / scale
+        return _abs(value) / scale, _abs(value_neg - value) / scale
 
-    recs = _sampled(seed, "kummer2.samples", samples,
-                    lambda rng: (random_tau(rng, 2), random_z(rng, 2)), residuals,
-                    ("kummer2_vanishing", "kummer2_z_symmetry"), (tol, 1e-10))
+    worst = _sampled(seed, "kummer2.samples", samples,
+                     lambda rng: (random_tau(rng, 2), random_z(rng, 2)), residuals)
+    recs = list(map(_residual, ("kummer2_vanishing", "kummer2_z_symmetry"), worst, (tol, 1e-10)))
 
-    # triple-product identity |D D D| = pi^6 |chi_5 theta_n^2| for all 10
-    # even n, with complementary-triple and phi*psi* consistency
-    rng = stream(seed, "kummer2.triples")
-    taus = [random_tau(rng, 2) for _ in range(min(samples, 10))]
-    odds = list(enumerate_characteristics(2, "odd"))
-    magnitudes = []
-    comp_sign_ok = True
-    phi_psi_ok = True
+    # triple-product identity |p| = |t| = pi^6 |chi_5 theta_n^2| for all 10
+    # even n, p and q the products over the two odd triples summing to n;
+    # p / q and p q / t^2 are signs, read at the reference tau
+    evens = list(enumerate_characteristics(2, "even"))
     z0 = PhasePoint.zero(2)
-    for n in enumerate_characteristics(2, "even"):
-        (t1, t2, t3), (u1, u2, u3) = modular.odd_triple_partition(n)
-        comp_signs = set()
-        phi_signs = set()
-        for tau in taus:
-            prod1 = modular.phi_star_triple(tau, n)
-            prod2 = (
-                jacobian_det(tau, (odds[u1], odds[u2]))
-                * jacobian_det(tau, (odds[u1], odds[u3]))
-                * jacobian_det(tau, (odds[u2], odds[u3]))
-            )
-            target = math.pi**6 * modular.chi(tau) * theta(tau, z0, n) ** 2
-            magnitudes.append(abs(abs(prod1) / abs(target) - 1))
-            ratio = prod1 / prod2
-            comp_signs.add(1 if ratio.real > 0 else -1)
-            if not abs(abs(ratio) - 1) <= tol:  # a NaN fails too
-                comp_sign_ok = False
-            # product of the two triple products = +- pi^12 chi_5^2 theta_n^4
-            full = prod1 * prod2
-            target2 = math.pi**12 * modular.chi(tau) ** 2 * theta(tau, z0, n) ** 4
-            phi_signs.add(1 if (full / target2).real > 0 else -1)
-            if not abs(abs(full) / abs(target2) - 1) <= tol:
-                phi_psi_ok = False
-        if len(comp_signs) != 1 or len(phi_signs) != 1:
-            comp_sign_ok = False
-    recs.append(_residual("triple_product_magnitude", _worst(magnitudes), tol))
-    recs.append(_flag("triple_product_complement_sign", comp_sign_ok))
-    recs.append(_flag("phi_psi_star_identity", phi_psi_ok))
+
+    def products(tau, n):
+        p = modular.phi_star_triple(tau, n)
+        q = modular.odd_triple_product(tau, modular.odd_triple_partition(n)[1])
+        return p, q, math.pi**6 * modular.chi(tau) * theta(tau, z0, n) ** 2
+
+    ref = [products(modular.reference_tau2(), n) for n in evens]
+    signs = [(_reference_sign(p / q), _reference_sign(p * q / t**2)) for p, q, t in ref]
+
+    def residuals3(tau):
+        rows = []
+        for n, (s, s2) in zip(evens, signs):
+            p, q, t = products(tau, n)
+            rows.append((abs(_abs(p) / _abs(t) - 1), _abs(p / q - s), _abs(p * q / t**2 - s2)))
+        return [_worst(column) for column in zip(*rows)]
+
+    magnitude, complement, phi_psi = _sampled(seed, "kummer2.triples", min(samples, 10),
+                                              lambda rng: (random_tau(rng, 2),), residuals3)
+    recs.append(_residual("triple_product_magnitude", magnitude, tol))
+    recs.append(_flag("triple_product_complement_sign", complement <= tol))
+    recs.append(_flag("phi_psi_star_identity", phi_psi <= tol))
     return recs
 
 
@@ -637,26 +635,27 @@ def suite_segre(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 
     def residual(x):
         t = points.standard_invariants(x)
-        return (abs(points.segre_eval(t)) / points.segre_scale(t),)
+        return (_abs(points.segre_eval(t)) / points.segre_scale(t),)
 
-    recs = _sampled(seed, "segre.configs", samples, lambda rng: (_random_config1(rng),),
-                    residual, ("segre_identity",), (tol,))
+    (segre,) = _sampled(seed, "segre.configs", samples, lambda rng: (_random_config1(rng),),
+                        residual)
 
     # PGL invariance of the degree-1 binary invariants
-    rng = stream(seed, "segre.moebius")
-    residuals = []
-    for _ in range(10):
+    def moebius(rng):
         x = _random_config1(rng)
-        a, b, c, d = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-        if abs(a * d - b * c) < 0.1:
-            continue
+        return (x, *(rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)))
+
+    def invariance(x, a, b, c, d):
+        det = a * d - b * c
+        if abs(det) < 0.1:
+            return (0.0,)  # a near-singular map is skipped
         gx = (a * x + b) / (c * x + d)
-        for t in points.STANDARD_TABLEAUX:
-            lhs = points.tableau_invariant(t, gx)
-            rhs = points.tableau_invariant(t, x) / np.prod(c * x + d) * (a * d - b * c) ** 3
-            residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    recs.append(_residual("pgl_invariance", _worst(residuals), 1e-9))
-    return recs
+        return (_worst(_relative(points.tableau_invariant(t, gx),
+                                 points.tableau_invariant(t, x) / np.prod(c * x + d) * det**3)
+                       for t in points.STANDARD_TABLEAUX),)
+
+    (pgl,) = _sampled(seed, "segre.moebius", 10, moebius, invariance)
+    return [_residual("segre_identity", segre, tol), _residual("pgl_invariance", pgl, 1e-9)]
 
 
 def suite_igusa(seed: int, samples: int, tol: float) -> list[CheckRecord]:
@@ -671,11 +670,9 @@ def suite_igusa(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     except RuntimeError:
         return [_flag("igusa_search_succeeds", False)]
 
-    rng = stream(seed, "igusa.holdout")
-    holdout = _worst(
-        points.igusa_residual(forms @ points.theta4_constants(random_tau(rng, 2)))
-        for _ in range(10)
-    )
+    (holdout,) = _sampled(
+        seed, "igusa.holdout", 10, lambda rng: (random_tau(rng, 2),),
+        lambda tau: (points.igusa_residual(forms @ points.theta4_constants(tau)),))
 
     # negative control: swapping two slots of the found tuple breaks the
     # relation on the search samples
@@ -718,7 +715,7 @@ def suite_points(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     a = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
     lhs = points.g_fano(cfg @ a.T, FANO_TRIPLE_FAMILY)
     rhs = np.linalg.det(a) ** 7 * points.g_fano(cfg, FANO_TRIPLE_FAMILY)
-    recs.append(_residual("sl3_covariance", abs(lhs - rhs) / max(abs(lhs), abs(rhs)), 1e-9))
+    recs.append(_residual("sl3_covariance", _relative(lhs, rhs), 1e-9))
 
     recs.append(_count("fano_families", len(points.fano_plane_families()), 30))
     recs.append(_count("pascal_families", len(points.pascal_families()), 105))

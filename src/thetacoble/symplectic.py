@@ -200,10 +200,14 @@ class GroupEnumeration:
 
 def _symplectic_bases(g: int) -> np.ndarray:
     """All row tuples of F_2^{2g} with Gram matrix J under the pairing, packed
-    and sorted.  Such rows are a basis, so these are the matrices of Sp(2g, F_2).
+    in increasing order.  Such rows are a basis, so these are the matrices of
+    Sp(2g, F_2).
 
     Row k is chosen among all 2^{2g} vectors, keeping for each partial basis
-    those whose pairing with every earlier row i equals J[i][k].
+    those whose pairing with every earlier row i equals J[i][k].  np.nonzero
+    yields the extensions basis by basis, each in increasing row k, and row 0
+    sits in the high bits, so the packed values come out increasing without
+    a sort (enumerate_group asserts it).
     """
     w = 2 * g
     n = 1 << w
@@ -220,7 +224,7 @@ def _symplectic_bases(g: int) -> np.ndarray:
     packed = np.zeros(len(rows[0]), dtype=np.uint64)
     for row in rows:
         packed = (packed << np.uint64(w)) | row
-    return np.sort(packed)
+    return packed
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +235,7 @@ def enumerate_group(g: int) -> GroupEnumeration:
     if len(packed) != SP_ORDERS[g]:
         raise AssertionError(f"|Sp({2*g}, F2)| = {len(packed)}, expected {SP_ORDERS[g]}")
     if not np.all(packed[1:] > packed[:-1]):
-        raise AssertionError(f"Sp({2*g}, F2) enumeration has repeated elements")
+        raise AssertionError(f"Sp({2*g}, F2) enumeration is not strictly increasing")
     return GroupEnumeration(g, packed)
 
 

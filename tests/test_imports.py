@@ -1,16 +1,20 @@
-"""Every import in the package, its tests and its benchmark is used.
+"""Every import in the package, its tests and its benchmark is used, and so
+is every module-level function and class of the package.
 
 A scan of the syntax tree with the standard library, since no linter is a
 dependency: an imported name counts as used when the module reads it as a
 name anywhere, or lists it in ``__all__``.  ``__future__`` imports are
-skipped.
+skipped.  A definition counts as used when some file of the package, its
+tests or its benchmark reads it as a name or an attribute, or when the
+benchmark's tracer lists it in ``LAYERS``; click commands are exempt.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = [path for folder in (ROOT / "src" / "thetacoble", ROOT / "tests", ROOT / "perfbench")
+PACKAGE = ROOT / "src" / "thetacoble"
+FILES = [path for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
          for path in sorted(folder.glob("*.py"))]
 
 
@@ -39,3 +43,46 @@ def test_no_unused_imports():
     assert FILES
     unused = [entry for path in FILES for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _is_command(decorator: ast.expr) -> bool:
+    """A click command decorator, @<group>.command(...)."""
+    return (isinstance(decorator, ast.Call) and isinstance(decorator.func, ast.Attribute)
+            and decorator.func.attr == "command")
+
+
+def _definitions() -> list[tuple[str, str]]:
+    """(file:line, name) of every module-level def and class of the package,
+    click commands aside."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not any(map(_is_command, node.decorator_list))):
+                found.append((f"{path.relative_to(ROOT)}:{node.lineno}", node.name))
+    return found
+
+
+def _read_names() -> set[str]:
+    """The names and attributes read anywhere, plus the tracer's LAYERS."""
+    read = set()
+    for path in FILES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+            ):
+                read.update(name for names in ast.literal_eval(node.value).values()
+                            for name in names)
+    return read
+
+
+def test_no_unread_definitions():
+    definitions = _definitions()
+    assert len(definitions) > 150
+    read = _read_names()
+    unread = [f"{where} {name}" for where, name in definitions if name not in read]
+    assert not unread, "definitions read nowhere:\n" + "\n".join(unread)

@@ -135,6 +135,16 @@ class TestGenus2Triples:
             assert odds[t[0]] + odds[t[1]] + odds[t[2]] == n
             assert odds[u[0]] + odds[u[1]] + odds[u[2]] == n
 
+    def test_partition_table_holds_the_ten_evens(self):
+        table = modular._odd_triple_table()
+        odds = list(enumerate_characteristics(2, "odd"))
+        evens = list(enumerate_characteristics(2, "even"))
+        assert sorted(table) == sorted(n.idx for n in evens)
+        for n in evens:
+            assert modular.odd_triple_partition(n) is table[n.idx]
+            for i, j, k in table[n.idx]:
+                assert odds[i] + odds[j] + odds[k] == n
+
     def test_triple_product_magnitude(self):
         n = list(enumerate_characteristics(2, "even"))[0]
         prod = modular.phi_star_triple(TAU2, n)

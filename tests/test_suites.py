@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from thetacoble import characteristics, symplectic
+from thetacoble import characteristics, suites, symplectic
 from thetacoble.characteristics import _parity_idx
 from thetacoble.suites import SUITES, run_suite
 
@@ -224,9 +224,27 @@ def _with_nan(out):
     return out * math.nan
 
 
+def _failing_with_nan_at(monkeypatch, target, suite, samples, call):
+    """The failing records of suite when target returns NaN at its call-th call."""
+    module, name = target.split(".")
+    evaluate = getattr(sys.modules[f"thetacoble.{module}"], name)
+    calls = []
+
+    def nan_at_call(*args, **kwargs):
+        calls.append(None)
+        out = evaluate(*args, **kwargs)
+        return _with_nan(out) if len(calls) == call else out
+
+    monkeypatch.setattr(f"thetacoble.{target}", nan_at_call)
+    report = run_suite(suite, seed=1, samples=samples)
+    assert len(calls) > call and not _error_records(report)
+    return {r["name"] for r in report.to_json()["records"] if not r["pass"]}
+
+
 class TestNaNResiduals:
     """A residual that is NaN at one sample, not the first, fails its record;
-    a worst-of kept by Python's max would drop it and pass."""
+    a worst-of kept by Python's max would drop it and pass.  So does a NaN at
+    the reference tau of a sign that the record reads."""
 
     @pytest.mark.parametrize(
         "target, suite, samples, call, failing",
@@ -235,30 +253,50 @@ class TestNaNResiduals:
             ("quartics.coble_gradient", "coble", 4, 2, {"coble_gradient_vanishing"}),
             ("quartics.kummer2_eval", "kummer2", 4, 3,
              {"kummer2_vanishing", "kummer2_z_symmetry"}),
-            ("quartics.jacobi_form_residual", "modularity", 3, 2, {"inversion_residual"}),
-            ("quartics.jacobi_form_residual", "modularity", 3, 5, {"translation_residual_0"}),
+            # each (tau, z) pair evaluates the inversion, then translations 0-4
+            ("quartics.jacobi_form_residual", "modularity", 3, 7, {"inversion_residual"}),
+            ("quartics.jacobi_form_residual", "modularity", 3, 8, {"translation_residual_0"}),
             ("points.segre_eval", "segre", 0, 2, {"segre_identity"}),
             # the first 250 calls are the 50 segre_identity samples
             ("points.tableau_invariant", "segre", 0, 300, {"pgl_invariance"}),
-            ("modular.h_fano", "jacobi", 4, 2, {"dual_route_f0"}),
+            # 5 reference calls, then f0-f4 at each tau: f0 at the second tau
+            ("modular.h_fano", "jacobi", 4, 11, {"dual_route_f0"}),
             ("modular.h_pascal", "riemann", 3, 2, {"riemann_stable_pascals"}),
-            ("modular.phi_star_triple", "kummer2", 4, 2,
+            # 10 reference calls, then the 10 evens at each tau: n0 at the second
+            ("modular.phi_star_triple", "kummer2", 4, 21,
              {"triple_product_magnitude", "triple_product_complement_sign",
               "phi_psi_star_identity"}),
         ],
     )
     def test_nan_at_one_sample_fails_its_record(self, monkeypatch, target, suite, samples,
                                                 call, failing):
-        module, name = target.split(".")
-        evaluate = getattr(sys.modules[f"thetacoble.{module}"], name)
-        calls = []
+        assert _failing_with_nan_at(monkeypatch, target, suite, samples, call) == failing
 
-        def nan_at_call(*args, **kwargs):
-            calls.append(None)
-            out = evaluate(*args, **kwargs)
-            return _with_nan(out) if len(calls) == call else out
+    @pytest.mark.parametrize(
+        "target, suite, samples, call, failing",
+        [
+            # calls 1-20 are the g = 1 samples, 21-35 the reference determinants
+            # of the 15 pairs; the 8th pair has sign -1 (the old nearer-of-+-1
+            # test read -1 off a NaN) and is sampled
+            ("suites.jacobian_det", "jacobi", 20, 28, {"jacobi_g2"}),
+            ("modular.h_fano", "jacobi", 4, 1, {"dual_route_f0"}),
+            ("modular.phi_star_triple", "kummer2", 4, 1,
+             {"triple_product_complement_sign", "phi_psi_star_identity"}),
+        ],
+    )
+    def test_nan_at_the_reference_tau_fails(self, monkeypatch, target, suite, samples, call,
+                                            failing):
+        assert _failing_with_nan_at(monkeypatch, target, suite, samples, call) == failing
 
-        monkeypatch.setattr(f"thetacoble.{target}", nan_at_call)
-        report = run_suite(suite, seed=1, samples=samples)
-        assert len(calls) > call and not _error_records(report)
-        assert {r["name"] for r in report.to_json()["records"] if not r["pass"]} == failing
+    @pytest.mark.parametrize("ratio", (math.nan, complex(math.nan, 0.0), 0.0, 2j))
+    def test_reference_sign_of_a_nan_or_a_tie_is_nan(self, ratio):
+        assert math.isnan(suites._reference_sign(ratio))
+
+    @pytest.mark.parametrize("ratio, sign", ((1 + 1e-9j, 1.0), (-0.99, -1.0), (-1e-3 + 5j, -1.0)))
+    def test_reference_sign_is_the_nearer_of_plus_minus_one(self, ratio, sign):
+        assert suites._reference_sign(ratio) == sign
+
+    def test_abs_of_a_complex_nan_is_nan_after_an_underflow(self):
+        math.exp(-1000)  # leaves errno at ERANGE, which CPython 3.11's complex abs reads
+        assert math.isnan(suites._abs(complex(math.nan, 1.0)))
+        assert suites._abs(3 + 4j) == 5.0
