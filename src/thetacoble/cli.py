@@ -12,7 +12,7 @@ import click
 from . import quartics, suites
 from .characteristics import Characteristic, enumerate_aronhold_sets, enumerate_characteristics
 from .gopel import enumerate_gopel
-from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, theta, theta2
+from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, _abs, theta, theta2
 
 
 @click.group()
@@ -65,7 +65,7 @@ def _load_z(path: str, g: int) -> PhasePoint:
 def _normalized(value: complex, scale: float):
     """|value| / scale, or None when every term is 0 (as on the reducible
     locus, where all coefficients of the quartic vanish)."""
-    return abs(value) / scale if scale else None
+    return _abs(value) / scale if scale else None
 
 
 @main.command("eval")

@@ -30,6 +30,7 @@ from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     PhasePoint,
+    _abs,
     even_theta_constants,
     jacobian_det,
     theta,
@@ -127,12 +128,12 @@ def riemann_relation(pascal: GopelSystem, taus, tol: float = 1e-8):
         hp = h_pascal(tau, pascal)
         h1 = h_fano(tau, dec.fano1)
         h2 = h_fano(tau, dec.fano2)
-        values.append((hp, h1, h2, max(abs(hp), abs(h1), abs(h2))))
+        values.append((hp, h1, h2, max(_abs(hp), _abs(h1), _abs(h2))))
     best = None
     for e1 in (1, -1):
         for e2 in (1, -1):
             # np.max keeps a NaN, where max() drops one after the first probe
-            worst = np.max([abs(hp - e1 * h1 - e2 * h2) / scale for hp, h1, h2, scale in values])
+            worst = np.max([_abs(hp - e1 * h1 - e2 * h2) / scale for hp, h1, h2, scale in values])
             if best is None or worst < best[0]:
                 best = (worst, e1, e2)
     worst, e1, e2 = best

@@ -21,13 +21,12 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .characteristics import (
-    enumerate_characteristics,
     fano_family,
     fano_plane_families,
     pascal_families,
     pascal_family,
 )
-from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, theta
+from .theta import DEFAULT_TOL, PeriodMatrix, even_theta_constants
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,7 @@ def igusa_residual(x):
 def theta4_constants(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The ten even genus-2 theta^4 constants at tau, in the order of
     enumerate_characteristics(2, "even")."""
-    z0 = PhasePoint.zero(2)
-    return np.array([theta(tau, z0, m, tol) ** 4 for m in enumerate_characteristics(2, "even")])
+    return np.array([c ** 4 for c in even_theta_constants(tau, tol).values()])
 
 
 def _distinct_forms(values: np.ndarray, tol: float) -> np.ndarray:

@@ -45,7 +45,7 @@ from .characteristics import (
     triple_signs,
 )
 from .sampling import random_tau, random_z, stream
-from .theta import PhasePoint, jacobian_det, theta
+from .theta import PhasePoint, _abs, jacobian_det, theta
 
 
 @dataclass
@@ -103,12 +103,6 @@ def _residual(name: str, value: float, tol: float) -> CheckRecord:
 
 def _flag(name: str, ok: bool) -> CheckRecord:
     return CheckRecord(name, 1.0 if ok else 0.0, 1.0, ok)
-
-
-def _abs(z: complex) -> float:
-    """|z|, NaN for a NaN z.  CPython 3.11's abs of a complex NaN raises
-    OverflowError when an earlier libm call left errno at ERANGE."""
-    return abs(z) if z == z else math.nan
 
 
 def _worst(residuals) -> float:

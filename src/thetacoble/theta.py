@@ -68,6 +68,12 @@ def _json_numbers(value, what: str) -> np.ndarray:
         raise ValueError(f"{what} holds an integer beyond the float range") from None
 
 
+def _abs(z: complex) -> float:
+    """|z|, NaN for a NaN z.  CPython 3.11's abs of a complex NaN raises
+    OverflowError when an earlier libm call left errno at ERANGE."""
+    return abs(z) if z == z else math.nan
+
+
 # Above this bound on trace(Im tau) / lambda_min, which is at least the
 # condition number of Im tau, the floor box is the whole cube.  The error of a
 # float inverse grows as the condition number times eps: at condition 1e8 the
@@ -310,24 +316,25 @@ def _half_cube(g: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """One axis of the half-integer cube q in (Z/2)^g, |q|_inf <= radius + 1/2,
     which is the union over m' of the lattices q = p + m'/2 with
     |q_i| <= radius + m'_i/2: its 4 radius + 3 values in increasing order,
-    and, per coordinate i, the bits each value adds to the segment number
-    (m' << g) | c of its point, c = p mod 2, with coordinate 0 the top bit
-    of m' and of c.  The cube is symmetric under q -> -q, so the sum at -z
-    has the same terms as at z; the points it adds to the lattice
-    |p|_inf <= radius all lie on shells |p|_inf > radius."""
+    and, per coordinate i, the bits (intp) each value adds to the segment
+    number (m' << g) | c of its point, c = p mod 2, with coordinate 0 the top
+    bit of m' and of c; a point's segment number is the or of its g bits.
+    The cube is symmetric under q -> -q, so the sum at -z has the same terms
+    as at z; the points it adds to the lattice |p|_inf <= radius all lie on
+    shells |p|_inf > radius."""
     k = np.arange(-2 * radius - 1, 2 * radius + 2)
     mp, c = k & 1, (k >> 1) & 1
     bits = [(mp << (2 * g - 1 - i)) | (c << (g - 1 - i)) for i in range(g)]
-    return _read_only(k / 2), _read_only(np.array(bits, dtype=np.uint8))
+    return _read_only(k / 2), _read_only(np.array(bits, dtype=np.intp))
 
 
 @lru_cache(maxsize=None)
-def _sign_matrix(g: int, mp: int) -> np.ndarray:
-    """H[m'', c] = i^{m'.m''} (-1)^{c.m''}: the factor exp(pi i q.m'') at the
-    points q = p + m'/2 of class c = p mod 2."""
+def _sign_matrices(g: int) -> np.ndarray:
+    """H[m', m'', c] = i^{m'.m''} (-1)^{c.m''}: the factor exp(pi i q.m'') at the
+    points q = p + m'/2 of class c = p mod 2, one (2^g, 2^g) matrix per m'."""
     n = 1 << g
-    return _read_only(np.array([[1j ** (mp & k).bit_count() * (-1) ** (c & k).bit_count()
-                                 for c in range(n)] for k in range(n)]))
+    return _read_only(np.array([[[1j ** (mp & k).bit_count() * (-1) ** (c & k).bit_count()
+                                  for c in range(n)] for k in range(n)] for mp in range(n)]))
 
 
 def _log_floor(n_points: int, radius: int) -> float:
@@ -354,18 +361,6 @@ def _quadratic_form(a: list, b: tuple, qs: list, scale: float) -> np.ndarray:
             form += row * q
     form *= scale
     return form
-
-
-@lru_cache(maxsize=32)
-def _segments(g: int, radius: int) -> np.ndarray:
-    """The segment number of every point of the half-integer cube, as a
-    read-only (4 radius + 3)^g uint8 array in meshgrid order: the bits of
-    _half_cube of each coordinate, or-ed together."""
-    _, bits = _half_cube(g, radius)
-    seg = np.zeros((len(bits[0]),) * g, dtype=np.uint8)
-    for i, b in enumerate(bits):
-        seg |= b.reshape((-1,) + (1,) * (g - 1 - i))
-    return _read_only(seg)
 
 
 def _floor_box(tau: PeriodMatrix, z: PhasePoint, radius: int, log_floor: float) -> tuple:
@@ -402,16 +397,20 @@ def _kept_points(tau: PeriodMatrix, z: PhasePoint,
     over the floor box of _floor_box only, so no array of the whole cube is
     built.  The floor is taken relative to the box's largest term, which is
     the cube's, for the cube's point count N: the kept points are those of
-    the whole cube, and the error statement of theta is unchanged."""
+    the whole cube, and the error statement of theta is unchanged.  A kept
+    point's q and segment number are read from _half_cube at its grid indices."""
     g = tau.g
-    axis, _ = _half_cube(g, radius)
+    axis, bits = _half_cube(g, radius)
     log_floor = _log_floor((4 * radius + 3) ** g, radius)
     box = _floor_box(tau, z, radius, log_floor)
     qs = [axis[s].reshape((-1,) + (1,) * (g - 1 - i)) for i, s in enumerate(box)]
     log_mod = _quadratic_form(tau.tau.imag.tolist(), z.parts[1], qs, -math.pi)
     keep = log_mod >= log_mod.max() + log_floor
-    q = axis[np.array(np.nonzero(keep)).T + [s.start for s in box]]
-    return q, _segments(g, radius)[box][keep], log_mod[keep]
+    ij = np.array(np.nonzero(keep)).T + [s.start for s in box]
+    seg = bits[0][ij[:, 0]]
+    for b, i in zip(bits[1:], ij.T[1:]):
+        seg |= b[i]
+    return axis[ij], seg, log_mod[keep]
 
 
 def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
@@ -426,14 +425,14 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     mirrored.  Each segment
     (m', c) sums its terms, in meshgrid order, by one bincount per real and
     imaginary part of the value column (and, at z = 0, of the g gradient
-    columns); the sign matrix of each m' combines them.  Memoized and
-    read-only."""
+    columns); the sign matrices of _sign_matrices combine them, one per m'.
+    Memoized and read-only."""
     key = tau.cache_key() + (z.key, radius)
     hit = _MEMO.get(key)
     if hit is None:
-        g, n = tau.g, 1 << tau.g
+        n = 1 << tau.g
         q, seg, log_mod = _kept_points(tau, z, radius)
-        qs, seg = list(q.T), seg.astype(np.intp)
+        qs = list(q.T)
         half = (len(q) + 1) // 2 if z.is_zero else len(q)
         expo = np.empty(half, dtype=complex)
         expo.real = log_mod[:half]
@@ -448,8 +447,7 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
             col.real, col.imag = np.bincount(seg, re, n * n), np.bincount(seg, im, n * n)
         sums = sums.T
         sums[:, 1:] *= 2j * math.pi
-        signs = np.stack([_sign_matrix(g, mp) for mp in range(n)])
-        hit = _remember(key, _read_only(signs @ sums.reshape(n, n, -1)))
+        hit = _remember(key, _read_only(_sign_matrices(tau.g) @ sums.reshape(n, n, -1)))
     return hit
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from thetacoble import characteristics, suites, symplectic
+from thetacoble import characteristics, modular, suites, symplectic
 from thetacoble.characteristics import _parity_idx
 from thetacoble.suites import SUITES, run_suite
 
@@ -295,6 +295,29 @@ class TestNaNResiduals:
     @pytest.mark.parametrize("ratio, sign", ((1 + 1e-9j, 1.0), (-0.99, -1.0), (-1e-3 + 5j, -1.0)))
     def test_reference_sign_is_the_nearer_of_plus_minus_one(self, ratio, sign):
         assert suites._reference_sign(ratio) == sign
+
+    def test_nan_after_an_underflow_fails_its_record(self, monkeypatch):
+        # math.exp(-1000) leaves errno at ERANGE, which CPython 3.11's abs of
+        # a complex NaN reads as an overflow.  A first run fills the theta
+        # memo, so the two h_fano calls between the NaN and its modulus call
+        # no libm function that would clear errno.
+        monkeypatch.setattr(sys.modules["thetacoble.theta"], "_MEMO", {})
+        assert run_suite("riemann", 1, 3).passed
+        h_pascal, calls = modular.h_pascal, []
+
+        def nan_at_second_call(tau, system):
+            calls.append(None)
+            if len(calls) == 2:
+                math.exp(-1000)
+                return complex(math.nan, 0.0)
+            return h_pascal(tau, system)
+
+        monkeypatch.setattr(modular, "h_pascal", nan_at_second_call)
+        report = run_suite("riemann", 1, 3)
+        assert not _error_records(report)
+        (record,) = report.to_json()["records"]
+        assert record["name"] == "riemann_stable_pascals" and record["value"] == 104.0
+        assert not record["pass"]
 
     def test_abs_of_a_complex_nan_is_nan_after_an_underflow(self):
         math.exp(-1000)  # leaves errno at ERANGE, which CPython 3.11's complex abs reads

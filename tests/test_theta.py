@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -608,26 +609,16 @@ class TestClassKernel:
             seg = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
             assert np.array_equal(seg, want)
 
-    @pytest.mark.parametrize("g", [1, 2, 3])
-    def test_segment_table_is_the_or_of_the_bits(self, g):
-        for radius in (1, 2, 5):
-            _, bits = th._half_cube(g, radius)
-            table = th._segments(g, radius)
-            ij = np.indices((4 * radius + 3,) * g).reshape(g, -1)
-            want = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
-            assert table.dtype == np.uint8 and not table.flags.writeable
-            assert np.array_equal(table.ravel(), want) and th._segments(g, radius) is table
-
     def test_swapped_sign_columns_are_caught(self, monkeypatch):
-        sign_matrix = th._sign_matrix
+        sign_matrices = th._sign_matrices
 
-        def swapped(g, mp):
-            return sign_matrix(g, mp)[:, [1, 0, *range(2, 1 << g)]]
+        def swapped(g):
+            return sign_matrices(g)[..., [1, 0, *range(2, 1 << g)]]
 
         for name, module in list(sys.modules.items()):
             if name.startswith("thetacoble") and module is not None:
                 for attr, value in list(vars(module).items()):
-                    if value is sign_matrix:
+                    if value is sign_matrices:
                         monkeypatch.setattr(module, attr, swapped)
         monkeypatch.setattr(th, "_MEMO", {})
         assert _kernel_mismatches(3, 0.25, True) and _kernel_mismatches(3, 0.25, False)
@@ -747,8 +738,7 @@ def _whole_cube_class_sums(tau, z, radius):
     sums = np.array([np.bincount(seg, col.real, n * n) + 1j * np.bincount(seg, col.imag, n * n)
                      for col in cols]).T
     sums[:, 1:] *= 2j * math.pi
-    signs = np.stack([th._sign_matrix(g, mp) for mp in range(n)])
-    return signs @ sums.reshape(n, n, -1)
+    return th._sign_matrices(g) @ sums.reshape(n, n, -1)
 
 
 def _box_cases():
@@ -824,6 +814,19 @@ class TestFloorBox:
         z0 = th.PhasePoint.zero(g)
         q, seg, log_mod = th._kept_points(tau, z0, th.truncation_radius(tau, z0).radius)
         assert len(q) % 2 == 1 and np.array_equal(q[::-1], -q) and np.array_equal(log_mod[::-1], log_mod)
+
+    def test_a_small_box_in_a_large_cube_allocates_little(self, monkeypatch):
+        # the radius-150 cube holds 603^3 points, 219 MB at one byte each; the
+        # pass allocates only what its floor box and its kept points need
+        tau = random_tau(stream(37, "test_theta.large_cube"), 3)
+        monkeypatch.setattr(th, "_MEMO", {})
+        tracemalloc.start()
+        try:
+            table = th._class_sums(tau, th.PhasePoint.zero(3), 150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (8, 8, 4) and peak < 5 * 2 ** 20
 
     @settings(max_examples=60, deadline=None)
     @given(g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.05, 3.0),
