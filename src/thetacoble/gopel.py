@@ -1,6 +1,6 @@
 """Goepel systems: Lagrangian subspaces of F_2^{2g}, the Fano/Pascal split for
-g = 3, construction from Aronhold sets, the pinned 15-configuration basis, and
-the unique Fano-pair decomposition of each Pascal configuration.
+g = 3, construction from Aronhold sets, the split Lagrangians behind the
+s-vector, and the unique Fano-pair decomposition of each Pascal configuration.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .characteristics import (
     Characteristic,
     CharacteristicSet,
     _check_aronhold,
+    _read_only,
     fano_family,
     pairing_table,
     parity_table,
@@ -37,9 +38,11 @@ class GopelSystem:
         idx = np.array([m.idx for m in self.members])
         if 0 not in idx:
             raise ValueError("a Goepel system contains the zero characteristic")
-        if not np.isin(idx[:, None] ^ idx, idx).all():
+        member = np.zeros(1 << (2 * self.g), dtype=bool)
+        member[idx] = True
+        if not member[idx[:, None] ^ idx].all():
             raise ValueError("members are not closed under addition")
-        if (pairing_table(self.g)[np.ix_(idx, idx)] != 1).any():
+        if (pairing_table(self.g)[idx[:, None], idx] != 1).any():
             raise ValueError("members are not pairwise orthogonal")
         object.__setattr__(self, "even_count", int((parity_table(self.g)[idx] == 1).sum()))
 
@@ -67,43 +70,62 @@ class GopelSystem:
 
 
 @lru_cache(maxsize=None)
-def enumerate_lagrangian_subspaces(g: int) -> tuple[frozenset, ...]:
-    """All Lagrangian subspaces of F_2^{2g} as frozensets of packed indices.
+def lagrangian_bases(g: int) -> np.ndarray:
+    """The reduced echelon basis of every Lagrangian subspace of F_2^{2g}, in
+    the order of enumerate_lagrangian_subspaces: a read-only (n, g) array.
 
-    Each subspace is built once, from its reduced echelon basis: vectors with
-    strictly decreasing leading bits, each zero at the others' leading bits.
-    Level k extends every such isotropic basis of k vectors by each
-    orthogonal vector below its last leading bit that keeps it reduced.
+    Its vectors have strictly decreasing leading bits, each zero at the
+    others' leading bits.  Level k extends every such isotropic basis of k
+    vectors by each vector orthogonal to it, below its last leading bit,
+    zero at its leading bits and with a leading bit where it is zero.
     """
     if g not in (2, 3):
         raise ValueError("Lagrangian enumeration implemented for g in {2, 3}")
-    pt = pairing_table(g)
     vs = np.arange(1, 1 << (2 * g))
+    orthogonal = pairing_table(g)[1:, 1:] == 1  # entry (i, j): vs[i] and vs[j] pair to 1
     top = 2 ** (np.frexp(vs)[1] - 1)  # the leading bit of each vector
-    bases = np.zeros((1, 0), dtype=int)
+    bases, union = np.zeros((1, 0), dtype=int), np.zeros(1, dtype=int)
+    allowed = np.ones((1, vs.size), dtype=bool)  # the first three conditions, per basis
     for _ in range(g):
-        pivots = np.bitwise_or.reduce(top[bases - 1], axis=1)[:, None]
-        union = np.bitwise_or.reduce(bases, axis=1)[:, None]
-        ok = (
-            (vs < np.where(pivots, pivots & -pivots, vs.size + 1))
-            & (vs & pivots == 0)
-            & (union & top == 0)
-            & (pt[bases][:, :, vs] == 1).all(axis=1)
-        )
-        rows, cols = np.nonzero(ok)
-        bases = np.column_stack([bases[rows], vs[cols]])
+        rows, cols = np.nonzero(allowed & (union[:, None] & top == 0))
+        bases, union = np.column_stack([bases[rows], vs[cols]]), union[rows] | vs[cols]
+        lead = top[cols, None]
+        allowed = allowed[rows] & orthogonal[cols] & (vs < lead) & (vs & lead == 0)
+    spans = np.sort(_spans(bases), axis=1)
+    return _read_only(bases[np.lexsort(spans.T[::-1])])
+
+
+def _spans(bases: np.ndarray) -> np.ndarray:
+    """(n, 2^k): the span of each row of an (n, k) array of packed vectors."""
     spans = np.zeros((len(bases), 1), dtype=int)
     for column in bases.T:
         spans = np.hstack([spans, spans ^ column[:, None]])
-    return tuple(sorted(map(frozenset, spans.tolist()), key=lambda s: tuple(sorted(s))))
+    return spans
+
+
+@lru_cache(maxsize=None)
+def enumerate_lagrangian_subspaces(g: int) -> tuple[frozenset, ...]:
+    """All Lagrangian subspaces of F_2^{2g} as frozensets of packed indices,
+    in increasing order of their sorted members; each is the span of its
+    row of lagrangian_bases."""
+    return tuple(map(frozenset, _spans(lagrangian_bases(g)).tolist()))
+
+
+@lru_cache(maxsize=None)
+def split_lagrangians(g: int) -> tuple[GopelSystem, ...]:
+    """The Lagrangians A + A^perp (A in the m' space, A^perp its orthogonal in
+    the m'' space), in enumeration order: those whose echelon vectors are each
+    purely m' or purely m''.  5 for g = 2; 16 for g = 3, the last A = F_2^3."""
+    bases = lagrangian_bases(g)
+    low = (1 << g) - 1
+    split = ((bases & low == 0) | (bases <= low)).all(axis=1)
+    return tuple(GopelSystem.from_idxs(g, span) for span in _spans(bases[split]).tolist())
 
 
 @lru_cache(maxsize=None)
 def enumerate_gopel(g: int) -> tuple[GopelSystem, ...]:
     """All Goepel systems; 15 for g=2, 135 for g=3 (30 Fano + 105 Pascal)."""
-    return tuple(
-        GopelSystem.from_idxs(g, s) for s in enumerate_lagrangian_subspaces(g)
-    )
+    return tuple(GopelSystem.from_idxs(g, s) for s in enumerate_lagrangian_subspaces(g))
 
 
 def fano_from_aronhold(aronhold: CharacteristicSet, triples) -> GopelSystem:
@@ -141,40 +163,11 @@ def pascal_from_aronhold(aronhold: CharacteristicSet, spec) -> GopelSystem:
     return sys
 
 
-# The 15 Fano configurations pinned as the modular-form basis; transcribed
-# literally and validated on first use.
-
-_FANO_BASIS_STRINGS = (
-    ("000;000", "000;001", "000;010", "000;011", "000;100", "000;101", "000;110", "000;111"),
-    ("000;000", "000;001", "000;010", "000;011", "100;000", "100;001", "100;010", "100;011"),
-    ("000;000", "000;001", "000;100", "000;101", "010;000", "010;001", "010;100", "010;101"),
-    ("000;000", "000;001", "000;110", "000;111", "110;000", "110;001", "110;110", "110;111"),
-    ("000;000", "000;001", "010;000", "010;001", "100;000", "100;001", "110;000", "110;001"),
-    ("000;000", "000;010", "000;100", "000;110", "001;000", "001;010", "001;100", "001;110"),
-    ("000;000", "000;010", "000;101", "000;111", "101;000", "101;010", "101;101", "101;111"),
-    ("000;000", "000;010", "001;000", "001;010", "100;000", "100;010", "101;000", "101;010"),
-    ("000;000", "000;011", "000;100", "000;111", "011;000", "011;011", "011;100", "011;111"),
-    ("000;000", "000;011", "000;101", "000;110", "111;000", "111;011", "111;101", "111;110"),
-    ("000;000", "000;011", "011;000", "011;011", "100;000", "100;011", "111;000", "111;011"),
-    ("000;000", "000;100", "001;000", "001;100", "010;000", "010;100", "011;000", "011;100"),
-    ("000;000", "000;101", "010;000", "010;101", "101;000", "101;101", "111;000", "111;101"),
-    ("000;000", "000;110", "001;000", "001;110", "110;000", "110;110", "111;000", "111;110"),
-    ("000;000", "000;111", "011;000", "011;111", "101;000", "101;111", "110;000", "110;111"),
-)
-
-
 @lru_cache(maxsize=1)
 def fano_basis() -> tuple[GopelSystem, ...]:
-    """The pinned basis F_1..F_15; each validated as a Fano configuration."""
-    out = []
-    for strings in _FANO_BASIS_STRINGS:
-        sys = GopelSystem(3, CharacteristicSet.parse(3, strings))
-        if sys.kind != "fano":
-            raise AssertionError("basis fixture transcription error: not Fano")
-        out.append(sys)
-    if len(set(s.idx_set() for s in out)) != 15:
-        raise AssertionError("basis fixture transcription error: duplicates")
-    return tuple(out)
+    """The basis F_1..F_15 of the modular forms H(F): the split Lagrangians
+    A + A^perp of genus 3 with A^perp != 0, that is all but the last."""
+    return tuple(s for s in split_lagrangians(3) if sum(m.mp_int == 0 for m in s.members) > 1)
 
 
 @lru_cache(maxsize=None)

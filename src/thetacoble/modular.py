@@ -25,7 +25,14 @@ from .characteristics import (
     _read_only,
     enumerate_characteristics,
 )
-from .gopel import GopelSystem, enumerate_gopel, even_coset, fano_basis, pascal_decomposition
+from .gopel import (
+    GopelSystem,
+    enumerate_gopel,
+    even_coset,
+    fano_basis,
+    pascal_decomposition,
+    split_lagrangians,
+)
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
@@ -172,28 +179,15 @@ def reference_tau2() -> PeriodMatrix:
     return PeriodMatrix(2, x + 1j * y)
 
 
-# Genus-2 theta-constant quadruples defining s_1..s_5.
-
-GENUS2_QUADRUPLES = tuple(
-    CharacteristicSet.parse(2, strings)
-    for strings in (
-        ("00;00", "00;01", "00;10", "00;11"),
-        ("00;00", "00;01", "10;00", "10;01"),
-        ("00;00", "00;10", "01;00", "01;10"),
-        ("00;00", "00;11", "11;00", "11;11"),
-        ("00;00", "01;00", "10;00", "11;00"),
-    )
-)
-
-
 def s_vector(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """g=3: (H(F_1), ..., H(F_15)); g=2: s_i = chi_5^2 / (prod over Q_i)^2,
-    computed as squared complement products."""
+    computed as squared complement products, Q_1..Q_5 the split Lagrangians
+    of genus 2."""
     if tau.g == 3:
         return np.array([h_fano(tau, f, tol) for f in fano_basis()])
     if tau.g == 2:
         return np.array(
-            [_complement_product(tau, q.idx_set(), tol) ** 2 for q in GENUS2_QUADRUPLES]
+            [_complement_product(tau, q.idx_set(), tol) ** 2 for q in split_lagrangians(2)]
         )
     raise ValueError("s_vector is defined for g in {2, 3}")
 

@@ -538,7 +538,7 @@ def suite_coble(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     x = np.zeros(8, dtype=complex)
     x[0] = 1.0
     value, scale = quartics.coble_at(a, x)
-    recs.append(_flag("coble_nonvanishing_generic", abs(value) / scale > 0.5))
+    recs.append(_flag("coble_nonvanishing_generic", _abs(value) / scale > 0.5))
     return recs
 
 
@@ -690,7 +690,7 @@ def suite_points(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs.append(
         _flag(
             "bracket_antisymmetry",
-            abs(points.bracket(cfg, 1, 2, 3) + points.bracket(cfg, 2, 1, 3)) < 1e-12,
+            _abs(points.bracket(cfg, 1, 2, 3) + points.bracket(cfg, 2, 1, 3)) < 1e-12,
         )
     )
     collinear = cfg.copy()
@@ -698,11 +698,11 @@ def suite_points(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs.append(
         _flag(
             "gfano_vanishes_collinear",
-            abs(points.g_fano(collinear, FANO_TRIPLE_FAMILY)) < 1e-10,
+            _abs(points.g_fano(collinear, FANO_TRIPLE_FAMILY)) < 1e-10,
         )
     )
     recs.append(
-        _flag("gfano_generic_nonzero", abs(points.g_fano(cfg, FANO_TRIPLE_FAMILY)) > 1e-8)
+        _flag("gfano_generic_nonzero", _abs(points.g_fano(cfg, FANO_TRIPLE_FAMILY)) > 1e-8)
     )
 
     # SL3 covariance: each bracket scales by det(A), G_F by det(A)^7

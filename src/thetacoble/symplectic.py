@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characteristics import Characteristic, _check_genus, _read_only, pairing_table
-from .gopel import enumerate_lagrangian_subspaces
+from .gopel import lagrangian_bases
 
 
 def unpack(g: int, packed) -> np.ndarray:
@@ -239,53 +239,31 @@ def enumerate_group(g: int) -> GroupEnumeration:
     return GroupEnumeration(g, packed)
 
 
-def _complete_to_symplectic_basis(g: int, lag_basis: list[int]) -> SymplecticMatF2:
-    """Build gamma in Sp(2g, F2) whose linear action maps {m'=0} onto the
-    Lagrangian spanned by lag_basis (packed 2g-bit vectors)."""
-    w = 2 * g
-    pt = pairing_table(g)
-    # greedily pick the least u_i with e(u_i, w_j) = (-1)^{delta_ij}, e(u_i, u_k) = 1
-    us: list[int] = []
-    for i in range(g):
-        want = [-1 if j == i else 1 for j in range(g)] + [1] * len(us)
-        ok = (pt[:, lag_basis + us] == want).all(axis=1)
-        if not ok.any():
-            raise AssertionError("failed to complete symplectic basis")
-        us.append(int(ok.argmax()))
-    # N, with columns us + lag_basis, is the linear part (D C; B A) of gamma
-    cols = np.array(us + lag_basis)
-    n = ((cols[None, :] >> np.arange(w - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
-    return SymplecticMatF2.from_matrix(swap_blocks(n))
-
-
 def parabolic_cosets(g: int = 3) -> list[SymplecticMatF2]:
-    """Representatives of Sp(6,F2) / {C = 0}; one per Lagrangian subspace.
+    """Representatives of Sp(6,F2) / {C = 0}; one per Lagrangian subspace,
+    in enumeration order, each mapping {m' = 0} onto its Lagrangian under
+    the linearized action.
 
-    The representative for the Lagrangian {m' = 0} is the identity; each rep
-    maps {m' = 0} onto its Lagrangian under the linearized action.
+    Each echelon basis w_1..w_g of lagrangian_bases is completed by the
+    least u_i with e(u_i, w_j) = (-1)^{delta_ij} and e(u_i, u_k) = 1 for
+    k < i, all bases at once.  The matrix with columns u + w is the linear
+    part (D C; B A) of the representative.  {m' = 0} comes first, with the
+    unit vectors as its basis, so its representative is the identity.
     """
     if g != 3:
         raise ValueError("parabolic cosets implemented for g = 3")
-    reps = []
-    l0 = frozenset(range(1 << g))  # idx of {m'=0} members
-    for lag in enumerate_lagrangian_subspaces(g):
-        if lag == l0:
-            reps.insert(0, SymplecticMatF2.identity(g))
-            continue
-        basis = _subspace_basis(lag)
-        reps.append(_complete_to_symplectic_basis(g, basis))
-    return reps
-
-
-def _subspace_basis(subspace: frozenset) -> list[int]:
-    """A basis of a linear subspace of F_2^w given as a set of packed ints."""
-    basis: list[int] = []
-    span = {0}
-    for v in sorted(subspace):
-        if v and v not in span:
-            basis.append(v)
-            span |= {s ^ v for s in span}
-    return basis
+    pt = pairing_table(g)
+    ws = lagrangian_bases(g)
+    us = np.zeros((len(ws), 0), dtype=int)
+    for i in range(g):
+        want = np.where(np.arange(g) == i, -1, 1)[:, None]
+        ok = (pt[ws] == want).all(axis=1) & (pt[us] == 1).all(axis=1)
+        if not ok.any(axis=1).all():
+            raise AssertionError("failed to complete symplectic basis")
+        us = np.column_stack([us, ok.argmax(axis=1)])
+    cols = np.hstack([us, ws])
+    n = ((cols[:, None, :] >> np.arange(2 * g - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
+    return [SymplecticMatF2(g, int(p)) for p in pack(swap_blocks(n))]
 
 
 def lagrangian_image(g: int, packed) -> list[frozenset]:

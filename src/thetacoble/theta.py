@@ -390,15 +390,16 @@ def _floor_box(tau: PeriodMatrix, z: PhasePoint, radius: int, log_floor: float) 
 
 
 def _kept_points(tau: PeriodMatrix, z: PhasePoint,
-                 radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 radius: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The points q of the half-integer cube whose term is above the rounding
-    floor, in meshgrid order, with their segment numbers and log-moduli
-    -pi (q^t Im(tau) q + 2 q.Im z).  The log-modulus is summed axis by axis
-    over the floor box of _floor_box only, so no array of the whole cube is
-    built.  The floor is taken relative to the box's largest term, which is
-    the cube's, for the cube's point count N: the kept points are those of
-    the whole cube, and the error statement of theta is unchanged.  A kept
-    point's q and segment number are read from _half_cube at its grid indices."""
+    floor, in meshgrid order, one coordinate array per axis, with their
+    segment numbers and log-moduli -pi (q^t Im(tau) q + 2 q.Im z).  The
+    log-modulus is summed axis by axis over the floor box of _floor_box only,
+    and freed once its kept entries are read.  The floor is taken relative to
+    the box's largest term, which is the cube's, for the cube's point count
+    N: the kept points are those of the whole cube, and the error statement
+    of theta is unchanged.  A kept point's coordinates and segment number are
+    read from _half_cube's box slices at its grid indices."""
     g = tau.g
     axis, bits = _half_cube(g, radius)
     log_floor = _log_floor((4 * radius + 3) ** g, radius)
@@ -406,11 +407,14 @@ def _kept_points(tau: PeriodMatrix, z: PhasePoint,
     qs = [axis[s].reshape((-1,) + (1,) * (g - 1 - i)) for i, s in enumerate(box)]
     log_mod = _quadratic_form(tau.tau.imag.tolist(), z.parts[1], qs, -math.pi)
     keep = log_mod >= log_mod.max() + log_floor
-    ij = np.array(np.nonzero(keep)).T + [s.start for s in box]
-    seg = bits[0][ij[:, 0]]
-    for b, i in zip(bits[1:], ij.T[1:]):
-        seg |= b[i]
-    return axis[ij], seg, log_mod[keep]
+    kept_log_mod = log_mod[keep]
+    del log_mod
+    ij = np.nonzero(keep)
+    del keep
+    seg = bits[0][box[0]][ij[0]]
+    for b, s, i in zip(bits[1:], box[1:], ij[1:]):
+        seg |= b[s][i]
+    return [axis[s][i] for s, i in zip(box, ij)], seg, kept_log_mod
 
 
 def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
@@ -431,9 +435,8 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     hit = _MEMO.get(key)
     if hit is None:
         n = 1 << tau.g
-        q, seg, log_mod = _kept_points(tau, z, radius)
-        qs = list(q.T)
-        half = (len(q) + 1) // 2 if z.is_zero else len(q)
+        qs, seg, log_mod = _kept_points(tau, z, radius)
+        half = (len(seg) + 1) // 2 if z.is_zero else len(seg)
         expo = np.empty(half, dtype=complex)
         expo.real = log_mod[:half]
         expo.imag = _quadratic_form(tau.tau.real.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)

@@ -42,6 +42,36 @@ def _recursive_lagrangians(g):
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
+# The 15 Fano configurations of the modular-form basis and the 5 genus-2
+# quadruples of the s-vector, as written out by hand; the split Lagrangians
+# must reproduce them member for member and in order.
+FANO_BASIS_STRINGS = (
+    ("000;000", "000;001", "000;010", "000;011", "000;100", "000;101", "000;110", "000;111"),
+    ("000;000", "000;001", "000;010", "000;011", "100;000", "100;001", "100;010", "100;011"),
+    ("000;000", "000;001", "000;100", "000;101", "010;000", "010;001", "010;100", "010;101"),
+    ("000;000", "000;001", "000;110", "000;111", "110;000", "110;001", "110;110", "110;111"),
+    ("000;000", "000;001", "010;000", "010;001", "100;000", "100;001", "110;000", "110;001"),
+    ("000;000", "000;010", "000;100", "000;110", "001;000", "001;010", "001;100", "001;110"),
+    ("000;000", "000;010", "000;101", "000;111", "101;000", "101;010", "101;101", "101;111"),
+    ("000;000", "000;010", "001;000", "001;010", "100;000", "100;010", "101;000", "101;010"),
+    ("000;000", "000;011", "000;100", "000;111", "011;000", "011;011", "011;100", "011;111"),
+    ("000;000", "000;011", "000;101", "000;110", "111;000", "111;011", "111;101", "111;110"),
+    ("000;000", "000;011", "011;000", "011;011", "100;000", "100;011", "111;000", "111;011"),
+    ("000;000", "000;100", "001;000", "001;100", "010;000", "010;100", "011;000", "011;100"),
+    ("000;000", "000;101", "010;000", "010;101", "101;000", "101;101", "111;000", "111;101"),
+    ("000;000", "000;110", "001;000", "001;110", "110;000", "110;110", "111;000", "111;110"),
+    ("000;000", "000;111", "011;000", "011;111", "101;000", "101;111", "110;000", "110;111"),
+)
+
+GENUS2_QUADRUPLES = (
+    ("00;00", "00;01", "00;10", "00;11"),
+    ("00;00", "00;01", "10;00", "10;01"),
+    ("00;00", "00;10", "01;00", "01;10"),
+    ("00;00", "00;11", "11;00", "11;11"),
+    ("00;00", "01;00", "10;00", "11;00"),
+)
+
+
 class TestEnumeration:
     def test_counts(self):
         systems = gp.enumerate_gopel(3)
@@ -57,6 +87,22 @@ class TestEnumeration:
         lags = gp.enumerate_lagrangian_subspaces(g)
         assert len(lags) == count == len(set(lags))
         assert lags == _recursive_lagrangians(g)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_bases_span_the_subspaces_in_order(self, g):
+        bases = gp.lagrangian_bases(g)
+        assert bases.shape == (len(gp.enumerate_lagrangian_subspaces(g)), g)
+        assert not bases.flags.writeable
+        for basis, lag in zip(bases.tolist(), gp.enumerate_lagrangian_subspaces(g)):
+            span = {0}
+            for v in basis:
+                span |= {s ^ v for s in span}
+            assert span == lag
+            # reduced echelon: strictly decreasing leading bits, each vector
+            # zero at the others' leading bits
+            tops = [1 << (v.bit_length() - 1) for v in basis]
+            assert tops == sorted(tops, reverse=True) and len(set(tops)) == g
+            assert all(v & t == 0 for v in basis for t in tops if t != 1 << (v.bit_length() - 1))
 
     def test_systems_are_isotropic_subspaces(self):
         for s in gp.enumerate_gopel(2):
@@ -263,6 +309,36 @@ class TestPascalDecomposition:
             if s.kind == "pascal":
                 dec = gp.pascal_decomposition(s)
                 assert order[dec.fano1.idx_set()] < order[dec.fano2.idx_set()]
+
+
+class TestSplitLagrangians:
+    def test_fano_basis_is_the_written_out_basis(self):
+        assert [tuple(s.members.to_strings()) for s in gp.fano_basis()] == list(FANO_BASIS_STRINGS)
+
+    def test_genus2_systems_are_the_written_out_quadruples(self):
+        got = [tuple(s.members.to_strings()) for s in gp.split_lagrangians(2)]
+        assert got == list(GENUS2_QUADRUPLES)
+
+    @pytest.mark.parametrize("g, count", [(2, 5), (3, 16)])
+    def test_one_split_lagrangian_per_subspace_of_the_m_prime_space(self, g, count):
+        systems = gp.split_lagrangians(g)
+        assert len(systems) == count
+        order = {s: k for k, s in enumerate(gp.enumerate_lagrangian_subspaces(g))}
+        positions = [order[s.idx_set()] for s in systems]
+        assert positions == sorted(positions)
+        low = (1 << g) - 1
+        subspaces = set()
+        for s in systems:
+            a = frozenset(i >> g for i in s.idx_set())
+            perp = frozenset(i & low for i in s.idx_set())
+            # A + A^perp: every a' paired with every a'' of the orthogonal
+            assert s.idx_set() == {(x << g) | y for x in a for y in perp}
+            assert all((x & y).bit_count() % 2 == 0 for x in a for y in perp)
+            assert len(a) * len(perp) == 1 << g
+            subspaces.add(a)
+        assert len(subspaces) == count
+        # the one left out of the basis: A the whole m' space, A^perp = 0
+        assert systems[-1].idx_set() == {x << g for x in range(1 << g)}
 
 
 class TestFanoBasis:

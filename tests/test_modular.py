@@ -9,7 +9,13 @@ from thetacoble.characteristics import (
     FANO_TRIPLE_FAMILY,
     enumerate_characteristics,
 )
-from thetacoble.gopel import enumerate_gopel, even_coset, fano_basis, fano_from_aronhold
+from thetacoble.gopel import (
+    enumerate_gopel,
+    even_coset,
+    fano_basis,
+    fano_from_aronhold,
+    split_lagrangians,
+)
 from thetacoble import modular
 from thetacoble.sampling import random_tau, stream
 from thetacoble.suites import run_suite
@@ -121,7 +127,7 @@ class TestSVector:
     def test_genus2_is_squared_complement(self):
         s = modular.s_vector(TAU2)
         consts = even_theta_constants(TAU2)
-        q0 = modular.GENUS2_QUADRUPLES[0]
+        q0 = split_lagrangians(2)[0]
         expect = math.prod(v for i, v in consts.items() if i not in q0.idx_set()) ** 2
         assert s[0] == pytest.approx(expect, rel=1e-12)
 
@@ -179,7 +185,7 @@ class TestComplementTables:
                 assert modular.h_goepel(tau, s) == _filtered_product(tau, even_coset(s))
             assert modular.chi(tau) == _filtered_product(tau, frozenset())
         assert modular.chi(TAU2) == _filtered_product(TAU2, frozenset())
-        for q, value in zip(modular.GENUS2_QUADRUPLES, modular.s_vector(TAU2)):
+        for q, value in zip(split_lagrangians(2), modular.s_vector(TAU2)):
             assert value == _filtered_product(TAU2, q.idx_set()) ** 2
 
     def test_position_rows_are_the_complements(self):

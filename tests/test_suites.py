@@ -319,6 +319,19 @@ class TestNaNResiduals:
         assert record["name"] == "riemann_stable_pascals" and record["value"] == 104.0
         assert not record["pass"]
 
+    def test_nan_bracket_after_an_underflow_fails_its_flag(self, monkeypatch):
+        # Python's abs of the NaN sum would raise OverflowError, and the
+        # points suite would be one points_error record
+        def nan_bracket(*args):
+            math.exp(-1000)
+            return complex(math.nan, 0.0)
+
+        monkeypatch.setattr("thetacoble.points.bracket", nan_bracket)
+        report = run_suite("points", 1)
+        assert not _error_records(report)
+        failing = {r["name"] for r in report.to_json()["records"] if not r["pass"]}
+        assert failing == {"bracket_antisymmetry"}
+
     def test_abs_of_a_complex_nan_is_nan_after_an_underflow(self):
         math.exp(-1000)  # leaves errno at ERANGE, which CPython 3.11's complex abs reads
         assert math.isnan(suites._abs(complex(math.nan, 1.0)))

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetacoble.characteristics import Characteristic, enumerate_characteristics, parity, triple_sign
+from thetacoble.characteristics import (
+    Characteristic,
+    enumerate_characteristics,
+    pairing_table,
+    parity,
+    triple_sign,
+)
+from thetacoble.gopel import lagrangian_bases
 from thetacoble import symplectic as sp
 
 
@@ -176,8 +183,23 @@ class TestParabolic:
 
         lags = enumerate_lagrangian_subspaces(3)
         reps = sp.parabolic_cosets(3)
-        # identity was moved to the front; compare as sets of images
-        assert set(sp.lagrangian_image(3, [r.packed() for r in reps])) == set(lags)
+        # one rep per Lagrangian, in enumeration order, {m' = 0} first
+        assert sp.lagrangian_image(3, [r.packed() for r in reps]) == list(lags)
+
+    def test_reps_complete_the_echelon_bases(self):
+        # the linear part (D C; B A) of each rep, in enumeration order, has the
+        # echelon basis w as its last 3 columns and, as its first 3, the least
+        # u_i with e(u_i, w_j) = (-1)^{delta_ij} and e(u_i, u_k) = 1, k < i
+        pt = pairing_table(3)
+        weights = 1 << np.arange(5, -1, -1)
+        reps = sp.parabolic_cosets(3)
+        assert all(isinstance(r, sp.SymplecticMatF2) for r in reps)
+        for rep, basis in zip(reps, lagrangian_bases(3).tolist(), strict=True):
+            cols = (sp.swap_blocks(sp.unpack(3, rep.packed())).T.astype(int) @ weights).tolist()
+            assert cols[3:] == basis
+            for i, u in enumerate(cols[:3]):
+                want = [-1 if j == i else 1 for j in range(3)] + [1] * i
+                assert u == int((pt[:, basis + cols[:i]] == want).all(axis=1).argmax())
 
     def test_factorization_through_parabolic(self):
         enum = sp.enumerate_group(3)

@@ -673,7 +673,7 @@ class TestRoundingFloor:
         tau, z = self._case(g, ratio, lam, imz_l1)
         radius = th.truncation_radius(tau, z).radius
         cube, modulus = _cube_moduli(tau, z, radius)
-        kept, _, _ = th._kept_points(tau, z, radius)
+        kept = np.stack(th._kept_points(tau, z, radius)[0], axis=1)
         # q -> its row in the meshgrid order of the cube
         digits = np.rint(2 * kept + 2 * radius + 1).astype(int)
         rows = np.ravel_multi_index(digits.T, (4 * radius + 3,) * g)
@@ -812,7 +812,8 @@ class TestFloorBox:
     def test_mirror_of_the_kept_points_at_zero(self, g):
         tau = _anisotropic_tau(stream(29, f"test_theta.mirror.{g}"), g, 0.25)
         z0 = th.PhasePoint.zero(g)
-        q, seg, log_mod = th._kept_points(tau, z0, th.truncation_radius(tau, z0).radius)
+        qs, _, log_mod = th._kept_points(tau, z0, th.truncation_radius(tau, z0).radius)
+        q = np.stack(qs, axis=1)
         assert len(q) % 2 == 1 and np.array_equal(q[::-1], -q) and np.array_equal(log_mod[::-1], log_mod)
 
     def test_a_small_box_in_a_large_cube_allocates_little(self, monkeypatch):
