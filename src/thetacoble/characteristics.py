@@ -152,8 +152,7 @@ def pairing(m: Characteristic, n: Characteristic) -> int:
     """Symplectic pairing e(m, n) = (-1)^{m'.n'' - m''.n'}."""
     if m.g != n.g:
         raise ValueError("genus mismatch")
-    x = (m.mp_int & n.mpp_int).bit_count() + (m.mpp_int & n.mp_int).bit_count()
-    return -1 if x & 1 else 1
+    return _pairing_idx(m.g, m.idx, n.idx)
 
 
 def _pairing_idx(g: int, a: int, b: int) -> int:
@@ -212,6 +211,26 @@ def admissible_evens(g: int, odds) -> tuple[np.ndarray, np.ndarray]:
     for i, j in combinations(range(odds.shape[-2]), 2):
         mask &= triple_signs(g, odds[..., i, :], odds[..., j, :], evens) == -1
     return evens, mask
+
+
+@lru_cache(maxsize=None)
+def azygetic_odd_sets(g: int, k: int) -> np.ndarray:
+    """The k-sets of odd indices of genus g with every triple azygetic, as a
+    cached, read-only (n, k) array, rows increasing and in lexicographic
+    order: grown one member at a time, keeping at each level the candidates
+    azygetic with every pair already chosen."""
+    _check_genus(g)
+    if not 1 <= k <= 2 * g + 2:
+        raise ValueError(f"need 1 <= k <= {2 * g + 2} for genus {g}, got {k}")
+    odds = np.flatnonzero(parity_table(g) == -1)
+    rows = np.arange(len(odds))[:, None]  # rows[t, i]: position in odds of member i of set t
+    for level in range(1, k):
+        keep = np.arange(len(odds)) > rows[:, -1:]
+        for i, j in combinations(range(level), 2):
+            keep &= triple_signs(g, odds[rows[:, i : i + 1]], odds[rows[:, j : j + 1]], odds) == -1
+        t, v = np.nonzero(keep)
+        rows = np.column_stack([rows[t], v])
+    return _read_only(odds[rows])
 
 
 class CharacteristicSet:
@@ -303,15 +322,37 @@ def _check_aronhold(s: CharacteristicSet) -> None:
         raise ValueError(f"{s} is not an Aronhold set (members odd, every triple azygetic)")
 
 
-def special_fundamental_completion(odds: CharacteristicSet) -> CharacteristicSet:
-    """Complete g odd characteristics to a special fundamental system.
+def special_fundamental_completions(g: int, odds) -> np.ndarray:
+    """The (n, g + 2) special fundamental completions of the rows of an (n, g)
+    array of valid odd inputs (see special_fundamental_completion): the
+    admissible evens (every (m_i, m_j, n) azygetic) other than m_1 + ... + m_g,
+    in index order.  Each row is checked: g+3 admissible evens with the sum
+    among them at g=3, g+2 without it below, and a fundamental system."""
+    _check_genus(g)
+    odds = np.asarray(odds)
+    if odds.ndim != 2 or odds.shape[1] != g:
+        raise ValueError(f"need an (n, {g}) array of odd indices, got shape {odds.shape}")
+    evens, admissible = admissible_evens(g, odds)
+    counts = admissible.sum(axis=1)
+    expected = {1: 3, 2: 4, 3: 6}[g]
+    if (counts != expected).any():
+        raise AssertionError(f"expected {expected} admissible evens, "
+                             f"got {counts[counts != expected][0]}")
+    is_sum = evens == np.bitwise_xor.reduce(odds, axis=1)[:, None]
+    if ((admissible & is_sum).any(axis=1) != (g == 3)).any():
+        raise AssertionError(f"sum of the odds {'not ' if g == 3 else ''}among admissible evens")
+    completions = evens[np.nonzero(admissible & ~is_sum)[1]].reshape(-1, g + 2)
+    if not all_azygetic(g, np.hstack([odds, completions])).all():
+        raise AssertionError("completion is not a fundamental system")
+    return completions
 
-    The input is one odd characteristic for g=1, two distinct ones for g=2
-    and an azygetic triple for g=3.  The result is the g+2 admissible evens
-    (every (m_i, m_j, n) azygetic) other than m_1 + ... + m_g, in index
-    order; the sum is admissible only for g=3, as the sixth.  Every
-    completion lies among the admissible evens, so the count makes it unique.
-    """
+
+@lru_cache(maxsize=None)
+def special_fundamental_completion(odds: CharacteristicSet) -> CharacteristicSet:
+    """Complete one odd characteristic for g=1, two distinct ones for g=2 or
+    an azygetic triple for g=3 to a special fundamental system: its row of
+    special_fundamental_completions, memoized by the set (only valid sets
+    are kept, at most 1 + 15 + 2016 of them)."""
     g = odds.g
     ms = list(odds.members)
     if any(m.is_even for m in ms):
@@ -320,21 +361,8 @@ def special_fundamental_completion(odds: CharacteristicSet) -> CharacteristicSet
         raise ValueError(f"genus {g} requires exactly {g} odd characteristics")
     if g == 3 and triple_sign(*ms) != -1:
         raise ValueError("input triple is not azygetic")
-    idx = [m.idx for m in ms]
-    evens, mask = admissible_evens(g, idx)
-    candidates = evens[mask].tolist()
-    expected = {1: 3, 2: 4, 3: 6}[g]
-    if len(candidates) != expected:
-        raise AssertionError(f"expected {expected} admissible evens, got {len(candidates)}")
-    total = int(np.bitwise_xor.reduce(idx))
-    if g == 3 and total not in candidates:
-        raise AssertionError("sum of the triple not among admissible evens")
-    completion = [Characteristic(g, n) for n in candidates if n != total]
-    # For g=3 the combinatorics suite checks all 2016 completions as
-    # fundamental systems in one batch, so they are not checked per call.
-    if g < 3 and not is_fundamental_system(CharacteristicSet(ms + completion)):
-        raise AssertionError("completion is not a fundamental system")
-    return CharacteristicSet(completion)
+    (row,) = special_fundamental_completions(g, [[m.idx for m in ms]]).tolist()
+    return CharacteristicSet(Characteristic(g, n) for n in row)
 
 
 def aronhold_classify(aronhold: CharacteristicSet, n0: Characteristic) -> dict:
@@ -353,44 +381,28 @@ def aronhold_classify(aronhold: CharacteristicSet, n0: Characteristic) -> dict:
         raise ValueError("n0 must be even")
     if not is_fundamental_system(CharacteristicSet([n0] + ms)):
         raise ValueError("{n0} + aronhold is not a fundamental system")
-    out = {n0.idx: ("n0", ()), **{m.idx: ("m", (i,)) for i, m in enumerate(ms)}}
-    for i in range(7):
-        for j in range(i + 1, 7):
-            c = n0 + ms[i] + ms[j]
-            if c.is_even or c.idx in out:
-                raise AssertionError("Aronhold classification structure violated")
-            out[c.idx] = ("odd_sum", (i, j))
-    for i in range(7):
-        for j in range(i + 1, 7):
-            for k in range(j + 1, 7):
-                c = ms[i] + ms[j] + ms[k]
-                if c.is_odd or c.idx in out:
-                    raise AssertionError("Aronhold classification structure violated")
-                out[c.idx] = ("even_sum", (i, j, k))
-    if len(out) != 64:
-        raise AssertionError("classification does not exhaust all characteristics")
-    return out
+    idx = np.array([m.idx for m in ms])
+    pairs, triples = (np.array(list(combinations(range(7), k))) for k in (2, 3))
+    odd_sums = n0.idx ^ np.bitwise_xor.reduce(idx[pairs], axis=1)
+    even_sums = np.bitwise_xor.reduce(idx[triples], axis=1)
+    keys = [n0.idx, *idx.tolist(), *odd_sums.tolist(), *even_sums.tolist()]
+    p = parity_table(3)
+    if (p[odd_sums] != -1).any() or (p[even_sums] != 1).any() or len(set(keys)) != 64:
+        raise AssertionError("Aronhold classification structure violated")
+    tags = ([("n0", ())] + [("m", (i,)) for i in range(7)]
+            + [("odd_sum", tuple(t)) for t in pairs.tolist()]
+            + [("even_sum", tuple(t)) for t in triples.tolist()])
+    return dict(zip(keys, tags))
 
 
 @lru_cache(maxsize=1)
 def enumerate_aronhold_sets() -> tuple:
-    """All 288 unordered Aronhold sets for g=3.
-
-    An Aronhold set is a 7-subset of the 28 odd characteristics in which every
-    triple is azygetic.  The subsets are grown one member at a time in
-    increasing index order, keeping at each level the candidates azygetic
-    with every pair already chosen, so they come out in lexicographic order.
-    """
-    odds = np.flatnonzero(parity_table(3) == -1)
-    rows = np.arange(len(odds))[:, None]  # rows[t, i]: position in odds of member i of set t
-    for k in range(1, 7):
-        keep = np.arange(len(odds)) > rows[:, -1:]
-        for i, j in combinations(range(k), 2):
-            keep &= triple_signs(3, odds[rows[:, i : i + 1]], odds[rows[:, j : j + 1]], odds) == -1
-        t, v = np.nonzero(keep)
-        rows = np.column_stack([rows[t], v])
+    """All 288 unordered Aronhold sets for g=3, the rows of
+    azygetic_odd_sets(3, 7): 7-subsets of the 28 odd characteristics in
+    which every triple is azygetic, in lexicographic order."""
     return tuple(
-        CharacteristicSet(Characteristic(3, int(i)) for i in members) for members in odds[rows]
+        CharacteristicSet(Characteristic(3, i) for i in row)
+        for row in azygetic_odd_sets(3, 7).tolist()
     )
 
 

@@ -95,10 +95,7 @@ def aronhold_base_point(aronhold: CharacteristicSet) -> Characteristic:
     """The even characteristic n0 completing an Aronhold set to a fundamental
     system; it is the sum of the seven members."""
     _check_aronhold(aronhold)
-    n0 = Characteristic(3, 0)
-    for m in aronhold:
-        n0 = n0 + m
-    return n0
+    return Characteristic(3, int(np.bitwise_xor.reduce([m.idx for m in aronhold])))
 
 
 def h_via_jacobian(

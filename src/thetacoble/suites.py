@@ -35,12 +35,13 @@ from .characteristics import (
     Characteristic,
     CharacteristicSet,
     admissible_evens,
-    all_azygetic,
+    azygetic_odd_sets,
     enumerate_aronhold_sets,
     enumerate_characteristics,
     is_fundamental_system,
     parity_table,
     special_fundamental_completion,
+    special_fundamental_completions,
     triple_sign,
     triple_signs,
 )
@@ -145,13 +146,6 @@ def _gopel_counts(systems) -> list[CheckRecord]:
 # combinatorics
 
 
-def _azygetic_odd_triples(g: int) -> np.ndarray:
-    """All azygetic triples of odd indices of genus g, as an (n, 3) array."""
-    odds = np.flatnonzero(parity_table(g) == -1)
-    triples = odds[np.array(list(combinations(range(len(odds)), 3)))]
-    return triples[triple_signs(g, *triples.T) == -1]
-
-
 def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs = []
     recs.append(_count("even36", len(enumerate_characteristics(3, "even")), 36))
@@ -176,28 +170,22 @@ def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord
         )
     )
 
-    # Every azygetic odd triple: 6 admissible evens, one equal
-    # to the triple sum, the other 5 completing a special fundamental system.
-    triples = _azygetic_odd_triples(3)  # (2016, 3)
-    evens, admissible = admissible_evens(3, triples)  # (2016, 36)
-    is_sum = evens == np.bitwise_xor.reduce(triples, axis=1)[:, None]
-    triples_ok = bool(
-        (admissible.sum(axis=1) == 6).all() and (admissible & is_sum).any(axis=1).all()
-    )
-    if triples_ok:
-        rest = evens[np.nonzero(admissible & ~is_sum)[1]].reshape(-1, 5)
-        triples_ok = bool(all_azygetic(3, np.hstack([triples, rest])).all())
-    recs.append(_flag("azygetic_triple_completion", triples_ok))
+    # Every azygetic odd triple has a special fundamental completion, which
+    # checks itself (6 admissible evens, one of them the triple sum, the
+    # other 5 completing a fundamental system) and raises on a failure.
+    triples = azygetic_odd_sets(3, 3)  # (2016, 3)
+    completions = special_fundamental_completions(3, triples)
+    recs.append(_flag("azygetic_triple_completion", completions.shape == (len(triples), 5)))
     recs.append(_count("azygetic_odd_triple_count", len(triples), 2016))
 
     # Within the fixed fundamental system {0} u (example): any two
     # azygetic odd triples sharing exactly m_i have completions meeting in
     # {m_i, n0}.  The completion depends only on the unordered triple.
     ms = list(ARONHOLD_EXAMPLE)
-    sfs = {}
-    for key in combinations(range(7), 3):
-        triple = CharacteristicSet([ms[t] for t in key])
-        sfs[key] = triple.idx_set() | special_fundamental_completion(triple).idx_set()
+    keys = list(combinations(range(7), 3))
+    rows = np.array([[ms[t].idx for t in key] for key in keys])
+    sfs = {key: set(row + comp) for key, row, comp
+           in zip(keys, rows.tolist(), special_fundamental_completions(3, rows).tolist())}
     meets = [(a, b, set(a) & set(b)) for a, b in combinations(sfs, 2)]  # 595 pairs
     intersections_ok = all(sfs[a] & sfs[b] == {ms[i].idx for i in common} | {0}
                            for a, b, common in meets if len(common) == 1)  # 315 of them
@@ -212,18 +200,16 @@ def suite_combinatorics(seed: int, samples: int, tol: float) -> list[CheckRecord
     recs.append(_count("aronhold_partition_even_sums", tags.count("even_sum"), 35))
 
     # genus-2: unique even n0 with azygetic quadruple, n0 = m1+m2+m3.
-    triples2 = _azygetic_odd_triples(2)
+    triples2 = azygetic_odd_sets(2, 3)
     evens2, admissible2 = admissible_evens(2, triples2)
     is_sum2 = evens2 == np.bitwise_xor.reduce(triples2, axis=1)[:, None]
     recs.append(_flag("genus2_unique_even_completion", bool((admissible2 == is_sum2).all())))
 
-    # genus-2: every odd pair has a unique even 4-element completion.
-    g2_pairs_ok = True
-    for a, b in combinations(enumerate_characteristics(2, "odd"), 2):
-        comp = special_fundamental_completion(CharacteristicSet([a, b]))
-        if len(comp) != 4 or any(m.is_odd for m in comp):
-            g2_pairs_ok = False
-    recs.append(_flag("genus2_pair_completion", g2_pairs_ok))
+    # genus-2: every odd pair (all 15 are azygetic, having no triple) has a
+    # unique even 4-element completion.
+    completions2 = special_fundamental_completions(2, azygetic_odd_sets(2, 2))
+    recs.append(_flag("genus2_pair_completion", completions2.shape == (15, 4)
+                      and bool((parity_table(2)[completions2] == 1).all())))
 
     # A fixed worked example of a special fundamental completion.
     comp = special_fundamental_completion(CharacteristicSet(ms[:3]))
@@ -754,6 +740,8 @@ def run_suite(name: str, seed: int = 1, samples: int = 0, tol: float = 0.0) -> R
     <suite>_error record, and the other suites of "all" still run."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)} + ['all']")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"need a non-negative integer seed, got {seed!r}")
     if not (samples >= 0 and 0 <= tol < math.inf):
         raise ValueError(f"need samples >= 0 and 0 <= tol < inf, got {samples} and {tol}")
     if name in RANK_SUITES + ("all",) and 0 < samples < RANK_ROWS:

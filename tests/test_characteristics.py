@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
+from thetacoble import characteristics
 from thetacoble.characteristics import (
     ARONHOLD_EXAMPLE,
     Characteristic,
@@ -12,6 +13,7 @@ from thetacoble.characteristics import (
     _parity_idx,
     all_azygetic,
     aronhold_classify,
+    azygetic_odd_sets,
     enumerate_aronhold_sets,
     enumerate_characteristics,
     is_fundamental_system,
@@ -20,9 +22,11 @@ from thetacoble.characteristics import (
     parity,
     parity_table,
     special_fundamental_completion,
+    special_fundamental_completions,
     triple_sign,
     triple_signs,
 )
+from thetacoble.modular import aronhold_base_point
 
 GENERA = (1, 2, 3)
 
@@ -237,6 +241,83 @@ class TestFundamentalSystems:
             assert [m.idx for m in comp] == list(found[0])
 
 
+def _azygetic_triples_oracle(g: int) -> np.ndarray:
+    """The combinations-and-triple_signs filter the level loop replaced."""
+    odds = np.flatnonzero(parity_table(g) == -1)
+    triples = odds[np.array(list(combinations(range(len(odds)), 3)))]
+    return triples[triple_signs(g, *triples.T) == -1]
+
+
+def _classify_oracle(aronhold, n0) -> dict:
+    """The nested loops of Characteristic sums the index tables replaced."""
+    ms = list(aronhold.members)
+    out = {n0.idx: ("n0", ()), **{m.idx: ("m", (i,)) for i, m in enumerate(ms)}}
+    for i, j in combinations(range(7), 2):
+        out[(n0 + ms[i] + ms[j]).idx] = ("odd_sum", (i, j))
+    for i, j, k in combinations(range(7), 3):
+        out[(ms[i] + ms[j] + ms[k]).idx] = ("even_sum", (i, j, k))
+    return out
+
+
+class TestAzygeticOddSets:
+    @pytest.mark.parametrize("g, n", [(2, 20), (3, 2016)])
+    def test_triples_are_the_filtered_combinations(self, g, n):
+        triples = azygetic_odd_sets(g, 3)
+        assert len(triples) == n
+        assert triples.tolist() == _azygetic_triples_oracle(g).tolist()
+
+    def test_aronhold_sets_are_the_level_seven_rows(self):
+        rows = azygetic_odd_sets(3, 7)
+        assert rows.shape == (288, 7)
+        assert rows.tolist() == [[m.idx for m in s] for s in enumerate_aronhold_sets()]
+
+    @pytest.mark.parametrize("g, k, n", [(1, 1, 1), (2, 2, 15), (2, 6, 1), (3, 1, 28), (3, 8, 0)])
+    def test_cached_read_only_and_counted(self, g, k, n):
+        rows = azygetic_odd_sets(g, k)
+        assert rows.shape == (n, k) and rows is azygetic_odd_sets(g, k)
+        assert not rows.flags.writeable
+
+    @pytest.mark.parametrize("g, k", [(3, 0), (3, 9), (2, 7), (4, 3)])
+    def test_out_of_range_rejected(self, g, k):
+        with pytest.raises(ValueError):
+            azygetic_odd_sets(g, k)
+
+
+class TestBatchedCompletion:
+    @pytest.mark.parametrize("g, k, n", [(1, 1, 1), (2, 2, 15), (3, 3, 2016)])
+    def test_rows_are_the_one_row_completions(self, g, k, n):
+        odds = azygetic_odd_sets(g, k)
+        rows = special_fundamental_completions(g, odds)
+        assert rows.shape == (n, g + 2)
+        one_row = [
+            [m.idx for m in special_fundamental_completion(CharacteristicSet.parse(g, t))]
+            for t in odds.tolist()
+        ]
+        assert rows.tolist() == one_row
+
+    def test_one_row_is_memoized_by_the_set(self):
+        t = list(ARONHOLD_EXAMPLE)[:3]
+        special_fundamental_completion.cache_clear()
+        first = special_fundamental_completion(CharacteristicSet(t))
+        assert special_fundamental_completion(CharacteristicSet(t[::-1])) == first
+        assert special_fundamental_completion.cache_info()[:2] == (1, 1)  # hits, misses
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_completion_checks_itself_at_every_genus(self, monkeypatch, g):
+        odds = CharacteristicSet(list(enumerate_characteristics(g, "odd"))[:g]
+                                 if g < 3 else list(ARONHOLD_EXAMPLE)[:3])
+        monkeypatch.setattr(characteristics, "all_azygetic",
+                            lambda g, sets: np.zeros(np.shape(sets)[:-1], dtype=bool))
+        special_fundamental_completion.cache_clear()  # a memoized row skips the body
+        with pytest.raises(AssertionError, match="completion is not a fundamental system"):
+            special_fundamental_completion(odds)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (1, 3, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"need an \(n, 3\) array of odd indices"):
+            special_fundamental_completions(3, np.ones(shape, dtype=int))
+
+
 class TestAronhold:
     def test_count_288(self):
         sets = enumerate_aronhold_sets()
@@ -267,9 +348,20 @@ class TestAronhold:
         assert len(out) == 64
 
     def test_member_sum_is_even_base_point(self):
-        from thetacoble.modular import aronhold_base_point
-
         for s in enumerate_aronhold_sets()[:24]:
             n0 = aronhold_base_point(s)
             assert n0.is_even
             assert is_fundamental_system(CharacteristicSet([n0] + list(s)))
+
+    def test_base_point_is_the_characteristic_sum(self):
+        for s in enumerate_aronhold_sets():
+            total = Characteristic(3, 0)
+            for m in s:
+                total = total + m
+            assert aronhold_base_point(s) == total
+
+    def test_classification_matches_the_loop_oracle_in_order(self):
+        for s in enumerate_aronhold_sets():
+            n0 = aronhold_base_point(s)
+            out = aronhold_classify(s, n0)
+            assert list(out.items()) == list(_classify_oracle(s, n0).items())

@@ -264,6 +264,12 @@ class TestVerify:
         assert res.output.count("\n") == 1 and "PASS" not in res.output
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("suite", ["jacobi", "combinatorics"])
+    def test_negative_seed_is_a_clean_error(self, runner, suite):
+        res = runner.invoke(main, ["verify", suite, "--seed", "-1"])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output == "Error: need a non-negative integer seed, got -1\n"
+
     @pytest.mark.parametrize("suite", ["wrank", "points", "all"])
     def test_too_few_samples_is_a_clean_error(self, runner, suite):
         res = runner.invoke(main, ["verify", suite, "--samples", "8"])

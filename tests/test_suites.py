@@ -44,6 +44,14 @@ class TestReportPlumbing:
         with pytest.raises(ValueError, match="need samples >= 0 and 0 <= tol < inf"):
             run_suite(name, 1, samples, tol)
 
+    @pytest.mark.parametrize("name, seed", [("jacobi", -1), ("combinatorics", -1),
+                                            ("all", -3), ("segre", 1.5), ("coble", True)])
+    def test_bad_seed_rejected(self, name, seed):
+        # numpy's SeedSequence rejects a negative seed only inside the seeded
+        # suites, and the seed-free ones would report a pass
+        with pytest.raises(ValueError, match=f"need a non-negative integer seed, got {seed!r}$"):
+            run_suite(name, seed)
+
     @pytest.mark.parametrize("samples", (1, 8, 15))
     @pytest.mark.parametrize("name", ("wrank", "points", "all"))
     def test_too_few_samples_for_a_rank_check_rejected(self, name, samples):
@@ -189,9 +197,9 @@ class TestParityMutations:
     def test_combinatorics_mask_sees_the_flip(self, monkeypatch):
         assert run_suite("combinatorics", seed=1).passed  # warms the memoized enumerations
         self.flip(monkeypatch, 3, 1)
-        # The admissible-evens mask shared by the suite and the completion
-        # loses the flipped even; the completion's own check stops the suite,
-        # which reports it as its one failing record.
+        # The admissible-evens mask of the batched completion of the 2016
+        # azygetic triples loses the flipped even; the completion's own check
+        # stops the suite, which reports it as its one failing record.
         assert _error_records(run_suite("combinatorics", seed=1)) == [
             ("combinatorics_error", "AssertionError: expected 6 admissible evens, got 5")
         ]
