@@ -15,7 +15,15 @@ from .gopel import enumerate_gopel
 from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, _abs, theta, theta2
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:  # bad input (genus, tau, z, char, seed, samples, tol) or domain
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Verification-grade theta combinatorics and quartic identities."""
 
@@ -79,39 +87,36 @@ def _normalized(value: complex, scale: float):
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 def eval_cmd(what, tau_file, z_file, char_str, tol):
     """Evaluate a theta expression at (tau, z); prints a JSON record."""
-    try:
-        tau = _load_tau(tau_file)
-        z = _load_z(z_file, tau.g)
-        out = {"what": what, "g": tau.g}
-        if what == "theta":
-            if char_str is None:
-                raise click.ClickException("--char is required for theta")
-            value = theta(tau, z, Characteristic.from_string(char_str), tol)
-            out["char"] = char_str
-            out["value"] = [value.real, value.imag]
-        elif what == "theta2":
-            if char_str is None:
-                raise click.ClickException("--char is required for theta2")
-            value = theta2(tau, z, char_str, tol)
-            out["char"] = char_str
-            out["value"] = [value.real, value.imag]
-        elif what == "coble":
-            value, scale = quartics.coble_eval(tau, z, tol)
-            out["value"] = [value.real, value.imag]
-            out["term_scale"] = scale
-            out["normalized_residual"] = _normalized(value, scale)
-        elif what == "coble-grad":
-            values, scales = quartics.coble_gradient(tau, z, tol)
-            out["values"] = [[v.real, v.imag] for v in values]
-            out["term_scales"] = scales
-            out["normalized_residuals"] = [_normalized(v, s) for v, s in zip(values, scales)]
-        else:  # kummer2
-            value, scale = quartics.kummer2_eval(tau, z, tol)
-            out["value"] = [value.real, value.imag]
-            out["term_scale"] = scale
-            out["normalized_residual"] = _normalized(value, scale)
-    except ValueError as exc:  # bad tau/z/char input or out-of-domain request
-        raise click.ClickException(str(exc)) from exc
+    tau = _load_tau(tau_file)
+    z = _load_z(z_file, tau.g)
+    out = {"what": what, "g": tau.g}
+    if what == "theta":
+        if char_str is None:
+            raise click.ClickException("--char is required for theta")
+        value = theta(tau, z, Characteristic.from_string(char_str), tol)
+        out["char"] = char_str
+        out["value"] = [value.real, value.imag]
+    elif what == "theta2":
+        if char_str is None:
+            raise click.ClickException("--char is required for theta2")
+        value = theta2(tau, z, char_str, tol)
+        out["char"] = char_str
+        out["value"] = [value.real, value.imag]
+    elif what == "coble":
+        value, scale = quartics.coble_eval(tau, z, tol)
+        out["value"] = [value.real, value.imag]
+        out["term_scale"] = scale
+        out["normalized_residual"] = _normalized(value, scale)
+    elif what == "coble-grad":
+        values, scales = quartics.coble_gradient(tau, z, tol)
+        out["values"] = [[v.real, v.imag] for v in values]
+        out["term_scales"] = scales
+        out["normalized_residuals"] = [_normalized(v, s) for v, s in zip(values, scales)]
+    else:  # kummer2
+        value, scale = quartics.kummer2_eval(tau, z, tol)
+        out["value"] = [value.real, value.imag]
+        out["term_scale"] = scale
+        out["normalized_residual"] = _normalized(value, scale)
     click.echo(json.dumps(out, indent=2))
 
 
@@ -124,10 +129,7 @@ def eval_cmd(what, tau_file, z_file, char_str, tol):
               help="write the JSON report to this file")
 def verify_cmd(suite, seed, samples, tol, report_file):
     """Run a named verification suite; exit code 0 iff every check passes."""
-    try:
-        report = suites.run_suite(suite, seed=seed, samples=samples, tol=tol)
-    except ValueError as exc:  # samples < 0 or too few for a rank check, or a tol < 0 or not finite
-        raise click.ClickException(str(exc)) from exc
+    report = suites.run_suite(suite, seed=seed, samples=samples, tol=tol)
     payload = report.to_json()
     click.echo(f"suite={suite} seed={seed}")
     for rec in payload["records"]:

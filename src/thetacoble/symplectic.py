@@ -1,6 +1,8 @@
-"""The symplectic group Sp(2g, F_2): the affine action on theta
-characteristics, full enumeration for g <= 3, and the 135 cosets of the
-parabolic subgroup {C = 0} for g = 3.
+"""The symplectic group Sp(2g, F_2), g <= 3: the affine action on theta
+characteristics, the elements at given indices (elements, which the group
+suite samples with no list of the group), the full enumeration (the
+reference for tests), and the 135 cosets of the parabolic subgroup {C = 0}
+for g = 3.
 
 An element is one packed integer: its (2g)^2 entries row by row, entry
 (0, 0) the most significant bit, so that within a row the leftmost column
@@ -11,6 +13,7 @@ one element or a batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -171,31 +174,16 @@ def group_generators(g: int):
 SP_ORDERS = {1: 6, 2: 720, 3: 1451520}
 
 
-class GroupEnumeration:
-    """The full enumeration of Sp(2g, F_2), sorted.
-
-    Elements are stored packed as (2g)^2-bit integers in a sorted numpy
-    uint64 array, which gives O(log n) membership tests.
-    """
-
-    def __init__(self, g: int, packed: np.ndarray):
-        self.g = g
-        self.packed = packed
-
-    def __len__(self) -> int:
-        return len(self.packed)
-
-    def __contains__(self, gamma: SymplecticMatF2) -> bool:
-        return bool(self.contains(gamma.packed()))
-
-    def contains(self, packed) -> np.ndarray:
-        """Membership of each packed value (an int or an array)."""
-        packed = np.asarray(packed, dtype=np.uint64)
-        i = np.minimum(np.searchsorted(self.packed, packed), len(self.packed) - 1)
-        return self.packed[i] == packed
-
-    def element(self, i: int) -> SymplecticMatF2:
-        return SymplecticMatF2.from_packed(self.g, int(self.packed[i]))
+def _row_filter(g: int, rows: dict[int, np.ndarray], k: int) -> np.ndarray:
+    """Entry (t, v): whether v can be row k of partial basis t, that is, v is
+    nonzero and pairs with each placed row i, rows[i][t], as J[i][k], which
+    is 1 exactly when rows i and k are a hyperbolic pair, |i - k| = g."""
+    odd = pairing_table(g) == -1
+    match = (~odd, odd)  # match[e][a, b]: the pairing of a and b is e
+    keep = (np.arange(1 << 2 * g) > 0)[None, :]
+    for i, row in rows.items():
+        keep = keep & match[abs(i - k) == g][row]
+    return keep
 
 
 def _symplectic_bases(g: int) -> np.ndarray:
@@ -203,40 +191,60 @@ def _symplectic_bases(g: int) -> np.ndarray:
     in increasing order.  Such rows are a basis, so these are the matrices of
     Sp(2g, F_2).
 
-    Row k is chosen among all 2^{2g} vectors, keeping for each partial basis
-    those whose pairing with every earlier row i equals J[i][k].  np.nonzero
-    yields the extensions basis by basis, each in increasing row k, and row 0
-    sits in the high bits, so the packed values come out increasing without
-    a sort (enumerate_group asserts it).
+    np.nonzero of _row_filter yields the extensions basis by basis, each in
+    increasing row k, and row 0 sits in the high bits, so the packed values
+    come out increasing without a sort (enumerate_group asserts it).
     """
-    w = 2 * g
-    n = 1 << w
-    odd = pairing_table(g) == -1
-    match = (~odd, odd)  # match[e][a, b]: the pairing of a and b is e
-    j = symplectic_j(g)
-    rows: list[np.ndarray] = []  # rows[i][t]: row i of partial basis t
-    for k in range(w):
-        keep = np.ones((len(rows[0]) if rows else 1, n), dtype=bool)
-        for i, row in enumerate(rows):
-            keep &= match[j[i, k]][row]
-        t, v = np.nonzero(keep)
-        rows = [row[t] for row in rows] + [v.astype(np.uint8)]
+    rows: dict[int, np.ndarray] = {}  # rows[i][t]: row i of partial basis t
+    for k in range(2 * g):
+        t, v = np.nonzero(_row_filter(g, rows, k))
+        rows = {i: row[t] for i, row in rows.items()} | {k: v.astype(np.uint8)}
     packed = np.zeros(len(rows[0]), dtype=np.uint64)
-    for row in rows:
-        packed = (packed << np.uint64(w)) | row
+    for i in range(2 * g):
+        packed = (packed << np.uint64(2 * g)) | rows[i]
     return packed
 
 
 @lru_cache(maxsize=None)
-def enumerate_group(g: int) -> GroupEnumeration:
-    """Enumerate Sp(2g, F_2); built once per process and cached."""
+def enumerate_group(g: int) -> np.ndarray:
+    """The packed elements of Sp(2g, F_2), a cached, read-only, increasing
+    array: the reference that elements is tested against."""
     _check_genus(g)
     packed = _symplectic_bases(g)
     if len(packed) != SP_ORDERS[g]:
         raise AssertionError(f"|Sp({2*g}, F2)| = {len(packed)}, expected {SP_ORDERS[g]}")
     if not np.all(packed[1:] > packed[:-1]):
         raise AssertionError(f"Sp({2*g}, F2) enumeration is not strictly increasing")
-    return GroupEnumeration(g, packed)
+    return _read_only(packed)
+
+
+def extension_counts(g: int) -> list[int]:
+    """The candidates for each row in hyperbolic-pair order e_1, f_1, ...,
+    e_g, f_g: by Witt's theorem every partial basis in this order has
+    2^{2k} - 1 nonzero e and then 2^{2k-1} f to choose from, k = g, ..., 1,
+    and each choice completes.  Their product is |Sp(2g, F_2)|."""
+    _check_genus(g)
+    return [c for k in range(g, 0, -1) for c in ((1 << 2 * k) - 1, 1 << (2 * k - 1))]
+
+
+def elements(g: int, index) -> np.ndarray:
+    """The packed elements of Sp(2g, F_2) at an int array of indices in
+    [0, |Sp|), with no list of the group: an index is a mixed-radix choice
+    among the extension_counts, e_1 most significant, and the count is
+    checked at every prefix drawn."""
+    counts = extension_counts(g)
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu" or ((index < 0) | (index >= math.prod(counts))).any():
+        raise ValueError(f"need integer indices in [0, {math.prod(counts)}) for Sp({2*g}, F2)")
+    rows = {}
+    for s, digit in enumerate(np.unravel_index(index.ravel(), counts)):
+        k = s // 2 + g * (s % 2)  # e_1, f_1, ..., e_g, f_g are rows 0, g, 1, g + 1, ...
+        keep = _row_filter(g, rows, k)
+        if (keep.sum(axis=1) != counts[s]).any():
+            raise AssertionError(f"a partial basis has other than {counts[s]} candidates for row {k}")
+        rows[k] = (keep.cumsum(axis=1) > digit[:, None]).argmax(axis=1)
+    bits = _action_layout(g)[1][np.stack([rows[i] for i in range(2 * g)], axis=-1)]  # (n, 2g, 2g)
+    return pack(bits).reshape(index.shape)
 
 
 def parabolic_cosets(g: int = 3) -> list[SymplecticMatF2]:
@@ -244,24 +252,22 @@ def parabolic_cosets(g: int = 3) -> list[SymplecticMatF2]:
     in enumeration order, each mapping {m' = 0} onto its Lagrangian under
     the linearized action.
 
-    Each echelon basis w_1..w_g of lagrangian_bases is completed by the
-    least u_i with e(u_i, w_j) = (-1)^{delta_ij} and e(u_i, u_k) = 1 for
-    k < i, all bases at once.  The matrix with columns u + w is the linear
-    part (D C; B A) of the representative.  {m' = 0} comes first, with the
-    unit vectors as its basis, so its representative is the identity.
+    Each echelon basis w_1..w_g of lagrangian_bases, placed as rows g..2g-1,
+    is completed by _row_filter with the least u_i as row i, that is, with
+    e(u_i, w_j) = (-1)^{delta_ij} and e(u_i, u_k) = 1 for k < i, all bases
+    at once.  The matrix with columns u + w is the linear part (D C; B A) of
+    the representative.  {m' = 0} comes first, with the unit vectors as its
+    basis, so its representative is the identity.
     """
     if g != 3:
         raise ValueError("parabolic cosets implemented for g = 3")
-    pt = pairing_table(g)
-    ws = lagrangian_bases(g)
-    us = np.zeros((len(ws), 0), dtype=int)
+    rows = {g + j: w for j, w in enumerate(lagrangian_bases(g).T)}
     for i in range(g):
-        want = np.where(np.arange(g) == i, -1, 1)[:, None]
-        ok = (pt[ws] == want).all(axis=1) & (pt[us] == 1).all(axis=1)
-        if not ok.any(axis=1).all():
+        keep = _row_filter(g, rows, i)
+        if not keep.any(axis=1).all():
             raise AssertionError("failed to complete symplectic basis")
-        us = np.column_stack([us, ok.argmax(axis=1)])
-    cols = np.hstack([us, ws])
+        rows[i] = keep.argmax(axis=1)
+    cols = np.column_stack([rows[i] for i in range(2 * g)])
     n = ((cols[:, None, :] >> np.arange(2 * g - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
     return [SymplecticMatF2(g, int(p)) for p in pack(swap_blocks(n))]
 

@@ -49,6 +49,12 @@ class TestEnumerate:
             assert res.exit_code == 0
             assert len(json.loads(res.output)) == n
 
+    @pytest.mark.parametrize("what, genus", [("even", "4"), ("gopel", "0")])
+    def test_bad_genus_is_a_clean_error(self, runner, what, genus):
+        res = runner.invoke(main, ["enumerate", what, "--g", genus])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+
     def test_gopel_json(self, runner):
         res = runner.invoke(main, ["enumerate", "gopel", "--g", "3"])
         data = json.loads(res.output)

@@ -36,11 +36,17 @@ class TestReportPlumbing:
             ("coble", 0, math.inf),
             ("coble", 0, math.nan),
             ("segre", 0, -1e-10),
+            ("combinatorics", 2.5, 0.0),
+            ("combinatorics", True, 0.0),
+            ("coble", 2.5, 0.0),
+            ("combinatorics", 0, "x"),
+            ("segre", 0, True),
         ],
     )
     def test_out_of_range_samples_or_tol_rejected(self, name, samples, tol):
         # a negative sample count checks nothing and an infinite tol passes
-        # every residual, so neither may produce a report
+        # every residual, so neither may produce a report; nor may a samples
+        # that is not an int or a tol that is not a number (a bool is neither)
         with pytest.raises(ValueError, match="need samples >= 0 and 0 <= tol < inf"):
             run_suite(name, 1, samples, tol)
 
@@ -167,6 +173,16 @@ class TestBatchedGroupChecks:
         monkeypatch.setattr(symplectic, name, fault)
         records = run_suite("group", seed=1).to_json()["records"]
         assert {r["name"] for r in records if not r["pass"]} == failing
+
+
+class TestGroupIndexing:
+    def test_suite_reads_no_list_of_the_group(self, monkeypatch):
+        def raises(g):
+            raise AssertionError("the group suite listed Sp(2g, F2)")
+
+        monkeypatch.setattr(symplectic, "enumerate_group", raises)
+        monkeypatch.setattr(symplectic, "_symplectic_bases", raises)
+        assert run_suite("group", seed=1).passed
 
 
 def _error_records(report) -> list[tuple[str, str]]:

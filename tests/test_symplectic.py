@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -97,35 +98,62 @@ class TestGroupStructure:
                         seen.add(b.packed())
                         new.append(b)
             frontier = new
-        assert {int(p) for p in sp.enumerate_group(g).packed} == seen
+        assert {int(p) for p in sp.enumerate_group(g)} == seen
 
     def test_g3_enumeration_sorted_and_symplectic(self):
         enum = sp.enumerate_group(3)
         assert len(enum) == 1451520
-        assert np.all(enum.packed[1:] > enum.packed[:-1])
+        assert np.all(enum[1:] > enum[:-1])
         rng = np.random.default_rng(5)
-        assert sp.is_symplectic(sp.unpack(3, enum.packed[rng.integers(len(enum), size=1000)])).all()
+        assert sp.is_symplectic(sp.unpack(3, enum[rng.integers(len(enum), size=1000)])).all()
 
     @pytest.mark.parametrize("g", (1, 2, 3))
     def test_enumeration_pinned(self, g):
-        digest = hashlib.sha256(sp.enumerate_group(g).packed.tobytes()).hexdigest()
+        digest = hashlib.sha256(sp.enumerate_group(g).tobytes()).hexdigest()
         assert digest == ENUMERATION_SHA256[g]
-
-    @pytest.mark.parametrize("g", (1, 2, 3))
-    def test_membership_of_absent_values(self, g):
-        enum = sp.enumerate_group(g)
-        lo, hi = int(enum.packed[0]), int(enum.packed[-1])
-        i = int(np.argmax(np.diff(enum.packed) > 1))  # a gap between two elements
-        between = int(enum.packed[i]) + 1
-        values = [lo - 1, lo, between, int(enum.packed[i + 1]), hi, hi + 1, (1 << 64) - 1]
-        expected = [False, True, False, True, True, False, False]
-        assert enum.contains(np.array(values, dtype=np.uint64)).tolist() == expected
-        assert [bool(enum.contains(v)) for v in values] == expected
-        assert sp.SymplecticMatF2.identity(g) in enum and sp.SymplecticMatF2.j(g) in enum
 
     def test_packed_round_trip(self):
         for gen in sp.group_generators(2):
             assert sp.SymplecticMatF2.from_packed(2, gen.packed()) == gen
+
+
+class TestIndexing:
+    """elements(g, index) picks the rows by mixed-radix index, with no list."""
+
+    @pytest.mark.parametrize("g", (1, 2))
+    def test_all_indices_give_the_enumeration(self, g):
+        order = math.prod(sp.extension_counts(g))
+        assert np.array_equal(np.sort(sp.elements(g, np.arange(order))), sp.enumerate_group(g))
+
+    def test_g3_draws_lie_in_the_enumeration(self):
+        enum = sp.enumerate_group(3)
+        assert math.prod(sp.extension_counts(3)) == len(enum)
+        index = np.random.default_rng(23).integers(len(enum), size=1000)
+        packed = sp.elements(3, index)
+        assert np.isin(packed, enum).all()
+        # equal indices give equal elements, distinct ones distinct elements
+        assert len(set(zip(index.tolist(), packed.tolist()))) == len(set(index.tolist()))
+        assert len(set(packed.tolist())) == len(set(index.tolist()))
+
+    def test_shape_is_kept(self):
+        index = np.arange(12).reshape(3, 2, 2)
+        assert np.array_equal(sp.elements(3, index), sp.elements(3, index.ravel()).reshape(3, 2, 2))
+
+    @pytest.mark.parametrize("g", (1, 2, 3))
+    def test_out_of_range_index_rejected(self, g):
+        order = math.prod(sp.extension_counts(g))
+        for bad in ([-1], [0, order], np.array([0.0]), np.array([True])):
+            with pytest.raises(ValueError, match=f"need integer indices in \\[0, {order}\\)"):
+                sp.elements(g, bad)
+
+    def test_count_check_has_teeth(self, monkeypatch):
+        # with e(1, 2) flipped, the partial bases with e_1 = 1 have 7 or 9
+        # candidates for f_1 (row 2), not Witt's 8
+        flipped = pairing_table(2).copy()
+        flipped[1, 2] *= -1
+        monkeypatch.setattr(sp, "pairing_table", lambda g: flipped)
+        with pytest.raises(AssertionError, match="other than 8 candidates for row 2$"):
+            sp.elements(2, np.arange(720))
 
 
 class TestAction:
@@ -138,10 +166,9 @@ class TestAction:
         assert (a * b).act(m) == a.act(b.act(m))
 
     def test_parity_invariance_exhaustive_g2(self):
-        enum = sp.enumerate_group(2)
         chars = list(enumerate_characteristics(2, "all"))
-        for i in range(len(enum)):
-            gamma = enum.element(i)
+        for packed in sp.enumerate_group(2):
+            gamma = sp.SymplecticMatF2.from_packed(2, packed)
             assert all(parity(gamma.act(m)) == parity(m) for m in chars)
 
     @settings(max_examples=30, deadline=None)
@@ -160,8 +187,8 @@ class TestAction:
         enum = sp.enumerate_group(g)
         rng = np.random.default_rng(17)
         picks = np.arange(len(enum)) if n is None else rng.integers(len(enum), size=n)
-        tables = sp.action_tables(g, enum.packed[picks])
-        expected = [scalar_action(g, int(p)) for p in enum.packed[picks]]
+        tables = sp.action_tables(g, enum[picks])
+        expected = [scalar_action(g, int(p)) for p in enum[picks]]
         assert np.array_equal(tables, expected)
 
     def test_action_bijective(self):
@@ -207,7 +234,7 @@ class TestParabolic:
         by_image = dict(zip(sp.lagrangian_image(3, reps), reps))
         rng = np.random.default_rng(11)
         for _ in range(50):
-            gamma = enum.element(int(rng.integers(len(enum))))
+            gamma = sp.SymplecticMatF2.from_packed(3, enum[rng.integers(len(enum))])
             (image,) = sp.lagrangian_image(3, gamma.packed())
             quotient = sp.SymplecticMatF2.from_packed(3, by_image[image]).inverse() * gamma
             assert sp.has_zero_c_block(sp.unpack(3, quotient.packed()))
