@@ -90,30 +90,21 @@ def eval_cmd(what, tau_file, z_file, char_str, tol):
     tau = _load_tau(tau_file)
     z = _load_z(z_file, tau.g)
     out = {"what": what, "g": tau.g}
-    if what == "theta":
+    if what in ("theta", "theta2"):
         if char_str is None:
-            raise click.ClickException("--char is required for theta")
-        value = theta(tau, z, Characteristic.from_string(char_str), tol)
+            raise click.ClickException(f"--char is required for {what}")
+        char = Characteristic.from_string(char_str) if what == "theta" else char_str
+        value = (theta if what == "theta" else theta2)(tau, z, char, tol)
         out["char"] = char_str
         out["value"] = [value.real, value.imag]
-    elif what == "theta2":
-        if char_str is None:
-            raise click.ClickException("--char is required for theta2")
-        value = theta2(tau, z, char_str, tol)
-        out["char"] = char_str
-        out["value"] = [value.real, value.imag]
-    elif what == "coble":
-        value, scale = quartics.coble_eval(tau, z, tol)
-        out["value"] = [value.real, value.imag]
-        out["term_scale"] = scale
-        out["normalized_residual"] = _normalized(value, scale)
     elif what == "coble-grad":
         values, scales = quartics.coble_gradient(tau, z, tol)
         out["values"] = [[v.real, v.imag] for v in values]
         out["term_scales"] = scales
         out["normalized_residuals"] = [_normalized(v, s) for v, s in zip(values, scales)]
-    else:  # kummer2
-        value, scale = quartics.kummer2_eval(tau, z, tol)
+    else:  # coble, kummer2: one value and its term scale
+        evaluate = quartics.coble_eval if what == "coble" else quartics.kummer2_eval
+        value, scale = evaluate(tau, z, tol)
         out["value"] = [value.real, value.imag]
         out["term_scale"] = scale
         out["normalized_residual"] = _normalized(value, scale)

@@ -7,7 +7,9 @@ computed as the product of the even theta constants in the complement of the
 relevant even coset.  Each complement is one cached tuple of even indices in
 enumeration order (chi is the complement of the empty set), and
 goepel_form_matrix multiplies the columns of one cached (135, 28) position
-table over the (n_tau, 36) array of constants.
+table over the (n_tau, 36) array of constants.  The Riemann signs read its
+columns H(P), H(F'), H(F'') for all 105 Pascal systems at once, and the dual
+route to H(F) is G_F of the seven odd theta gradients over theta_{n0}^7.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from .gopel import (
     pascal_decomposition,
     split_lagrangians,
 )
+from .points import g_fano
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     PhasePoint,
-    _abs,
+    cached_gradient,
     even_theta_constants,
     jacobian_det,
     theta,
@@ -104,48 +107,56 @@ def h_via_jacobian(
     triples,
     tol: float = DEFAULT_TOL,
 ) -> complex:
-    """H(F) along the Jacobian-determinant route:
-    D(M_1) ... D(M_7) / theta_{n0}^7, which equals +-pi^21 h_fano(F)."""
+    """D(M_1) ... D(M_7) / theta_{n0}^7 = +-pi^21 h_fano(F), the numerator being
+    g_fano of the seven odd gradient rows; ValueError for a non-Fano family."""
     n0 = aronhold_base_point(aronhold)
-    ms = aronhold.members
-    num = 1.0 + 0.0j
-    for (i, j, k) in triples:
-        num *= jacobian_det(tau, (ms[i - 1], ms[j - 1], ms[k - 1]), tol)
-    t0 = theta(tau, PhasePoint.zero(3), n0, tol)
-    return num / t0**7
+    rows = [cached_gradient(tau, m, tol) for m in aronhold.members]
+    return g_fano(rows, triples) / theta(tau, PhasePoint.zero(3), n0, tol) ** 7
 
 
 PI21 = math.pi**21
 
+# The sign pairs (eps1, eps2) of a Riemann relation; the first of least
+# residual wins.  Column j of the coefficients is (1, -eps1, -eps2) of pair j.
+_SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_RIEMANN_COEFFICIENTS = np.vstack([np.ones(4, dtype=int), -np.array(_SIGN_PAIRS).T])
+
+
+@lru_cache(maxsize=1)
+def _riemann_columns() -> np.ndarray:
+    """(105, 3): for each Pascal system P, in enumerate_gopel(3) order, the
+    columns of goepel_form_matrix holding H(P), H(F') and H(F''), F' and F''
+    its pascal_decomposition."""
+    column = {s: k for k, s in enumerate(enumerate_gopel(3))}
+    decompositions = [pascal_decomposition(s) for s in column if s.kind == "pascal"]
+    return _read_only(np.array([[column[d.pascal], column[d.fano1], column[d.fano2]]
+                                for d in decompositions]))
+
+
+def riemann_residuals(taus) -> np.ndarray:
+    """(105, 4): the worst relative residual |H(P) - eps1 H(F') - eps2 H(F'')|
+    / max(|H(P)|, |H(F')|, |H(F'')|) of each Pascal system (rows, as in
+    _riemann_columns) and sign pair (columns, as in _SIGN_PAIRS) over the
+    probes [reference_tau3(), *taus].  A NaN at a probe makes its entry NaN."""
+    forms = goepel_form_matrix([reference_tau3(), *taus])[:, _riemann_columns()]
+    scale = np.abs(forms).max(axis=-1, keepdims=True)
+    return (np.abs(forms @ _RIEMANN_COEFFICIENTS) / scale).max(axis=0)
+
 
 def riemann_relation(pascal: GopelSystem, taus, tol: float = 1e-8):
-    """Sign pair (eps1, eps2) with H(P) = eps1 H(F') + eps2 H(F'').
-
-    Signs are resolved at a fixed reference tau and then asserted stable on
-    the supplied sample matrices (relative residual below tol at each).  A
-    NaN at any probe makes every sign pair's residual NaN, which raises.
-    """
-    dec = pascal_decomposition(pascal)
-    probes = [reference_tau3()] + list(taus)
-    values = []
-    for tau in probes:
-        hp = h_pascal(tau, pascal)
-        h1 = h_fano(tau, dec.fano1)
-        h2 = h_fano(tau, dec.fano2)
-        values.append((hp, h1, h2, max(_abs(hp), _abs(h1), _abs(h2))))
-    best = None
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            # np.max keeps a NaN, where max() drops one after the first probe
-            worst = np.max([_abs(hp - e1 * h1 - e2 * h2) / scale for hp, h1, h2, scale in values])
-            if best is None or worst < best[0]:
-                best = (worst, e1, e2)
-    worst, e1, e2 = best
-    if not worst < tol:
+    """Sign pair (eps1, eps2) with H(P) = eps1 H(F') + eps2 H(F''): the first
+    pair of least residual in P's row of riemann_residuals, which resolves the
+    signs at a fixed reference tau and asserts them stable on the supplied
+    sample matrices (relative residual below tol at each; a NaN raises)."""
+    pascal_decomposition(pascal)  # ValueError for a Fano system
+    pascals = [s for s in enumerate_gopel(3) if s.kind == "pascal"]
+    row = riemann_residuals(taus)[pascals.index(pascal)]
+    best = int(np.argmin(row))
+    if not row[best] < tol:
         raise RiemannSignError(
-            f"no stable sign pair (best residual {worst:.3e} >= {tol:.1e})"
+            f"no stable sign pair (best residual {row[best]:.3e} >= {tol:.1e})"
         )
-    return e1, e2
+    return _SIGN_PAIRS[best]
 
 
 @lru_cache(maxsize=1)

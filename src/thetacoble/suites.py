@@ -452,15 +452,8 @@ def suite_riemann(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     tol = tol or 1e-8
     rng = stream(seed, "riemann.taus")
     taus = [random_tau(rng, 3) for _ in range(samples)]
-    stable = 0
-    for s in gp.enumerate_gopel(3):
-        if s.kind != "pascal":
-            continue
-        try:
-            modular.riemann_relation(s, taus, tol)
-            stable += 1
-        except modular.RiemannSignError:
-            continue
+    # a NaN in any sign pair of a row makes its minimum NaN, which is not < tol
+    stable = int((modular.riemann_residuals(taus).min(axis=1) < tol).sum())
     return [_count("riemann_stable_pascals", stable, 105)]
 
 

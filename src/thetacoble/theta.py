@@ -399,7 +399,8 @@ def _kept_points(tau: PeriodMatrix, z: PhasePoint,
     the box's largest term, which is the cube's, for the cube's point count
     N: the kept points are those of the whole cube, and the error statement
     of theta is unchanged.  A kept point's coordinates and segment number are
-    read from _half_cube's box slices at its grid indices."""
+    read from _half_cube's box slices at its grid indices, peeled off its flat
+    index in the box (last axis fastest) one axis at a time, not all at once."""
     g = tau.g
     axis, bits = _half_cube(g, radius)
     log_floor = _log_floor((4 * radius + 3) ** g, radius)
@@ -409,12 +410,15 @@ def _kept_points(tau: PeriodMatrix, z: PhasePoint,
     keep = log_mod >= log_mod.max() + log_floor
     kept_log_mod = log_mod[keep]
     del log_mod
-    ij = np.nonzero(keep)
+    index = np.flatnonzero(keep)
     del keep
-    seg = bits[0][box[0]][ij[0]]
-    for b, s, i in zip(bits[1:], box[1:], ij[1:]):
-        seg |= b[s][i]
-    return [axis[s][i] for s, i in zip(box, ij)], seg, kept_log_mod
+    kept, seg = [], 0
+    for i in reversed(range(g)):  # on axis 0 the grid index is what is left
+        index, k = np.divmod(index, len(qs[i])) if i else (None, index)
+        seg |= bits[i][box[i]][k]
+        kept.insert(0, axis[box[i]][k])
+        del k  # before the next divmod
+    return kept, seg, kept_log_mod
 
 
 def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
@@ -425,29 +429,29 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     quadratic form of Re tau and the reduced Re z, bit for bit the real and
     imaginary parts of i pi (q^t tau q + 2 q.z) up to the sign of a zero.
     At z = 0 the kept points are symmetric, q at position K - 1 - k being
-    -q at k, with equal terms, so only the first half is exponentiated and
-    mirrored.  Each segment
-    (m', c) sums its terms, in meshgrid order, by one bincount per real and
-    imaginary part of the value column (and, at z = 0, of the g gradient
-    columns); the sign matrices of _sign_matrices combine them, one per m'.
-    Memoized and read-only."""
+    -q at k, with equal terms, so only the first half is exponentiated (in
+    place) and mirrored.  Each segment (m', c) sums its terms, in meshgrid
+    order, by one bincount per real and imaginary part of the value column
+    (and, at z = 0, of the g gradient columns, built one at a time); the sign
+    matrices of _sign_matrices combine them, one per m'.  Memoized and
+    read-only."""
     key = tau.cache_key() + (z.key, radius)
     hit = _MEMO.get(key)
     if hit is None:
         n = 1 << tau.g
         qs, seg, log_mod = _kept_points(tau, z, radius)
         half = (len(seg) + 1) // 2 if z.is_zero else len(seg)
-        expo = np.empty(half, dtype=complex)
-        expo.real = log_mod[:half]
-        expo.imag = _quadratic_form(tau.tau.real.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)
-        terms = np.exp(expo)
+        terms = np.empty(half, dtype=complex)
+        terms.real = log_mod[:half]
+        del log_mod
+        terms.imag = _quadratic_form(tau.tau.real.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)
+        np.exp(terms, out=terms)
         if z.is_zero:
             terms = np.concatenate((terms, terms[-2::-1]))
-        re_im = [terms.real, terms.imag]
-        cols = [re_im] + ([[x * part for part in re_im] for x in qs] if z.is_zero else [])
-        sums = np.empty((len(cols), n * n), dtype=complex)
-        for col, (re, im) in zip(sums, cols):
-            col.real, col.imag = np.bincount(seg, re, n * n), np.bincount(seg, im, n * n)
+        sums = np.empty((1 + tau.g if z.is_zero else 1, n * n), dtype=complex)
+        for col, x in zip(sums, [None, *qs]):
+            col.real, col.imag = (np.bincount(seg, part if x is None else x * part, n * n)
+                                  for part in (terms.real, terms.imag))
         sums = sums.T
         sums[:, 1:] *= 2j * math.pi
         hit = _remember(key, _read_only(_sign_matrices(tau.g) @ sums.reshape(n, n, -1)))

@@ -182,9 +182,15 @@ class TestFromAronhold:
             modular.h_via_jacobian(modular.reference_tau3(), s, FANO_TRIPLE_FAMILY)
 
     def test_invalid_family_rejected(self):
+        from thetacoble import modular
+
         bad = tuple(list(FANO_TRIPLE_FAMILY[:6]) + [(1, 2, 4)])
         with pytest.raises(ValueError):
             gp.fano_from_aronhold(ARONHOLD_EXAMPLE, bad)
+        # index 0 would wrap to the seventh member
+        for family in (bad, ((0, 1, 2),)):
+            with pytest.raises(ValueError):
+                modular.h_via_jacobian(modular.reference_tau3(), ARONHOLD_EXAMPLE, family)
 
 
 def _shuffled(family, rng) -> tuple:

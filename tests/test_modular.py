@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from thetacoble.characteristics import (
     ARONHOLD_EXAMPLE,
     FANO_TRIPLE_FAMILY,
     enumerate_characteristics,
+    fano_plane_families,
 )
 from thetacoble.gopel import (
     enumerate_gopel,
     even_coset,
     fano_basis,
     fano_from_aronhold,
+    pascal_decomposition,
     split_lagrangians,
 )
 from thetacoble import modular
@@ -92,6 +95,41 @@ class TestDualRoute:
         sign = 1.0 if ratios[0].real > 0 else -1.0
         assert all(abs(r - sign) < 1e-8 for r in ratios)
 
+    @pytest.mark.parametrize("k, reverse", [(0, False), (7, True), (29, False)])
+    def test_equals_the_determinant_loop(self, k, reverse):
+        # the product of seven jacobian_det over the family, as h_via_jacobian
+        # took it before it read g_fano of the gradient rows; reversed
+        # triples flip the sign of each determinant and bracket alike
+        family = tuple(t[::-1] if reverse else t for t in fano_plane_families()[k])
+        ms = ARONHOLD_EXAMPLE.members
+        for tau in (TAU3, modular.reference_tau3()):
+            num = 1.0 + 0.0j
+            for i, j, l in family:
+                num *= th.jacobian_det(tau, (ms[i - 1], ms[j - 1], ms[l - 1]))
+            n0 = modular.aronhold_base_point(ARONHOLD_EXAMPLE)
+            want = num / theta(tau, PhasePoint.zero(3), n0) ** 7
+            assert modular.h_via_jacobian(tau, ARONHOLD_EXAMPLE, family) == want
+
+
+def _scalar_riemann_signs(pascal, taus, tol=1e-8):
+    """The sign pair of the per-form loop riemann_relation ran before it read
+    riemann_residuals: three scalar H per probe, the first pair of least
+    worst residual; None when that residual is not below tol."""
+    dec = pascal_decomposition(pascal)
+    values = []
+    for tau in [modular.reference_tau3()] + list(taus):
+        hp = modular.h_pascal(tau, pascal)
+        h1 = modular.h_fano(tau, dec.fano1)
+        h2 = modular.h_fano(tau, dec.fano2)
+        values.append((hp, h1, h2, max(abs(hp), abs(h1), abs(h2))))
+    best = None
+    for e1 in (1, -1):
+        for e2 in (1, -1):
+            worst = np.max([abs(hp - e1 * h1 - e2 * h2) / scale for hp, h1, h2, scale in values])
+            if best is None or worst < best[0]:
+                best = (worst, e1, e2)
+    return best[1:] if best[0] < tol else None
+
 
 class TestRiemann:
     def test_signs_stable_on_samples(self):
@@ -104,12 +142,66 @@ class TestRiemann:
     def test_relation_value(self):
         pascal = next(s for s in enumerate_gopel(3) if s.kind == "pascal")
         e1, e2 = modular.riemann_relation(pascal, [TAU3])
-        from thetacoble.gopel import pascal_decomposition
-
         dec = pascal_decomposition(pascal)
         hp = modular.h_pascal(TAU3, pascal)
         rhs = e1 * modular.h_fano(TAU3, dec.fano1) + e2 * modular.h_fano(TAU3, dec.fano2)
         assert abs(hp - rhs) / abs(hp) < 1e-8
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_signs_equal_the_scalar_loop(self, seed):
+        # the suite's draws, for all 105 Pascal systems
+        rng = stream(seed, "riemann.taus")
+        taus = [random_tau(rng, 3) for _ in range(10)]
+        residuals = modular.riemann_residuals(taus)
+        pascals = [s for s in enumerate_gopel(3) if s.kind == "pascal"]
+        assert residuals.shape == (105, 4) and len(pascals) == 105
+        for s, row in zip(pascals, residuals):
+            want = _scalar_riemann_signs(s, taus)
+            assert want is not None and row.min() < 1e-8
+            assert modular._SIGN_PAIRS[int(np.argmin(row))] == want
+            assert modular.riemann_relation(s, taus) == want
+
+    def test_columns_are_the_pascal_decompositions(self):
+        systems = enumerate_gopel(3)
+        columns = modular._riemann_columns()
+        assert columns.shape == (105, 3) and not columns.flags.writeable
+        pascals = [s for s in systems if s.kind == "pascal"]
+        for (p, f1, f2), s in zip(columns, pascals):
+            dec = pascal_decomposition(s)
+            assert (systems[p], systems[f1], systems[f2]) == (s, dec.fano1, dec.fano2)
+
+    def test_fano_input_and_unstable_signs_raise(self):
+        fano = next(s for s in enumerate_gopel(3) if s.kind == "fano")
+        pascal = next(s for s in enumerate_gopel(3) if s.kind == "pascal")
+        with pytest.raises(ValueError, match="not a Pascal configuration"):
+            modular.riemann_relation(fano, [TAU3])
+        with pytest.raises(modular.RiemannSignError, match="no stable sign pair"):
+            modular.riemann_relation(pascal, [TAU3], tol=0.0)
+
+
+class TestTablesOnly:
+    def test_riemann_and_dual_route_make_no_per_form_call(self, monkeypatch):
+        # every binding of the scalar H-forms and of jacobian_det raises; the
+        # riemann suite, riemann_relation and h_via_jacobian read tables only
+        ref = modular.reference_tau3()
+        want = modular.h_via_jacobian(ref, ARONHOLD_EXAMPLE, FANO_TRIPLE_FAMILY)
+        pascal = next(s for s in enumerate_gopel(3) if s.kind == "pascal")
+        signs = modular.riemann_relation(pascal, [TAU3])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-form call")
+
+        originals = (modular.h_goepel, modular.h_pascal, modular.h_fano, th.jacobian_det)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("thetacoble") and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in originals):
+                        monkeypatch.setattr(module, attr, refuse)
+        with pytest.raises(AssertionError, match="per-form call"):
+            modular.h_fano(ref, fano_basis()[0])
+        assert run_suite("riemann", 1, 3).passed
+        assert modular.riemann_relation(pascal, [TAU3]) == signs
+        assert modular.h_via_jacobian(ref, ARONHOLD_EXAMPLE, FANO_TRIPLE_FAMILY) == want
 
 
 class TestSVector:
@@ -209,8 +301,9 @@ class TestComplementTables:
     ])
     def test_swapped_table_entry_is_caught(self, monkeypatch, kind, caught):
         # the first complement entry of one system swapped for a member of its
-        # even coset, in h_goepel (through s_vector and riemann_relation) and
-        # in the position table of goepel_form_matrix
+        # even coset, in h_goepel (through s_vector, which coble reads) and in
+        # the position table of goepel_form_matrix (which wrank reads, and
+        # riemann through riemann_residuals)
         target = fano_basis()[0] if kind == "fano" else next(
             s for s in enumerate_gopel(3) if s.kind == "pascal")
         coset = even_coset(target)

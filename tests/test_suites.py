@@ -285,7 +285,6 @@ class TestNaNResiduals:
             ("points.tableau_invariant", "segre", 0, 300, {"pgl_invariance"}),
             # 5 reference calls, then f0-f4 at each tau: f0 at the second tau
             ("modular.h_fano", "jacobi", 4, 11, {"dual_route_f0"}),
-            ("modular.h_pascal", "riemann", 3, 2, {"riemann_stable_pascals"}),
             # 10 reference calls, then the 10 evens at each tau: n0 at the second
             ("modular.phi_star_triple", "kummer2", 4, 21,
              {"triple_product_magnitude", "triple_product_complement_sign",
@@ -320,28 +319,38 @@ class TestNaNResiduals:
     def test_reference_sign_is_the_nearer_of_plus_minus_one(self, ratio, sign):
         assert suites._reference_sign(ratio) == sign
 
-    def test_nan_after_an_underflow_fails_its_record(self, monkeypatch):
-        # math.exp(-1000) leaves errno at ERANGE, which CPython 3.11's abs of
-        # a complex NaN reads as an overflow.  A first run fills the theta
-        # memo, so the two h_fano calls between the NaN and its modulus call
-        # no libm function that would clear errno.
-        monkeypatch.setattr(sys.modules["thetacoble.theta"], "_MEMO", {})
-        assert run_suite("riemann", 1, 3).passed
-        h_pascal, calls = modular.h_pascal, []
+    @staticmethod
+    def riemann_record(monkeypatch, probe, underflow=False):
+        """The riemann record at 3 samples when the Goepel-form column of the
+        first Pascal system is NaN at one probe (0: the reference tau)."""
+        matrix, column = modular.goepel_form_matrix, modular._riemann_columns()[0, 0]
 
-        def nan_at_second_call(tau, system):
-            calls.append(None)
-            if len(calls) == 2:
+        def nan_in_column(taus, *args):
+            out = matrix(taus, *args)
+            out[probe, column] = complex(math.nan, 0.0)
+            if underflow:
                 math.exp(-1000)
-                return complex(math.nan, 0.0)
-            return h_pascal(tau, system)
+            return out
 
-        monkeypatch.setattr(modular, "h_pascal", nan_at_second_call)
+        monkeypatch.setattr(modular, "goepel_form_matrix", nan_in_column)
         report = run_suite("riemann", 1, 3)
         assert not _error_records(report)
         (record,) = report.to_json()["records"]
-        assert record["name"] == "riemann_stable_pascals" and record["value"] == 104.0
-        assert not record["pass"]
+        assert record["name"] == "riemann_stable_pascals"
+        return record
+
+    @pytest.mark.parametrize("probe", [1, 0])
+    def test_nan_in_one_pascal_column_fails_its_record(self, monkeypatch, probe):
+        # the column is read by its own Pascal system only
+        record = self.riemann_record(monkeypatch, probe)
+        assert record["value"] == 104.0 and not record["pass"]
+
+    def test_nan_after_an_underflow_fails_its_record(self, monkeypatch):
+        # math.exp(-1000) leaves errno at ERANGE, which CPython 3.11's abs of
+        # a complex NaN reads as an overflow; the NaN is at the second probe
+        assert run_suite("riemann", 1, 3).passed
+        record = self.riemann_record(monkeypatch, 1, underflow=True)
+        assert record["value"] == 104.0 and not record["pass"]
 
     def test_nan_bracket_after_an_underflow_fails_its_flag(self, monkeypatch):
         # Python's abs of the NaN sum would raise OverflowError, and the

@@ -877,6 +877,35 @@ class TestFloorBox:
         assert not all(r["pass"] for r in run_suite("coble", 1).to_json()["records"])
 
 
+class TestPassMemory:
+    """A pass holds few arrays of its K kept points at once: one grid index
+    array at a time, in-place exponentials, one weight column at a time.  The
+    bounds lie below the peaks of all g index arrays, a second exponent array
+    and all gradient columns at once: 8 such arrays in _kept_points, 15
+    (z = 0) or 10 in _class_sums."""
+
+    @pytest.mark.parametrize("imz_l1, kept_bound, sums_bound", [(0.0, 7, 8), (0.5, 7, 9.5)])
+    def test_peak_in_kept_point_arrays(self, monkeypatch, imz_l1, kept_bound, sums_bound):
+        rng = stream(41, "test_theta.pass_memory")
+        tau = _anisotropic_tau(rng, 3, 0.05)
+        z = _z_with_imz_l1(rng, 3, imz_l1) if imz_l1 else th.PhasePoint.zero(3)
+        radius = th.truncation_radius(tau, z).radius
+        peaks = []
+        for name in ("_kept_points", "_class_sums"):
+            monkeypatch.setattr(th, "_MEMO", {})
+            tracemalloc.start()
+            try:
+                out = getattr(th, name)(tau, z, radius)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            if name == "_kept_points":
+                k_array = out[1].nbytes  # one intp (8-byte) array of K entries
+            del out
+        assert k_array > 2 ** 19
+        assert peaks[0] < kept_bound * k_array and peaks[1] < sums_bound * k_array
+
+
 class TestPassCount:
     """A cold evaluation makes one kernel pass for the theta-2 vector and one
     for the theta constants (with their gradients)."""
