@@ -10,6 +10,10 @@ goepel_form_matrix multiplies the columns of one cached (135, 28) position
 table over the (n_tau, 36) array of constants.  The Riemann signs read its
 columns H(P), H(F'), H(F'') for all 105 Pascal systems at once, and the dual
 route to H(F) is G_F of the seven odd theta gradients over theta_{n0}^7.
+The s-vector is memoized per (tau, tol) in the theta memo, beside the
+constants it is built from, and read-only: the modularity check evaluates
+the Coble quartic at one tau under several transformations, and each
+evaluation at tau reads it again.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     PhasePoint,
+    _memoized,
     cached_gradient,
     even_theta_constants,
     jacobian_det,
@@ -190,14 +195,18 @@ def reference_tau2() -> PeriodMatrix:
 def s_vector(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """g=3: (H(F_1), ..., H(F_15)); g=2: s_i = chi_5^2 / (prod over Q_i)^2,
     computed as squared complement products, Q_1..Q_5 the split Lagrangians
-    of genus 2."""
+    of genus 2.  Memoized per (tau, tol) beside the theta constants, and
+    read-only."""
+    if tau.g not in (2, 3):
+        raise ValueError("s_vector is defined for g in {2, 3}")
+    return _memoized(tau._key + ("s_vector", tol), _s_vector, tau, tol)
+
+
+def _s_vector(tau: PeriodMatrix, tol: float) -> np.ndarray:
     if tau.g == 3:
-        return np.array([h_fano(tau, f, tol) for f in fano_basis()])
-    if tau.g == 2:
-        return np.array(
-            [_complement_product(tau, q.idx_set(), tol) ** 2 for q in split_lagrangians(2)]
-        )
-    raise ValueError("s_vector is defined for g in {2, 3}")
+        return _read_only(np.array([h_fano(tau, f, tol) for f in fano_basis()]))
+    return _read_only(np.array(
+        [_complement_product(tau, q.idx_set(), tol) ** 2 for q in split_lagrangians(2)]))
 
 
 @lru_cache(maxsize=1)

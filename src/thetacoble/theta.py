@@ -19,6 +19,15 @@ each term goes to its segment (m', p mod 2) by one bincount per real column,
 with no sort.  At z = 0 they come in pairs +-q with equal terms, and only
 half of them are exponentiated.
 
+A pass has two halves.  Its geometry (the kept points, their segment numbers
+and log-moduli) depends only on g, Im tau, Im z and the radius, since the
+truncation region of a theta sum is a function of Im tau (Deconinck et al.,
+Math. Comp. 73 (2004)).  Its phase half (the form of Re tau and Re z, the
+exp, the bincounts and the sign matrices) reads the rest.  The geometries of
+the last two passes are kept, read-only, keyed by exactly those inputs, unless
+one exceeds 4 MiB: so a pass at tau + S, S real, such as a modular
+translation, makes only the phase half.
+
 The facts a pass reads of its inputs (the memo key and (Im tau)^-1 of tau;
 the reduced point, its Python floats, is_zero, |Im z|_1, the key bytes and
 the doubled point 2 z of z; the TruncationSpec of each (g, lambda_min,
@@ -137,12 +146,13 @@ class PeriodMatrix:
 
     def _doubled(self) -> "PeriodMatrix":
         """2 tau.  It is symmetric with positive-definite imaginary part by
-        construction, so only lambda_min is computed, not the checks, and its
-        y_inv is that of tau halved (exactly)."""
+        construction, so it is not checked again.  Its lambda_min is tau's
+        doubled, the smallest eigenvalue of 2 Im tau, with no second eigvalsh
+        (which gives the same float wherever LAPACK does not rescale), and its
+        y_inv is tau's halved (exactly)."""
         two, tau = object.__new__(PeriodMatrix), _read_only(2 * self.tau)
         y_inv = None if self.y_inv is None else _read_only(self.y_inv / 2)
-        for name, value in (("g", self.g), ("tau", tau),
-                            ("lambda_min", float(np.linalg.eigvalsh(tau.imag).min())),
+        for name, value in (("g", self.g), ("tau", tau), ("lambda_min", 2 * self.lambda_min),
                             ("_key", (self.g, tau.tobytes())), ("y_inv", y_inv)):
             object.__setattr__(two, name, value)
         return two
@@ -294,12 +304,12 @@ def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL
     return _radius(tau.g, tau.lambda_min, z.imz_l1, tol)
 
 
-# One bounded memo of read-only values (class sums, constants, gradients, 2 tau)
-# per tau; the whole memo is dropped once it holds more than _MEMO_CAP entries.
-# A cold coble_eval adds 4: one class-sum table each for the theta-2 vector and
-# the constants (2^g x 2^g, up to 4 KB at g = 3 with z = 0 gradients), 2 tau
-# and the constants.  At the cap the values take about 3.1 MB (identities
-# workload, seeds 1-3 in one process).
+# One bounded memo of read-only values (class sums, constants, gradients, 2 tau,
+# and modular's s-vector) per tau; the whole memo is dropped once it holds more
+# than _MEMO_CAP entries.  A cold coble_eval adds 5: one class-sum table each
+# for the theta-2 vector and the constants (2^g x 2^g, up to 4 KB at g = 3 with
+# z = 0 gradients), 2 tau, the constants and the s-vector.  At the cap the
+# values take about 3.1 MB (identities workload, seeds 1-3 in one process).
 _MEMO: dict[tuple, object] = {}
 _MEMO_CAP = 2048
 
@@ -309,6 +319,26 @@ def _remember(key: tuple, value):
         _MEMO.clear()
     _MEMO[key] = value
     return value
+
+
+def _memoized(key: tuple, build, *args):
+    """The memo's value at key, or build(*args), remembered there."""
+    hit = _MEMO.get(key)
+    if hit is None:
+        hit = _remember(key, build(*args))
+    return hit
+
+
+# The geometries of the last _GEOMETRY_CAP passes (what _kept_points returns,
+# read-only), least recently used first, keyed by (g, Im tau bytes, Im z bytes,
+# radius): the kept points, segment numbers and log-moduli depend on nothing
+# else, so a pass at tau + S (S real), such as a modular translation, reuses
+# the geometry of the pass at tau.  A geometry above _GEOMETRY_BYTES (about
+# 100k kept points) serves its own pass and is not kept, so the memo holds at
+# most 8 MiB.
+_GEOMETRY: dict[tuple, tuple] = {}
+_GEOMETRY_CAP = 2
+_GEOMETRY_BYTES = 4 * 2 ** 20
 
 
 @lru_cache(maxsize=None)
@@ -361,6 +391,26 @@ def _quadratic_form(a: list, b: tuple, qs: list, scale: float) -> np.ndarray:
             form += row * q
     form *= scale
     return form
+
+
+def _form_into(out: np.ndarray, a: list, b: tuple, qs: list, scale: float) -> None:
+    """_quadratic_form(a, b, qs, scale) written into out, for coordinate
+    arrays qs of out's shape: the same operations in the same order, so bit
+    for bit, but in place, with one array of out's size for the row and one
+    for the products 2 a_ij q_j."""
+    row = np.empty(out.shape)
+    product = np.empty(out.shape) if len(qs) > 1 else None
+    for i, q in enumerate(qs):
+        np.multiply(q, a[i][i], out=row)
+        row += 2 * b[i]
+        for j in range(i + 1, len(qs)):
+            row += np.multiply(qs[j], 2 * a[i][j], out=product)
+        if i:
+            row *= q
+            out += row
+        else:
+            np.multiply(row, q, out=out)
+    out *= scale
 
 
 def _floor_box(tau: PeriodMatrix, z: PhasePoint, radius: int, log_floor: float) -> tuple:
@@ -421,13 +471,34 @@ def _kept_points(tau: PeriodMatrix, z: PhasePoint,
     return kept, seg, kept_log_mod
 
 
+def _geometry(tau: PeriodMatrix, z: PhasePoint, radius: int) -> tuple:
+    """_kept_points(tau, z, radius), from the geometry memo when a pass at the
+    same (g, Im tau, Im z, radius) kept it.  A kept geometry is read-only, its
+    segment numbers a read-only view of a writeable array; one above
+    _GEOMETRY_BYTES is returned as built, for its own pass alone."""
+    key = (tau.g, tau.tau.imag.tobytes(), z.reduced.imag.tobytes(), radius)
+    geometry = _GEOMETRY.pop(key, None)
+    if geometry is None:
+        qs, seg, log_mod = geometry = _kept_points(tau, z, radius)
+        if (len(qs) + 2) * log_mod.nbytes > _GEOMETRY_BYTES:
+            return geometry
+        geometry = (tuple(map(_read_only, qs)), _read_only(seg.view()), _read_only(log_mod))
+    _GEOMETRY[key] = geometry
+    if len(_GEOMETRY) > _GEOMETRY_CAP:
+        del _GEOMETRY[next(iter(_GEOMETRY))]
+    return geometry
+
+
 def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     """Entry [m', m''] holds theta[m'; m''](tau, z) over the half-integer cube
     of the given radius and, at z = 0, its z-gradient: one exp over the
     points above the rounding floor serves all 4^g characteristics.  The
-    exponent of a point is its log-modulus plus i pi times the axis-by-axis
-    quadratic form of Re tau and the reduced Re z, bit for bit the real and
-    imaginary parts of i pi (q^t tau q + 2 q.z) up to the sign of a zero.
+    pass has two halves.  Its geometry, the kept points, segment numbers and
+    log-moduli, depends only on Im tau, Im z and the radius (_geometry).  Its
+    phase half adds to each log-modulus i pi times the axis-by-axis quadratic
+    form of Re tau and the reduced Re z, bit for bit the real and imaginary
+    parts of i pi (q^t tau q + 2 q.z) up to the sign of a zero; the form is
+    built in place in the imaginary parts.
     At z = 0 the kept points are symmetric, q at position K - 1 - k being
     -q at k, with equal terms, so only the first half is exponentiated (in
     place) and mirrored.  Each segment (m', c) sums its terms, in meshgrid
@@ -435,19 +506,23 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     (and, at z = 0, of the g gradient columns, built one at a time); the sign
     matrices of _sign_matrices combine them, one per m'.  Memoized and
     read-only."""
-    key = tau.cache_key() + (z.key, radius)
+    key = tau._key + (z.key, radius)
     hit = _MEMO.get(key)
     if hit is None:
         n = 1 << tau.g
-        qs, seg, log_mod = _kept_points(tau, z, radius)
+        qs, seg, log_mod = _geometry(tau, z, radius)
         half = (len(seg) + 1) // 2 if z.is_zero else len(seg)
-        terms = np.empty(half, dtype=complex)
-        terms.real = log_mod[:half]
-        del log_mod
-        terms.imag = _quadratic_form(tau.tau.real.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)
-        np.exp(terms, out=terms)
+        terms = np.empty(len(seg), dtype=complex)
+        head = terms[:half]
+        head.real = log_mod[:half]
+        del log_mod  # freed here unless the geometry memo keeps it
+        _form_into(head.imag, tau.tau.real.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)
+        np.exp(head, out=head)
         if z.is_zero:
-            terms = np.concatenate((terms, terms[-2::-1]))
+            terms[half:] = head[-2::-1]
+        # np.bincount copies a read-only index array on every call, so a kept
+        # geometry's segment numbers are counted through the view's base
+        seg = seg if seg.flags.writeable else seg.base
         sums = np.empty((1 + tau.g if z.is_zero else 1, n * n), dtype=complex)
         for col, x in zip(sums, [None, *qs]):
             col.real, col.imag = (np.bincount(seg, part if x is None else x * part, n * n)
@@ -468,10 +543,11 @@ def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFA
     """
     if not (tau.g == z.g == m.g):
         raise ValueError("genus mismatch")
-    if m.is_odd and z.is_zero:
+    if z.is_zero and m.is_odd:
         return 0.0
     radius = truncation_radius(tau, z, tol).radius
-    return complex(_class_sums(tau, z, radius)[m.mp_int, m.mpp_int, 0])
+    g, i = tau.g, m.idx
+    return complex(_class_sums(tau, z, radius)[i >> g, i & ((1 << g) - 1), 0])
 
 
 def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL) -> complex:
@@ -481,8 +557,7 @@ def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL)
     g = tau.g
     if len(eps) != g:
         raise ValueError("eps length does not match genus")
-    key = tau.cache_key() + ("2tau",)
-    tau2 = _MEMO.get(key) or _remember(key, tau._doubled())
+    tau2 = _memoized(tau._key + ("2tau",), tau._doubled)
     return theta(tau2, z.doubled, _second_order(eps), tol)
 
 
@@ -510,26 +585,20 @@ def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TO
 def even_theta_constants(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> MappingProxyType:
     """All even theta constants at tau, keyed by characteristic index, as a
     read-only mapping; memoized per (tau, tol)."""
-    key = tau.cache_key() + (tol,)
-    hit = _MEMO.get(key)
-    if hit is None:
-        z0 = PhasePoint.zero(tau.g)
-        hit = _remember(key, MappingProxyType({
-            m.idx: theta(tau, z0, m, tol)
-            for m in enumerate_characteristics(tau.g, "even")
-        }))
-    return hit
+    return _memoized(tau._key + (tol,), _even_constants, tau, tol)
+
+
+def _even_constants(tau: PeriodMatrix, tol: float) -> MappingProxyType:
+    z0 = PhasePoint.zero(tau.g)
+    return MappingProxyType({m.idx: theta(tau, z0, m, tol)
+                             for m in enumerate_characteristics(tau.g, "even")})
 
 
 def cached_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TOL) -> np.ndarray:
     """theta_gradient(tau, m, tol), memoized per (tau, m, tol)."""
     if tau.g != m.g:
         raise ValueError("genus mismatch")
-    key = tau.cache_key() + (m.idx, tol)
-    hit = _MEMO.get(key)
-    if hit is None:
-        hit = _remember(key, theta_gradient(tau, m, tol))
-    return hit
+    return _memoized(tau._key + (m.idx, tol), theta_gradient, tau, m, tol)
 
 
 def jacobian_det(tau: PeriodMatrix, ms, tol: float = DEFAULT_TOL) -> complex:

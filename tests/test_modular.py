@@ -216,6 +216,13 @@ class TestSVector:
         for i, f in enumerate(fano_basis()[:3]):
             assert s[i] == modular.h_fano(TAU3, f)
 
+    def test_memoized_and_read_only(self):
+        for tau in (TAU3, TAU2):
+            s = modular.s_vector(tau)
+            assert modular.s_vector(tau) is s
+            with pytest.raises(ValueError, match="read-only"):
+                s[0] = 0
+
     def test_genus2_is_squared_complement(self):
         s = modular.s_vector(TAU2)
         consts = even_theta_constants(TAU2)
@@ -299,7 +306,7 @@ class TestComplementTables:
         ("fano", {"w_rank", "riemann_stable_pascals", "coble_vanishing"}),
         ("pascal", {"w_rank", "riemann_stable_pascals"}),
     ])
-    def test_swapped_table_entry_is_caught(self, monkeypatch, kind, caught):
+    def test_swapped_table_entry_is_caught(self, monkeypatch, fresh_memos, kind, caught):
         # the first complement entry of one system swapped for a member of its
         # even coset, in h_goepel (through s_vector, which coble reads) and in
         # the position table of goepel_form_matrix (which wrank reads, and
@@ -314,7 +321,7 @@ class TestComplementTables:
             return (min(excluded),) + out[1:] if excluded == coset else out
 
         monkeypatch.setattr(modular, "_complement_keys", faulty)
-        monkeypatch.setattr(th, "_MEMO", {})
+        fresh_memos()
         modular._goepel_positions.cache_clear()
         try:
             failed = {r.name for name, samples in (("wrank", 16), ("riemann", 3), ("coble", 2))

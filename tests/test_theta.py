@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetacoble import quartics
+from thetacoble import modular, quartics
 from thetacoble.characteristics import Characteristic, enumerate_characteristics
 from thetacoble.modular import chi
 from thetacoble.sampling import random_tau, random_z, stream
@@ -198,11 +199,21 @@ class TestPeriodMatrix:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_doubled_equals_the_checked_2tau(self, g):
-        for tau in TAUS[g]:
+        # 2 tau's lambda_min is tau's doubled, with no eigvalsh of its own: the
+        # same float as eigvalsh(2 Im tau), here over lambda_min from 0.05 to 3
+        # and, at g = 3, conditions 1e3 to 1e12 (y_inv None from 1e9 on)
+        rng = stream(43, f"test_theta.doubled.{g}")
+        taus = TAUS[g] + [_anisotropic_tau(rng, g, lam) for lam in (0.05, 0.25, 3.0) for _ in range(10)]
+        if g == 3:
+            taus += [_conditioned_tau(rng, cond) for cond in (1e3, 1e6, 1e9, 1e12) for _ in range(10)]
+        for tau in taus:
             two, checked = tau._doubled(), th.PeriodMatrix(g, 2 * tau.tau)
             assert np.array_equal(two.tau, checked.tau) and not two.tau.flags.writeable
             assert (two.g, two.lambda_min, two.cache_key()) == \
                 (g, checked.lambda_min, checked.cache_key())
+            assert two.lambda_min == float(np.linalg.eigvalsh(2 * tau.tau.imag).min())
+            assert (two.y_inv is None) == (checked.y_inv is None)
+            assert two.y_inv is None or np.array_equal(two.y_inv, checked.y_inv)
 
 
 class TestPhasePointFacts:
@@ -259,9 +270,9 @@ class TestPhasePointFacts:
                 array[0] = 1
         assert zero.parts == ((0.0,) * g, (0.0,) * g)
 
-    def test_shared_zero_leaves_reports_unchanged(self, monkeypatch):
+    def test_shared_zero_leaves_reports_unchanged(self, monkeypatch, fresh_memos):
         def reports():
-            monkeypatch.setattr(th, "_MEMO", {})
+            fresh_memos()
             return [{k: v for k, v in run_suite(name, 2).to_json().items() if k != "wall_time"}
                     for name in ("jacobi", "coble", "kummer2", "points")]
 
@@ -609,7 +620,7 @@ class TestClassKernel:
             seg = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
             assert np.array_equal(seg, want)
 
-    def test_swapped_sign_columns_are_caught(self, monkeypatch):
+    def test_swapped_sign_columns_are_caught(self, monkeypatch, fresh_memos):
         sign_matrices = th._sign_matrices
 
         def swapped(g):
@@ -620,7 +631,7 @@ class TestClassKernel:
                 for attr, value in list(vars(module).items()):
                     if value is sign_matrices:
                         monkeypatch.setattr(module, attr, swapped)
-        monkeypatch.setattr(th, "_MEMO", {})
+        fresh_memos()
         assert _kernel_mismatches(3, 0.25, True) and _kernel_mismatches(3, 0.25, False)
         records = run_suite("coble", 1).to_json()["records"]
         assert not all(r["pass"] for r in records)
@@ -696,14 +707,14 @@ class TestRoundingFloor:
             if not imz_l1 and m.is_odd:
                 assert np.all(np.abs(th.theta_gradient(tau, m) - grad) <= grad_allowance + skipped_bound)
 
-    def test_loosened_floor_is_caught(self, monkeypatch):
+    def test_loosened_floor_is_caught(self, monkeypatch, fresh_memos):
         log_floor = th._log_floor
 
         def loosened(n_points, radius):
             return log_floor(n_points, radius) + math.log(1e6)
 
         _patch_everywhere(monkeypatch, log_floor, loosened)
-        monkeypatch.setattr(th, "_MEMO", {})
+        fresh_memos()
         assert _kernel_mismatches(1, 0.25, True) and _kernel_mismatches(3, 1.0, True)
 
 
@@ -784,9 +795,9 @@ class TestFloorBox:
     are those of the whole-cube pass bit for bit."""
 
     @pytest.mark.parametrize("k", range(len(BOX_CASES)))
-    def test_tables_equal_the_whole_cube_pass_bit_for_bit(self, monkeypatch, k):
+    def test_tables_equal_the_whole_cube_pass_bit_for_bit(self, fresh_memos, k):
         tau, z, radius = BOX_CASES[k]
-        monkeypatch.setattr(th, "_MEMO", {})
+        fresh_memos()
         got = th._class_sums(tau, z, radius)
         assert got.tobytes() == _whole_cube_class_sums(tau, z, radius).tobytes()
 
@@ -816,11 +827,11 @@ class TestFloorBox:
         q = np.stack(qs, axis=1)
         assert len(q) % 2 == 1 and np.array_equal(q[::-1], -q) and np.array_equal(log_mod[::-1], log_mod)
 
-    def test_a_small_box_in_a_large_cube_allocates_little(self, monkeypatch):
+    def test_a_small_box_in_a_large_cube_allocates_little(self, fresh_memos):
         # the radius-150 cube holds 603^3 points, 219 MB at one byte each; the
         # pass allocates only what its floor box and its kept points need
         tau = random_tau(stream(37, "test_theta.large_cube"), 3)
-        monkeypatch.setattr(th, "_MEMO", {})
+        fresh_memos()
         tracemalloc.start()
         try:
             table = th._class_sums(tau, th.PhasePoint.zero(3), 150)
@@ -850,7 +861,7 @@ class TestFloorBox:
         assert inside[np.flatnonzero(np.all(cube == 0, axis=1))].all()
         assert np.all(log_mod[~inside] < log_mod.max() + log_floor)
 
-    def test_face_moved_in_by_a_grid_step_is_caught(self, monkeypatch):
+    def test_face_moved_in_by_a_grid_step_is_caught(self, monkeypatch, fresh_memos):
         # The box is widened by one grid step against rounding, so where the
         # cube does not clip a face, moving it in by a step changes no table.
         # Where the cube clips it, the step drops the cube's outer slab: the
@@ -865,7 +876,7 @@ class TestFloorBox:
         _patch_everywhere(monkeypatch, floor_box, moved)
         unchanged = {False: set(), True: set()}  # by whether the cube clips the face
         for tau, z, radius in BOX_CASES:
-            monkeypatch.setattr(th, "_MEMO", {})
+            fresh_memos()
             clipped = floor_box(tau, z, radius, th._log_floor((4 * radius + 3) ** tau.g, radius))[0].start == 0
             try:
                 table = th._class_sums(tau, z, radius).tobytes()
@@ -873,26 +884,28 @@ class TestFloorBox:
                 table = None
             unchanged[clipped].add(table == _whole_cube_class_sums(tau, z, radius).tobytes())
         assert unchanged == {False: {True}, True: {True, False}}
-        monkeypatch.setattr(th, "_MEMO", {})
+        fresh_memos()
         assert not all(r["pass"] for r in run_suite("coble", 1).to_json()["records"])
 
 
 class TestPassMemory:
     """A pass holds few arrays of its K kept points at once: one grid index
-    array at a time, in-place exponentials, one weight column at a time.  The
-    bounds lie below the peaks of all g index arrays, a second exponent array
-    and all gradient columns at once: 8 such arrays in _kept_points, 15
-    (z = 0) or 10 in _class_sums."""
+    array at a time, in-place exponentials, one weight column at a time, and
+    the imaginary parts built in place.  The bounds lie below the peaks of
+    all g index arrays, a second exponent array and all gradient columns at
+    once: 8 such arrays in _kept_points, 15 (z = 0) or 10 in _class_sums; and
+    at z != 0 below the 9 of a form with three temporaries.  Both geometries
+    here are above _GEOMETRY_BYTES, so the pass frees its log-moduli early."""
 
-    @pytest.mark.parametrize("imz_l1, kept_bound, sums_bound", [(0.0, 7, 8), (0.5, 7, 9.5)])
-    def test_peak_in_kept_point_arrays(self, monkeypatch, imz_l1, kept_bound, sums_bound):
+    @pytest.mark.parametrize("imz_l1, kept_bound, sums_bound", [(0.0, 7, 8), (0.5, 7, 8.5)])
+    def test_peak_in_kept_point_arrays(self, fresh_memos, imz_l1, kept_bound, sums_bound):
         rng = stream(41, "test_theta.pass_memory")
         tau = _anisotropic_tau(rng, 3, 0.05)
         z = _z_with_imz_l1(rng, 3, imz_l1) if imz_l1 else th.PhasePoint.zero(3)
         radius = th.truncation_radius(tau, z).radius
         peaks = []
         for name in ("_kept_points", "_class_sums"):
-            monkeypatch.setattr(th, "_MEMO", {})
+            fresh_memos()
             tracemalloc.start()
             try:
                 out = getattr(th, name)(tau, z, radius)
@@ -902,7 +915,7 @@ class TestPassMemory:
             if name == "_kept_points":
                 k_array = out[1].nbytes  # one intp (8-byte) array of K entries
             del out
-        assert k_array > 2 ** 19
+        assert k_array > 2 ** 19 and 5 * k_array > th._GEOMETRY_BYTES
         assert peaks[0] < kept_bound * k_array and peaks[1] < sums_bound * k_array
 
 
@@ -911,7 +924,7 @@ class TestPassCount:
     for the theta constants (with their gradients)."""
 
     @pytest.mark.parametrize("kind, g", [("coble_eval", 3), ("kummer2_eval", 2)])
-    def test_two_passes_per_cold_eval(self, monkeypatch, kind, g):
+    def test_two_passes_per_cold_eval(self, monkeypatch, fresh_memos, kind, g):
         passes = []
         kept_points = th._kept_points
 
@@ -920,11 +933,76 @@ class TestPassCount:
             return kept_points(tau, z, radius)
 
         _patch_everywhere(monkeypatch, kept_points, counted)
-        monkeypatch.setattr(th, "_MEMO", {})
+        fresh_memos()
         rng = stream(19, f"test_theta.passes.{kind}")
         value, scale = getattr(quartics, kind)(random_tau(rng, g), random_z(rng, g))
         assert abs(value) < 1e-8 * scale
         assert sorted(passes) == [False, True]
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestGeometryMemo:
+    """A pass reuses the kept points of the last two passes at the same
+    (g, Im tau, Im z, radius), which a modular translation tau -> tau + S
+    does not change; a geometry above _GEOMETRY_BYTES is not kept."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = []
+        kept_points = th._kept_points
+
+        def counted(tau, z, radius):
+            built.append(radius)
+            return kept_points(tau, z, radius)
+
+        _patch_everywhere(monkeypatch, kept_points, counted)
+        return built
+
+    def test_translations_reuse_the_geometry(self, monkeypatch, fresh_memos):
+        # per sample the J check builds the two geometries of its transformed
+        # (tau, z) and of (tau, z); the five translations reuse the latter
+        built = self._count_builds(monkeypatch)
+        fresh_memos()
+        assert run_suite("modularity", 1, 2).passed
+        assert len(built) == 8
+
+    def test_reports_equal_those_without_the_memos(self, monkeypatch, fresh_memos):
+        built = self._count_builds(monkeypatch)
+
+        def reports(geometry_memo):
+            fresh_memos()
+            monkeypatch.setattr(th, "_GEOMETRY", geometry_memo)
+            return [json.dumps({k: v for k, v in run_suite(name, seed).to_json().items() if k != "wall_time"})
+                    for name in ("jacobi", "coble", "modularity", "kummer2") for seed in (1, 2)]
+
+        memoized = reports({})
+        builds = len(built)
+        monkeypatch.setattr(modular, "_memoized", lambda key, build, *args: build(*args))
+        assert reports(_Forgetful()) == memoized
+        assert len(built) - builds > builds
+
+    def test_at_most_two_geometries_none_above_the_cap(self, monkeypatch, fresh_memos):
+        built = self._count_builds(monkeypatch)
+        fresh_memos()
+        rng = stream(47, "test_theta.geometry_memo")
+        z0 = th.PhasePoint.zero(3)
+        a, b, c = (random_tau(rng, 3) for _ in range(3))
+        # a + 1 and a + 2 (in every entry) reuse the geometry of a; it was used
+        # after b's when c arrives, so b's goes
+        for tau in (a, b, th.PeriodMatrix(3, a.tau + 1), c, th.PeriodMatrix(3, a.tau + 2)):
+            th._class_sums(tau, z0, 3)
+        assert built == [3] * 3 and len(th._GEOMETRY) == 2
+        th._class_sums(_anisotropic_tau(rng, 3, 0.03), z0, 40)  # 137k kept points
+        assert built == [3] * 3 + [40] and len(th._GEOMETRY) == 2
+        assert all((len(qs) + 2) * log_mod.nbytes <= th._GEOMETRY_BYTES
+                   for qs, _, log_mod in th._GEOMETRY.values())
+        assert {key[-1] for key in th._GEOMETRY} == {3}
 
 
 class TestReadOnlyMemo:
@@ -957,3 +1035,12 @@ class TestReadOnlyMemo:
         again = th.even_theta_constants(tau)
         assert all(abs(again[k] - v) < 1e-13 for k, v in want.items())
         assert chi(tau) == pytest.approx(math.prod(want.values()), rel=1e-10)
+
+    def test_geometry_write_raises(self, fresh_memos):
+        fresh_memos()
+        tau = random_tau(stream(8, "test_theta.read_only_geometry"), 3)
+        th.even_theta_constants(tau)
+        ((qs, seg, log_mod),) = th._GEOMETRY.values()
+        for array in (*qs, seg, log_mod):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
