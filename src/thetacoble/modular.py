@@ -10,10 +10,11 @@ goepel_form_matrix multiplies the columns of one cached (135, 28) position
 table over the (n_tau, 36) array of constants.  The Riemann signs read its
 columns H(P), H(F'), H(F'') for all 105 Pascal systems at once, and the dual
 route to H(F) is G_F of the seven odd theta gradients over theta_{n0}^7.
-The s-vector is memoized per (tau, tol) in the theta memo, beside the
-constants it is built from, and read-only: the modularity check evaluates
-the Coble quartic at one tau under several transformations, and each
-evaluation at tau reads it again.
+The 20 triple products of genus 2 read the 15 odd-pair Jacobians.  The
+s-vector is memoized per (tau, tol) in the theta memo, beside the constants
+it is built from, and read-only: the modularity check evaluates the Coble
+quartic at one tau under several transformations, and each evaluation at tau
+reads it again.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .characteristics import (
     CharacteristicSet,
     _check_aronhold,
     _read_only,
+    azygetic_odd_sets,
     enumerate_characteristics,
 )
 from .gopel import (
@@ -210,46 +212,30 @@ def _s_vector(tau: PeriodMatrix, tol: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _odd_triple_table() -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Even genus-2 index -> (the first odd index triple, in lexicographic
-    order, that sums to it; the other three).  The 6 odd characteristics sum
-    to 0, so the other three sum to it too."""
-    odds = list(enumerate_characteristics(2, "odd"))
-    table = {}
-    for triple in combinations(range(6), 3):
-        n = odds[triple[0]] + odds[triple[1]] + odds[triple[2]]
-        table.setdefault(n.idx, (triple, tuple(i for i in range(6) if i not in triple)))
-    return table
+def _triple_pairs() -> np.ndarray:
+    """(10, 2, 3): for each even genus-2 n, in enumeration order, the two odd
+    triples (a, b, c) of azygetic_odd_sets(2, 3) summing to n, the
+    lexicographically first one first, each as the positions of its pairs
+    (a, b), (a, c), (b, c) in combinations(odds, 2)."""
+    odds = [m.idx for m in enumerate_characteristics(2, "odd")]
+    pair = {p: k for k, p in enumerate(combinations(odds, 2))}
+    triples = azygetic_odd_sets(2, 3)
+    sums = np.bitwise_xor.reduce(triples, axis=1)
+    return _read_only(np.array([
+        [[pair[a, b], pair[a, c], pair[b, c]] for a, b, c in triples[sums == n.idx].tolist()]
+        for n in enumerate_characteristics(2, "even")]))
 
 
-def odd_triple_partition(n: Characteristic):
-    """Split of an even genus-2 characteristic as two odd triple sums.
-
-    Returns two disjoint index triples into the sorted list of the 6 odd
-    characteristics, each summing to n.
-    """
-    if n.g != 2:
-        raise ValueError("genus-2 operation")
-    if n.is_odd:
-        raise ValueError("characteristic must be even")
-    return _odd_triple_table()[n.idx]
-
-
-def odd_triple_product(tau: PeriodMatrix, triple, tol: float = DEFAULT_TOL) -> complex:
-    """D(m_a, m_b) D(m_a, m_c) D(m_b, m_c) for an index triple (a, b, c) into
-    the sorted list of the 6 odd genus-2 characteristics."""
-    odds = enumerate_characteristics(2, "odd").members
-    a, b, c = (odds[i] for i in triple)
-    return (jacobian_det(tau, (a, b), tol) * jacobian_det(tau, (a, c), tol)
-            * jacobian_det(tau, (b, c), tol))
-
-
-def phi_star_triple(tau: PeriodMatrix, n: Characteristic, tol: float = DEFAULT_TOL) -> complex:
-    """odd_triple_product over the first odd triple summing to n; equals
-    -+pi^6 chi_5 theta_n^2 up to a tau-independent sign."""
+def triple_products(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> list[tuple[complex, complex]]:
+    """(p, q) for each even genus-2 n, in enumeration order: D(m_a, m_b)
+    D(m_a, m_c) D(m_b, m_c) over the two triples of _triple_pairs, from one
+    determinant per odd pair; each is -+pi^6 chi_5 theta_n^2 up to a sign."""
     if tau.g != 2:
         raise ValueError("genus-2 operation")
-    return odd_triple_product(tau, odd_triple_partition(n)[0], tol)
+    dets = [jacobian_det(tau, pair, tol)
+            for pair in combinations(enumerate_characteristics(2, "odd").members, 2)]
+    return [tuple(dets[i] * dets[j] * dets[k] for i, j, k in row)
+            for row in _triple_pairs().tolist()]
 
 
 @lru_cache(maxsize=1)

@@ -220,21 +220,22 @@ def kummer2_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
 
 
 def _transform(tau: PeriodMatrix, z: PhasePoint, gen):
-    """Apply a generator to (tau, z); returns (tau', z', c_block, d_block)."""
+    """Apply a generator ("J",) or ("S", S) to (tau, z); returns (tau', z',
+    c_block, d_block)."""
     g = tau.g
+    if not (isinstance(gen, (tuple, list)) and gen and isinstance(gen[0], str)
+            and len(gen) == {"J": 1, "S": 2}.get(gen[0])):
+        raise ValueError(f"a generator is ('J',) or ('S', S) with S integer symmetric, "
+                         f"not {gen!r}")
     if gen[0] == "S":
         s = np.asarray(gen[1], dtype=float)
         if s.shape != (g, g) or not np.array_equal(s, s.T) or not np.array_equal(s, np.round(s)):
             raise ValueError("translation generator needs an integer symmetric matrix")
         return PeriodMatrix(g, tau.tau + s), z, np.zeros((g, g)), np.eye(g)
-    if gen[0] == "J":
-        c = -np.eye(g)
-        d = np.zeros((g, g))
-        new_tau = PeriodMatrix(g, -np.linalg.inv(tau.tau))
-        czd = c @ tau.tau + d
-        new_z = PhasePoint(g, np.linalg.solve(czd.T, z.z))
-        return new_tau, new_z, c, d
-    raise ValueError(f"unknown generator tag {gen[0]!r}")
+    c, d = -np.eye(g), np.zeros((g, g))
+    new_tau = PeriodMatrix(g, -np.linalg.inv(tau.tau))
+    new_z = PhasePoint(g, np.linalg.solve((c @ tau.tau + d).T, z.z))
+    return new_tau, new_z, c, d
 
 
 def jacobi_form_residual(gen, tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL) -> float:

@@ -46,7 +46,7 @@ from .characteristics import (
     triple_signs,
 )
 from .sampling import random_tau, random_z, stream
-from .theta import PhasePoint, _abs, jacobian_det, theta
+from .theta import PhasePoint, _abs, even_theta_constants, jacobian_det, theta
 
 
 @dataclass
@@ -556,22 +556,19 @@ def suite_kummer2(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     # triple-product identity |p| = |t| = pi^6 |chi_5 theta_n^2| for all 10
     # even n, p and q the products over the two odd triples summing to n;
     # p / q and p q / t^2 are signs, read at the reference tau
-    evens = list(enumerate_characteristics(2, "even"))
-    z0 = PhasePoint.zero(2)
+    evens = [m.idx for m in enumerate_characteristics(2, "even")]
 
-    def products(tau, n):
-        p = modular.phi_star_triple(tau, n)
-        q = modular.odd_triple_product(tau, modular.odd_triple_partition(n)[1])
-        return p, q, math.pi**6 * modular.chi(tau) * theta(tau, z0, n) ** 2
+    def products(tau):
+        consts, chi = even_theta_constants(tau), math.pi**6 * modular.chi(tau)
+        pairs = modular.triple_products(tau)
+        return [(p, q, chi * consts[n] ** 2) for (p, q), n in zip(pairs, evens)]
 
-    ref = [products(modular.reference_tau2(), n) for n in evens]
-    signs = [(_reference_sign(p / q), _reference_sign(p * q / t**2)) for p, q, t in ref]
+    signs = [(_reference_sign(p / q), _reference_sign(p * q / t**2))
+             for p, q, t in products(modular.reference_tau2())]
 
     def residuals3(tau):
-        rows = []
-        for n, (s, s2) in zip(evens, signs):
-            p, q, t = products(tau, n)
-            rows.append((abs(_abs(p) / _abs(t) - 1), _abs(p / q - s), _abs(p * q / t**2 - s2)))
+        rows = [(abs(_abs(p) / _abs(t) - 1), _abs(p / q - s), _abs(p * q / t**2 - s2))
+                for (p, q, t), (s, s2) in zip(products(tau), signs)]
         return [_worst(column) for column in zip(*rows)]
 
     magnitude, complement, phi_psi = _sampled(seed, "kummer2.triples", min(samples, 10),

@@ -28,12 +28,14 @@ the last two passes are kept, read-only, keyed by exactly those inputs, unless
 one exceeds 4 MiB: so a pass at tau + S, S real, such as a modular
 translation, makes only the phase half.
 
-The facts a pass reads of its inputs (the memo key and (Im tau)^-1 of tau;
-the reduced point, its Python floats, is_zero, |Im z|_1, the key bytes and
-the doubled point 2 z of z; the TruncationSpec of each (g, lambda_min,
-|Im z|_1, tol)) are computed once per object.  The reduced point shifts z by an even integer vector 2 b so that
-every |Re z_i| <= 1; theta[m](z + 2 b) = theta[m](z), so a pass sums at it,
-and a huge Re z neither loses the phase of its terms nor overflows.
+The facts a pass reads of its inputs (the memo key, (Im tau)^-1 and reduced
+Re tau of tau; the reduced point, its Python floats, is_zero, |Im z|_1, the
+key bytes and the doubled point 2 z of z; the TruncationSpec of each
+(g, lambda_min, |Im z|_1, tol)) are computed once per object.  Where
+|Re z_i| > 1 (|Re tau_ij| > 4) the reduction subtracts 2 round(Re z_i / 2)
+(8 round(Re tau_ij / 8)), exactly.  theta[m](tau + 8 T, z + 2 b) equals
+theta[m](tau, z) for integer b and T = T^t, so a pass (and 2 tau) sums at the
+reduced values, and a huge Re z or Re tau neither loses its phase nor overflows.
 """
 
 from __future__ import annotations
@@ -99,13 +101,15 @@ _TAU_MAX = 1e300
 
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """A complex symmetric g x g matrix with positive-definite imaginary part."""
+    """A complex symmetric g x g matrix with positive-definite imaginary part,
+    and its reduced Re tau (see the module docstring), read-only."""
 
     g: int
     tau: np.ndarray
     lambda_min: float = field(init=False)
     _key: tuple = field(init=False, repr=False, compare=False)
     y_inv: np.ndarray | None = field(init=False, repr=False, compare=False)
+    re_reduced: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=complex)
@@ -126,6 +130,10 @@ class PeriodMatrix:
         object.__setattr__(self, "lambda_min", lam)
         object.__setattr__(self, "_key", (self.g, tau.tobytes()))
         object.__setattr__(self, "y_inv", _inverse(tau.imag, lam))
+        x = tau.real
+        if np.abs(x).max() > 4:
+            x = _read_only(x - np.where(np.abs(x) > 4, 8 * np.round(x / 8), 0.0))
+        object.__setattr__(self, "re_reduced", x)
 
     @classmethod
     def from_json(cls, data: dict) -> "PeriodMatrix":
@@ -148,12 +156,13 @@ class PeriodMatrix:
         """2 tau.  It is symmetric with positive-definite imaginary part by
         construction, so it is not checked again.  Its lambda_min is tau's
         doubled, the smallest eigenvalue of 2 Im tau, with no second eigvalsh
-        (which gives the same float wherever LAPACK does not rescale), and its
-        y_inv is tau's halved (exactly)."""
+        (which gives the same float wherever LAPACK does not rescale), its
+        y_inv tau's halved and its reduced Re tau twice tau's (exactly)."""
         two, tau = object.__new__(PeriodMatrix), _read_only(2 * self.tau)
         y_inv = None if self.y_inv is None else _read_only(self.y_inv / 2)
         for name, value in (("g", self.g), ("tau", tau), ("lambda_min", 2 * self.lambda_min),
-                            ("_key", (self.g, tau.tobytes())), ("y_inv", y_inv)):
+                            ("_key", (self.g, tau.tobytes())), ("y_inv", y_inv),
+                            ("re_reduced", _read_only(2 * self.re_reduced))):
             object.__setattr__(two, name, value)
         return two
 
@@ -375,36 +384,19 @@ def _log_floor(n_points: int, radius: int) -> float:
     return math.log(np.finfo(float).eps / (n_points * (1 + 2 * math.pi * (radius + 1))))
 
 
-def _quadratic_form(a: list, b: tuple, qs: list, scale: float) -> np.ndarray:
-    """scale (q^t a q + 2 q.b) for the coordinate arrays qs (broadcast against
-    each other), a symmetric, given as lists of Python floats, and b Python
-    floats, summed axis by axis: sum_i q_i (a_ii q_i + 2 b_i + 2 sum_{j>i} a_ij q_j),
-    then scaled in place."""
-    form = None
-    for i, q in enumerate(qs):
-        row = a[i][i] * q + 2 * b[i]
-        for j in range(i + 1, len(qs)):
-            row = row + 2 * a[i][j] * qs[j]
-        if form is None:
-            form = row * q
-        else:
-            form += row * q
-    form *= scale
-    return form
-
-
 def _form_into(out: np.ndarray, a: list, b: tuple, qs: list, scale: float) -> None:
-    """_quadratic_form(a, b, qs, scale) written into out, for coordinate
-    arrays qs of out's shape: the same operations in the same order, so bit
-    for bit, but in place, with one array of out's size for the row and one
-    for the products 2 a_ij q_j."""
-    row = np.empty(out.shape)
-    product = np.empty(out.shape) if len(qs) > 1 else None
+    """scale (q^t a q + 2 q.b) written into out, for coordinate arrays qs that
+    broadcast to out's shape, a symmetric (rows of Python floats) and b Python
+    floats: sum_i q_i (a_ii q_i + 2 b_i + 2 sum_{j>i} a_ij q_j), then scaled.
+    Row i grows by broadcasting to the shape of q_i ... q_{g-1} (over a grid
+    of axis columns only row 0 has out's size), and takes each 2 a_ij q_j of
+    its own shape in place, so beside it one product array is held at most."""
     for i, q in enumerate(qs):
-        np.multiply(q, a[i][i], out=row)
+        row = np.multiply(q, a[i][i])
         row += 2 * b[i]
         for j in range(i + 1, len(qs)):
-            row += np.multiply(qs[j], 2 * a[i][j], out=product)
+            row = np.add(row, np.multiply(qs[j], 2 * a[i][j]),
+                         out=row if row.shape == qs[j].shape else None)
         if i:
             row *= q
             out += row
@@ -456,7 +448,8 @@ def _kept_points(tau: PeriodMatrix, z: PhasePoint,
     log_floor = _log_floor((4 * radius + 3) ** g, radius)
     box = _floor_box(tau, z, radius, log_floor)
     qs = [axis[s].reshape((-1,) + (1,) * (g - 1 - i)) for i, s in enumerate(box)]
-    log_mod = _quadratic_form(tau.tau.imag.tolist(), z.parts[1], qs, -math.pi)
+    log_mod = np.empty(tuple(map(len, qs)))
+    _form_into(log_mod, tau.tau.imag.tolist(), z.parts[1], qs, -math.pi)
     keep = log_mod >= log_mod.max() + log_floor
     kept_log_mod = log_mod[keep]
     del log_mod
@@ -496,7 +489,7 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
     pass has two halves.  Its geometry, the kept points, segment numbers and
     log-moduli, depends only on Im tau, Im z and the radius (_geometry).  Its
     phase half adds to each log-modulus i pi times the axis-by-axis quadratic
-    form of Re tau and the reduced Re z, bit for bit the real and imaginary
+    form of the reduced Re tau and Re z, bit for bit the real and imaginary
     parts of i pi (q^t tau q + 2 q.z) up to the sign of a zero; the form is
     built in place in the imaginary parts.
     At z = 0 the kept points are symmetric, q at position K - 1 - k being
@@ -516,7 +509,7 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
         head = terms[:half]
         head.real = log_mod[:half]
         del log_mod  # freed here unless the geometry memo keeps it
-        _form_into(head.imag, tau.tau.real.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)
+        _form_into(head.imag, tau.re_reduced.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)
         np.exp(head, out=head)
         if z.is_zero:
             terms[half:] = head[-2::-1]

@@ -219,6 +219,28 @@ class TestEval:
         else:
             assert (out[scale], out[residual]) == ([0.0] * 8, [None] * 8)
 
+    @pytest.mark.parametrize("re01", [1e17, 1e300])
+    @pytest.mark.parametrize("what, char", [("theta", "101;011"), ("coble", None)])
+    def test_huge_real_tau_equals_the_reduced_tau(self, runner, tmp_path, z3_file, what, char,
+                                                  re01):
+        # Re tau_01 = 1e17 and 1e300 are multiples of 8, so the reduced tau_01
+        # is 0, and Re tau_22 = 40.03 reduces to the float 40.03 - 40 (exact)
+        outputs = []
+        for x01, x22 in ((re01, 40.03), (0.0, 40.03 - 40)):
+            path = tmp_path / "tau.json"
+            path.write_text(json.dumps({
+                "g": 3,
+                "re": [[0.1, x01, 0.05], [x01, -0.07, 0.02], [0.05, 0.02, x22]],
+                "im": [[1.1, 0.1, 0.0], [0.1, 1.2, 0.05], [0.0, 0.05, 1.3]],
+            }))
+            args = ["eval", what, "--tau", str(path), "--z", z3_file]
+            res = runner.invoke(main, args + (["--char", char] if char else []))
+            assert res.exit_code == 0, res.output
+            outputs.append(json.loads(res.output))
+        assert outputs[0] == outputs[1]
+        if what == "coble":
+            assert outputs[0]["normalized_residual"] < 1e-12
+
     def test_kummer2(self, runner, tau2_file):
         res = runner.invoke(main, ["eval", "kummer2", "--tau", tau2_file])
         assert res.exit_code == 0

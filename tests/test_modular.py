@@ -1,6 +1,7 @@
 import importlib
 import math
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from thetacoble.gopel import (
 from thetacoble import modular
 from thetacoble.sampling import random_tau, stream
 from thetacoble.suites import run_suite
-from thetacoble.theta import PhasePoint, even_theta_constants, theta
+from thetacoble.theta import PhasePoint, even_theta_constants, jacobian_det, theta
 
 th = importlib.import_module("thetacoble.theta")
 
@@ -231,35 +232,71 @@ class TestSVector:
         assert s[0] == pytest.approx(expect, rel=1e-12)
 
 
+def _combinations_triple_table():
+    """The genus-2 odd-triple table as a loop over combinations(range(6), 3)
+    wrote it: even index -> (the first odd position triple, in lexicographic
+    order, summing to it; the other three)."""
+    odds = list(enumerate_characteristics(2, "odd"))
+    table = {}
+    for triple in combinations(range(6), 3):
+        n = odds[triple[0]] + odds[triple[1]] + odds[triple[2]]
+        table.setdefault(n.idx, (triple, tuple(i for i in range(6) if i not in triple)))
+    return table
+
+
 class TestGenus2Triples:
     def test_partition_covers_all_evens(self):
-        odds = list(enumerate_characteristics(2, "odd"))
-        for n in enumerate_characteristics(2, "even"):
-            t, u = modular.odd_triple_partition(n)
+        # each even n: two triples of odd positions, read back off their
+        # pairs, that partition the 6 odds and each sum to n
+        odds, pairs = list(enumerate_characteristics(2, "odd")), list(combinations(range(6), 2))
+        for row, n in zip(modular._triple_pairs().tolist(), enumerate_characteristics(2, "even")):
+            t, u = (pairs[ab] + pairs[bc][1:] for ab, _, bc in row)
             assert sorted(t + u) == list(range(6))
             assert odds[t[0]] + odds[t[1]] + odds[t[2]] == n
             assert odds[u[0]] + odds[u[1]] + odds[u[2]] == n
 
     def test_partition_table_holds_the_ten_evens(self):
-        table = modular._odd_triple_table()
-        odds = list(enumerate_characteristics(2, "odd"))
-        evens = list(enumerate_characteristics(2, "even"))
-        assert sorted(table) == sorted(n.idx for n in evens)
-        for n in evens:
-            assert modular.odd_triple_partition(n) is table[n.idx]
-            for i, j, k in table[n.idx]:
-                assert odds[i] + odds[j] + odds[k] == n
+        # the table equals the combinations loop, entry for entry
+        table, pairs = modular._triple_pairs(), list(combinations(range(6), 2))
+        assert table.shape == (10, 2, 3) and not table.flags.writeable
+        loop = _combinations_triple_table()
+        for row, n in zip(table.tolist(), enumerate_characteristics(2, "even")):
+            assert row == [[pairs.index((a, b)), pairs.index((a, c)), pairs.index((b, c))]
+                           for a, b, c in loop[n.idx]]
+
+    @pytest.mark.parametrize("tau", [TAU2, modular.reference_tau2()])
+    def test_products_equal_three_determinants_bit_for_bit(self, tau):
+        odds = enumerate_characteristics(2, "odd").members
+        loop = _combinations_triple_table()
+        for pq, n in zip(modular.triple_products(tau), enumerate_characteristics(2, "even")):
+            want = []
+            for a, b, c in ([odds[i] for i in triple] for triple in loop[n.idx]):
+                want.append(jacobian_det(tau, (a, b)) * jacobian_det(tau, (a, c))
+                            * jacobian_det(tau, (b, c)))
+            assert pq == tuple(want)
 
     def test_triple_product_magnitude(self):
-        n = list(enumerate_characteristics(2, "even"))[0]
-        prod = modular.phi_star_triple(TAU2, n)
-        target = math.pi**6 * modular.chi(TAU2) * theta(TAU2, PhasePoint.zero(2), n) ** 2
-        assert abs(abs(prod) / abs(target) - 1) < 1e-10
+        z0, chi5 = PhasePoint.zero(2), modular.chi(TAU2)
+        for pq, n in zip(modular.triple_products(TAU2), enumerate_characteristics(2, "even")):
+            target = math.pi**6 * chi5 * theta(TAU2, z0, n) ** 2
+            for product in pq:
+                assert abs(abs(product) / abs(target) - 1) < 1e-10
 
-    def test_rejects_odd_input(self):
-        odd = list(enumerate_characteristics(2, "odd"))[0]
-        with pytest.raises(ValueError):
-            modular.odd_triple_partition(odd)
+    def test_rejects_genus_3(self):
+        with pytest.raises(ValueError, match="genus-2"):
+            modular.triple_products(TAU3)
+
+    def test_kummer2_suite_takes_15_determinants_per_tau(self, monkeypatch):
+        # the reference tau and 4 sampled tau, one determinant per odd pair at each
+        calls, det = [], modular.jacobian_det
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return det(*args, **kwargs)
+
+        monkeypatch.setattr(modular, "jacobian_det", counted)
+        assert run_suite("kummer2", 1, 4).passed
+        assert len(calls) == 75
 
 
 class TestGoepelMatrix:

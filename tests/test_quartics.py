@@ -185,3 +185,8 @@ class TestModularity:
     def test_rejects_unknown_generator(self):
         with pytest.raises(ValueError):
             quartics.jacobi_form_residual(("X",), TAU3, random_z(RNG, 3))
+
+    @pytest.mark.parametrize("gen", [("S",), (), None, ("J", np.eye(3)), (np.eye(3),), "J"])
+    def test_malformed_generator_is_a_value_error(self, gen):
+        with pytest.raises(ValueError, match=r"\('J',\) or \('S', S\)"):
+            quartics.jacobi_form_residual(gen, TAU3, PhasePoint.zero(3))

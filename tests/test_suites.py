@@ -240,9 +240,12 @@ class TestParityMutations:
 
 def _with_nan(out):
     """out with its value made NaN: the first entry of a (value, scale)
-    pair, every entry of a list, or the value itself."""
+    pair, the first pair of a list of pairs, every entry of any other list,
+    or the value itself."""
     if isinstance(out, tuple):
         return (_with_nan(out[0]),) + out[1:]
+    if isinstance(out, list) and isinstance(out[0], tuple):
+        return [_with_nan(out[0])] + out[1:]
     if isinstance(out, list):
         return [v * math.nan for v in out]
     return out * math.nan
@@ -285,8 +288,9 @@ class TestNaNResiduals:
             ("points.tableau_invariant", "segre", 0, 300, {"pgl_invariance"}),
             # 5 reference calls, then f0-f4 at each tau: f0 at the second tau
             ("modular.h_fano", "jacobi", 4, 11, {"dual_route_f0"}),
-            # 10 reference calls, then the 10 evens at each tau: n0 at the second
-            ("modular.phi_star_triple", "kummer2", 4, 21,
+            # one call per tau, the reference tau first: p of n0 at the second
+            # sampled tau
+            ("modular.triple_products", "kummer2", 4, 3,
              {"triple_product_magnitude", "triple_product_complement_sign",
               "phi_psi_star_identity"}),
         ],
@@ -303,7 +307,7 @@ class TestNaNResiduals:
             # test read -1 off a NaN) and is sampled
             ("suites.jacobian_det", "jacobi", 20, 28, {"jacobi_g2"}),
             ("modular.h_fano", "jacobi", 4, 1, {"dual_route_f0"}),
-            ("modular.phi_star_triple", "kummer2", 4, 1,
+            ("modular.triple_products", "kummer2", 4, 1,
              {"triple_product_complement_sign", "phi_psi_star_identity"}),
         ],
     )

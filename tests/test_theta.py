@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -377,6 +378,18 @@ class TestTightBound:
         assert np.all(log_modulus[outer] <= bound[outer] + 1e-9 * np.abs(bound[outer]))
 
 
+def _exactly_reduced(tau):
+    """tau with every Re tau_ij of modulus above 4 shifted by
+    8 round(Re tau_ij / 8), in rational arithmetic; the result is a float."""
+    out = tau.copy()
+    for (i, j), x in np.ndenumerate(tau.real):
+        if abs(x) > 4:
+            exact = Fraction(x) - 8 * round(Fraction(x) / 8)
+            assert float(exact) == exact
+            out[i, j] = complex(float(exact), tau[i, j].imag)
+    return out
+
+
 class TestRobustness:
     def test_large_imaginary_z_is_finite(self):
         tau = th.PeriodMatrix(1, np.array([[1j]]))
@@ -421,6 +434,22 @@ class TestRobustness:
         z = th.PhasePoint(3, [1e308, 0.3, -1e308 + 0.1j])
         for value in (th.theta(tau, z, Characteristic(3, 0)), th.theta2(tau, z, "101")):
             assert np.isfinite(value) and value != 0
+
+    @pytest.mark.parametrize("re01", [0.07 + 8e8, 0.07 + 8e12, 1e17, 1e300])
+    def test_huge_real_tau_equals_the_exactly_reduced_tau(self, re01):
+        # theta[m](tau + 8 T, z) = theta[m](tau, z) for T integer symmetric; a
+        # sum at Re tau as given loses the phase (normalized Coble residuals
+        # 9.0e-7, 6.7e-3, 1.28 and 1.79 at these four Re tau_01)
+        far = modular.reference_tau3().tau.copy()
+        far[0, 1] = far[1, 0] = complex(re01, far[0, 1].imag)
+        far[2, 2] += 40
+        far, near = th.PeriodMatrix(3, far), th.PeriodMatrix(3, _exactly_reduced(far))
+        assert np.array_equal(far.tau.imag, near.tau.imag) and np.abs(near.tau.real).max() <= 4
+        z = th.PhasePoint(3, [0.1 + 0.05j, -0.2 + 0.1j, 0.05 - 0.04j])
+        for m in enumerate_characteristics(3, "all"):
+            assert th.theta(far, z, m) == th.theta(near, z, m)
+        value, scale = quartics.coble_eval(far, z)
+        assert (value, scale) == quartics.coble_eval(near, z) and abs(value) / scale < 1e-12
 
     def test_non_positive_tol_rejected(self):
         for tol in (0.0, -1e-12, math.nan):
