@@ -217,18 +217,24 @@ def admissible_evens(g: int, odds) -> tuple[np.ndarray, np.ndarray]:
 def azygetic_odd_sets(g: int, k: int) -> np.ndarray:
     """The k-sets of odd indices of genus g with every triple azygetic, as a
     cached, read-only (n, k) array, rows increasing and in lexicographic
-    order: grown one member at a time, keeping at each level the candidates
-    azygetic with every pair already chosen."""
+    order: grown one member at a time from one table azygetic[i, j, l] of
+    the odd positions.  Each row carries the mask of its candidates, the
+    positions past its last member azygetic with every pair of its members;
+    a child (row t plus candidate v) gets t's mask, cut to positions past v
+    and azygetic with every (member of t, v)."""
     _check_genus(g)
     if not 1 <= k <= 2 * g + 2:
         raise ValueError(f"need 1 <= k <= {2 * g + 2} for genus {g}, got {k}")
     odds = np.flatnonzero(parity_table(g) == -1)
-    rows = np.arange(len(odds))[:, None]  # rows[t, i]: position in odds of member i of set t
+    azygetic = triple_signs(g, odds[:, None, None], odds[:, None], odds) == -1
+    span = np.arange(len(odds))
+    rows = span[:, None]  # rows[t, i]: position in odds of member i of set t
+    keep = span > rows  # keep[t, v]: v extends set t
     for level in range(1, k):
-        keep = np.arange(len(odds)) > rows[:, -1:]
-        for i, j in combinations(range(level), 2):
-            keep &= triple_signs(g, odds[rows[:, i : i + 1]], odds[rows[:, j : j + 1]], odds) == -1
         t, v = np.nonzero(keep)
+        keep = keep[t] & (span > v[:, None])
+        for i in range(level):
+            keep &= azygetic[rows[t, i], v]
         rows = np.column_stack([rows[t], v])
     return _read_only(odds[rows])
 

@@ -122,18 +122,19 @@ def _distinct_forms(values: np.ndarray, tol: float) -> np.ndarray:
     """The plain theta^4 (unit vectors) and then the differences
     theta^4[a] - theta^4[b] over ordered pairs (a, b), keeping only the first
     of any forms that agree on every row of ``values`` (the Riemann theta
-    relations make many of them equal)."""
+    relations make many of them equal).  Agreement within tol is not
+    transitive, so a form is kept unless it agrees with a form already kept,
+    read off one table of agreement between all 100 forms."""
     eye = np.eye(10, dtype=int)
-    forms = [eye[i] for i in range(10)] + [eye[a] - eye[b] for a, b in permutations(range(10), 2)]
+    forms = np.array([*eye, *(eye[a] - eye[b] for a, b in permutations(range(10), 2))])
     normed = values / abs(values).max(axis=1, keepdims=True)
-    kept: list[np.ndarray] = []
-    seen: list[np.ndarray] = []
-    for f in forms:
-        v = normed @ f
-        if not any(np.all(abs(w - v) <= tol) for w in seen):
+    v = normed @ forms.T  # (n_tau, 100): a normalized theta^4 or a difference of two
+    agree = (abs(v[:, :, None] - v[:, None, :]) <= tol).all(axis=0)
+    kept: list[int] = []
+    for f in range(len(forms)):
+        if not agree[f, kept].any():
             kept.append(f)
-            seen.append(v)
-    return np.array(kept)
+    return forms[kept]
 
 
 def igusa_tuple_search(taus, tol: float = 1e-8) -> np.ndarray:

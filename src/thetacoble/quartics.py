@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modular import s_vector
-from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, theta2
+from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, _memoized, theta2
 
 # ---------------------------------------------------------------------------
 # quartic basis: labels "Q" + a and "Q'" + a for a in F_2^g written in g bits;
@@ -190,11 +190,15 @@ def coble_gradient_at(a: dict[str, complex], x) -> tuple[list[complex], list[flo
 
 def coble_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
     """Value of the Coble quartic at x = Theta(tau, z) and the term scale
-    max |a(Q) Q(x)| used for residual normalization."""
+    max |a(Q) Q(x)| used for residual normalization; memoized per (tau, z,
+    tol) in the theta memo."""
     if tau.g != 3:
         raise ValueError("the Coble quartic is a genus-3 object")
-    x = theta2_vector(tau, z, tol)
-    return coble_at(coble_coefficients(s_vector(tau, tol)), x)
+    return _memoized(tau._key + ("coble", z.key, tol), _coble_value, tau, z, tol)
+
+
+def _coble_value(tau: PeriodMatrix, z: PhasePoint, tol: float) -> tuple[complex, float]:
+    return coble_at(coble_coefficients(s_vector(tau, tol)), theta2_vector(tau, z, tol))
 
 
 def coble_gradient(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
@@ -228,8 +232,9 @@ def _transform(tau: PeriodMatrix, z: PhasePoint, gen):
         raise ValueError(f"a generator is ('J',) or ('S', S) with S integer symmetric, "
                          f"not {gen!r}")
     if gen[0] == "S":
-        s = np.asarray(gen[1], dtype=float)
-        if s.shape != (g, g) or not np.array_equal(s, s.T) or not np.array_equal(s, np.round(s)):
+        s = np.asarray(gen[1])
+        if (s.dtype.kind not in "biuf" or s.shape != (g, g) or not np.array_equal(s, s.T)
+                or not np.array_equal(s, np.round(s))):
             raise ValueError("translation generator needs an integer symmetric matrix")
         return PeriodMatrix(g, tau.tau + s), z, np.zeros((g, g)), np.eye(g)
     c, d = -np.eye(g), np.zeros((g, g))

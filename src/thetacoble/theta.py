@@ -314,11 +314,12 @@ def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL
 
 
 # One bounded memo of read-only values (class sums, constants, gradients, 2 tau,
-# and modular's s-vector) per tau; the whole memo is dropped once it holds more
-# than _MEMO_CAP entries.  A cold coble_eval adds 5: one class-sum table each
-# for the theta-2 vector and the constants (2^g x 2^g, up to 4 KB at g = 3 with
-# z = 0 gradients), 2 tau, the constants and the s-vector.  At the cap the
-# values take about 3.1 MB (identities workload, seeds 1-3 in one process).
+# modular's s-vector and quartics' Coble values) per tau; the whole memo is
+# dropped once it holds more than _MEMO_CAP entries.  A cold coble_eval adds 6:
+# one class-sum table each for the theta-2 vector and the constants (2^g x 2^g,
+# up to 4 KB at g = 3 with z = 0 gradients), 2 tau, the constants, the s-vector
+# and its (value, scale).  At the cap the values take about 3.1 MB (identities
+# workload, seeds 1-3 in one process).
 _MEMO: dict[tuple, object] = {}
 _MEMO_CAP = 2048
 

@@ -248,6 +248,20 @@ def _azygetic_triples_oracle(g: int) -> np.ndarray:
     return triples[triple_signs(g, *triples.T) == -1]
 
 
+def _azygetic_sets_oracle(g: int, k: int) -> np.ndarray:
+    """The pair-by-pair level loop the carried candidate masks replaced: at
+    each level every pair of members is tested again over every row."""
+    odds = np.flatnonzero(parity_table(g) == -1)
+    rows = np.arange(len(odds))[:, None]
+    for level in range(1, k):
+        keep = np.arange(len(odds)) > rows[:, -1:]
+        for i, j in combinations(range(level), 2):
+            keep &= triple_signs(g, odds[rows[:, i : i + 1]], odds[rows[:, j : j + 1]], odds) == -1
+        t, v = np.nonzero(keep)
+        rows = np.column_stack([rows[t], v])
+    return odds[rows]
+
+
 def _classify_oracle(aronhold, n0) -> dict:
     """The nested loops of Characteristic sums the index tables replaced."""
     ms = list(aronhold.members)
@@ -265,6 +279,12 @@ class TestAzygeticOddSets:
         triples = azygetic_odd_sets(g, 3)
         assert len(triples) == n
         assert triples.tolist() == _azygetic_triples_oracle(g).tolist()
+
+    @pytest.mark.parametrize("g, k", [(g, k) for g in GENERA for k in range(1, 2 * g + 3)])
+    def test_equals_the_pair_by_pair_builder(self, g, k):
+        rows, oracle = azygetic_odd_sets(g, k), _azygetic_sets_oracle(g, k)
+        assert rows.shape == oracle.shape and rows.dtype == oracle.dtype
+        assert np.array_equal(rows, oracle)
 
     def test_aronhold_sets_are_the_level_seven_rows(self):
         rows = azygetic_odd_sets(3, 7)

@@ -91,6 +91,54 @@ class TestSegreIgusa:
             assert points.igusa_residual(forms @ points.theta4_constants(tau)) < 1e-12
 
 
+def _distinct_forms_oracle(values, tol):
+    """The form-by-form loop the agreement table replaced: each form against
+    every form already kept."""
+    eye = np.eye(10, dtype=int)
+    forms = [eye[i] for i in range(10)] + [eye[a] - eye[b] for a, b in permutations(range(10), 2)]
+    normed = values / abs(values).max(axis=1, keepdims=True)
+    kept, seen = [], []
+    for f in forms:
+        v = normed @ f
+        if not any(np.all(abs(w - v) <= tol) for w in seen):
+            kept.append(f)
+            seen.append(v)
+    return np.array(kept)
+
+
+def _theta4_samples(seed):
+    rng = stream(seed, "test_points.distinct_forms")
+    taus = [random_tau(rng, 2) for _ in range(3)]
+    return taus, np.array([points.theta4_constants(tau) for tau in taus])
+
+
+class TestDistinctForms:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_form_by_form_loop(self, seed):
+        _, values = _theta4_samples(seed)
+        for tol in (1e-12, 1e-8, 1e-4, 0.1, 0.5):
+            forms, oracle = points._distinct_forms(values, tol), _distinct_forms_oracle(values, tol)
+            assert forms.shape == oracle.shape and forms.dtype == oracle.dtype
+            assert np.array_equal(forms, oracle)
+
+    def test_loose_tol_agreement_is_not_transitive(self):
+        # at tol 0.5 some forms a ~ b and b ~ c have a, c apart, so the
+        # equality above holds the first-of-class rule, not a transitive closure
+        for seed in range(12):
+            _, values = _theta4_samples(seed)
+            forms = _distinct_forms_oracle(values, 0.0)
+            v = values / abs(values).max(axis=1, keepdims=True) @ forms.T
+            agree = (abs(v[:, :, None] - v[:, None, :]) <= 0.5).all(axis=0).astype(int)
+            assert ((agree @ agree > 0) & (agree == 0)).any()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_search_returns_the_loop_forms(self, seed, monkeypatch):
+        taus, _ = _theta4_samples(seed)
+        forms = points.igusa_tuple_search(taus)
+        monkeypatch.setattr(points, "_distinct_forms", _distinct_forms_oracle)
+        assert np.array_equal(forms, points.igusa_tuple_search(taus))
+
+
 class TestBrackets:
     def test_antisymmetry_and_determinant(self):
         cfg = random_config2()

@@ -3,6 +3,7 @@ import pytest
 
 from thetacoble import quartics
 from thetacoble.sampling import random_tau, random_z, stream
+from thetacoble.suites import run_suite
 from thetacoble.theta import PhasePoint
 
 RNG = stream(13, "test_quartics")
@@ -169,9 +170,12 @@ class TestModularity:
         assert quartics.jacobi_form_residual(("S", np.zeros((3, 3))), TAU3, z) == 0.0
 
     def test_translation_generator(self):
+        # an int S and the float S of the same integers are one translation
         z = random_z(RNG, 3)
         s = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]])
-        assert quartics.jacobi_form_residual(("S", s), TAU3, z) < 1e-9
+        residual = quartics.jacobi_form_residual(("S", s), TAU3, z)
+        assert residual < 1e-9
+        assert quartics.jacobi_form_residual(("S", s.astype(float)), TAU3, z) == residual
 
     def test_inversion_generator(self):
         z = random_z(RNG, 3)
@@ -185,6 +189,26 @@ class TestModularity:
     def test_rejects_unknown_generator(self):
         with pytest.raises(ValueError):
             quartics.jacobi_form_residual(("X",), TAU3, random_z(RNG, 3))
+
+    @pytest.mark.parametrize("s", [1j * np.eye(3), np.eye(3, dtype=complex), {"a": 1},
+                                   [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]])
+    def test_complex_or_non_numeric_translation_is_a_value_error(self, s):
+        with pytest.raises(ValueError, match="integer symmetric matrix"):
+            quartics.jacobi_form_residual(("S", s), TAU3, PhasePoint.zero(3))
+
+    def test_right_hand_side_is_built_once_per_sample(self, monkeypatch, fresh_memos):
+        # 2 samples of 6 generators: one theta-2 vector per transformed point
+        # and one per sample, which translation_zero_exact (the first sample) reuses
+        fresh_memos()
+        calls, vector = [], quartics.theta2_vector
+
+        def counted(*args):
+            calls.append(None)
+            return vector(*args)
+
+        monkeypatch.setattr(quartics, "theta2_vector", counted)
+        assert run_suite("modularity", 1, 2).passed
+        assert len(calls) == 14
 
     @pytest.mark.parametrize("gen", [("S",), (), None, ("J", np.eye(3)), (np.eye(3),), "J"])
     def test_malformed_generator_is_a_value_error(self, gen):
