@@ -13,7 +13,7 @@ on {1..7}: the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -107,7 +107,7 @@ class Characteristic:
     def __str__(self) -> str:
         return "".join(map(str, self.mp)) + ";" + "".join(map(str, self.mpp))
 
-    @property
+    @cached_property
     def parity(self) -> int:
         return parity(self)
 

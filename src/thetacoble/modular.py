@@ -2,24 +2,25 @@
 forms H(F) and H(P), the s-vector, Riemann quartic addition signs, and the
 genus-2 triple-product identity behind the phi* substitution.
 
-Quotients by theta constants are never taken numerically: every H-form is
-computed as the product of the even theta constants in the complement of the
-relevant even coset.  Each complement is one cached tuple of even indices in
-enumeration order (chi is the complement of the empty set), and
+Quotients by theta constants are never taken numerically: every H-form is the
+product of the even theta constants in the complement of the relevant even
+coset.  Each complement is one cached tuple of even indices in enumeration
+order (chi is the complement of the empty set), read by one operator.itemgetter
+per tuple, cached by the tuple (the same factors in the same order), and
 goepel_form_matrix multiplies the columns of one cached (135, 28) position
 table over the (n_tau, 36) array of constants.  The Riemann signs read its
 columns H(P), H(F'), H(F'') for all 105 Pascal systems at once, and the dual
 route to H(F) is G_F of the seven odd theta gradients over theta_{n0}^7.
 The 20 triple products of genus 2 read the 15 odd-pair Jacobians.  The
-s-vector is memoized per (tau, tol) in the theta memo, beside the constants
-it is built from, and read-only: the modularity check evaluates the Coble
-quartic at one tau under several transformations, and each evaluation at tau
-reads it again.
+s-vector is memoized per (tau, tol) in the theta memo, beside the constants it
+is built from, and read-only: the modularity check evaluates the Coble quartic
+at one tau under several transformations, and each evaluation reads it again.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from itertools import combinations
 
@@ -72,9 +73,12 @@ def _complement_keys(g: int, excluded: frozenset) -> tuple[int, ...]:
     return tuple(m.idx for m in enumerate_characteristics(g, "even") if m.idx not in excluded)
 
 
+_getter = lru_cache(maxsize=None)(operator.itemgetter)  # keyed by the tuple it reads
+
+
 def _complement_product(tau: PeriodMatrix, excluded: frozenset, tol: float) -> complex:
     consts = even_theta_constants(tau, tol)
-    return math.prod(map(consts.__getitem__, _complement_keys(tau.g, excluded)))
+    return math.prod(_getter(*_complement_keys(tau.g, excluded))(consts))
 
 
 def h_fano(tau: PeriodMatrix, system: GopelSystem, tol: float = DEFAULT_TOL) -> complex:

@@ -3,7 +3,8 @@ explicit Coble quartic (g=3) with its gradient cubics, the genus-2 universal
 Kummer surface, and the Jacobi-form functional-equation residuals.
 
 Both quartics are tables of integer combinations of s over the invariant
-quartics Q, evaluated by one table path.
+quartics Q, evaluated by one table path on a(Q) = A @ s as an array in label
+order; label-keyed dicts are only for coble_coefficients, coble_at and coble_gradient_at.
 """
 
 from __future__ import annotations
@@ -122,15 +123,23 @@ def _powers(x, expo: np.ndarray) -> np.ndarray:
     return (x ** np.arange(5)[:, None])[expo, np.arange(n)].prod(axis=-1)
 
 
-def _terms(a: dict[str, complex], tables, mons: np.ndarray) -> np.ndarray:
+def _terms(a: np.ndarray, tables, mons: np.ndarray) -> np.ndarray:
     """a(Q) times the sum of the monomial values of label Q on the last axis."""
-    labels, _, starts, _ = tables
-    return np.array([a[label] for label in labels]) * np.add.reduceat(mons, starts, axis=-1)
+    return a * np.add.reduceat(mons, tables[2], axis=-1)
 
 
-def _coefficients(g: int, s) -> dict[str, complex]:
-    labels, _, _, a_of_s = _coble_tables(g)
-    return dict(zip(labels, (a_of_s @ s).astype(complex).tolist()))
+def _coefficients(g: int, s) -> np.ndarray:
+    return (_coble_tables(g)[3] @ s).astype(complex)
+
+
+def _coefficient_array(g: int, a: dict) -> np.ndarray:
+    """The dict a in label order; ValueError unless it holds the genus-g table's labels."""
+    labels = _coble_tables(g)[0]
+    if a.keys() != set(labels):
+        raise ValueError(f"coefficient labels must be those of the genus-{g} table: missing "
+                         f"{[q for q in labels if q not in a]}, unexpected "
+                         f"{sorted(a.keys() - set(labels), key=repr)}")
+    return np.array([a[label] for label in labels])
 
 
 def coble_coefficients(s) -> dict[str, complex]:
@@ -138,7 +147,7 @@ def coble_coefficients(s) -> dict[str, complex]:
     s = np.asarray(s)
     if s.shape != (15,):
         raise ValueError("need a 15-component s vector")
-    return _coefficients(3, s)
+    return dict(zip(_coble_tables(3)[0], _coefficients(3, s).tolist()))
 
 
 def coble_monomial_count() -> int:
@@ -163,24 +172,38 @@ def export_coble_formula() -> list[dict]:
 # evaluation at theta arguments
 
 
+@lru_cache(maxsize=None)
+def _eps_labels(g: int) -> tuple[str, ...]:
+    return tuple(format(e, f"0{g}b") for e in range(1 << g))
+
+
 def theta2_vector(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL) -> np.ndarray:
-    g = tau.g
-    return np.array([theta2(tau, z, format(e, f"0{g}b"), tol) for e in range(1 << g)])
+    return np.array([theta2(tau, z, eps, tol) for eps in _eps_labels(tau.g)])
 
 
 def coble_at(a: dict[str, complex], x) -> tuple[complex, float]:
     """The quartic sum_Q a(Q) Q(x) at x in C^(2^g), for the coefficients of
-    either table, and its term scale max |a(Q) Q(x)|."""
-    tables = _coble_tables(2 if a.keys() == KUMMER2_TABLE.keys() else 3)
+    either table (the one sharing more labels with a), and its term scale
+    max |a(Q) Q(x)|; ValueError unless a holds exactly that table's labels."""
+    g = 2 if len(a.keys() & KUMMER2_TABLE.keys()) > len(a.keys() & COBLE_TABLE.keys()) else 3
+    return _quartic_at(g, _coefficient_array(g, a), x)
+
+
+def _quartic_at(g: int, a: np.ndarray, x) -> tuple[complex, float]:
+    tables = _coble_tables(g)
     terms = _terms(a, tables, _powers(x, tables[1]))
     return complex(terms.sum()), float(abs(terms).max())
 
 
 def coble_gradient_at(a: dict[str, complex], x) -> tuple[list[complex], list[float]]:
     """The 8 gradient cubics dC/dx_eps at x in C^8, each paired with its own
-    term scale max_Q |a(Q) dQ/dx_eps(x)|.  Row v of the monomial table is
-    E[:, v] x^(E - e_v); the exponent is clipped at 0 where E[:, v] = 0, so
-    no x_v is ever divided out."""
+    term scale max_Q |a(Q) dQ/dx_eps(x)|; a holds exactly the 15 Coble labels."""
+    return _gradient_at(_coefficient_array(3, a), x)
+
+
+def _gradient_at(a: np.ndarray, x) -> tuple[list[complex], list[float]]:
+    """Row v of the monomial table is E[:, v] x^(E - e_v); the exponent is
+    clipped at 0 where E[:, v] = 0, so no x_v is ever divided out."""
     tables = _coble_tables(3)
     expo = tables[1]
     lowered = np.maximum(expo - np.eye(8, dtype=int)[:, None, :], 0)  # (8, 50, 8)
@@ -198,7 +221,7 @@ def coble_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
 
 
 def _coble_value(tau: PeriodMatrix, z: PhasePoint, tol: float) -> tuple[complex, float]:
-    return coble_at(coble_coefficients(s_vector(tau, tol)), theta2_vector(tau, z, tol))
+    return _quartic_at(3, _coefficients(3, s_vector(tau, tol)), theta2_vector(tau, z, tol))
 
 
 def coble_gradient(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
@@ -206,8 +229,7 @@ def coble_gradient(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
     its own term scale."""
     if tau.g != 3:
         raise ValueError("the Coble quartic is a genus-3 object")
-    x = theta2_vector(tau, z, tol)
-    return coble_gradient_at(coble_coefficients(s_vector(tau, tol)), x)
+    return _gradient_at(_coefficients(3, s_vector(tau, tol)), theta2_vector(tau, z, tol))
 
 
 def kummer2_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
@@ -215,8 +237,7 @@ def kummer2_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
     x = Theta(tau, z) and its term scale max |a(Q) Q(x)|."""
     if tau.g != 2:
         raise ValueError("the universal Kummer surface is a genus-2 object")
-    x = theta2_vector(tau, z, tol)
-    return coble_at(_coefficients(2, s_vector(tau, tol)), x)
+    return _quartic_at(2, _coefficients(2, s_vector(tau, tol)), theta2_vector(tau, z, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +253,7 @@ def _transform(tau: PeriodMatrix, z: PhasePoint, gen):
         raise ValueError(f"a generator is ('J',) or ('S', S) with S integer symmetric, "
                          f"not {gen!r}")
     if gen[0] == "S":
-        s = np.asarray(gen[1])
-        if (s.dtype.kind not in "biuf" or s.shape != (g, g) or not np.array_equal(s, s.T)
-                or not np.array_equal(s, np.round(s))):
-            raise ValueError("translation generator needs an integer symmetric matrix")
-        return PeriodMatrix(g, tau.tau + s), z, np.zeros((g, g)), np.eye(g)
+        return tau._translated(gen[1]), z, np.zeros((g, g)), np.eye(g)
     c, d = -np.eye(g), np.zeros((g, g))
     new_tau = PeriodMatrix(g, -np.linalg.inv(tau.tau))
     new_z = PhasePoint(g, np.linalg.solve((c @ tau.tau + d).T, z.z))

@@ -29,9 +29,10 @@ one exceeds 4 MiB: so a pass at tau + S, S real, such as a modular
 translation, makes only the phase half.
 
 The facts a pass reads of its inputs (the memo key, (Im tau)^-1 and reduced
-Re tau of tau; the reduced point, its Python floats, is_zero, |Im z|_1, the
-key bytes and the doubled point 2 z of z; the TruncationSpec of each
-(g, lambda_min, |Im z|_1, tol)) are computed once per object.  Where
+Re tau of tau; the reduced point, its Python floats, is_zero, |Im z|_1, the key
+bytes and the doubled point 2 z of z; the TruncationSpec of each (g, lambda_min,
+|Im z|_1, tol); a characteristic's parity, on first read) are computed once per
+object; 2 tau and tau + S take lambda_min and (Im tau)^-1 from tau.  Where
 |Re z_i| > 1 (|Re tau_ij| > 4) the reduction subtracts 2 round(Re z_i / 2)
 (8 round(Re tau_ij / 8)), exactly.  theta[m](tau + 8 T, z + 2 b) equals
 theta[m](tau, z) for integer b and T = T^t, so a pass (and 2 tau) sums at the
@@ -115,25 +116,11 @@ class PeriodMatrix:
         tau = np.asarray(self.tau, dtype=complex)
         if tau.shape != (self.g, self.g):
             raise ValueError("tau shape does not match genus")
-        if not np.all(np.isfinite(tau)):
-            raise ValueError("tau entries must be finite")
-        if np.abs(tau).max() > _TAU_MAX:
-            raise ValueError(f"tau entries must be at most {_TAU_MAX:.0e} in modulus")
-        if np.abs(tau - tau.T).max() > 1e-12:
-            raise ValueError("tau must be symmetric")
-        tau = tau / 2 + tau.T / 2
+        tau = _symmetrized(tau)
         lam = float(np.linalg.eigvalsh(tau.imag).min())
         if lam <= 0:
             raise ValueError("Im(tau) must be positive definite")
-        tau.setflags(write=False)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "lambda_min", lam)
-        object.__setattr__(self, "_key", (self.g, tau.tobytes()))
-        object.__setattr__(self, "y_inv", _inverse(tau.imag, lam))
-        x = tau.real
-        if np.abs(x).max() > 4:
-            x = _read_only(x - np.where(np.abs(x) > 4, 8 * np.round(x / 8), 0.0))
-        object.__setattr__(self, "re_reduced", x)
+        self._set(self.g, tau, lam, _inverse(tau.imag, lam), _reduced_re(tau.real))
 
     @classmethod
     def from_json(cls, data: dict) -> "PeriodMatrix":
@@ -153,18 +140,49 @@ class PeriodMatrix:
         return self._key
 
     def _doubled(self) -> "PeriodMatrix":
-        """2 tau.  It is symmetric with positive-definite imaginary part by
-        construction, so it is not checked again.  Its lambda_min is tau's
-        doubled, the smallest eigenvalue of 2 Im tau, with no second eigvalsh
-        (which gives the same float wherever LAPACK does not rescale), its
-        y_inv tau's halved and its reduced Re tau twice tau's (exactly)."""
-        two, tau = object.__new__(PeriodMatrix), _read_only(2 * self.tau)
+        """2 tau, valid whenever tau is, so unchecked: tau's lambda_min doubled
+        (the smallest eigenvalue of 2 Im tau with no second eigvalsh, the same
+        float wherever LAPACK does not rescale), y_inv halved, reduced Re tau
+        doubled (exactly)."""
         y_inv = None if self.y_inv is None else _read_only(self.y_inv / 2)
-        for name, value in (("g", self.g), ("tau", tau), ("lambda_min", 2 * self.lambda_min),
-                            ("_key", (self.g, tau.tobytes())), ("y_inv", y_inv),
-                            ("re_reduced", _read_only(2 * self.re_reduced))):
-            object.__setattr__(two, name, value)
-        return two
+        tau, re = _read_only(2 * self.tau), _read_only(2 * self.re_reduced)
+        return object.__new__(PeriodMatrix)._set(self.g, tau, 2 * self.lambda_min, y_inv, re)
+
+    def _translated(self, s) -> "PeriodMatrix":
+        """tau + S, S integer symmetric, checked as the constructor checks it;
+        Im tau is unchanged (up to the sign of a zero), so lambda_min and y_inv are."""
+        s, g = np.asarray(s), self.g
+        if (s.dtype.kind not in "biuf" or s.shape != (g, g) or not (s == s.T).all()
+                or not (s == np.round(s)).all()):
+            raise ValueError("translation generator needs an integer symmetric matrix")
+        tau = _symmetrized(self.tau + s)
+        return object.__new__(PeriodMatrix)._set(g, tau, self.lambda_min, self.y_inv,
+                                                 _reduced_re(tau.real))
+
+    def _set(self, g: int, tau: np.ndarray, lambda_min: float, y_inv, re_reduced) -> "PeriodMatrix":
+        """Sets g, the read-only tau and its facts, unchecked; returns self."""
+        for name, value in zip(("g", "tau", "lambda_min", "_key", "y_inv", "re_reduced"),
+                               (g, tau, lambda_min, (g, tau.tobytes()), y_inv, re_reduced)):
+            object.__setattr__(self, name, value)
+        return self
+
+
+def _symmetrized(tau: np.ndarray) -> np.ndarray:
+    """(tau + tau^t) / 2, read-only; tau finite, symmetric to 1e-12, at most _TAU_MAX."""
+    if not np.isfinite(tau).all():
+        raise ValueError("tau entries must be finite")
+    if np.abs(tau).max() > _TAU_MAX:
+        raise ValueError(f"tau entries must be at most {_TAU_MAX:.0e} in modulus")
+    if np.abs(tau - tau.T).max() > 1e-12:
+        raise ValueError("tau must be symmetric")
+    return _read_only(tau / 2 + tau.T / 2)
+
+
+def _reduced_re(x: np.ndarray) -> np.ndarray:
+    """Re tau minus 8 round(Re tau_ij / 8) where |Re tau_ij| > 4 (exact)."""
+    if np.abs(x).max() > 4:
+        x = _read_only(x - np.where(np.abs(x) > 4, 8 * np.round(x / 8), 0.0))
+    return x
 
 
 def _inverse(y: np.ndarray, lambda_min: float) -> np.ndarray | None:
@@ -541,7 +559,7 @@ def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFA
         return 0.0
     radius = truncation_radius(tau, z, tol).radius
     g, i = tau.g, m.idx
-    return complex(_class_sums(tau, z, radius)[i >> g, i & ((1 << g) - 1), 0])
+    return _class_sums(tau, z, radius).item(i >> g, i & ((1 << g) - 1), 0)
 
 
 def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL) -> complex:

@@ -132,6 +132,30 @@ class TestTables:
         assert triple_signs(3, a, b, c).tolist() == scalar
 
 
+class TestParityOnTheObject:
+    """The parity a Characteristic keeps after its first read."""
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_agrees_with_the_parity_table(self, g):
+        for i, e in enumerate(parity_table(g).tolist()):
+            m = Characteristic(g, i)
+            assert (m.parity, m.is_even, m.is_odd) == (e, e == 1, e == -1)
+            assert m.parity == parity(m)  # again, from the kept value
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_read_parity_compares_hashes_and_sorts_like_a_fresh_one(self, g):
+        n = 1 << (2 * g)
+        read = [Characteristic(g, i) for i in reversed(range(n))]
+        for m in read[::2]:
+            assert m.is_odd in (True, False)
+        fresh = [Characteristic(g, i) for i in reversed(range(n))]
+        assert read == fresh
+        assert [hash(m) for m in read] == [hash(m) for m in fresh]
+        assert sorted(read) == sorted(fresh) == [Characteristic(g, i) for i in range(n)]
+        assert set(read) == set(fresh) and len(set(read + fresh)) == n
+        assert all(a < b for a, b in zip(sorted(read), sorted(fresh)[1:]))
+
+
 def _fundamental_oracle(idxs) -> bool:
     """The scalar triple loop the batched check replaced."""
     ms = [Characteristic(3, int(i)) for i in idxs]

@@ -131,6 +131,56 @@ class TestCobleEval:
             quartics.coble_eval(TAU2, PhasePoint.zero(2))
 
 
+def _relabelled(a, old, new):
+    return {new if label == old else label: value for label, value in a.items()}
+
+
+class TestCoefficientDicts:
+    """coble_at and coble_gradient_at read a coefficient dict only when its
+    keys are exactly the labels of one table."""
+
+    COBLE = quartics.coble_coefficients(np.arange(1.0, 16.0))
+    KUMMER = dict(zip(quartics.KUMMER2_TABLE, np.arange(1.0, 6.0)))
+
+    @pytest.mark.parametrize("evaluate", [quartics.coble_at, quartics.coble_gradient_at])
+    def test_empty_dict_names_every_missing_label(self, evaluate):
+        with pytest.raises(ValueError, match=r"genus-3 table: missing \['Q000', 'Q001', .*"
+                                             r"\"Q'111\"\], unexpected \[\]"):
+            evaluate({}, np.ones(8))
+
+    @pytest.mark.parametrize("evaluate", [quartics.coble_at, quartics.coble_gradient_at])
+    def test_one_wrong_label_is_named_both_ways(self, evaluate):
+        a = _relabelled(self.COBLE, "Q001", "Q0001")
+        with pytest.raises(ValueError, match=r"missing \['Q001'\], unexpected \['Q0001'\]"):
+            evaluate(a, np.ones(8))
+        with pytest.raises(ValueError, match=r"missing \[\], unexpected \[7\]"):
+            evaluate({**self.COBLE, 7: 1.0}, np.ones(8))
+
+    def test_kummer_dict_is_checked_against_its_own_table(self):
+        a = _relabelled(self.KUMMER, "Q'00", "Q'01")
+        with pytest.raises(ValueError, match=r"genus-2 table: missing \[\"Q'00\"\], "
+                                             r"unexpected \[\"Q'01\"\]"):
+            quartics.coble_at(a, np.ones(4))
+        with pytest.raises(ValueError, match=r"genus-3 table"):
+            quartics.coble_gradient_at(self.KUMMER, np.ones(8))
+
+    def test_exact_dicts_evaluate_as_the_table_paths(self):
+        # the public dicts give the values coble_eval and kummer2_eval compute
+        # from coefficient arrays
+        from thetacoble.modular import s_vector
+
+        for tau, g, evaluate in ((TAU3, 3, quartics.coble_eval), (TAU2, 2, quartics.kummer2_eval)):
+            z = random_z(RNG, g)
+            s, x = s_vector(tau), quartics.theta2_vector(tau, z)
+            labels = quartics._coble_tables(g)[0]
+            a = dict(zip(labels, quartics._coefficients(g, s).tolist()))
+            assert quartics.coble_at(a, x) == evaluate(tau, z)
+        a = quartics.coble_coefficients(s_vector(TAU3))
+        z = random_z(RNG, 3)
+        assert quartics.coble_gradient_at(a, quartics.theta2_vector(TAU3, z)) == \
+            quartics.coble_gradient(TAU3, z)
+
+
 class TestKummer2:
     def test_vanishing(self):
         z = random_z(RNG, 2)
