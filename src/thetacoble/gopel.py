@@ -24,11 +24,14 @@ from .characteristics import (
 
 @dataclass(frozen=True)
 class GopelSystem:
-    """A Lagrangian subspace of F_2^{2g}, as a set of 2^g characteristics."""
+    """A Lagrangian subspace of F_2^{2g}, as a set of 2^g characteristics.
+    Its hash, that of (g, members), is computed once, since the lru_caches
+    keyed by a system (even_coset) hash it on every call."""
 
     g: int
     members: CharacteristicSet
     even_count: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.members.g != self.g:
@@ -45,6 +48,10 @@ class GopelSystem:
         if (pairing_table(self.g)[idx[:, None], idx] != 1).any():
             raise ValueError("members are not pairwise orthogonal")
         object.__setattr__(self, "even_count", int((parity_table(self.g)[idx] == 1).sum()))
+        object.__setattr__(self, "_hash", hash((self.g, self.members)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_idxs(cls, g: int, idxs) -> "GopelSystem":

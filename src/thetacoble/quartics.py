@@ -270,6 +270,8 @@ def jacobi_form_residual(gen, tau: PeriodMatrix, z: PhasePoint, tol: float = DEF
     new_tau, new_z, c, d = _transform(tau, z, gen)
     lhs, lhs_scale = coble_eval(new_tau, new_z, tol)
     rhs0, rhs_scale = coble_eval(tau, z, tol)
+    if gen[0] == "S":  # C = 0 and D = I: the factor is exactly 1
+        return float(abs(lhs - rhs0) / max(lhs_scale, rhs_scale))
     czd = c @ tau.tau + d
     factor = np.linalg.det(czd) ** 16 * np.exp(
         8j * math.pi * (z.z @ np.linalg.solve(czd, c @ z.z))

@@ -374,11 +374,12 @@ def _jacobi_sides(tau, odds) -> tuple[complex, complex]:
     """The two sides of Jacobi's derivative formula at tau: D(m_1 ... m_g)
     and -pi^g times the theta constants of the special fundamental
     completion of the odd m_i.  They agree up to a sign that depends on the
-    order of the m_i."""
+    order of the m_i.  The determinant comes first, so that the pass at
+    tau sums its gradient columns once and the constants read that table."""
+    lhs = jacobian_det(tau, odds)
     z0 = PhasePoint.zero(tau.g)
     completion = special_fundamental_completion(CharacteristicSet(odds))
-    rhs = -math.pi**tau.g * math.prod(theta(tau, z0, n) for n in completion)
-    return jacobian_det(tau, odds), rhs
+    return lhs, -math.pi**tau.g * math.prod(theta(tau, z0, n) for n in completion)
 
 
 def _jacobi_sign(ref, odds) -> float:
@@ -540,6 +541,17 @@ def suite_modularity(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 # genus-2 Kummer
 
 
+def _triple_rows(tau) -> list[tuple[complex, complex, complex]]:
+    """(p, q, pi^6 chi_5 theta_n^2) for each even genus-2 n, in enumeration
+    order, p and q from modular.triple_products.  The determinants come
+    first, so that the pass at tau sums its gradient columns once and the
+    constants read that table."""
+    pairs = modular.triple_products(tau)
+    consts, chi = even_theta_constants(tau), math.pi**6 * modular.chi(tau)
+    evens = enumerate_characteristics(2, "even")
+    return [(p, q, chi * consts[n.idx] ** 2) for (p, q), n in zip(pairs, evens)]
+
+
 def suite_kummer2(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 20
     tol = tol or 1e-8
@@ -556,19 +568,12 @@ def suite_kummer2(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     # triple-product identity |p| = |t| = pi^6 |chi_5 theta_n^2| for all 10
     # even n, p and q the products over the two odd triples summing to n;
     # p / q and p q / t^2 are signs, read at the reference tau
-    evens = [m.idx for m in enumerate_characteristics(2, "even")]
-
-    def products(tau):
-        consts, chi = even_theta_constants(tau), math.pi**6 * modular.chi(tau)
-        pairs = modular.triple_products(tau)
-        return [(p, q, chi * consts[n] ** 2) for (p, q), n in zip(pairs, evens)]
-
     signs = [(_reference_sign(p / q), _reference_sign(p * q / t**2))
-             for p, q, t in products(modular.reference_tau2())]
+             for p, q, t in _triple_rows(modular.reference_tau2())]
 
     def residuals3(tau):
         rows = [(abs(_abs(p) / _abs(t) - 1), _abs(p / q - s), _abs(p * q / t**2 - s2))
-                for (p, q, t), (s, s2) in zip(products(tau), signs)]
+                for (p, q, t), (s, s2) in zip(_triple_rows(tau), signs)]
         return [_worst(column) for column in zip(*rows)]
 
     magnitude, complement, phi_psi = _sampled(seed, "kummer2.triples", min(samples, 10),

@@ -17,7 +17,11 @@ bounding box, clipped to the cube; the kept points, and so the sums, are
 those of the whole cube bit for bit.  The kept points stay in meshgrid order:
 each term goes to its segment (m', p mod 2) by one bincount per real column,
 with no sort.  At z = 0 they come in pairs +-q with equal terms, and only
-half of them are exponentiated.
+half of them are exponentiated.  The g gradient columns of a z = 0 pass are
+summed only for theta_gradient: theta, and so the constants and all they feed,
+reads a table of values alone, whose value column equals the full table's bit
+for bit (see _class_sums); a later gradient request replaces that table by
+the full one, rerunning the phase half only.
 
 A pass has two halves.  Its geometry (the kept points, their segment numbers
 and log-moduli) depends only on g, Im tau, Im z and the radius, since the
@@ -334,10 +338,11 @@ def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL
 # One bounded memo of read-only values (class sums, constants, gradients, 2 tau,
 # modular's s-vector and quartics' Coble values) per tau; the whole memo is
 # dropped once it holds more than _MEMO_CAP entries.  A cold coble_eval adds 6:
-# one class-sum table each for the theta-2 vector and the constants (2^g x 2^g,
-# up to 4 KB at g = 3 with z = 0 gradients), 2 tau, the constants, the s-vector
-# and its (value, scale).  At the cap the values take about 3.1 MB (identities
-# workload, seeds 1-3 in one process).
+# one class-sum table each for the theta-2 vector and the constants (2^g x 2^g
+# values, 1 KB at g = 3; 4 KB with the z = 0 gradients), 2 tau, the constants,
+# the s-vector and its (value, scale).  At the cap the values take about 1.0 MB
+# by an nbytes estimate (identities workload, seeds 1-3 in one process; 1.9 MB
+# when every z = 0 table held its gradients).
 _MEMO: dict[tuple, object] = {}
 _MEMO_CAP = 2048
 
@@ -501,26 +506,32 @@ def _geometry(tau: PeriodMatrix, z: PhasePoint, radius: int) -> tuple:
     return geometry
 
 
-def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
+def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int, gradient: bool = True) -> np.ndarray:
     """Entry [m', m''] holds theta[m'; m''](tau, z) over the half-integer cube
-    of the given radius and, at z = 0, its z-gradient: one exp over the
-    points above the rounding floor serves all 4^g characteristics.  The
-    pass has two halves.  Its geometry, the kept points, segment numbers and
-    log-moduli, depends only on Im tau, Im z and the radius (_geometry).  Its
-    phase half adds to each log-modulus i pi times the axis-by-axis quadratic
-    form of the reduced Re tau and Re z, bit for bit the real and imaginary
-    parts of i pi (q^t tau q + 2 q.z) up to the sign of a zero; the form is
-    built in place in the imaginary parts.
+    of the given radius and, at z = 0 when gradient is set, its z-gradient:
+    one exp over the points above the rounding floor serves all 4^g
+    characteristics.  The pass has two halves.  Its geometry, the kept
+    points, segment numbers and log-moduli, depends only on Im tau, Im z and
+    the radius (_geometry).  Its phase half adds to each log-modulus i pi
+    times the axis-by-axis quadratic form of the reduced Re tau and Re z, bit
+    for bit the real and imaginary parts of i pi (q^t tau q + 2 q.z) up to
+    the sign of a zero; the form is built in place in the imaginary parts.
     At z = 0 the kept points are symmetric, q at position K - 1 - k being
     -q at k, with equal terms, so only the first half is exponentiated (in
     place) and mirrored.  Each segment (m', c) sums its terms, in meshgrid
     order, by one bincount per real and imaginary part of the value column
-    (and, at z = 0, of the g gradient columns, built one at a time); the sign
-    matrices of _sign_matrices combine them, one per m'.  Memoized and
-    read-only."""
+    (and, at z = 0 with gradient set, of the g gradient columns, built one
+    at a time); the sign matrices of _sign_matrices combine them, one per m'.
+    Memoized and read-only, one entry per (tau, z, radius).
+    Without gradient, a z = 0 table keeps only its value column, which the
+    sign matmul still computes at the full width 1 + g, the gradient columns
+    left at 0: a width-1 operand takes numpy's matrix-vector path, whose
+    column can differ from the full table's in the last bits.  A gradient
+    request that finds such a table replaces it by the full one, rebuilding
+    the phase half only (the geometry memo keeps the geometry)."""
     key = tau._key + (z.key, radius)
     hit = _MEMO.get(key)
-    if hit is None:
+    if hit is None or (gradient and z.is_zero and hit.shape[2] == 1):
         n = 1 << tau.g
         qs, seg, log_mod = _geometry(tau, z, radius)
         half = (len(seg) + 1) // 2 if z.is_zero else len(seg)
@@ -535,13 +546,14 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int) -> np.ndarray:
         # np.bincount copies a read-only index array on every call, so a kept
         # geometry's segment numbers are counted through the view's base
         seg = seg if seg.flags.writeable else seg.base
-        sums = np.empty((1 + tau.g if z.is_zero else 1, n * n), dtype=complex)
-        for col, x in zip(sums, [None, *qs]):
+        sums = np.zeros((1 + tau.g if z.is_zero else 1, n * n), dtype=complex)
+        for col, x in zip(sums, [None, *qs] if gradient else [None]):
             col.real, col.imag = (np.bincount(seg, part if x is None else x * part, n * n)
                                   for part in (terms.real, terms.imag))
         sums = sums.T
         sums[:, 1:] *= 2j * math.pi
-        hit = _remember(key, _read_only(_sign_matrices(tau.g) @ sums.reshape(n, n, -1)))
+        hit = _sign_matrices(tau.g) @ sums.reshape(n, n, -1)
+        hit = _remember(key, _read_only(hit if gradient else hit[..., :1].copy()))
     return hit
 
 
@@ -559,7 +571,7 @@ def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFA
         return 0.0
     radius = truncation_radius(tau, z, tol).radius
     g, i = tau.g, m.idx
-    return _class_sums(tau, z, radius).item(i >> g, i & ((1 << g) - 1), 0)
+    return _class_sums(tau, z, radius, False).item(i >> g, i & ((1 << g) - 1), 0)
 
 
 def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL) -> complex:
@@ -583,7 +595,11 @@ def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TO
     """grad_z theta_m(tau, z) at z = 0, by term-wise differentiation (read-only).
 
     Only odd characteristics are accepted; the gradient of an even theta
-    function vanishes at z = 0 and asking for it is a caller bug.
+    function vanishes at z = 0 and asking for it is a caller bug.  The only
+    reader of the gradient columns of a z = 0 pass: where the memo holds the
+    values-only table of theta, it is replaced by the full table, from the
+    kept geometry.  So a caller that reads gradients and constants at one tau
+    asks for the gradients first.
     """
     if tau.g != m.g:
         raise ValueError("genus mismatch")

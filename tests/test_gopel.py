@@ -277,6 +277,25 @@ class TestFamilyMembership:
             points.g_pascal(CFG, spec)
 
 
+class TestSystemHash:
+    """A system's hash is computed once, equal to the dataclass hash of
+    (g, members), so set orders and reports do not move."""
+
+    @pytest.mark.parametrize("g, count", [(2, 15), (3, 135)])
+    def test_hash_is_that_of_g_and_members(self, g, count):
+        systems = gp.enumerate_gopel(g)
+        assert len(systems) == count
+        assert all(hash(s) == hash((s.g, s.members)) for s in systems)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_permuted_members_compare_and_hash_equal(self, g):
+        for s in gp.enumerate_gopel(g):
+            permuted = gp.GopelSystem(g, CharacteristicSet(reversed(s.members.members)))
+            assert permuted.members.members != s.members.members
+            assert permuted == s and hash(permuted) == hash(s)
+            assert gp.even_coset(permuted) == gp.even_coset(s)
+
+
 class TestEvenCoset:
     def test_even_coset_is_even_and_unique(self):
         for s in gp.enumerate_gopel(3)[:30]:

@@ -227,6 +227,32 @@ class TestModularity:
         assert residual < 1e-9
         assert quartics.jacobi_form_residual(("S", s.astype(float)), TAU3, z) == residual
 
+    def test_translation_residual_equals_the_factor_formula(self):
+        # C = 0 and D = I: the residual without the factor is the residual
+        # with det(I)^16 exp(0) bit for bit
+        rng = stream(67, "test_quartics.translation_factor")
+        for _ in range(6):
+            tau, z = random_tau(rng, 3), random_z(rng, 3)
+            s = rng.integers(-2, 3, (3, 3))
+            s = s + s.T
+            lhs, lhs_scale = quartics.coble_eval(tau._translated(s), z)
+            rhs0, rhs_scale = quartics.coble_eval(tau, z)
+            c, czd = np.zeros((3, 3)), np.zeros((3, 3)) @ tau.tau + np.eye(3)
+            factor = np.linalg.det(czd) ** 16 * np.exp(8j * np.pi * (z.z @ np.linalg.solve(czd, c @ z.z)))
+            want = float(abs(lhs - factor * rhs0) / max(lhs_scale, abs(factor) * rhs_scale))
+            assert quartics.jacobi_form_residual(("S", s), tau, z) == want
+
+    def test_only_the_inversion_computes_its_factor(self, monkeypatch):
+        z, calls = random_z(RNG, 3), []
+        for name in ("det", "solve"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, _name=name:
+                                calls.append(_name) or _real(*a))
+        quartics.jacobi_form_residual(("S", np.eye(3, dtype=int)), TAU3, z)
+        assert calls == []
+        quartics.jacobi_form_residual(("J",), TAU3, z)
+        assert set(calls) == {"det", "solve"}
+
     def test_inversion_generator(self):
         z = random_z(RNG, 3)
         assert quartics.jacobi_form_residual(("J",), TAU3, z) < 1e-9

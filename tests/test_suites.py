@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import sys
@@ -7,6 +8,10 @@ import pytest
 from thetacoble import characteristics, modular, suites, symplectic
 from thetacoble.characteristics import _parity_idx
 from thetacoble.suites import SUITES, run_suite
+from thetacoble.theta import PhasePoint, even_theta_constants, jacobian_det
+
+# the package re-exports the function theta under the submodule's name
+theta = importlib.import_module("thetacoble.theta")
 
 
 class TestReportPlumbing:
@@ -373,3 +378,63 @@ class TestNaNResiduals:
         math.exp(-1000)  # leaves errno at ERANGE, which CPython 3.11's complex abs reads
         assert math.isnan(suites._abs(complex(math.nan, 1.0)))
         assert suites._abs(3 + 4j) == 5.0
+
+
+# the sample counts of the identities workload (perfbench/workloads.py) for
+# the suites that evaluate theta, in its order
+IDENTITIES_THETA_SAMPLES = {"jacobi": 40, "riemann": 20, "wrank": 80, "coble": 40,
+                            "modularity": 20, "kummer2": 40, "igusa": 0}
+PHASE_HALVES = {"jacobi": 132, "riemann": 20, "wrank": 80, "coble": 121,
+                "modularity": 280, "kummer2": 131, "igusa": 13}
+
+
+def _constants_first_jacobi_sides(tau, odds):
+    """suites._jacobi_sides with the constants computed before the determinant."""
+    completion = characteristics.special_fundamental_completion(characteristics.CharacteristicSet(odds))
+    rhs = -math.pi**tau.g * math.prod(theta.theta(tau, PhasePoint.zero(tau.g), n) for n in completion)
+    return jacobian_det(tau, odds), rhs
+
+
+def _constants_first_triple_rows(tau):
+    """suites._triple_rows with the constants computed before the determinants."""
+    consts, chi = even_theta_constants(tau), math.pi**6 * modular.chi(tau)
+    pairs = modular.triple_products(tau)
+    evens = characteristics.enumerate_characteristics(2, "even")
+    return [(p, q, chi * consts[n.idx] ** 2) for (p, q), n in zip(pairs, evens)]
+
+
+class TestPhaseHalves:
+    """The class-sum tables each suite builds (phase halves of a pass) at
+    seed 1 with the identities samples, the suites run in order on one memo.
+    A caller that reads gradients asks for them before the constants at its
+    tau, so that tau's z = 0 pass runs once, with its gradient columns."""
+
+    @staticmethod
+    def _counts(monkeypatch, fresh_memos) -> dict:
+        class_sums, built = theta._class_sums, []
+
+        def counted(tau, z, radius, *args):
+            before = theta._MEMO.get(tau.cache_key() + (z.key, radius))
+            table = class_sums(tau, z, radius, *args)
+            built.append(table is not before)
+            return table
+
+        monkeypatch.setattr(theta, "_class_sums", counted)
+        fresh_memos()
+        counts = {}
+        for name, samples in IDENTITIES_THETA_SAMPLES.items():
+            built.clear()
+            assert run_suite(name, 1, samples).passed
+            counts[name] = sum(built)
+        return counts
+
+    def test_pinned_per_suite(self, monkeypatch, fresh_memos):
+        assert self._counts(monkeypatch, fresh_memos) == PHASE_HALVES
+
+    @pytest.mark.parametrize("name, reverted, suite, count", [
+        ("_jacobi_sides", _constants_first_jacobi_sides, "jacobi", 254),
+        ("_triple_rows", _constants_first_triple_rows, "kummer2", 142),
+    ])
+    def test_constants_first_are_caught(self, monkeypatch, fresh_memos, name, reverted, suite, count):
+        monkeypatch.setattr(suites, name, reverted)
+        assert self._counts(monkeypatch, fresh_memos) == {**PHASE_HALVES, suite: count}

@@ -1035,31 +1035,43 @@ class TestPassMemory:
     at z != 0 below the 9 of a form with three temporaries.  Both geometries
     here are above _GEOMETRY_BYTES, so the pass frees its log-moduli early."""
 
-    @pytest.mark.parametrize("imz_l1, kept_bound, sums_bound", [(0.0, 7, 8), (0.5, 7, 8.5)])
-    def test_peak_in_kept_point_arrays(self, fresh_memos, imz_l1, kept_bound, sums_bound):
+    @staticmethod
+    def _peaks(fresh_memos, imz_l1, *calls):
+        """The K-entry array size at the pass case, and the traced peak of
+        each call(tau, z, radius) on fresh memos."""
         rng = stream(41, "test_theta.pass_memory")
         tau = _anisotropic_tau(rng, 3, 0.05)
         z = _z_with_imz_l1(rng, 3, imz_l1) if imz_l1 else th.PhasePoint.zero(3)
         radius = th.truncation_radius(tau, z).radius
         peaks = []
-        for name in ("_kept_points", "_class_sums"):
+        for call in calls:
             fresh_memos()
             tracemalloc.start()
             try:
-                out = getattr(th, name)(tau, z, radius)
+                out = call(tau, z, radius)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            if name == "_kept_points":
-                k_array = out[1].nbytes  # one intp (8-byte) array of K entries
             del out
+        k_array = th._kept_points(tau, z, radius)[1].nbytes  # one intp (8-byte) array of K entries
         assert k_array > 2 ** 19 and 5 * k_array > th._GEOMETRY_BYTES
+        return k_array, peaks
+
+    @pytest.mark.parametrize("imz_l1, kept_bound, sums_bound", [(0.0, 7, 8), (0.5, 7, 8.5)])
+    def test_peak_in_kept_point_arrays(self, fresh_memos, imz_l1, kept_bound, sums_bound):
+        k_array, peaks = self._peaks(fresh_memos, imz_l1, th._kept_points, th._class_sums)
         assert peaks[0] < kept_bound * k_array and peaks[1] < sums_bound * k_array
+
+    def test_peak_of_a_values_only_pass(self, fresh_memos):
+        # measured at 7.0 arrays, the geometry's five and the complex terms'
+        # two, as with the gradient columns; the bound is 7% above it
+        k_array, (peak,) = self._peaks(fresh_memos, 0.0, lambda *args: th._class_sums(*args, False))
+        assert peak < 7.5 * k_array
 
 
 class TestPassCount:
     """A cold evaluation makes one kernel pass for the theta-2 vector and one
-    for the theta constants (with their gradients)."""
+    for the theta constants, which sums no gradient columns."""
 
     @pytest.mark.parametrize("kind, g", [("coble_eval", 3), ("kummer2_eval", 2)])
     def test_two_passes_per_cold_eval(self, monkeypatch, fresh_memos, kind, g):
@@ -1076,6 +1088,60 @@ class TestPassCount:
         value, scale = getattr(quartics, kind)(random_tau(rng, g), random_z(rng, g))
         assert abs(value) < 1e-8 * scale
         assert sorted(passes) == [False, True]
+
+
+def _values_only_cases():
+    """(tau, radius) at z = 0: the TAUS at their certified radius, an
+    anisotropic tau per genus at radius 1 and at its own, and an
+    ill-conditioned genus-3 tau with no y_inv."""
+    rng = stream(59, "test_theta.values_only")
+    z0 = {g: th.PhasePoint.zero(g) for g in (1, 2, 3)}
+    cases = [(tau, th.truncation_radius(tau, z0[g]).radius) for g in (1, 2, 3) for tau in TAUS[g]]
+    for g in (1, 2, 3):
+        tau = _anisotropic_tau(rng, g, 0.3)
+        cases += [(tau, 1), (tau, th.truncation_radius(tau, z0[g]).radius)]
+    ill = _conditioned_tau(rng, 1e9)
+    assert ill.y_inv is None
+    return cases + [(ill, 3)]
+
+
+VALUES_ONLY_CASES = _values_only_cases()
+
+
+class TestValuesOnlyPass:
+    """theta reads a z = 0 table without its gradient columns; a gradient
+    request replaces it by the full table.  Its value column is the full
+    table's bit for bit, whichever comes first."""
+
+    @pytest.mark.parametrize("k", range(len(VALUES_ONLY_CASES)))
+    def test_value_column_equals_the_full_tables_in_both_orders(self, fresh_memos, k):
+        tau, radius = VALUES_ONLY_CASES[k]
+        g, z0 = tau.g, th.PhasePoint.zero(tau.g)
+        fresh_memos()
+        values = th._class_sums(tau, z0, radius, False)
+        full = th._class_sums(tau, z0, radius)
+        assert values.shape == (1 << g, 1 << g, 1) and full.shape == (1 << g, 1 << g, 1 + g)
+        assert th._class_sums(tau, z0, radius, False) is full
+        fresh_memos()
+        first = th._class_sums(tau, z0, radius)
+        assert th._class_sums(tau, z0, radius, False) is first
+        assert first.tobytes() == full.tobytes()
+        assert values.tobytes() == np.ascontiguousarray(full[..., :1]).tobytes()
+        whole_cube = _whole_cube_class_sums(tau, z0, radius)
+        assert values.tobytes() == np.ascontiguousarray(whole_cube[..., :1]).tobytes()
+
+    @pytest.mark.parametrize("kind, g", [("coble_eval", 3), ("kummer2_eval", 2)])
+    def test_cold_eval_keeps_the_value_column_and_a_gradient_adds_the_rest(self, fresh_memos, kind, g):
+        fresh_memos()
+        rng = stream(61, f"test_theta.values_only.{kind}")
+        tau, z0 = random_tau(rng, g), th.PhasePoint.zero(g)
+        getattr(quartics, kind)(tau, random_z(rng, g))
+        key = tau.cache_key() + (z0.key, th.truncation_radius(tau, z0).radius)
+        assert th._MEMO[key].shape == (1 << g, 1 << g, 1)
+        consts = dict(th.even_theta_constants(tau))
+        th.jacobian_det(tau, list(enumerate_characteristics(g, "odd"))[:g])
+        assert th._MEMO[key].shape == (1 << g, 1 << g, 1 + g)
+        assert all(th.theta(tau, z0, Characteristic(g, i)) == v for i, v in consts.items())
 
 
 class _Forgetful(dict):
