@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .characteristics import _read_only
 from .modular import s_vector
 from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, _memoized, theta2
 
@@ -61,10 +62,10 @@ def quartic_monomials(label: str) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def q_basis_eval(label: str, x) -> complex:
     """Evaluate the labelled genus-3 invariant quartic at x in C^8."""
-    labels, expo, starts, _ = _coble_tables(3)
+    labels, _, starts, _ = _coble_tables(3)
     if label not in labels:
         raise ValueError(f"bad label {label!r}")
-    return complex(np.add.reduceat(_powers(x, expo), starts)[labels.index(label)])
+    return complex(np.add.reduceat(_powers(x, _power_index(3)), starts)[labels.index(label)])
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +115,23 @@ def _coble_tables(g: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.n
     return labels, expo, starts, a_of_s
 
 
-def _powers(x, expo: np.ndarray) -> np.ndarray:
-    """x ** expo multiplied along the last axis, for x in C^n and exponents 0..4."""
+@lru_cache(maxsize=None)
+def _power_index(g: int) -> np.ndarray:
+    """The genus-g exponent matrix E as flat positions E[i, j] n + j into
+    the (5, n) table of the powers x_j^k, n = 2^g (read-only)."""
+    expo = _coble_tables(g)[1]
+    n = expo.shape[1]
+    return _read_only(expo * n + np.arange(n))
+
+
+def _powers(x, index: np.ndarray) -> np.ndarray:
+    """x ** E multiplied along the last axis, for x in C^n and an exponent
+    table E (entries 0..4) given as flat positions like _power_index's."""
     x = np.asarray(x)
-    n = expo.shape[-1]
+    n = index.shape[-1]
     if x.shape != (n,):
         raise ValueError(f"need {n} variable values")
-    return (x ** np.arange(5)[:, None])[expo, np.arange(n)].prod(axis=-1)
+    return (x ** np.arange(5)[:, None]).ravel().take(index).prod(axis=-1)
 
 
 def _terms(a: np.ndarray, tables, mons: np.ndarray) -> np.ndarray:
@@ -191,7 +202,7 @@ def coble_at(a: dict[str, complex], x) -> tuple[complex, float]:
 
 def _quartic_at(g: int, a: np.ndarray, x) -> tuple[complex, float]:
     tables = _coble_tables(g)
-    terms = _terms(a, tables, _powers(x, tables[1]))
+    terms = _terms(a, tables, _powers(x, _power_index(g)))
     return complex(terms.sum()), float(abs(terms).max())
 
 
@@ -204,11 +215,18 @@ def coble_gradient_at(a: dict[str, complex], x) -> tuple[list[complex], list[flo
 def _gradient_at(a: np.ndarray, x) -> tuple[list[complex], list[float]]:
     """Row v of the monomial table is E[:, v] x^(E - e_v); the exponent is
     clipped at 0 where E[:, v] = 0, so no x_v is ever divided out."""
-    tables = _coble_tables(3)
-    expo = tables[1]
-    lowered = np.maximum(expo - np.eye(8, dtype=int)[:, None, :], 0)  # (8, 50, 8)
-    terms = _terms(a, tables, expo.T * _powers(x, lowered))
+    lowered, expo_t = _gradient_tables()
+    terms = _terms(a, _coble_tables(3), expo_t * _powers(x, lowered))
     return terms.sum(axis=1).tolist(), abs(terms).max(axis=1).tolist()
+
+
+@lru_cache(maxsize=None)
+def _gradient_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The (8, 50, 8) exponents E - e_v clipped at 0, as flat positions like
+    _power_index's, and E^t (8, 50); read-only."""
+    expo = _coble_tables(3)[1]
+    lowered = np.maximum(expo - np.eye(8, dtype=int)[:, None, :], 0)
+    return _read_only(lowered * 8 + np.arange(8)), _read_only(expo.T.copy())
 
 
 def coble_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):

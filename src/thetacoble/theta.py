@@ -4,7 +4,9 @@ functions, z-gradients at z = 0, and Jacobian determinants.
 All lattice sums are truncated at a radius carrying a certified Gaussian tail
 bound; double-precision complex arithmetic throughout.  Each term on the shell
 |p|_inf = r is at most exp(-pi lambda_min (r - 1/2)^2 + 2 pi (r + 1/2) |Im z|_1),
-lambda_min the smallest eigenvalue of Im tau.
+lambda_min the smallest eigenvalue of Im tau.  The radius search sums that
+bound over the shells 1 .. n of a short window only, which gives the sum over
+all 599 shells bit for bit (see _radius).
 
 One pass per (tau, z, radius) sums every characteristic over the half-integer
 cube |q|_inf <= radius + 1/2, but exponentiates only the terms above the
@@ -36,7 +38,9 @@ The facts a pass reads of its inputs (the memo key, (Im tau)^-1 and reduced
 Re tau of tau; the reduced point, its Python floats, is_zero, |Im z|_1, the key
 bytes and the doubled point 2 z of z; the TruncationSpec of each (g, lambda_min,
 |Im z|_1, tol); a characteristic's parity, on first read) are computed once per
-object; 2 tau and tau + S take lambda_min and (Im tau)^-1 from tau.  Where
+object; 2 tau and tau + S take lambda_min and (Im tau)^-1 from tau, and 2 z
+its facts from z's reduced point, with no check (PhasePoint.doubled); the
+constructors check tau on Python floats, and ask numpy only near a bound.  Where
 |Re z_i| > 1 (|Re tau_ij| > 4) the reduction subtracts 2 round(Re z_i / 2)
 (8 round(Re tau_ij / 8)), exactly.  theta[m](tau + 8 T, z + 2 b) equals
 theta[m](tau, z) for integer b and T = T^t, so a pass (and 2 tau) sums at the
@@ -120,6 +124,7 @@ class PeriodMatrix:
         tau = np.asarray(self.tau, dtype=complex)
         if tau.shape != (self.g, self.g):
             raise ValueError("tau shape does not match genus")
+        _check_genus(self.g)
         tau = _symmetrized(tau)
         lam = float(np.linalg.eigvalsh(tau.imag).min())
         if lam <= 0:
@@ -171,20 +176,30 @@ class PeriodMatrix:
         return self
 
 
+def _check_genus(g) -> None:
+    if g < 1:
+        raise ValueError(f"genus must be at least 1, not {g!r}")
+
+
 def _symmetrized(tau: np.ndarray) -> np.ndarray:
-    """(tau + tau^t) / 2, read-only; tau finite, symmetric to 1e-12, at most _TAU_MAX."""
-    if not np.isfinite(tau).all():
-        raise ValueError("tau entries must be finite")
-    if np.abs(tau).max() > _TAU_MAX:
-        raise ValueError(f"tau entries must be at most {_TAU_MAX:.0e} in modulus")
-    if np.abs(tau - tau.T).max() > 1e-12:
+    """(tau + tau^t) / 2, read-only; tau finite, symmetric to 1e-12, at most
+    _TAU_MAX.  A tau whose parts sum in modulus to at most _TAU_MAX / 2, and
+    which is symmetric exactly, passes on Python floats alone; numpy checks
+    any other, as the bounds are on moduli."""
+    if not sum(map(abs, tau.ravel().view(float).tolist())) <= _TAU_MAX / 2:
+        if not np.isfinite(tau).all():
+            raise ValueError("tau entries must be finite")
+        if np.abs(tau).max() > _TAU_MAX:
+            raise ValueError(f"tau entries must be at most {_TAU_MAX:.0e} in modulus")
+    if tau.tolist() != tau.T.tolist() and np.abs(tau - tau.T).max() > 1e-12:
         raise ValueError("tau must be symmetric")
-    return _read_only(tau / 2 + tau.T / 2)
+    half = tau / 2
+    return _read_only(half + half.T)
 
 
 def _reduced_re(x: np.ndarray) -> np.ndarray:
     """Re tau minus 8 round(Re tau_ij / 8) where |Re tau_ij| > 4 (exact)."""
-    if np.abs(x).max() > 4:
+    if max(abs(v) for row in x.tolist() for v in row) > 4:
         x = _read_only(x - np.where(np.abs(x) > 4, 8 * np.round(x / 8), 0.0))
     return x
 
@@ -205,7 +220,10 @@ class PhasePoint:
     and 0 elsewhere (exact, and z itself when every |Re z_i| <= 1), whether
     it is 0, |Im z|_1, its memo key bytes and the real and imaginary parts of
     the reduced point as Python floats.  Theta takes equal values at z and at
-    the reduced point, which the pass sums at."""
+    the reduced point, which the pass sums at.  A z with pi |Im z|_1 at least
+    log of the largest double (|Im z|_1 >= 225.9) is a ValueError: the term
+    at q = 0 alone bounds such a sum by exp(pi |Im z|_1), which overflows at
+    every tau (see _radius)."""
 
     g: int
     z: np.ndarray
@@ -219,18 +237,31 @@ class PhasePoint:
         z = np.asarray(self.z, dtype=complex).reshape(-1)
         if z.shape != (self.g,):
             raise ValueError("z length does not match genus")
-        if not np.all(np.isfinite(z.view(float))):
+        _check_genus(self.g)
+        y = z.imag.tolist()
+        if not all(map(math.isfinite, z.real.tolist() + y)):
             raise ValueError("z entries must be finite")
+        # below the bound every |Im z_i| is under 226, so their sum is finite
+        imz_l1 = (sum(map(abs, y)) if math.pi * max(map(abs, y)) >= _LOG_DOUBLE_MAX
+                  else float(np.abs(z.imag).sum()))
+        if math.pi * imz_l1 >= _LOG_DOUBLE_MAX:
+            raise ValueError(f"theta terms overflow double precision at every tau: "
+                             f"|Im z|_1 = {imz_l1:.6g}")
         z.setflags(write=False)
+        self._set(self.g, z, imz_l1)
+
+    def _set(self, g: int, z: np.ndarray, imz_l1: float) -> "PhasePoint":
+        """Sets g, the read-only z, |Im z|_1 and the facts of the reduced
+        point, unchecked; returns self."""
         x, reduced = z.real, z
-        if max(map(abs, x.tolist()), default=0.0) > 1:
+        if max(map(abs, x.tolist())) > 1:
             reduced = _read_only(z - np.where(np.abs(x) > 1, 2 * np.round(x / 2), 0.0))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "is_zero", not reduced.any())
-        object.__setattr__(self, "imz_l1", float(np.abs(z.imag).sum()))
-        object.__setattr__(self, "key", reduced.tobytes())
-        object.__setattr__(self, "parts", (tuple(reduced.real.tolist()), tuple(reduced.imag.tolist())))
+        parts = (tuple(reduced.real.tolist()), tuple(reduced.imag.tolist()))
+        for name, value in zip(("g", "z", "reduced", "is_zero", "imz_l1", "key", "parts"),
+                               (g, z, reduced, not (any(parts[0]) or any(parts[1])), imz_l1,
+                                reduced.tobytes(), parts)):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def zero(cls, g: int) -> "PhasePoint":
@@ -252,8 +283,10 @@ class PhasePoint:
     @cached_property
     def doubled(self) -> "PhasePoint":
         """The point 2 z, built on first use from the reduced point (theta is
-        unchanged by the shift 4 b, and 2 z cannot overflow)."""
-        return PhasePoint(self.g, 2 * self.reduced)
+        unchanged by the shift 4 b) without the constructor's checks: 2 z is
+        finite, as |Re| <= 1 on the reduced point and each |Im z_i| is below
+        226, and |Im 2 z|_1 is 2 |Im z|_1 exactly, the sum of doubled moduli."""
+        return object.__new__(PhasePoint)._set(self.g, _read_only(2 * self.reduced), 2 * self.imz_l1)
 
 
 @lru_cache(maxsize=8)
@@ -277,6 +310,9 @@ class TruncationSpec:
 _MAX_RADIUS = 199
 _SHELLS = _MAX_RADIUS + 400
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# A window of shells ends where the log shell bound falls by at least _DROP
+# from one shell to the next (see _radius).
+_DROP = 38.0
 
 
 def _term_log_bound(lam: float, imz_l1: float, r):
@@ -306,22 +342,40 @@ def _radius(g: int, lam: float, imz_l1: float, tol: float) -> TruncationSpec:
     that bound, as one TruncationSpec shared by every equal request.  The
     tail past radius R is the sum over shells r > R of the shell's point
     count (2r + 1)^g - (2r - 1)^g times its term bound, summed in the log
-    domain."""
+    domain, from shell _SHELLS down.
+
+    The sum runs over a window of shells 1 .. n only, and gives the tails of
+    all _SHELLS shells bit for bit.  The log shell bound f(r) is concave in r
+    (a log point count plus a concave quadratic), so where
+    f(n) - f(n - 1) <= -_DROP every later shell falls by e^-_DROP at least,
+    and the shells past n sum below exp(f(n) - _DROP + 1e-16).  When also
+    f(n) <= -1, log1p of that ratio is below half an ulp of f(n), so the
+    whole sum reaches shell n with exactly f(n), where the window's starts,
+    and from there both make the same operations.  The first window ends
+    just past that drop: f(n) - f(n - 1) is the growth of the log point
+    count, at most 1.33 at g <= 3, minus 2 pi (lam (n - 1) - |Im z|_1).  The
+    window doubles while the drop or f(n) <= -1 fails or the radius is not
+    in it; at _SHELLS shells it is the whole sum."""
     log_count, sq, lin = _shells(g)
-    log_shell = log_count + (-math.pi * lam * sq + lin * imz_l1)
-    # log_tail[k] = log of the sum over shells r >= k + 1
-    log_tail = np.logaddexp.accumulate(log_shell[::-1])[::-1]
-    # shell 0 is one point with |q|_inf <= 1/2: term bound pi |Im z|_1
-    if np.logaddexp(math.pi * imz_l1, log_tail[0]) >= _LOG_DOUBLE_MAX:
-        raise ValueError(
-            f"theta terms overflow double precision at lambda_min = {lam:.6g}, "
-            f"|Im z|_1 = {imz_l1:.6g}"
-        )
-    tails = np.exp(log_tail[1:_MAX_RADIUS + 1])  # tails[R - 1]: shells > R
-    below = np.flatnonzero(tails < tol)
-    if below.size == 0:
-        raise ValueError("truncation radius exceeds the supported range")
-    return TruncationSpec(int(below[0]) + 1, tol, float(tails[below[0]]))
+    n = min(_SHELLS, 2 + int((_DROP + 1.5 + 2 * math.pi * imz_l1) / (2 * math.pi * lam)))
+    while True:
+        log_shell = log_count[:n] + (-math.pi * lam * sq[:n] + lin[:n] * imz_l1)
+        before, last = log_shell[-2:].tolist()
+        if n == _SHELLS or (last - before <= -_DROP and last <= -1):
+            # log_tail[k] = log of the sum over shells r >= k + 1
+            log_tail = np.logaddexp.accumulate(log_shell[::-1])[::-1]
+            # shell 0 is one point with |q|_inf <= 1/2: term bound pi |Im z|_1
+            if np.logaddexp(math.pi * imz_l1, log_tail[0]) >= _LOG_DOUBLE_MAX:
+                raise ValueError(
+                    f"theta terms overflow double precision at lambda_min = {lam:.6g}, "
+                    f"|Im z|_1 = {imz_l1:.6g}"
+                )
+            for radius, tail in enumerate(np.exp(log_tail[1:_MAX_RADIUS + 1]).tolist(), 1):
+                if tail < tol:  # tail: shells > radius
+                    return TruncationSpec(radius, tol, tail)
+            if n > _MAX_RADIUS:
+                raise ValueError("truncation radius exceeds the supported range")
+        n = min(_SHELLS, 2 * n)
 
 
 def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL) -> TruncationSpec:
@@ -551,7 +605,8 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int, gradient: bool = 
             col.real, col.imag = (np.bincount(seg, part if x is None else x * part, n * n)
                                   for part in (terms.real, terms.imag))
         sums = sums.T
-        sums[:, 1:] *= 2j * math.pi
+        if gradient:  # a values-only table's gradient columns stay 0
+            sums[:, 1:] *= 2j * math.pi
         hit = _sign_matrices(tau.g) @ sums.reshape(n, n, -1)
         hit = _remember(key, _read_only(hit if gradient else hit[..., :1].copy()))
     return hit

@@ -161,6 +161,16 @@ class TestEval:
         assert res.output.strip() == "Error: tau entries must be at most 1e+300 in modulus"
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("what", ["coble", "coble-grad"])
+    def test_huge_imaginary_z_is_the_overflow_error(self, runner, tau3_file, tmp_path, what):
+        # Im z = (1e308, 0, 0) is finite; every theta sum at it overflows
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"re": [0.1, 0.2, 0.3], "im": [1e308, 0.0, 0.0]}))
+        res = runner.invoke(main, ["eval", what, "--tau", tau3_file, "--z", str(path)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.strip() == ("Error: theta terms overflow double precision at every "
+                                      "tau: |Im z|_1 = 1e+308")
+
     def test_broadcast_tau_is_a_clean_error(self, runner, tmp_path):
         path = tmp_path / "tau.json"
         path.write_text(json.dumps({"g": 3, "re": 0.1,

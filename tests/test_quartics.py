@@ -290,3 +290,27 @@ class TestModularity:
     def test_malformed_generator_is_a_value_error(self, gen):
         with pytest.raises(ValueError, match=r"\('J',\) or \('S', S\)"):
             quartics.jacobi_form_residual(gen, TAU3, PhasePoint.zero(3))
+
+
+class TestGradientTables:
+    """The exponent tables of the gradient cubics and the power gathers are
+    built once and read-only."""
+
+    def test_tables_are_cached_and_read_only(self):
+        tables = [*quartics._gradient_tables(), quartics._power_index(2), quartics._power_index(3)]
+        assert quartics._gradient_tables()[0] is tables[0]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 1
+
+    def test_tables_are_the_exponents(self):
+        expo = quartics._coble_tables(3)[1]
+        lowered, expo_t = quartics._gradient_tables()
+        assert np.array_equal(expo_t, expo.T)
+        for v in range(8):
+            clipped = np.maximum(expo - np.eye(8, dtype=int)[v], 0)
+            assert np.array_equal(lowered[v], clipped * 8 + np.arange(8))
+        for g in (2, 3):
+            expo, n = quartics._coble_tables(g)[1], 1 << g
+            assert np.array_equal(quartics._power_index(g), expo * n + np.arange(n))

@@ -276,6 +276,139 @@ class TestTranslated:
             TAUS[3][0]._translated(s)
 
 
+def _numpy_checked(tau):
+    """The symmetrized tau and reduced Re tau of the constructor's numpy
+    checks, or the message of the ValueError they raise."""
+    tau = np.asarray(tau, dtype=complex)
+    if not np.isfinite(tau).all():
+        return "tau entries must be finite"
+    if np.abs(tau).max() > 1e300:
+        return "tau entries must be at most 1e+300 in modulus"
+    if np.abs(tau - tau.T).max() > 1e-12:
+        return "tau must be symmetric"
+    sym = tau / 2 + tau.T / 2
+    x = sym.real
+    if np.abs(x).max() > 4:
+        x = x - np.where(np.abs(x) > 4, 8 * np.round(x / 8), 0.0)
+    return sym, x
+
+
+def _point_facts(point):
+    """Every fact of a PhasePoint, as bytes where a float's sign of zero counts."""
+    return (point.g, point.z.tobytes(), point.reduced.tobytes(), point.is_zero,
+            np.float64(point.imz_l1).tobytes(), point.key, np.array(point.parts).tobytes(),
+            point.z.flags.writeable, point.reduced.flags.writeable)
+
+
+class TestUncheckedFacts:
+    """The constructors check tau on Python floats and build 2 z without
+    checks; every fact and every error is that of numpy's checks."""
+
+    @staticmethod
+    def _taus(g):
+        rng = stream(59, f"test_theta.unchecked.{g}")
+        base = [_anisotropic_tau(rng, g, lam).tau for lam in (0.05, 1.0, 3.0)]
+        out = []
+        for tau in base:
+            out.append(tau.copy())
+            signed = tau.copy()
+            signed[0, 0] = complex(-0.0, signed[0, 0].imag)
+            signed.flat[-1] = complex(-0.0, -0.0)
+            out.append(signed)
+            out.append(tau + 12.5 + 1e-300j)  # Re tau above 4, a subnormal-scale part
+            for gap in (3e-13, 6e-13, 9e-13, 2e-12, 1e-12 * (1 + 1j)):
+                off = tau.copy()
+                off.flat[g - 1] += gap  # tau_{0, g-1}, the diagonal at g = 1
+                out.append(off)
+            for scale in (1e299, 3e299, 7.1e299, 1e300, 1.5e300):
+                out.append(tau * scale)
+            for bad in (math.nan, math.inf, -math.inf):
+                broken = tau.copy()
+                broken.flat[-1] = complex(0.5, bad)
+                out.append(broken)
+        return out
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_period_matrix_facts_equal_numpy_checks(self, g):
+        seen = set()
+        for raw in self._taus(g):
+            want = _numpy_checked(raw)
+            try:
+                tau = th.PeriodMatrix(g, raw)
+            except ValueError as exc:
+                assert str(exc) == (want if isinstance(want, str) else
+                                    "Im(tau) must be positive definite")
+                seen.add(str(exc))
+                continue
+            sym, x = want
+            assert tau.tau.tobytes() == sym.tobytes() and not tau.tau.flags.writeable
+            assert tau.re_reduced.tobytes() == x.tobytes() and not tau.re_reduced.flags.writeable
+            assert tau.lambda_min == float(np.linalg.eigvalsh(sym.imag).min())
+            assert tau.cache_key() == (g, sym.tobytes())
+            seen.add("ok")
+        assert {"ok", "tau entries must be finite",
+                "tau entries must be at most 1e+300 in modulus"} <= seen
+        assert ("tau must be symmetric" in seen) == (g > 1)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_translated_facts_equal_numpy_checks(self, g):
+        tau = TAUS[g][0]
+        for s in _translations(g) + [np.full((g, g), 1e300), np.full((g, g), 4e299)]:
+            want = _numpy_checked(tau.tau + s)
+            try:
+                moved = tau._translated(s)
+            except ValueError as exc:
+                assert str(exc) == want
+                continue
+            assert moved.tau.tobytes() == want[0].tobytes()
+            assert moved.re_reduced.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_doubled_facts_equal_the_checked_constructor(self, g):
+        rng = stream(61, f"test_theta.unchecked_doubled.{g}")
+        points = [random_z(rng, g).z for _ in range(4)]
+        points += [rng.uniform(-3, 3, g) + 1j * rng.uniform(-2, 2, g) for _ in range(4)]
+        points += [np.full(g, x) + 1j * np.full(g, y)
+                   for x in (1.0, -1.0, 0.5, -0.75, 0.25, -0.0, 0.0, 2.5e-310, 3.0)
+                   for y in (0.0, -0.0, 0.3, -1e-310, 37.0)]
+        for z in points:
+            point = th.PhasePoint(g, z)
+            assert _point_facts(point.doubled) == _point_facts(th.PhasePoint(g, 2 * point.reduced))
+            assert point.doubled.imz_l1 == 2 * point.imz_l1
+
+    @pytest.mark.parametrize("cls, args", [
+        (th.PeriodMatrix, (0, np.zeros((0, 0)))),
+        (th.PhasePoint, (0, [])),
+        (th.PhasePoint, (0, np.zeros(0, complex))),
+    ])
+    def test_genus_zero_is_a_value_error(self, cls, args):
+        with pytest.raises(ValueError, match="^genus must be at least 1, not 0$"):
+            cls(*args)
+
+    @pytest.mark.parametrize("z, shown", [
+        ([1e308j, 1e308j, 0], "inf"),
+        ([1e308j, 0, 0], "1e+308"),
+        ([1e308 + 0.5j, 113j, -113j], "226.5"),
+        ([0, 100j, -126j], "226"),
+    ])
+    def test_overflowing_imaginary_z_is_a_value_error_without_warning(self, z, shown):
+        # pi |Im z|_1 >= log(DBL_MAX) overflows the q = 0 term at every tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                th.PhasePoint(3, z)
+        assert str(info.value) == ("theta terms overflow double precision at every tau: "
+                                   f"|Im z|_1 = {shown}")
+
+    def test_largest_imaginary_z_below_the_bound_is_accepted(self):
+        # 225.9 is below log(DBL_MAX) / pi = 225.94: accepted, and the sum at
+        # any tau still overflows at its radius search
+        point = th.PhasePoint(3, [0, 100j, -125.9j])
+        assert point.imz_l1 == 225.9 and math.isfinite(point.doubled.imz_l1)
+        with pytest.raises(ValueError, match="overflow double precision at lambda_min"):
+            th.truncation_radius(TAUS[3][0], point)
+
+
 class TestPhasePointFacts:
     """is_zero, |Im z|_1, the key bytes and 2 z are computed once per point."""
 
@@ -307,13 +440,13 @@ class TestPhasePointFacts:
     def test_doubled_point_is_built_once(self, monkeypatch):
         z = random_z(stream(21, "test_theta.doubled"), 3)
         built = []
-        post_init = th.PhasePoint.__post_init__
+        set_facts = th.PhasePoint._set
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self)
-            post_init(self)
+            return set_facts(self, *args)
 
-        monkeypatch.setattr(th.PhasePoint, "__post_init__", counted)
+        monkeypatch.setattr(th.PhasePoint, "_set", counted)
         quartics.theta2_vector(TAUS[3][2], z)
         assert len(built) == 1 and np.array_equal(built[0].z, 2 * z.z)
         assert z.doubled is built[0]
@@ -394,6 +527,47 @@ class TestTruncation:
             radius, tail = _reference_radius(g, tau.lambda_min, imz_l1, tol)
             assert spec.radius == radius
             assert spec.certified_tail_bound == pytest.approx(tail, rel=1e-10, abs=1e-300)
+
+
+    def test_window_radius_equals_the_599_shell_radius(self):
+        # g = 1-3, lambda_min 0.01-20, |Im z|_1 0-3 (a fifth at 0), tol
+        # 1e-16-1e-6: the same radius, or the same ValueError, as the tail sum
+        # over all 599 shells, and a tail bound within 1e-12 relative
+        rng = stream(7, "test_theta.window_radius")
+        outcomes = {"radius": 0, "overflow": 0, "range": 0}
+        for _ in range(3000):
+            g = int(rng.integers(1, 4))
+            lam = float(np.exp(rng.uniform(math.log(0.01), math.log(20.0))))
+            imz_l1 = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 3.0))
+            tol = float(10.0 ** rng.uniform(-16.0, -6.0))
+            want = _radius_over_all_shells(g, lam, imz_l1, tol)
+            try:
+                spec = th._radius.__wrapped__(g, lam, imz_l1, tol)
+            except ValueError as exc:
+                assert str(exc) == want
+                outcomes["overflow" if "overflow" in want else "range"] += 1
+                continue
+            radius, tail = want
+            assert spec.radius == radius
+            assert spec.certified_tail_bound == pytest.approx(tail, rel=1e-12, abs=0)
+            outcomes["radius"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+
+def _radius_over_all_shells(g, lam, imz_l1, tol):
+    """(radius, tail bound) from the log-domain tail sum over all 599 shells,
+    or the message of the ValueError it raises."""
+    log_count, sq, lin = th._shells(g)
+    log_shell = log_count + (-math.pi * lam * sq + lin * imz_l1)
+    log_tail = np.logaddexp.accumulate(log_shell[::-1])[::-1]
+    if np.logaddexp(math.pi * imz_l1, log_tail[0]) >= math.log(sys.float_info.max):
+        return (f"theta terms overflow double precision at lambda_min = {lam:.6g}, "
+                f"|Im z|_1 = {imz_l1:.6g}")
+    tails = np.exp(log_tail[1:200])
+    below = np.flatnonzero(tails < tol)
+    if below.size == 0:
+        return "truncation radius exceeds the supported range"
+    return int(below[0]) + 1, float(tails[below[0]])
 
 
 # The second-order regime: theta[eps; 0](2 tau, 2 z) at anisotropic tau, so
