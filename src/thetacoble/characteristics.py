@@ -36,6 +36,18 @@ def _bits_to_int(bits: Iterable[int]) -> int:
     return v
 
 
+def bit_rows(s: str, rows: int, what: str) -> list[tuple[int, ...]]:
+    """The rows of s: `rows` non-empty strings of one length, joined by ';',
+    of the ASCII digits 0 and 1 alone (int() would also read a fullwidth or
+    other Unicode digit); ValueError naming s otherwise."""
+    parts = s.split(";") if isinstance(s, str) else []
+    if (len(parts) != rows or not parts[0] or any(len(p) != len(parts[0]) for p in parts)
+            or not all(c in "01" for p in parts for c in p)):
+        shape = "a string" if rows == 1 else f"{rows} strings of one length, joined by ';',"
+        raise ValueError(f"malformed {what} {s!r}: expected {shape} of the digits 0 and 1")
+    return [tuple(map(int, p)) for p in parts]
+
+
 def _int_to_bits(v: int, width: int) -> tuple[int, ...]:
     return tuple((v >> (width - 1 - i)) & 1 for i in range(width))
 
@@ -64,10 +76,7 @@ class Characteristic:
     @classmethod
     def from_string(cls, s: str) -> "Characteristic":
         """Parse the "abc;def" serialization."""
-        top, _, bot = s.partition(";")
-        if not bot or len(top) != len(bot):
-            raise ValueError(f"malformed characteristic string {s!r}")
-        return cls.from_bits([int(c) for c in top], [int(c) for c in bot])
+        return cls.from_bits(*bit_rows(s, 2, "characteristic string"))
 
     @classmethod
     def parse(cls, g: int, value) -> "Characteristic":

@@ -15,11 +15,15 @@ count.  So a value, or a gradient entry, is off by at most the certified tail
 plus eps max|term| of skipped terms, max|term| taken over the cube, plus
 rounding.  The largest term is at least 1 (the point q = 0), so the kept
 terms lie in an ellipsoid, and the pass computes log-moduli only over its
-bounding box, clipped to the cube; the kept points, and so the sums, are
-those of the whole cube bit for bit.  The kept points stay in meshgrid order:
-each term goes to its segment (m', p mod 2) by one bincount per real column,
-with no sort.  At z = 0 they come in pairs +-q with equal terms, and only
-half of them are exponentiated.  The g gradient columns of a z = 0 pass are
+bounding box, each face widened by a rounding margin (_BOX_MARGIN) and
+clipped to the cube; the kept points, and so the sums, are those of the
+whole cube bit for bit.  The kept points stay in meshgrid order: each term
+goes to its segment (m', p mod 2) by one bincount per real column, with no
+sort.  Where Im z = 0 the box and the kept points are symmetric under
+q -> -q, so the pass computes log-moduli over the half of the box up to
+q = 0 only and keeps the head of the kept points, up to q = 0: the tail is
+its mirror, reversed.  At z = 0 the terms at +-q are equal too, and only the
+head's are exponentiated.  The g gradient columns of a z = 0 pass are
 summed only for theta_gradient: theta, and so the constants and all they feed,
 reads a table of values alone, whose value column equals the full table's bit
 for bit (see _class_sums); a later gradient request replaces that table by
@@ -58,7 +62,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .characteristics import Characteristic, _read_only, enumerate_characteristics
+from .characteristics import Characteristic, _read_only, bit_rows, enumerate_characteristics
 
 DEFAULT_TOL = 1e-12
 
@@ -97,10 +101,12 @@ def _abs(z: complex) -> float:
 # Above this bound on trace(Im tau) / lambda_min, which is at least the
 # condition number of Im tau, the floor box is the whole cube.  The error of a
 # float inverse grows as the condition number times eps: at condition 1e8 the
-# box's centre and half-widths were off by at most 3e-6 (60 random Im tau
-# against a 60-digit inverse), at 1e14 by up to 0.6, more than the grid step
-# of 1/2 the box is widened by.
+# box's centre and half-widths were off by at most 1e-8 of the half-width
+# (see _floor_box), at 1e14 by up to 0.6, more than _BOX_MARGIN covers.
 _BOX_CONDITION = 1e8
+# Each face of the floor box is widened by _BOX_MARGIN (1 + |c_i| + s_i)
+# against the rounding of its centre c_i and half-width s_i.
+_BOX_MARGIN = 1e-3
 
 # The quadratic form of a pass, at 2 tau and |q_i| <= _MAX_RADIUS + 1/2, is at
 # most about 1e6 max|tau_ij| in modulus: below this bound it cannot overflow.
@@ -294,6 +300,10 @@ def _zero_point(g: int) -> PhasePoint:
     return PhasePoint(g, np.zeros(g, dtype=complex))
 
 
+class TermOverflowError(ValueError):
+    """The terms of a theta sum overflow double precision."""
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     radius: int
@@ -366,7 +376,7 @@ def _radius(g: int, lam: float, imz_l1: float, tol: float) -> TruncationSpec:
             log_tail = np.logaddexp.accumulate(log_shell[::-1])[::-1]
             # shell 0 is one point with |q|_inf <= 1/2: term bound pi |Im z|_1
             if np.logaddexp(math.pi * imz_l1, log_tail[0]) >= _LOG_DOUBLE_MAX:
-                raise ValueError(
+                raise TermOverflowError(
                     f"theta terms overflow double precision at lambda_min = {lam:.6g}, "
                     f"|Im z|_1 = {imz_l1:.6g}"
                 )
@@ -488,12 +498,24 @@ def _floor_box(tau: PeriodMatrix, z: PhasePoint, radius: int, log_floor: float) 
     log-modulus reaches log_floor <= 0.  With Y = Im(tau), w = Im z and
     c = -Y^-1 w, -pi (q^t Y q + 2 q.w) >= log_floor is the ellipsoid
     (q - c)^t Y (q - c) <= w^t Y^-1 w - log_floor / pi =: R^2, which lies
-    in the box |q_i - c_i| <= sqrt(R^2 (Y^-1)_ii).  Each slice is widened by
-    one grid step on either side, against rounding, and clipped to the cube.
-    The cube's largest term is at least 1 (its point q = 0, which the box
-    holds: c_i^2 <= (Y^-1)_ii w^t Y^-1 w < R^2 (Y^-1)_ii), so every term
-    above the rounding floor lies in the box.  Where tau holds no inverse
-    (Im tau ill-conditioned), the box is the whole cube."""
+    in the box |q_i - c_i| <= s_i := sqrt(R^2 (Y^-1)_ii).  The cube's
+    largest term is at least 1 (its point q = 0, which the box holds:
+    c_i^2 <= (Y^-1)_ii w^t Y^-1 w < R^2 (Y^-1)_ii), so every term above the
+    rounding floor lies in the box.  Where tau holds no inverse (Im tau
+    ill-conditioned), the box is the whole cube.
+
+    Each slice holds the grid points with |q_i - c_i| <= s_i + _BOX_MARGIN
+    (1 + |c_i| + s_i), clipped to the cube; the margin covers rounding.  c,
+    R^2 and s are read off the float inverse of Y, whose first-order error
+    Y^-1 E Y^-1, E the backward error of the LU factors (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed. (2002), ch. 9 and 14), moves
+    c_i and s_i by about eps kappa s_i, with kappa = trace(Y) / lambda_min
+    <= _BOX_CONDITION.  Against a 50-digit inverse, 599 Y at kappa 1e4 to
+    1e8, Im z from 0 to 100 in modulus along an end eigenvector of Y or at
+    random, were off by at most 0.46 eps kappa s_i, 1e-8 s_i at kappa 1e8;
+    the margin is at least 4.5e4 eps kappa s_i there.  The log-moduli's own
+    rounding moves R^2 by a relative 2 g^2 eps kappa at most.  At z = 0,
+    c = 0 and the box is symmetric about q = 0 bit for bit."""
     # the axis holds q = (k - mid) / 2 at index k
     mid, size = 2 * radius + 1, 4 * radius + 3
     if tau.y_inv is None:
@@ -504,8 +526,9 @@ def _floor_box(tau: PeriodMatrix, z: PhasePoint, radius: int, log_floor: float) 
     box = []
     for i, ci in enumerate(c):
         s = math.sqrt(r2 * y_inv[i][i])
-        box.append(slice(max(math.floor(2 * (ci - s)) + mid - 1, 0),
-                         min(math.ceil(2 * (ci + s)) + mid + 2, size)))
+        s += _BOX_MARGIN * (1 + abs(ci) + s)
+        box.append(slice(max(math.ceil(2 * (ci - s)) + mid, 0),
+                         min(math.floor(2 * (ci + s)) + mid + 1, size)))
     return tuple(box)
 
 
@@ -520,14 +543,29 @@ def _kept_points(tau: PeriodMatrix, z: PhasePoint,
     N: the kept points are those of the whole cube, and the error statement
     of theta is unchanged.  A kept point's coordinates and segment number are
     read from _half_cube's box slices at its grid indices, peeled off its flat
-    index in the box (last axis fastest) one axis at a time, not all at once."""
+    index in the box (last axis fastest) one axis at a time, not all at once.
+
+    Where Im z = 0 (at z = 0, say) only the head is built: the first
+    (K + 1) // 2 of the K kept points, those up to and including q = 0.  The
+    box and the log-moduli are symmetric under q -> -q there, bit for bit,
+    whatever Re z, so the tail, the other (K - 1) // 2, is the head's mirror
+    reversed (see _mirrored): at position K - 1 - k lies -q of position k,
+    with an equal log-modulus and the segment number seg ^ (seg >> g), as
+    -q = (-p - m') + m'/2 keeps m' and takes c to c ^ m'.  So the log-moduli
+    are summed over the rows of axis 0 up to its centre row only, and of
+    that row only the part up to q = 0, its centre, is read."""
     g = tau.g
     axis, bits = _half_cube(g, radius)
     log_floor = _log_floor((4 * radius + 3) ** g, radius)
     box = _floor_box(tau, z, radius, log_floor)
+    symmetric = not any(z.parts[1])
+    if symmetric:  # the rows of axis 0 up to q_0 = 0, at index 2 radius + 1
+        box = (slice(box[0].start, 2 * radius + 2),) + box[1:]
     qs = [axis[s].reshape((-1,) + (1,) * (g - 1 - i)) for i, s in enumerate(box)]
     log_mod = np.empty(tuple(map(len, qs)))
     _form_into(log_mod, tau.tau.imag.tolist(), z.parts[1], qs, -math.pi)
+    if symmetric:  # the last row, symmetric about q = 0, up to its centre
+        log_mod = log_mod.reshape(-1)[:log_mod.size - log_mod[0].size // 2]
     keep = log_mod >= log_mod.max() + log_floor
     kept_log_mod = log_mod[keep]
     del log_mod
@@ -535,18 +573,32 @@ def _kept_points(tau: PeriodMatrix, z: PhasePoint,
     del keep
     kept, seg = [], 0
     for i in reversed(range(g)):  # on axis 0 the grid index is what is left
-        index, k = np.divmod(index, len(qs[i])) if i else (None, index)
+        k = index
+        if i:  # k mod n as k - n (k // n): numpy divides by a scalar fast, unlike np.divmod
+            index = k // len(qs[i])
+            k -= index * len(qs[i])  # in place: k is this loop's own array
         seg |= bits[i][box[i]][k]
         kept.insert(0, axis[box[i]][k])
-        del k  # before the next divmod
+        del k  # before the next division
     return kept, seg, kept_log_mod
+
+
+def _mirrored(head: np.ndarray, flip) -> np.ndarray:
+    """The K = 2 len(head) - 1 entries of the kept points of a geometry at
+    Im z = 0 from its head: the head, then flip(head[-2::-1]) written in
+    place (see _kept_points)."""
+    full = np.empty(2 * len(head) - 1, dtype=head.dtype)
+    full[:len(head)] = head
+    flip(head[-2::-1], out=full[len(head):])
+    return full
 
 
 def _geometry(tau: PeriodMatrix, z: PhasePoint, radius: int) -> tuple:
     """_kept_points(tau, z, radius), from the geometry memo when a pass at the
-    same (g, Im tau, Im z, radius) kept it.  A kept geometry is read-only, its
-    segment numbers a read-only view of a writeable array; one above
-    _GEOMETRY_BYTES is returned as built, for its own pass alone."""
+    same (g, Im tau, Im z, radius) kept it: where Im z = 0, the head alone.
+    A kept geometry is read-only, its segment numbers a read-only view of a
+    writeable array; one above _GEOMETRY_BYTES is returned as built, for its
+    own pass alone."""
     key = (tau.g, tau.tau.imag.tobytes(), z.reduced.imag.tobytes(), radius)
     geometry = _GEOMETRY.pop(key, None)
     if geometry is None:
@@ -570,12 +622,17 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int, gradient: bool = 
     times the axis-by-axis quadratic form of the reduced Re tau and Re z, bit
     for bit the real and imaginary parts of i pi (q^t tau q + 2 q.z) up to
     the sign of a zero; the form is built in place in the imaginary parts.
-    At z = 0 the kept points are symmetric, q at position K - 1 - k being
-    -q at k, with equal terms, so only the first half is exponentiated (in
-    place) and mirrored.  Each segment (m', c) sums its terms, in meshgrid
-    order, by one bincount per real and imaginary part of the value column
-    (and, at z = 0 with gradient set, of the g gradient columns, built one
-    at a time); the sign matrices of _sign_matrices combine them, one per m'.
+    Where Im z = 0 the geometry is the head of the K kept points, and the
+    tail's segment numbers are read off the head's.  At z = 0 the tail's
+    terms also equal the head's mirrored, so only the head is exponentiated
+    (in place) and its terms copied to the tail, reversed; the tail's
+    coordinates -q are built only for a gradient column, one axis at a time,
+    and not at all for a values-only pass.  At a real z != 0 the pass builds
+    the tail's coordinates and log-moduli and exponentiates every term.
+    Each segment (m', c) sums its terms, in meshgrid order, by one bincount
+    per real and imaginary part of the value column (and, at z = 0 with
+    gradient set, of the g gradient columns, built one at a time); the sign
+    matrices of _sign_matrices combine them, one per m'.
     Memoized and read-only, one entry per (tau, z, radius).
     Without gradient, a z = 0 table keeps only its value column, which the
     sign matmul still computes at the full width 1 + g, the gradient columns
@@ -586,28 +643,36 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int, gradient: bool = 
     key = tau._key + (z.key, radius)
     hit = _MEMO.get(key)
     if hit is None or (gradient and z.is_zero and hit.shape[2] == 1):
-        n = 1 << tau.g
+        g, n = tau.g, 1 << tau.g
         qs, seg, log_mod = _geometry(tau, z, radius)
-        half = (len(seg) + 1) // 2 if z.is_zero else len(seg)
+        if not any(z.parts[1]):  # a head; the tail's segment numbers are seg ^ (seg >> g)
+            seg = _mirrored(seg, lambda t, out: np.bitwise_xor(t, np.right_shift(t, g, out=out),
+                                                               out=out))
+            if not z.is_zero:
+                qs = [_mirrored(x, np.negative) for x in qs]
+                log_mod = _mirrored(log_mod, np.positive)
+        elif not seg.flags.writeable:
+            # np.bincount copies a read-only index array on every call, so a
+            # kept geometry's segment numbers are counted through the view's base
+            seg = seg.base
         terms = np.empty(len(seg), dtype=complex)
-        head = terms[:half]
-        head.real = log_mod[:half]
+        head = terms[:len(log_mod)]
+        head.real = log_mod
         del log_mod  # freed here unless the geometry memo keeps it
-        _form_into(head.imag, tau.re_reduced.tolist(), z.parts[0], [x[:half] for x in qs], math.pi)
+        _form_into(head.imag, tau.re_reduced.tolist(), z.parts[0], qs, math.pi)
         np.exp(head, out=head)
         if z.is_zero:
-            terms[half:] = head[-2::-1]
-        # np.bincount copies a read-only index array on every call, so a kept
-        # geometry's segment numbers are counted through the view's base
-        seg = seg if seg.flags.writeable else seg.base
-        sums = np.zeros((1 + tau.g if z.is_zero else 1, n * n), dtype=complex)
+            terms[len(head):] = head[-2::-1]
+        sums = np.zeros((1 + g if z.is_zero else 1, n * n), dtype=complex)
         for col, x in zip(sums, [None, *qs] if gradient else [None]):
+            if x is not None:  # a gradient column, at z = 0
+                x = _mirrored(x, np.negative)
             col.real, col.imag = (np.bincount(seg, part if x is None else x * part, n * n)
                                   for part in (terms.real, terms.imag))
         sums = sums.T
         if gradient:  # a values-only table's gradient columns stay 0
             sums[:, 1:] *= 2j * math.pi
-        hit = _sign_matrices(tau.g) @ sums.reshape(n, n, -1)
+        hit = _sign_matrices(g) @ sums.reshape(n, n, -1)
         hit = _remember(key, _read_only(hit if gradient else hit[..., :1].copy()))
     return hit
 
@@ -632,18 +697,25 @@ def theta(tau: PeriodMatrix, z: PhasePoint, m: Characteristic, tol: float = DEFA
 def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL) -> complex:
     """Second-order theta: Theta[eps](tau, z) = theta[eps; 0](2 tau, 2 z), with
     the top row eps given as a bit string such as "101"; 2 tau is built once
-    per tau and 2 z once per point."""
+    per tau and 2 z once per point.  Terms that overflow at (2 tau, 2 z) are
+    a ValueError naming the lambda_min and |Im z|_1 of tau and z."""
     g = tau.g
     if len(eps) != g:
         raise ValueError("eps length does not match genus")
     tau2 = _memoized(tau._key + ("2tau",), tau._doubled)
-    return theta(tau2, z.doubled, _second_order(eps), tol)
+    try:
+        return theta(tau2, z.doubled, _second_order(eps), tol)
+    except TermOverflowError:
+        raise TermOverflowError(
+            f"theta terms overflow double precision at (2 tau, 2 z), for tau with "
+            f"lambda_min = {tau.lambda_min:.6g} and z with |Im z|_1 = {z.imz_l1:.6g}") from None
 
 
 @lru_cache(maxsize=None)
 def _second_order(eps: str) -> Characteristic:
     """The characteristic [eps; 0] of the second-order theta with top row eps."""
-    return Characteristic.from_bits([int(b) for b in eps], (0,) * len(eps))
+    (top,) = bit_rows(eps, 1, "second-order top row")
+    return Characteristic.from_bits(top, (0,) * len(top))
 
 
 def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TOL) -> np.ndarray:

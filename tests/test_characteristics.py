@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,14 @@ class TestBasics:
         for bad in ("000", "00;0", ";", "00;abc", "222;222", "012;000"):
             with pytest.raises(ValueError):
                 Characteristic.from_string(bad)
+
+    @pytest.mark.parametrize("bad", ["\uff111;11", "1x;11", "11;1\u0661", "1;1;1", "1 ;11"])
+    def test_only_ascii_zeros_and_ones_are_bits(self, bad):
+        # int() reads a fullwidth or Arabic-Indic 1 as 1, so "\uff111;11" was 11;11
+        with pytest.raises(ValueError, match=f"^malformed characteristic string {re.escape(repr(bad))}: "):
+            Characteristic.from_string(bad)
+        with pytest.raises(ValueError, match="^malformed characteristic string"):
+            Characteristic.parse(2, bad)
 
 
 class TestTripleSign:

@@ -171,6 +171,30 @@ class TestEval:
         assert res.output.strip() == ("Error: theta terms overflow double precision at every "
                                       "tau: |Im z|_1 = 1e+308")
 
+    @pytest.mark.parametrize("what", ["coble", "coble-grad", "theta2"])
+    def test_overflow_at_the_doubled_point_names_the_given_inputs(self, runner, tmp_path, what):
+        # theta2 sums at (2 tau, 2 z), where lambda_min is 2 and |Im z|_1 is 300
+        tau, z = tmp_path / "tau.json", tmp_path / "z.json"
+        tau.write_text(json.dumps({"g": 3, "re": [[0.0] * 3] * 3,
+                                   "im": [[float(i == j) for j in range(3)] for i in range(3)]}))
+        z.write_text(json.dumps({"re": [0.0] * 3, "im": [150.0, 0.0, 0.0]}))
+        res = runner.invoke(main, ["eval", what, "--tau", str(tau), "--z", str(z), "--char", "000"])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.strip() == ("Error: theta terms overflow double precision at (2 tau, 2 z), "
+                                      "for tau with lambda_min = 1 and z with |Im z|_1 = 150")
+
+    @pytest.mark.parametrize("what, char, shown", [
+        ("theta2", "\uff1101", "malformed second-order top row '\uff1101': expected a string of "
+                                 "the digits 0 and 1"),
+        ("theta2", "1x1", "malformed second-order top row '1x1': expected a string of the digits 0 and 1"),
+        ("theta", "\uff1100;000", "malformed characteristic string '\uff1100;000': expected 2 strings "
+                                   "of one length, joined by ';', of the digits 0 and 1"),
+    ])
+    def test_non_ascii_bits_are_a_clean_error(self, runner, tau3_file, what, char, shown):
+        res = runner.invoke(main, ["eval", what, "--tau", tau3_file, "--char", char])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.output.strip() == f"Error: {shown}"
+
     def test_broadcast_tau_is_a_clean_error(self, runner, tmp_path):
         path = tmp_path / "tau.json"
         path.write_text(json.dumps({"g": 3, "re": 0.1,

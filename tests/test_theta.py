@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -815,6 +816,25 @@ class TestSecondOrder:
         with pytest.raises(ValueError):
             th.theta2(TAUS[3][0], th.PhasePoint.zero(3), "012")
 
+    @pytest.mark.parametrize("eps", ["\uff1101", "1x1", "1\u06f11", " 01"])
+    def test_only_ascii_zeros_and_ones_are_bits(self, eps):
+        # int() reads a fullwidth or Arabic-Indic 1 as 1, and names only the
+        # digit it cannot read
+        with pytest.raises(ValueError, match=f"^malformed second-order top row {re.escape(repr(eps))}: "):
+            th.theta2(TAUS[3][0], th.PhasePoint.zero(3), eps)
+
+    @pytest.mark.parametrize("kind", ["theta2", "coble_eval", "coble_gradient"])
+    def test_overflow_at_doubled_point_names_the_callers_inputs(self, kind):
+        # the pass at (2 tau, 2 z) overflows; the caller gave lambda_min = 1
+        # and |Im z|_1 = 150, not the 2 and 300 of that pass
+        tau, z = th.PeriodMatrix(3, 1j * np.eye(3)), th.PhasePoint(3, [150j, 0, 0])
+        call = (lambda: th.theta2(tau, z, "000")) if kind == "theta2" else (
+            lambda: getattr(quartics, kind)(tau, z))
+        want = ("theta terms overflow double precision at (2 tau, 2 z), for tau with "
+                "lambda_min = 1 and z with |Im z|_1 = 150")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call()
+
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_even_in_z_up_to_rounding(self, g):
         # at tol = 1e-3 the truncation error is far above round-off (2.5e-4
@@ -967,6 +987,20 @@ def _cube_moduli(tau, z, radius):
                                     + 2 * cube @ z.z.imag))
 
 
+def _whole_kept_points(tau, z, radius):
+    """The K kept points of _kept_points, their segment numbers and
+    log-moduli: where Im z = 0 it returns the head, the first (K + 1) // 2,
+    and the tail is the head's mirror, reversed: coordinates -q, equal
+    log-moduli and segment numbers seg ^ (seg >> g)."""
+    qs, seg, log_mod = th._kept_points(tau, z, radius)
+    if np.any(z.z.imag):
+        return list(qs), seg, log_mod
+    tail = seg[-2::-1]
+    return ([np.concatenate([x, -x[-2::-1]]) for x in qs],
+            np.concatenate([seg, tail ^ (tail >> tau.g)]),
+            np.concatenate([log_mod, log_mod[-2::-1]]))
+
+
 FLOOR_CASES = [
     (g, ratio, lam, imz_l1)
     for g in (1, 2, 3)
@@ -996,7 +1030,7 @@ class TestRoundingFloor:
         tau, z = self._case(g, ratio, lam, imz_l1)
         radius = th.truncation_radius(tau, z).radius
         cube, modulus = _cube_moduli(tau, z, radius)
-        kept = np.stack(th._kept_points(tau, z, radius)[0], axis=1)
+        kept = np.stack(_whole_kept_points(tau, z, radius)[0], axis=1)
         # q -> its row in the meshgrid order of the cube
         digits = np.rint(2 * kept + 2 * radius + 1).astype(int)
         rows = np.ravel_multi_index(digits.T, (4 * radius + 3,) * g)
@@ -1087,6 +1121,15 @@ def _box_cases():
         tau = _conditioned_tau(rng, cond)
         for point in (th.PhasePoint.zero(3), _z_with_imz_l1(rng, 3, 0.5)):
             cases.append((tau, point, 3))
+    # the replay regime: lambda_min 0.25, the other eigenvalues up to 4 times
+    # larger, |Im z|_1 from 0 to 1.5, at the certified radius
+    rng = stream(23, "test_theta.box.replay")
+    for g in (2, 3):
+        for _ in range(2):
+            tau = _anisotropic_tau(rng, g, 0.25)
+            for imz_l1 in (0.0, 0.5, 1.0, 1.5):
+                point = _z_with_imz_l1(rng, g, imz_l1) if imz_l1 else th.PhasePoint.zero(g)
+                cases.append((tau, point, th.truncation_radius(tau, point).radius))
     return cases
 
 
@@ -1133,11 +1176,27 @@ class TestFloorBox:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_mirror_of_the_kept_points_at_zero(self, g):
-        tau = _anisotropic_tau(stream(29, f"test_theta.mirror.{g}"), g, 0.25)
+        # where Im z = 0 the geometry is the head, up to q = 0, and the head
+        # with its mirrored tail is the whole cube's kept set, in meshgrid
+        # order, with its segment numbers and log-moduli; so the kept set is
+        # symmetric under q -> -q, log-moduli and all
+        rng = stream(29, f"test_theta.mirror.{g}")
+        tau = _anisotropic_tau(rng, g, 0.25)
         z0 = th.PhasePoint.zero(g)
-        qs, _, log_mod = th._kept_points(tau, z0, th.truncation_radius(tau, z0).radius)
-        q = np.stack(qs, axis=1)
-        assert len(q) % 2 == 1 and np.array_equal(q[::-1], -q) and np.array_equal(log_mod[::-1], log_mod)
+        radius = th.truncation_radius(tau, z0).radius
+        axis, bits = th._half_cube(g, radius)
+        qs = [axis.reshape((-1,) + (1,) * (g - 1 - i)) for i in range(g)]
+        log_mod = -math.pi * _whole_cube_form(tau.tau.imag, np.zeros(g), qs)
+        ij = np.nonzero(log_mod >= log_mod.max() + th._log_floor(log_mod.size, radius))
+        want_seg = np.bitwise_or.reduce([b[i] for b, i in zip(bits, ij)])
+        for z in (z0, th.PhasePoint(g, rng.uniform(-0.5, 0.5, g))):
+            head = th._kept_points(tau, z, radius)
+            kept, seg, kept_log_mod = _whole_kept_points(tau, z, radius)
+            q = np.stack(kept, axis=1)
+            assert len(head[1]) == (len(q) + 1) // 2 and not q[len(head[1]) - 1].any()
+            assert np.array_equal(q, axis[np.stack(ij, axis=1)]) and np.array_equal(seg, want_seg)
+            assert np.array_equal(kept_log_mod, log_mod[ij])
+            assert np.array_equal(q[::-1], -q) and np.array_equal(kept_log_mod[::-1], kept_log_mod)
 
     def test_a_small_box_in_a_large_cube_allocates_little(self, fresh_memos):
         # the radius-150 cube holds 603^3 points, 219 MB at one byte each; the
@@ -1173,29 +1232,56 @@ class TestFloorBox:
         assert inside[np.flatnonzero(np.all(cube == 0, axis=1))].all()
         assert np.all(log_mod[~inside] < log_mod.max() + log_floor)
 
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.05, 3.0),
+           log_cond=st.floats(0.0, 7.6), imz=st.floats(0.0, 2.0), radius=st.integers(1, 6))
+    def test_points_outside_the_box_are_below_the_floor_up_to_condition_1e8(
+            self, g, seed, lam, log_cond, imz, radius):
+        # Im tau with eigenvalues lam and lam 10^log_cond in a random basis:
+        # trace / lambda_min stays below _BOX_CONDITION, so the box is built
+        # from the float inverse, whose rounding the margin covers
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        y = (q * (lam * 10.0 ** (log_cond * np.linspace(0.0, 1.0, g)))) @ q.T
+        tau = th.PeriodMatrix(g, 1j * (y + y.T) / 2)
+        assert tau.y_inv is not None
+        v = rng.uniform(-1.0, 1.0, g)
+        z = th.PhasePoint(g, 1j * v * (imz / max(np.abs(v).sum(), 1e-300)))
+        cube, modulus = _cube_moduli(tau, z, radius)
+        with np.errstate(divide="ignore"):
+            log_mod = np.log(modulus)
+        log_floor = th._log_floor(len(cube), radius)
+        box = th._floor_box(tau, z, radius, log_floor)
+        k = np.rint(2 * cube + 2 * radius + 1).astype(int)
+        inside = np.all([(s.start <= k[:, i]) & (k[:, i] < s.stop) for i, s in enumerate(box)], axis=0)
+        assert np.all(log_mod[~inside] < log_mod.max() + log_floor)
+
     def test_face_moved_in_by_a_grid_step_is_caught(self, monkeypatch, fresh_memos):
-        # The box is widened by one grid step against rounding, so where the
-        # cube does not clip a face, moving it in by a step changes no table.
-        # Where the cube clips it, the step drops the cube's outer slab: the
-        # tables differ from the whole-cube pass (or, at z = 0, the kept set
-        # loses its mirror and the pass raises), and the coble records fail.
+        # The box is widened only by a rounding margin, so the lower face of
+        # axis 0 moved in by one grid step drops the kept points of its outer
+        # row, where it holds any: the tables then differ from the whole-cube
+        # pass, both where the cube clips the face and where it does not.
+        # Those terms lie a few decades above the rounding floor at most,
+        # below every residual check; with every face moved in by three
+        # steps, the coble records fail.
         floor_box = th._floor_box
+        steps = [1, 0]  # in from the lower face of axis 0, in from every face
 
         def moved(tau, z, radius, log_floor):
+            lower, every = steps
             box = floor_box(tau, z, radius, log_floor)
-            return (slice(box[0].start + 1, box[0].stop),) + box[1:]
+            box = (slice(box[0].start + lower, box[0].stop),) + box[1:]
+            return tuple(slice(s.start + every, s.stop - every) for s in box)
 
         _patch_everywhere(monkeypatch, floor_box, moved)
         unchanged = {False: set(), True: set()}  # by whether the cube clips the face
         for tau, z, radius in BOX_CASES:
             fresh_memos()
             clipped = floor_box(tau, z, radius, th._log_floor((4 * radius + 3) ** tau.g, radius))[0].start == 0
-            try:
-                table = th._class_sums(tau, z, radius).tobytes()
-            except ValueError:
-                table = None
+            table = th._class_sums(tau, z, radius).tobytes()
             unchanged[clipped].add(table == _whole_cube_class_sums(tau, z, radius).tobytes())
-        assert unchanged == {False: {True}, True: {True, False}}
+        assert unchanged == {False: {True, False}, True: {True, False}}
+        steps[:] = [0, 3]
         fresh_memos()
         assert not all(r["pass"] for r in run_suite("coble", 1).to_json()["records"])
 
@@ -1206,8 +1292,10 @@ class TestPassMemory:
     the imaginary parts built in place.  The bounds lie below the peaks of
     all g index arrays, a second exponent array and all gradient columns at
     once: 8 such arrays in _kept_points, 15 (z = 0) or 10 in _class_sums; and
-    at z != 0 below the 9 of a form with three temporaries.  Both geometries
-    here are above _GEOMETRY_BYTES, so the pass frees its log-moduli early."""
+    at z != 0 below the 9 of a form with three temporaries.  K counts every
+    kept point, though at z = 0 the geometry is the head, (K + 1) // 2 of
+    them.  The z != 0 geometry here is above _GEOMETRY_BYTES, so its pass
+    frees its log-moduli early; the z = 0 head is below it, and kept."""
 
     @staticmethod
     def _peaks(fresh_memos, imz_l1, *calls):
@@ -1227,8 +1315,9 @@ class TestPassMemory:
             finally:
                 tracemalloc.stop()
             del out
-        k_array = th._kept_points(tau, z, radius)[1].nbytes  # one intp (8-byte) array of K entries
-        assert k_array > 2 ** 19 and 5 * k_array > th._GEOMETRY_BYTES
+        k_array = _whole_kept_points(tau, z, radius)[1].nbytes  # one intp (8-byte) array of K entries
+        qs, _, log_mod = th._kept_points(tau, z, radius)
+        assert k_array > 2 ** 19 and ((len(qs) + 2) * log_mod.nbytes > th._GEOMETRY_BYTES) == bool(imz_l1)
         return k_array, peaks
 
     @pytest.mark.parametrize("imz_l1, kept_bound, sums_bound", [(0.0, 7, 8), (0.5, 7, 8.5)])
@@ -1376,7 +1465,8 @@ class TestGeometryMemo:
         for tau in (a, b, th.PeriodMatrix(3, a.tau + 1), c, th.PeriodMatrix(3, a.tau + 2)):
             th._class_sums(tau, z0, 3)
         assert built == [3] * 3 and len(th._GEOMETRY) == 2
-        th._class_sums(_anisotropic_tau(rng, 3, 0.03), z0, 40)  # 137k kept points
+        # 253k kept points, of which the geometry holds the head, 126k
+        th._class_sums(_anisotropic_tau(rng, 3, 0.02), z0, 40)
         assert built == [3] * 3 + [40] and len(th._GEOMETRY) == 2
         assert all((len(qs) + 2) * log_mod.nbytes <= th._GEOMETRY_BYTES
                    for qs, _, log_mod in th._GEOMETRY.values())
