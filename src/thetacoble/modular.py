@@ -12,8 +12,8 @@ table over the (n_tau, 36) array of constants.  The Riemann signs read its
 columns H(P), H(F'), H(F'') for all 105 Pascal systems at once, and the dual
 route to H(F) is G_F of the seven odd theta gradients over theta_{n0}^7.
 The 20 triple products of genus 2 read the 15 odd-pair Jacobians.  The
-s-vector is memoized per (tau, tol) in the theta memo, beside the constants it
-is built from, and read-only: the modularity check evaluates the Coble quartic
+s-vector is memoized per tol in tau's memo, beside the constants it is built
+from, and read-only: the modularity check evaluates the Coble quartic
 at one tau under several transformations, and each evaluation reads it again.
 """
 
@@ -205,7 +205,7 @@ def s_vector(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     read-only."""
     if tau.g not in (2, 3):
         raise ValueError("s_vector is defined for g in {2, 3}")
-    return _memoized(tau._key + ("s_vector", tol), _s_vector, tau, tol)
+    return _memoized(tau.memo, ("s_vector", tol), _s_vector, tau, tol)
 
 
 def _s_vector(tau: PeriodMatrix, tol: float) -> np.ndarray:

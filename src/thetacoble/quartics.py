@@ -17,7 +17,7 @@ import numpy as np
 
 from .characteristics import _read_only
 from .modular import s_vector
-from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, _memoized, theta2
+from .theta import DEFAULT_TOL, PeriodMatrix, PhasePoint, _memo, _memoized, theta2
 
 # ---------------------------------------------------------------------------
 # quartic basis: labels "Q" + a and "Q'" + a for a in F_2^g written in g bits;
@@ -231,11 +231,11 @@ def _gradient_tables() -> tuple[np.ndarray, np.ndarray]:
 
 def coble_eval(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL):
     """Value of the Coble quartic at x = Theta(tau, z) and the term scale
-    max |a(Q) Q(x)| used for residual normalization; memoized per (tau, z,
-    tol) in the theta memo."""
+    max |a(Q) Q(x)| used for residual normalization; memoized per (z, tol) in
+    tau's memo, for the last z != 0 asked at tau (see theta._memo)."""
     if tau.g != 3:
         raise ValueError("the Coble quartic is a genus-3 object")
-    return _memoized(tau._key + ("coble", z.key, tol), _coble_value, tau, z, tol)
+    return _memoized(_memo(tau, z), ("coble", z.key, tol), _coble_value, tau, z, tol)
 
 
 def _coble_value(tau: PeriodMatrix, z: PhasePoint, tol: float) -> tuple[complex, float]:

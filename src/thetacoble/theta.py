@@ -38,13 +38,14 @@ the last two passes are kept, read-only, keyed by exactly those inputs, unless
 one exceeds 4 MiB: so a pass at tau + S, S real, such as a modular
 translation, makes only the phase half.
 
-The facts a pass reads of its inputs (the memo key, (Im tau)^-1 and reduced
-Re tau of tau; the reduced point, its Python floats, is_zero, |Im z|_1, the key
-bytes and the doubled point 2 z of z; the TruncationSpec of each (g, lambda_min,
+The facts a pass reads of its inputs ((Im tau)^-1, reduced Re tau and 2 tau
+of tau; the reduced point, its Python floats, is_zero, |Im z|_1, the key bytes
+and the doubled point 2 z of z; the TruncationSpec of each (g, lambda_min,
 |Im z|_1, tol); a characteristic's parity, on first read) are computed once per
 object; 2 tau and tau + S take lambda_min and (Im tau)^-1 from tau, and 2 z
-its facts from z's reduced point, with no check (PhasePoint.doubled); the
-constructors check tau on Python floats, and ask numpy only near a bound.  Where
+its facts from z's reduced point, with no check (the doubled properties); the
+constructors check tau on Python floats, and ask numpy only near a bound.
+Each tau holds the values built at it in its own memo (see _memo).  Where
 |Re z_i| > 1 (|Re tau_ij| > 4) the reduction subtracts 2 round(Re z_i / 2)
 (8 round(Re tau_ij / 8)), exactly.  theta[m](tau + 8 T, z + 2 b) equals
 theta[m](tau, z) for integer b and T = T^t, so a pass (and 2 tau) sums at the
@@ -117,20 +118,21 @@ _TAU_MAX = 1e300
 @dataclass(frozen=True)
 class PeriodMatrix:
     """A complex symmetric g x g matrix with positive-definite imaginary part,
-    and its reduced Re tau (see the module docstring), read-only."""
+    its reduced Re tau (see the module docstring), read-only, and its memo of
+    read-only values (see _memo)."""
 
     g: int
     tau: np.ndarray
     lambda_min: float = field(init=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
     y_inv: np.ndarray | None = field(init=False, repr=False, compare=False)
     re_reduced: np.ndarray = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_genus(self.g)
         tau = np.asarray(self.tau, dtype=complex)
         if tau.shape != (self.g, self.g):
             raise ValueError("tau shape does not match genus")
-        _check_genus(self.g)
         tau = _symmetrized(tau)
         lam = float(np.linalg.eigvalsh(tau.imag).min())
         if lam <= 0:
@@ -151,14 +153,11 @@ class PeriodMatrix:
     def to_json(self) -> dict:
         return {"g": self.g, "re": self.tau.real.tolist(), "im": self.tau.imag.tolist()}
 
-    def cache_key(self) -> tuple:
-        return self._key
-
-    def _doubled(self) -> "PeriodMatrix":
-        """2 tau, valid whenever tau is, so unchecked: tau's lambda_min doubled
-        (the smallest eigenvalue of 2 Im tau with no second eigvalsh, the same
-        float wherever LAPACK does not rescale), y_inv halved, reduced Re tau
-        doubled (exactly)."""
+    @cached_property
+    def doubled(self) -> "PeriodMatrix":
+        """2 tau, built on first use, unchecked as valid whenever tau is: tau's
+        lambda_min doubled (no second eigvalsh: the same float wherever LAPACK
+        does not rescale), y_inv halved, reduced Re tau doubled (exactly)."""
         y_inv = None if self.y_inv is None else _read_only(self.y_inv / 2)
         tau, re = _read_only(2 * self.tau), _read_only(2 * self.re_reduced)
         return object.__new__(PeriodMatrix)._set(self.g, tau, 2 * self.lambda_min, y_inv, re)
@@ -175,14 +174,16 @@ class PeriodMatrix:
                                                  _reduced_re(tau.real))
 
     def _set(self, g: int, tau: np.ndarray, lambda_min: float, y_inv, re_reduced) -> "PeriodMatrix":
-        """Sets g, the read-only tau and its facts, unchecked; returns self."""
-        for name, value in zip(("g", "tau", "lambda_min", "_key", "y_inv", "re_reduced"),
-                               (g, tau, lambda_min, (g, tau.tobytes()), y_inv, re_reduced)):
+        """Sets g, the read-only tau, its facts and an empty memo; returns self."""
+        for name, value in zip(("g", "tau", "lambda_min", "y_inv", "re_reduced", "memo"),
+                               (g, tau, lambda_min, y_inv, re_reduced, {})):
             object.__setattr__(self, name, value)
         return self
 
 
 def _check_genus(g) -> None:
+    if type(g) is not int:
+        raise ValueError(f"genus must be an integer, not {g!r}")
     if g < 1:
         raise ValueError(f"genus must be at least 1, not {g!r}")
 
@@ -240,10 +241,10 @@ class PhasePoint:
     parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_genus(self.g)
         z = np.asarray(self.z, dtype=complex).reshape(-1)
         if z.shape != (self.g,):
             raise ValueError("z length does not match genus")
-        _check_genus(self.g)
         y = z.imag.tolist()
         if not all(map(math.isfinite, z.real.tolist() + y)):
             raise ValueError("z entries must be finite")
@@ -399,30 +400,24 @@ def truncation_radius(tau: PeriodMatrix, z: PhasePoint, tol: float = DEFAULT_TOL
     return _radius(tau.g, tau.lambda_min, z.imz_l1, tol)
 
 
-# One bounded memo of read-only values (class sums, constants, gradients, 2 tau,
-# modular's s-vector and quartics' Coble values) per tau; the whole memo is
-# dropped once it holds more than _MEMO_CAP entries.  A cold coble_eval adds 6:
-# one class-sum table each for the theta-2 vector and the constants (2^g x 2^g
-# values, 1 KB at g = 3; 4 KB with the z = 0 gradients), 2 tau, the constants,
-# the s-vector and its (value, scale).  At the cap the values take about 1.0 MB
-# by an nbytes estimate (identities workload, seeds 1-3 in one process; 1.9 MB
-# when every z = 0 table held its gradients).
-_MEMO: dict[tuple, object] = {}
-_MEMO_CAP = 2048
+def _memo(tau: PeriodMatrix, z: PhasePoint) -> dict:
+    """tau's memo of read-only values at z, shared with no other tau: at z = 0
+    tau.memo, which also holds the values of tau alone (constants, gradients,
+    s-vector); at z != 0 that of the last z != 0 asked at tau, kept in
+    tau.memo["z"] beside z's key, which another z replaces."""
+    if z.is_zero:
+        return tau.memo
+    last = tau.memo.get("z")
+    if last is None or last[0] != z.key:
+        last = tau.memo["z"] = (z.key, {})
+    return last[1]
 
 
-def _remember(key: tuple, value):
-    if len(_MEMO) > _MEMO_CAP:
-        _MEMO.clear()
-    _MEMO[key] = value
-    return value
-
-
-def _memoized(key: tuple, build, *args):
-    """The memo's value at key, or build(*args), remembered there."""
-    hit = _MEMO.get(key)
+def _memoized(memo: dict, key, build, *args):
+    """memo's value at key, or build(*args), remembered there."""
+    hit = memo.get(key)
     if hit is None:
-        hit = _remember(key, build(*args))
+        hit = memo[key] = build(*args)
     return hit
 
 
@@ -633,15 +628,15 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int, gradient: bool = 
     per real and imaginary part of the value column (and, at z = 0 with
     gradient set, of the g gradient columns, built one at a time); the sign
     matrices of _sign_matrices combine them, one per m'.
-    Memoized and read-only, one entry per (tau, z, radius).
+    Memoized and read-only, one entry per (tau, z, radius) (see _memo).
     Without gradient, a z = 0 table keeps only its value column, which the
     sign matmul still computes at the full width 1 + g, the gradient columns
     left at 0: a width-1 operand takes numpy's matrix-vector path, whose
     column can differ from the full table's in the last bits.  A gradient
     request that finds such a table replaces it by the full one, rebuilding
     the phase half only (the geometry memo keeps the geometry)."""
-    key = tau._key + (z.key, radius)
-    hit = _MEMO.get(key)
+    memo, key = _memo(tau, z), (z.key, radius)
+    hit = memo.get(key)
     if hit is None or (gradient and z.is_zero and hit.shape[2] == 1):
         g, n = tau.g, 1 << tau.g
         qs, seg, log_mod = _geometry(tau, z, radius)
@@ -673,7 +668,7 @@ def _class_sums(tau: PeriodMatrix, z: PhasePoint, radius: int, gradient: bool = 
         if gradient:  # a values-only table's gradient columns stay 0
             sums[:, 1:] *= 2j * math.pi
         hit = _sign_matrices(g) @ sums.reshape(n, n, -1)
-        hit = _remember(key, _read_only(hit if gradient else hit[..., :1].copy()))
+        hit = memo[key] = _read_only(hit if gradient else hit[..., :1].copy())
     return hit
 
 
@@ -699,12 +694,12 @@ def theta2(tau: PeriodMatrix, z: PhasePoint, eps: str, tol: float = DEFAULT_TOL)
     the top row eps given as a bit string such as "101"; 2 tau is built once
     per tau and 2 z once per point.  Terms that overflow at (2 tau, 2 z) are
     a ValueError naming the lambda_min and |Im z|_1 of tau and z."""
-    g = tau.g
-    if len(eps) != g:
+    if not isinstance(eps, str):  # the top row's one reader rejects it by name
+        bit_rows(eps, 1, "second-order top row")
+    if len(eps) != tau.g:
         raise ValueError("eps length does not match genus")
-    tau2 = _memoized(tau._key + ("2tau",), tau._doubled)
     try:
-        return theta(tau2, z.doubled, _second_order(eps), tol)
+        return theta(tau.doubled, z.doubled, _second_order(eps), tol)
     except TermOverflowError:
         raise TermOverflowError(
             f"theta terms overflow double precision at (2 tau, 2 z), for tau with "
@@ -740,7 +735,7 @@ def theta_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_TO
 def even_theta_constants(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> MappingProxyType:
     """All even theta constants at tau, keyed by characteristic index, as a
     read-only mapping; memoized per (tau, tol)."""
-    return _memoized(tau._key + (tol,), _even_constants, tau, tol)
+    return _memoized(tau.memo, ("constants", tol), _even_constants, tau, tol)
 
 
 def _even_constants(tau: PeriodMatrix, tol: float) -> MappingProxyType:
@@ -753,7 +748,7 @@ def cached_gradient(tau: PeriodMatrix, m: Characteristic, tol: float = DEFAULT_T
     """theta_gradient(tau, m, tol), memoized per (tau, m, tol)."""
     if tau.g != m.g:
         raise ValueError("genus mismatch")
-    return _memoized(tau._key + (m.idx, tol), theta_gradient, tau, m, tol)
+    return _memoized(tau.memo, ("gradient", m.idx, tol), theta_gradient, tau, m, tol)
 
 
 def jacobian_det(tau: PeriodMatrix, ms, tol: float = DEFAULT_TOL) -> complex:
