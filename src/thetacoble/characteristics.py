@@ -27,6 +27,15 @@ def _check_genus(g: int) -> None:
         raise ValueError(f"unsupported genus {g}; supported: {SUPPORTED_GENERA}")
 
 
+def _integer(value, what: str) -> int:
+    """value as an int: a Python or numpy integer, not a bool; ValueError
+    naming value otherwise (a float or bool would pass the range checks and
+    fail later, in a bit operation or an index)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _bits_to_int(bits: Iterable[int]) -> int:
     v = 0
     for b in bits:
@@ -54,12 +63,16 @@ def _int_to_bits(v: int, width: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, order=True)
 class Characteristic:
-    """A theta characteristic, keyed by (genus, canonical integer index)."""
+    """A theta characteristic, keyed by (genus, canonical integer index).
+    A numpy integer genus or index is stored as an int."""
 
     g: int
     idx: int
 
     def __post_init__(self):
+        if type(self.g) is not int or type(self.idx) is not int:
+            object.__setattr__(self, "g", _integer(self.g, "genus"))
+            object.__setattr__(self, "idx", _integer(self.idx, "index"))
         _check_genus(self.g)
         if not 0 <= self.idx < 1 << (2 * self.g):
             raise ValueError(f"index {self.idx} out of range for genus {self.g}")
@@ -85,7 +98,7 @@ class Characteristic:
             if value.g != g:
                 raise ValueError("genus mismatch")
             return value
-        if isinstance(value, int):
+        if isinstance(value, (int, np.integer)):
             return cls(g, value)
         m = cls.from_string(str(value))
         if m.g != g:
@@ -175,23 +188,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _odd_bits(x: np.ndarray) -> np.ndarray:
+    """1 where a nonnegative integer below 16 (a g-bit vector, g <= 3) has an
+    odd number of set bits, else 0: bit x of 0x6996 is that parity."""
+    return (0x6996 >> x) & 1
+
+
 @lru_cache(maxsize=None)
 def parity_table(g: int) -> np.ndarray:
     """e(m) for every index m of genus g: a cached, read-only (2^{2g},) +-1
-    array built from the scalar definition."""
+    array, (-1)^{m' . m''} by the bit parity of m' & m''."""
     _check_genus(g)
-    return _read_only(np.array([_parity_idx(g, i) for i in range(1 << (2 * g))], dtype=np.int8))
+    m = np.arange(1 << (2 * g))
+    return _read_only((1 - 2 * _odd_bits((m >> g) & m)).astype(np.int8))
 
 
 @lru_cache(maxsize=None)
 def pairing_table(g: int) -> np.ndarray:
     """e(a, b) for every pair of indices of genus g: a cached, read-only
-    (2^{2g}, 2^{2g}) +-1 array built from the scalar definition."""
+    (2^{2g}, 2^{2g}) +-1 array, (-1)^{a'.b'' + a''.b'} by the bit parity of
+    (a' & b'') ^ (a'' & b')."""
     _check_genus(g)
-    n = 1 << (2 * g)
-    return _read_only(
-        np.array([[_pairing_idx(g, a, b) for b in range(n)] for a in range(n)], dtype=np.int8)
-    )
+    a = np.arange(1 << (2 * g))[:, None]
+    b = a.T
+    return _read_only((1 - 2 * _odd_bits(((a >> g) & b) ^ (a & (b >> g)))).astype(np.int8))
 
 
 def triple_signs(g: int, a, b, c) -> np.ndarray:
@@ -201,12 +221,18 @@ def triple_signs(g: int, a, b, c) -> np.ndarray:
     return p[a] * p[b] * p[c] * p[a ^ b ^ c]
 
 
+@lru_cache(maxsize=None)
+def _positions(n: int, r: int) -> np.ndarray:
+    """The C(n, r) r-subsets of n positions, in combinations order, as the
+    columns of a cached, read-only (r, C(n, r)) array."""
+    return _read_only(np.array(list(combinations(range(n), r)), dtype=np.intp).reshape(-1, r).T)
+
+
 def all_azygetic(g: int, sets) -> np.ndarray:
     """For an (..., n) index array, True for each row of n characteristics
     whose C(n, 3) triples are all azygetic."""
     sets = np.asarray(sets)
-    tri = np.array(list(combinations(range(sets.shape[-1]), 3)), dtype=np.intp).reshape(-1, 3)
-    a, b, c = np.moveaxis(sets[..., tri], -1, 0)
+    a, b, c = (sets[..., t] for t in _positions(sets.shape[-1], 3))
     return (triple_signs(g, a, b, c) == -1).all(axis=-1)
 
 
@@ -215,37 +241,47 @@ def admissible_evens(g: int, odds) -> tuple[np.ndarray, np.ndarray]:
     the (..., n_even) mask of the evens n with (m_i, m_j, n) azygetic for
     every pair of the k."""
     evens = np.flatnonzero(parity_table(g) == 1)
-    odds = np.asarray(odds)[..., None]
-    mask = np.ones(odds.shape[:-2] + evens.shape, dtype=bool)
-    for i, j in combinations(range(odds.shape[-2]), 2):
-        mask &= triple_signs(g, odds[..., i, :], odds[..., j, :], evens) == -1
-    return evens, mask
+    odds = np.asarray(odds)
+    a, b = (odds[..., t, None] for t in _positions(odds.shape[-1], 2))  # (..., pairs, 1)
+    return evens, (triple_signs(g, a, b, evens) == -1).all(axis=-2)
 
 
 @lru_cache(maxsize=None)
 def azygetic_odd_sets(g: int, k: int) -> np.ndarray:
     """The k-sets of odd indices of genus g with every triple azygetic, as a
     cached, read-only (n, k) array, rows increasing and in lexicographic
-    order: grown one member at a time from one table azygetic[i, j, l] of
-    the odd positions.  Each row carries the mask of its candidates, the
-    positions past its last member azygetic with every pair of its members;
-    a child (row t plus candidate v) gets t's mask, cut to positions past v
-    and azygetic with every (member of t, v)."""
+    order: grown one member at a time, each set kept as its members (one
+    column per member, as positions among the odd indices) and the bit mask
+    of its candidates, the positions past its last member azygetic with every
+    pair of its members.  A child (set t plus candidate v) gets t's mask, cut
+    to the positions past v and azygetic with every (member of t, v)."""
     _check_genus(g)
     if not 1 <= k <= 2 * g + 2:
         raise ValueError(f"need 1 <= k <= {2 * g + 2} for genus {g}, got {k}")
+    azygetic, past = _azygetic_masks(g)
+    columns, keep = (np.arange(len(past)),), past
+    for _ in range(k - 1):
+        # the set bits of the masks, as (set, candidate) pairs in row order
+        bits = np.unpackbits(keep.astype("<u4").view(np.uint8), bitorder="little")
+        t, v = np.divmod(np.flatnonzero(bits), 32)
+        columns = tuple(column[t] for column in columns)
+        keep = keep[t] & past[v]
+        for column in columns:
+            keep &= azygetic[column, v]
+        columns += (v,)
+    return _read_only(np.flatnonzero(parity_table(g) == -1)[np.column_stack(columns)])
+
+
+@lru_cache(maxsize=None)
+def _azygetic_masks(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Over the positions of the (at most 28) odd indices of genus g, as
+    int64 bit masks: (i, j) -> the positions l with (i, j, l) azygetic, and
+    i -> the positions past i."""
     odds = np.flatnonzero(parity_table(g) == -1)
-    azygetic = triple_signs(g, odds[:, None, None], odds[:, None], odds) == -1
     span = np.arange(len(odds))
-    rows = span[:, None]  # rows[t, i]: position in odds of member i of set t
-    keep = span > rows  # keep[t, v]: v extends set t
-    for level in range(1, k):
-        t, v = np.nonzero(keep)
-        keep = keep[t] & (span > v[:, None])
-        for i in range(level):
-            keep &= azygetic[rows[t, i], v]
-        rows = np.column_stack([rows[t], v])
-    return _read_only(odds[rows])
+    azygetic = triple_signs(g, odds[:, None, None], odds[:, None], odds) == -1
+    full = (1 << len(odds)) - 1
+    return (azygetic << span).sum(axis=2), full ^ ((2 << span) - 1)
 
 
 class CharacteristicSet:
@@ -258,16 +294,28 @@ class CharacteristicSet:
         if not members:
             raise ValueError("empty characteristic set")
         g = members[0].g
-        idxs = set()
-        for m in members:
-            if m.g != g:
-                raise ValueError("mixed genera in characteristic set")
-            if m.idx in idxs:
-                raise ValueError(f"duplicate characteristic {m}")
-            idxs.add(m.idx)
-        self.g = g
-        self.members = members
-        self._idx_set = frozenset(idxs)
+        if any(m.g != g for m in members):
+            raise ValueError("mixed genera in characteristic set")
+        self._fill(g, members, [m.idx for m in members])
+
+    def _fill(self, g: int, members: tuple, idxs: list) -> None:
+        idx_set = frozenset(idxs)
+        if len(idx_set) != len(idxs):
+            repeated = next(m for k, m in enumerate(members) if idxs[k] in idxs[:k])
+            raise ValueError(f"duplicate characteristic {repeated}")
+        self.g, self.members, self._idx_set = g, members, idx_set
+
+    @classmethod
+    def _rows(cls, g: int, rows) -> tuple["CharacteristicSet", ...]:
+        """The set of each row of an (n, k) array of valid indices of genus
+        g, k >= 1, its members taken from _interned(g)."""
+        table = _interned(g)
+        out = []
+        for row in np.asarray(rows).tolist():
+            s = cls.__new__(cls)
+            s._fill(g, tuple(map(table.__getitem__, row)), row)
+            out.append(s)
+        return tuple(out)
 
     @classmethod
     def parse(cls, g: int, values: Iterable) -> "CharacteristicSet":
@@ -319,7 +367,16 @@ def enumerate_characteristics(g: int, which: str = "all") -> CharacteristicSet:
         raise ValueError(f"unknown filter {which!r}")
     p = parity_table(g)
     keep = {"all": p != 0, "even": p == 1, "odd": p == -1}[which]
-    return CharacteristicSet(Characteristic(g, int(i)) for i in np.flatnonzero(keep))
+    (members,) = CharacteristicSet._rows(g, np.flatnonzero(keep)[None])
+    return members
+
+
+@lru_cache(maxsize=None)
+def _interned(g: int) -> tuple[Characteristic, ...]:
+    """The 2^{2g} characteristics of genus g by index, one object each: the
+    members of every set a table builder makes."""
+    _check_genus(g)
+    return tuple(Characteristic(g, i) for i in range(1 << (2 * g)))
 
 
 def is_fundamental_system(s: CharacteristicSet) -> bool:
@@ -376,8 +433,9 @@ def special_fundamental_completion(odds: CharacteristicSet) -> CharacteristicSet
         raise ValueError(f"genus {g} requires exactly {g} odd characteristics")
     if g == 3 and triple_sign(*ms) != -1:
         raise ValueError("input triple is not azygetic")
-    (row,) = special_fundamental_completions(g, [[m.idx for m in ms]]).tolist()
-    return CharacteristicSet(Characteristic(g, n) for n in row)
+    (completion,) = CharacteristicSet._rows(
+        g, special_fundamental_completions(g, [[m.idx for m in ms]]))
+    return completion
 
 
 def aronhold_classify(aronhold: CharacteristicSet, n0: Characteristic) -> dict:
@@ -415,10 +473,7 @@ def enumerate_aronhold_sets() -> tuple:
     """All 288 unordered Aronhold sets for g=3, the rows of
     azygetic_odd_sets(3, 7): 7-subsets of the 28 odd characteristics in
     which every triple is azygetic, in lexicographic order."""
-    return tuple(
-        CharacteristicSet(Characteristic(3, i) for i in row)
-        for row in azygetic_odd_sets(3, 7).tolist()
-    )
+    return CharacteristicSet._rows(3, azygetic_odd_sets(3, 7))
 
 
 # Classical worked examples, usable as fixtures throughout the package.
@@ -443,10 +498,11 @@ PASCAL_FAMILY = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (1,), (2, 3), (4, 5), (6, 7))
 
 def orbit(start, images) -> set:
     """The orbit of ``start`` under a group, by breadth-first closure over
-    ``images(x)``, the images of x under the group's generators."""
+    ``images(frontier)``, the images of every element of the set frontier
+    under the group's generators, in one batch."""
     found, frontier = {start}, {start}
     while frontier:
-        frontier = {y for x in frontier for y in images(x)} - found
+        frontier = set(images(frontier)) - found
         found |= frontier
     return found
 
@@ -455,10 +511,20 @@ def orbit(start, images) -> set:
 _S7_GENERATORS = ((2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1))
 
 
-def _relabelled(family: frozenset) -> Iterator[frozenset]:
-    """The images of a family of index sets under the generators of S_7."""
-    for perm in _S7_GENERATORS:
-        yield frozenset(frozenset(perm[i - 1] for i in part) for part in family)
+@lru_cache(maxsize=1)
+def _relabel_tables() -> tuple[list, ...]:
+    """For each generator of S_7, the image of every subset of {1..7}, both
+    as 7-bit masks with bit i - 1 standing for i."""
+    bits = (np.arange(128)[:, None] >> np.arange(7)) & 1
+    return tuple((bits << (np.array(perm) - 1)).sum(axis=1).tolist() for perm in _S7_GENERATORS)
+
+
+def _relabelled(families) -> Iterator[tuple]:
+    """The images of each family, an increasing tuple of part masks, under
+    the generators of S_7."""
+    for image in _relabel_tables():
+        for family in families:
+            yield tuple(sorted([image[part] for part in family]))
 
 
 def _family_key(spec) -> tuple:
@@ -467,9 +533,13 @@ def _family_key(spec) -> tuple:
     return tuple(sorted(tuple(sorted(part)) for part in spec))
 
 
-def _s7_images(reference) -> set:
-    """The S_7-orbit of a family of index tuples, as sets of sets."""
-    return orbit(frozenset(map(frozenset, reference)), _relabelled)
+def _s7_images(reference) -> list[list[tuple]]:
+    """The S_7-orbit of a family of index tuples, each image a list of its
+    parts, the indices of each part increasing."""
+    found = orbit(tuple(sorted(sum(1 << (i - 1) for i in part) for part in reference)),
+                  _relabelled)
+    parts = {mask: tuple(i + 1 for i in range(7) if mask >> i & 1) for mask in set().union(*found)}
+    return [[parts[mask] for mask in family] for family in found]
 
 
 def _pascal_form(parts) -> tuple:

@@ -1,6 +1,12 @@
 """Goepel systems: Lagrangian subspaces of F_2^{2g}, the Fano/Pascal split for
 g = 3, construction from Aronhold sets, the split Lagrangians behind the
 s-vector, and the unique Fano-pair decomposition of each Pascal configuration.
+
+Each table is one batched body over an (n, 2^g) array of member indices, one
+row per system: the subspace checks (_check_spans), the even cosets
+(_even_cosets) and the Fano pairs (_fano_pairs).  The one-object entry points
+(GopelSystem(...), even_coset, pascal_decomposition) run the same body on one
+row, and the enumerations make their objects last, from interned members.
 """
 
 from __future__ import annotations
@@ -38,17 +44,18 @@ class GopelSystem:
             raise ValueError("genus mismatch")
         if len(self.members) != 1 << self.g:
             raise ValueError("a Goepel system has 2^g members")
-        idx = np.array([m.idx for m in self.members])
-        if 0 not in idx:
-            raise ValueError("a Goepel system contains the zero characteristic")
-        member = np.zeros(1 << (2 * self.g), dtype=bool)
-        member[idx] = True
-        if not member[idx[:, None] ^ idx].all():
-            raise ValueError("members are not closed under addition")
-        if (pairing_table(self.g)[idx[:, None], idx] != 1).any():
-            raise ValueError("members are not pairwise orthogonal")
-        object.__setattr__(self, "even_count", int((parity_table(self.g)[idx] == 1).sum()))
+        (even_count,) = _check_spans(self.g, np.array([[m.idx for m in self.members]])).tolist()
+        object.__setattr__(self, "even_count", even_count)
         object.__setattr__(self, "_hash", hash((self.g, self.members)))
+
+    @classmethod
+    def _checked(cls, g: int, members: CharacteristicSet, even_count: int) -> "GopelSystem":
+        """A system whose row _check_spans has passed, built without
+        running the check again."""
+        system = cls.__new__(cls)
+        vars(system).update(g=g, members=members, even_count=even_count,
+                            _hash=hash((g, members)))
+        return system
 
     def __hash__(self) -> int:
         return self._hash
@@ -74,6 +81,31 @@ class GopelSystem:
 
     def __contains__(self, m: Characteristic) -> bool:
         return m in self.members
+
+
+def _check_spans(g: int, spans: np.ndarray) -> np.ndarray:
+    """The number of even members of each row of an (n, 2^g) array of
+    distinct indices, once every row is checked to be a Lagrangian subspace:
+    it holds zero, is closed under addition, and its members pair to 1."""
+    rows = np.arange(len(spans))[:, None]
+    member = np.zeros((len(spans), 1 << (2 * g)), dtype=bool)
+    member[rows, spans] = True
+    if not member[:, 0].all():
+        raise ValueError("a Goepel system contains the zero characteristic")
+    sums = (spans[:, :, None] ^ spans[:, None, :]).reshape(len(spans), -1)
+    if not member[rows, sums].all():
+        raise ValueError("members are not closed under addition")
+    if (pairing_table(g)[spans[:, :, None], spans[:, None, :]] != 1).any():
+        raise ValueError("members are not pairwise orthogonal")
+    return (parity_table(g)[spans] == 1).sum(axis=1)
+
+
+def _systems(g: int, spans: np.ndarray) -> tuple[GopelSystem, ...]:
+    """The system of each row of an (n, 2^g) array of increasing indices,
+    all rows checked at once."""
+    even_counts = _check_spans(g, spans).tolist()
+    return tuple(GopelSystem._checked(g, members, count)
+                 for members, count in zip(CharacteristicSet._rows(g, spans), even_counts))
 
 
 @lru_cache(maxsize=None)
@@ -111,11 +143,18 @@ def _spans(bases: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def lagrangian_spans(g: int) -> np.ndarray:
+    """The members of every Lagrangian subspace of F_2^{2g}, each row the
+    increasing span of its row of lagrangian_bases: a read-only (n, 2^g)
+    array in increasing order of rows."""
+    return _read_only(np.sort(_spans(lagrangian_bases(g)), axis=1))
+
+
+@lru_cache(maxsize=None)
 def enumerate_lagrangian_subspaces(g: int) -> tuple[frozenset, ...]:
     """All Lagrangian subspaces of F_2^{2g} as frozensets of packed indices,
-    in increasing order of their sorted members; each is the span of its
-    row of lagrangian_bases."""
-    return tuple(map(frozenset, _spans(lagrangian_bases(g)).tolist()))
+    the rows of lagrangian_spans."""
+    return tuple(map(frozenset, lagrangian_spans(g).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -126,13 +165,14 @@ def split_lagrangians(g: int) -> tuple[GopelSystem, ...]:
     bases = lagrangian_bases(g)
     low = (1 << g) - 1
     split = ((bases & low == 0) | (bases <= low)).all(axis=1)
-    return tuple(GopelSystem.from_idxs(g, span) for span in _spans(bases[split]).tolist())
+    return _systems(g, np.sort(_spans(bases[split]), axis=1))
 
 
 @lru_cache(maxsize=None)
 def enumerate_gopel(g: int) -> tuple[GopelSystem, ...]:
-    """All Goepel systems; 15 for g=2, 135 for g=3 (30 Fano + 105 Pascal)."""
-    return tuple(GopelSystem.from_idxs(g, s) for s in enumerate_lagrangian_subspaces(g))
+    """All Goepel systems, the rows of lagrangian_spans; 15 for g=2, 135 for
+    g=3 (30 Fano + 105 Pascal)."""
+    return _systems(g, lagrangian_spans(g))
 
 
 def fano_from_aronhold(aronhold: CharacteristicSet, triples) -> GopelSystem:
@@ -177,19 +217,35 @@ def fano_basis() -> tuple[GopelSystem, ...]:
     return tuple(s for s in split_lagrangians(3) if sum(m.mp_int == 0 for m in s.members) > 1)
 
 
+def _even_cosets(g: int, spans: np.ndarray) -> np.ndarray:
+    """The even coset of each row of an (n, 2^g) array of Lagrangian
+    subspaces V, as increasing indices.  The translates t + V over all t
+    split into the cosets of V, each reached from its 2^g members; so V has
+    exactly one all-even coset when exactly 2^g of the t give an all-even
+    translate, and those t are that coset."""
+    t = np.arange(1 << (2 * g))[:, None]
+    even = (parity_table(g)[t ^ spans[:, None, :]] == 1).all(axis=2)
+    counts = even.sum(axis=1)
+    if (counts == 0).any():
+        raise AssertionError("no even coset exists")
+    if (counts != spans.shape[1]).any():
+        raise AssertionError("even coset is not unique")
+    return np.nonzero(even)[1].reshape(spans.shape)
+
+
 @lru_cache(maxsize=None)
 def even_coset(system: GopelSystem) -> frozenset:
     """The unique affine translate of the system consisting of 8 even
     characteristics; the system itself for a Fano configuration."""
-    g = system.g
-    translates = np.arange(1 << (2 * g))[:, None] ^ [m.idx for m in system.members]
-    even = (parity_table(g)[translates] == 1).all(axis=1)
-    found = {frozenset(t) for t in translates[even].tolist()}
-    if not found:
-        raise AssertionError("no even coset exists")
-    if len(found) > 1:
-        raise AssertionError("even coset is not unique")
-    return found.pop()
+    (coset,) = _even_cosets(system.g, np.array([[m.idx for m in system.members]])).tolist()
+    return frozenset(coset)
+
+
+@lru_cache(maxsize=None)
+def even_cosets(g: int) -> np.ndarray:
+    """The even coset of each system of enumerate_gopel(g), in that order:
+    a cached, read-only (n, 2^g) array of increasing indices."""
+    return _read_only(_even_cosets(g, lagrangian_spans(g)))
 
 
 @dataclass(frozen=True)
@@ -202,34 +258,71 @@ class PascalDecomposition:
     s3: frozenset  # fano2 - s1
 
 
-def _mask(idxs) -> int:
-    return sum(1 << i for i in idxs)
+def _masks(rows: np.ndarray) -> np.ndarray:
+    """The 64-bit member mask of each row of an (n, k) array of genus-3
+    indices."""
+    return np.bitwise_or.reduce(np.left_shift(np.uint64(1), rows.astype(np.uint64)), axis=1)
+
+
+def _fano_pairs(cosets: np.ndarray) -> np.ndarray:
+    """(n, 2): for each row of an (n, 8) array of Pascal even cosets, the
+    positions in enumerate_gopel(3) of the unique Fano pair F', F'' with
+    F' = S1 u S2, F'' = S1 u S3 and S2 u S3 the coset.
+
+    Two 8-sets with symmetric difference the 8-set S2 u S3 meet in 4 members,
+    so the pairs are exactly the Fano F' whose mask XOR the coset's is a Fano
+    mask; F' is the member that comes first in enumerate_gopel order."""
+    fano, fano_masks = _fano_masks()
+    partner = _masks(cosets)[:, None] ^ fano_masks
+    found = partner[:, :, None] == fano_masks  # (n, F', F'')
+    counts = found.sum(axis=(1, 2))
+    if (counts == 0).any():
+        raise AssertionError("no Fano pair decomposes this Pascal configuration")
+    if (counts > 2).any():  # each pair is found from both of its members
+        raise AssertionError("Fano pair is not unique")
+    first, second = np.divmod(found.reshape(len(cosets), -1).argmax(axis=1), len(fano))
+    return fano[np.column_stack([first, second])]
 
 
 @lru_cache(maxsize=1)
-def _fano_by_mask() -> dict:
-    """The 30 Fano configurations keyed by their 64-bit member mask, in
-    enumerate_gopel order."""
-    return {_mask(s.idx_set()): s for s in enumerate_gopel(3) if s.kind == "fano"}
+def _fano_masks() -> tuple[np.ndarray, np.ndarray]:
+    """The positions in enumerate_gopel(3) of the 30 Fano systems, in order,
+    and their member masks."""
+    spans = lagrangian_spans(3)
+    fano = np.flatnonzero((parity_table(3)[spans] == 1).all(axis=1))
+    return fano, _masks(spans[fano])
+
+
+def _decomposition(pascal: GopelSystem, fano1: GopelSystem, fano2: GopelSystem):
+    s1 = fano1.idx_set() & fano2.idx_set()
+    return PascalDecomposition(pascal, fano1, fano2, s1, fano1.idx_set() - s1,
+                               fano2.idx_set() - s1)
 
 
 @lru_cache(maxsize=None)
 def pascal_decomposition(pascal: GopelSystem) -> PascalDecomposition:
     """The unique pair of Fano configurations F', F'' with F' = S1 u S2,
-    F'' = S1 u S3 and S2 u S3 the even coset of the Pascal input.
-
-    Two 8-sets with symmetric difference the 8-set S2 u S3 meet in 4 members,
-    so the pairs are exactly the Fano F' whose mask XOR the target is a Fano
-    mask; F' is the member that comes first in enumerate_gopel order."""
+    F'' = S1 u S3 and S2 u S3 the even coset of the Pascal input (see
+    _fano_pairs)."""
     if pascal.kind != "pascal":
         raise ValueError("input is not a Pascal configuration")
-    target = _mask(even_coset(pascal))
-    fanos = _fano_by_mask()
-    found = [(f, fanos[m ^ target]) for m, f in fanos.items() if m ^ target in fanos]
-    if not found:
-        raise AssertionError("no Fano pair decomposes this Pascal configuration")
-    if len(found) > 2:  # each pair is found from both of its members
-        raise AssertionError("Fano pair is not unique")
-    f1, f2 = found[0]
-    s1 = f1.idx_set() & f2.idx_set()
-    return PascalDecomposition(pascal, f1, f2, s1, f1.idx_set() - s1, f2.idx_set() - s1)
+    systems = enumerate_gopel(3)
+    ((f1, f2),) = _fano_pairs(np.array([sorted(even_coset(pascal))])).tolist()
+    return _decomposition(pascal, systems[f1], systems[f2])
+
+
+@lru_cache(maxsize=1)
+def pascal_rows() -> np.ndarray:
+    """(105, 3): the positions in enumerate_gopel(3) of each Pascal system P,
+    in that order, and of its Fano pair F', F'' (see pascal_decomposition):
+    a cached, read-only array."""
+    pascal = np.flatnonzero((parity_table(3)[lagrangian_spans(3)] == -1).any(axis=1))
+    return _read_only(np.column_stack([pascal, _fano_pairs(even_cosets(3)[pascal])]))
+
+
+@lru_cache(maxsize=1)
+def pascal_decompositions() -> tuple[PascalDecomposition, ...]:
+    """The decomposition of each Pascal system of enumerate_gopel(3), in
+    that order, from pascal_rows."""
+    systems = enumerate_gopel(3)
+    return tuple(_decomposition(*(systems[k] for k in row)) for row in pascal_rows().tolist())

@@ -38,8 +38,10 @@ from .gopel import (
     GopelSystem,
     enumerate_gopel,
     even_coset,
+    even_cosets,
     fano_basis,
     pascal_decomposition,
+    pascal_rows,
     split_lagrangians,
 )
 from .points import g_fano
@@ -133,23 +135,13 @@ _SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _RIEMANN_COEFFICIENTS = np.vstack([np.ones(4, dtype=int), -np.array(_SIGN_PAIRS).T])
 
 
-@lru_cache(maxsize=1)
-def _riemann_columns() -> np.ndarray:
-    """(105, 3): for each Pascal system P, in enumerate_gopel(3) order, the
-    columns of goepel_form_matrix holding H(P), H(F') and H(F''), F' and F''
-    its pascal_decomposition."""
-    column = {s: k for k, s in enumerate(enumerate_gopel(3))}
-    decompositions = [pascal_decomposition(s) for s in column if s.kind == "pascal"]
-    return _read_only(np.array([[column[d.pascal], column[d.fano1], column[d.fano2]]
-                                for d in decompositions]))
-
-
 def riemann_residuals(taus) -> np.ndarray:
     """(105, 4): the worst relative residual |H(P) - eps1 H(F') - eps2 H(F'')|
     / max(|H(P)|, |H(F')|, |H(F'')|) of each Pascal system (rows, as in
-    _riemann_columns) and sign pair (columns, as in _SIGN_PAIRS) over the
-    probes [reference_tau3(), *taus].  A NaN at a probe makes its entry NaN."""
-    forms = goepel_form_matrix([reference_tau3(), *taus])[:, _riemann_columns()]
+    gopel.pascal_rows) and sign pair (columns, as in _SIGN_PAIRS) over the
+    probes [reference_tau3(), *taus]: the columns of goepel_form_matrix
+    holding H(P), H(F') and H(F'').  A NaN at a probe makes its entry NaN."""
+    forms = goepel_form_matrix([reference_tau3(), *taus])[:, pascal_rows()]
     scale = np.abs(forms).max(axis=-1, keepdims=True)
     return (np.abs(forms @ _RIEMANN_COEFFICIENTS) / scale).max(axis=0)
 
@@ -248,8 +240,8 @@ def _goepel_positions() -> np.ndarray:
     constants, of the evens outside the even coset of the k-th Goepel system
     of enumerate_gopel(3), in the order h_goepel multiplies them."""
     position = {m.idx: k for k, m in enumerate(enumerate_characteristics(3, "even"))}
-    return _read_only(np.array([[position[i] for i in _complement_keys(3, even_coset(s))]
-                                for s in enumerate_gopel(3)]))
+    return _read_only(np.array([[position[i] for i in _complement_keys(3, frozenset(coset))]
+                                for coset in even_cosets(3).tolist()]))
 
 
 def goepel_form_matrix(taus, tol: float = DEFAULT_TOL) -> np.ndarray:

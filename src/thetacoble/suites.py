@@ -232,7 +232,13 @@ def _orbit(start: frozenset) -> set[frozenset]:
     the 135 even cosets), and the orbit of a subgroup that fills such a set
     is the orbit of the group."""
     tables = symplectic.action_tables(3, [gm.packed() for gm in symplectic.group_generators(3)])
-    return chars.orbit(start, lambda s: map(frozenset, tables[:, list(s)].tolist()))
+
+    def images(frontier):
+        # every generator on every set, one set per distinct member mask
+        moved = tables[:, [list(s) for s in frontier]].reshape(-1, len(start))
+        return map(frozenset, moved[np.unique(gp._masks(moved), return_index=True)[1]].tolist())
+
+    return chars.orbit(start, images)
 
 
 def suite_group(seed: int, samples: int, tol: float) -> list[CheckRecord]:
@@ -335,13 +341,13 @@ def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs.append(_count("pascal_example_even_count", ex2.even_count, 4))
 
     # no Goepel system contains an azygetic triple
-    members = np.array([sorted(s.idx_set()) for s in systems])  # (135, 8)
+    members = gp.lagrangian_spans(3)  # (135, 8), the members of each system
     a, b, c = (members[:, t] for t in np.array(list(combinations(range(8), 3))).T)
     signs = triple_signs(3, a, b, c)
     recs.append(_flag("no_azygetic_triples", bool((signs == 1).all())))
 
     # unique Fano-pair decomposition for all 105 Pascal configurations
-    decs = [gp.pascal_decomposition(s) for s in systems if s.kind == "pascal"]
+    decs = gp.pascal_decompositions()
     recs.append(_count("pascal_decompositions", len(decs), 105))
     recs.append(_flag("decomposition_quartets_even", all(
         len(d.s1) == 4 and 0 in d.s1 and {a ^ b for a in d.s1 for b in d.s1} == d.s1
@@ -359,8 +365,8 @@ def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     recs.append(_flag("fano_basis_contains_zero", all(Characteristic(3, 0) in f for f in basis)))
 
     # orbit structure of the affine action on the 135 even cosets
-    cosets = {gp.even_coset(s) for s in systems}
-    orbit = _orbit(gp.even_coset(systems[0]))
+    cosets = set(map(frozenset, gp.even_cosets(3).tolist()))
+    orbit = _orbit(frozenset(gp.even_cosets(3)[0].tolist()))
     recs.append(_flag("even_cosets_closed_under_action", orbit <= cosets))
     recs.append(_count("even_coset_orbit_size", len(orbit), 135))
     return recs
@@ -524,15 +530,18 @@ def suite_modularity(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     upper = [srng.integers(0, 2, size=(3, 3)) for _ in range(5)]
     gens = [("J",)] + [("S", np.triu(s) + np.triu(s, 1).T) for s in upper]
 
+    drawn = []
+
     def draw(rng):
-        return random_tau(rng, 3), random_z(rng, 3)
+        drawn.append((random_tau(rng, 3), random_z(rng, 3)))
+        return drawn[-1]
 
     worst = _sampled(seed, "modularity.samples", samples, draw,
                      lambda tau, z: [quartics.jacobi_form_residual(gen, tau, z) for gen in gens])
     names = ["inversion_residual"] + [f"translation_residual_{k}" for k in range(5)]
     recs = [_residual(name, value, tol) for name, value in zip(names, worst)]
 
-    tau, z = draw(stream(seed, "modularity.samples"))  # the first pair
+    tau, z = drawn[0]  # the first pair, whose memo holds its values already
     zero = quartics.jacobi_form_residual(("S", np.zeros((3, 3))), tau, z)
     return recs + [_flag("translation_zero_exact", zero == 0.0)]
 

@@ -115,18 +115,19 @@ _BOX_MARGIN = 1e-3
 _TAU_MAX = 1e300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodMatrix:
     """A complex symmetric g x g matrix with positive-definite imaginary part,
     its reduced Re tau (see the module docstring), read-only, and its memo of
-    read-only values (see _memo)."""
+    read-only values (see _memo).  Two period matrices are equal, and hash
+    alike, only when they are one object, as each holds its own memo."""
 
     g: int
     tau: np.ndarray
     lambda_min: float = field(init=False)
-    y_inv: np.ndarray | None = field(init=False, repr=False, compare=False)
-    re_reduced: np.ndarray = field(init=False, repr=False, compare=False)
-    memo: dict = field(init=False, repr=False, compare=False)
+    y_inv: np.ndarray | None = field(init=False, repr=False)
+    re_reduced: np.ndarray = field(init=False, repr=False)
+    memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_genus(self.g)
@@ -220,7 +221,7 @@ def _inverse(y: np.ndarray, lambda_min: float) -> np.ndarray | None:
     return _read_only(np.linalg.inv(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
     """A point z in C^g, with the facts every pass at z reads: the reduced
     point z - 2 b, b the integer vector nearest Re z / 2 where |Re z_i| > 1
@@ -230,15 +231,16 @@ class PhasePoint:
     the reduced point, which the pass sums at.  A z with pi |Im z|_1 at least
     log of the largest double (|Im z|_1 >= 225.9) is a ValueError: the term
     at q = 0 alone bounds such a sum by exp(pi |Im z|_1), which overflows at
-    every tau (see _radius)."""
+    every tau (see _radius).  Two points are equal, and hash alike, only
+    when they are one object; the memo keys a point by its key bytes."""
 
     g: int
     z: np.ndarray
-    reduced: np.ndarray = field(init=False, repr=False, compare=False)
-    is_zero: bool = field(init=False, repr=False, compare=False)
-    imz_l1: float = field(init=False, repr=False, compare=False)
-    key: bytes = field(init=False, repr=False, compare=False)
-    parts: tuple = field(init=False, repr=False, compare=False)
+    reduced: np.ndarray = field(init=False, repr=False)
+    is_zero: bool = field(init=False, repr=False)
+    imz_l1: float = field(init=False, repr=False)
+    key: bytes = field(init=False, repr=False)
+    parts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_genus(self.g)

@@ -89,6 +89,36 @@ class TestBasics:
             Characteristic.parse(2, bad)
 
 
+class TestIntegerFields:
+    """A Characteristic takes integer genera and indices only: a float or bool
+    passed the range check and failed later, in a bit operation or as an
+    index of the interned table."""
+
+    @pytest.mark.parametrize("g, idx, bad", [
+        (3, 5.5, 5.5), (3, 5.0, 5.0), (3, True, True), (True, 1, True), (3, "5", "5"),
+        (3.0, 5, 3.0), (3, None, None), (3, np.bool_(True), np.bool_(True)),
+        (3, np.float64(5.0), np.float64(5.0)), (np.float64(3.0), 5, np.float64(3.0)),
+    ])
+    def test_non_integer_is_a_value_error_naming_it(self, g, idx, bad):
+        with pytest.raises(ValueError, match=f"must be an integer, not {re.escape(repr(bad))}$"):
+            Characteristic(g, idx)
+
+    @pytest.mark.parametrize("g, idx", [(np.int64(3), np.uint8(5)), (3, np.int32(5)),
+                                        (np.int8(3), 5)])
+    def test_numpy_integers_are_stored_as_int(self, g, idx):
+        m = Characteristic(g, idx)
+        assert type(m.g) is int and type(m.idx) is int
+        assert m == Characteristic(3, 5) and hash(m) == hash(Characteristic(3, 5))
+        assert m.is_odd == Characteristic(3, 5).is_odd
+        assert Characteristic.parse(3, idx) == m
+
+    def test_range_is_still_checked(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Characteristic(np.int64(2), np.int64(16))
+        with pytest.raises(ValueError, match="unsupported genus"):
+            Characteristic(np.int64(4), 0)
+
+
 class TestTripleSign:
     @settings(max_examples=60)
     @given(st.sampled_from(GENERA), st.data())
@@ -370,6 +400,57 @@ class TestBatchedCompletion:
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match=r"need an \(n, 3\) array of odd indices"):
             special_fundamental_completions(3, np.ones(shape, dtype=int))
+
+
+class TestInternedTables:
+    """The enumerations, the Aronhold sets and the completions equal the
+    per-object constructions they replaced, order included, and take their
+    members from the one interned characteristic per index."""
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_interned_by_index_and_built_once(self, g):
+        table = characteristics._interned(g)
+        assert table == tuple(Characteristic(g, i) for i in range(1 << (2 * g)))
+        assert table is characteristics._interned(g)
+        assert parity_table(g).dtype == pairing_table(g).dtype == np.int8
+        assert pairing_table(g).shape == (len(table), len(table))
+
+    @pytest.mark.parametrize("g", GENERA)
+    @pytest.mark.parametrize("which", ["all", "even", "odd"])
+    def test_enumerations_are_the_per_object_construction(self, g, which):
+        keep = {"all": (1, -1), "even": (1,), "odd": (-1,)}[which]
+        want = tuple(Characteristic(g, i) for i in range(1 << (2 * g)) if _parity_idx(g, i) in keep)
+        got = enumerate_characteristics(g, which)
+        assert got.members == want and got.idx_set() == {m.idx for m in want}
+        assert all(m is characteristics._interned(g)[m.idx] for m in got)
+
+    def test_aronhold_sets_are_the_per_object_construction(self):
+        rows = _azygetic_sets_oracle(3, 7).tolist()
+        sets = enumerate_aronhold_sets()
+        assert [s.members for s in sets] == [tuple(Characteristic(3, i) for i in r) for r in rows]
+        assert [s.idx_set() for s in sets] == [frozenset(r) for r in rows]
+        assert all(m is characteristics._interned(3)[m.idx] for s in sets for m in s)
+
+    @pytest.mark.parametrize("g", GENERA)
+    def test_completions_of_every_valid_input_are_the_scalar_filter(self, g):
+        evens = list(enumerate_characteristics(g, "even"))
+        inputs = [t for t in combinations(enumerate_characteristics(g, "odd"), g)
+                  if g < 3 or triple_sign(*t) == -1]
+        want = []
+        for t in inputs:
+            total = Characteristic(g, int(np.bitwise_xor.reduce([m.idx for m in t])))
+            want.append([n.idx for n in evens if n != total and all(
+                triple_sign(a, b, n) == -1 for a, b in combinations(t, 2))])
+        assert len(inputs) == {1: 1, 2: 15, 3: 2016}[g]
+        rows = special_fundamental_completions(g, [[m.idx for m in t] for t in inputs])
+        assert rows.tolist() == want
+        one_row = [special_fundamental_completion(CharacteristicSet(t)) for t in inputs]
+        assert [[m.idx for m in c] for c in one_row] == want
+        assert all(m is characteristics._interned(g)[m.idx] for c in one_row for m in c)
+
+    def test_rows_keep_the_duplicate_check(self):
+        with pytest.raises(ValueError, match="duplicate characteristic 000;101"):
+            CharacteristicSet._rows(3, [[1, 5, 5]])
 
 
 class TestAronhold:

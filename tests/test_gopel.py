@@ -10,6 +10,7 @@ from thetacoble.characteristics import (
     PASCAL_FAMILY,
     Characteristic,
     CharacteristicSet,
+    _pairing_idx,
     _parity_idx,
     fano_plane_families,
     pairing_table,
@@ -70,6 +71,97 @@ GENUS2_QUADRUPLES = (
     ("00;00", "00;11", "11;00", "11;11"),
     ("00;00", "01;00", "10;00", "11;00"),
 )
+
+
+def _scalar_system(g, span):
+    """The member-by-member construction the batched checks replaced: the
+    increasing members and the even count of a Lagrangian subspace."""
+    assert 0 in span
+    assert all(a ^ b in span for a in span for b in span)
+    assert all(_pairing_idx(g, a, b) == 1 for a in span for b in span)
+    return sorted(span), sum(_parity_idx(g, i) == 1 for i in span)
+
+
+def _scalar_even_coset(g, span):
+    """The translate-by-translate search even_coset ran per system."""
+    found = {frozenset(t ^ i for i in span) for t in range(1 << (2 * g))
+             if all(_parity_idx(g, t ^ i) == 1 for i in span)}
+    assert len(found) == 1
+    return found.pop()
+
+
+def _scalar_fano_pair(pascal, systems):
+    """The mask-dictionary search pascal_decomposition ran per system."""
+    def mask(idxs):
+        return sum(1 << i for i in idxs)
+
+    fanos = {mask(s.idx_set()): s for s in systems if s.kind == "fano"}
+    target = mask(_scalar_even_coset(3, pascal.idx_set()))
+    found = [(f, fanos[m ^ target]) for m, f in fanos.items() if m ^ target in fanos]
+    assert len(found) == 2
+    return found[0]
+
+
+class TestBatchedTables:
+    """Each table built in one batched body equals the per-object
+    construction it replaced, order included."""
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_systems_are_the_per_object_construction(self, g):
+        spans = _recursive_lagrangians(g)
+        systems = gp.enumerate_gopel(g)
+        assert len(systems) == len(spans)
+        for s, span in zip(systems, spans):
+            members, even_count = _scalar_system(g, span)
+            assert s.members.members == tuple(Characteristic(g, i) for i in members)
+            assert s.even_count == even_count and hash(s) == hash((g, s.members))
+            assert s == gp.GopelSystem.from_idxs(g, span)
+        assert gp.lagrangian_spans(g).tolist() == [sorted(span) for span in spans]
+        assert not gp.lagrangian_spans(g).flags.writeable
+
+    @pytest.mark.parametrize("g, count", [(2, 5), (3, 16)])
+    def test_split_lagrangians_are_the_split_subspaces_in_order(self, g, count):
+        low = (1 << g) - 1
+        spans = [span for span in _recursive_lagrangians(g)
+                 if len({i >> g for i in span}) * len({i & low for i in span}) == 1 << g]
+        systems = gp.split_lagrangians(g)
+        assert len(systems) == len(spans) == count
+        for s, span in zip(systems, spans):
+            members, even_count = _scalar_system(g, span)
+            assert [m.idx for m in s.members] == members and s.even_count == even_count
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_even_cosets_are_the_translate_search(self, g):
+        systems = gp.enumerate_gopel(g)
+        want = [_scalar_even_coset(g, s.idx_set()) for s in systems]
+        assert gp.even_cosets(g).tolist() == [sorted(c) for c in want]
+        assert not gp.even_cosets(g).flags.writeable
+        assert [gp.even_coset(s) for s in systems] == want
+
+    def test_pascal_decompositions_are_the_mask_search(self):
+        systems = gp.enumerate_gopel(3)
+        position = {s: k for k, s in enumerate(systems)}
+        pascals = [s for s in systems if s.kind == "pascal"]
+        pairs = [_scalar_fano_pair(s, systems) for s in pascals]
+        assert gp.pascal_rows().tolist() == [[position[p], position[f1], position[f2]]
+                                             for p, (f1, f2) in zip(pascals, pairs)]
+        assert not gp.pascal_rows().flags.writeable
+        assert len(gp.pascal_decompositions()) == 105
+        for d, p, (f1, f2) in zip(gp.pascal_decompositions(), pascals, pairs):
+            s1 = f1.idx_set() & f2.idx_set()
+            want = gp.PascalDecomposition(p, f1, f2, s1, f1.idx_set() - s1, f2.idx_set() - s1)
+            assert d == want and gp.pascal_decomposition(p) == want
+
+    @pytest.mark.parametrize("row, message", [
+        ([1, 2, 4, 8], "contains the zero characteristic"),
+        ([0, 1, 2, 4], "not closed under addition"),
+        ([0, 1, 4, 5], "not pairwise orthogonal"),
+    ])
+    def test_every_row_is_checked(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            gp.GopelSystem.from_idxs(2, row)
+        with pytest.raises(ValueError, match=message):
+            gp._systems(2, np.vstack([gp.lagrangian_spans(2), [row]]))
 
 
 class TestEnumeration:

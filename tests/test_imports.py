@@ -7,10 +7,16 @@ name anywhere, or lists it in ``__all__``.  ``__future__`` imports are
 skipped.  A definition counts as used when some file of the package, its
 tests or its benchmark reads it as a name or an attribute, or when the
 benchmark's tracer lists it in ``LAYERS``; click commands are exempt.
+
+Importing the package builds no table: every lru_cache is empty after it.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "thetacoble"
@@ -86,3 +92,28 @@ def test_no_unread_definitions():
     read = _read_names()
     unread = [f"{where} {name}" for where, name in definitions if name not in read]
     assert not unread, "definitions read nowhere:\n" + "\n".join(unread)
+
+
+# In a fresh interpreter: import every module of the package, then report the
+# entry count of each lru_cache bound in one of them.
+_CACHE_SIZES = """
+import importlib, json, pkgutil, sys
+import thetacoble
+for info in pkgutil.iter_modules(thetacoble.__path__):
+    importlib.import_module("thetacoble." + info.name)
+print(json.dumps({f"{name}.{attr}": value.cache_info().currsize
+                  for name, module in list(sys.modules.items())
+                  if name == "thetacoble" or name.startswith("thetacoble.")
+                  for attr, value in vars(module).items() if hasattr(value, "cache_info")}))
+"""
+
+
+def test_importing_builds_no_table():
+    """Importing the package fills no cache, so cold-start work cannot move
+    into the import (the benchmark's set-up time) unseen."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _CACHE_SIZES], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    sizes = json.loads(out.stdout)
+    assert len(sizes) > 30
+    assert {name: n for name, n in sizes.items() if n} == {}

@@ -18,6 +18,7 @@ from thetacoble.gopel import (
     fano_basis,
     fano_from_aronhold,
     pascal_decomposition,
+    pascal_rows,
     split_lagrangians,
 )
 from thetacoble import modular
@@ -164,7 +165,7 @@ class TestRiemann:
 
     def test_columns_are_the_pascal_decompositions(self):
         systems = enumerate_gopel(3)
-        columns = modular._riemann_columns()
+        columns = pascal_rows()
         assert columns.shape == (105, 3) and not columns.flags.writeable
         pascals = [s for s in systems if s.kind == "pascal"]
         for (p, f1, f2), s in zip(columns, pascals):

@@ -274,8 +274,8 @@ class TestModularity:
 
     def test_right_hand_side_is_built_once_per_sample(self, monkeypatch, fresh_memos):
         # 2 samples of 6 generators: one theta-2 vector per transformed point
-        # and one per sample; translation_zero_exact draws the first sample
-        # again, a new tau, and builds one at it and one at tau + 0
+        # and one per sample; translation_zero_exact reads the first sample,
+        # built already, and builds one at tau + 0, a new tau
         fresh_memos()
         calls, vector = [], quartics.theta2_vector
 
@@ -285,7 +285,7 @@ class TestModularity:
 
         monkeypatch.setattr(quartics, "theta2_vector", counted)
         assert run_suite("modularity", 1, 2).passed
-        assert len(calls) == 16
+        assert len(calls) == 15
 
     @pytest.mark.parametrize("gen", [("S",), (), None, ("J", np.eye(3)), (np.eye(3),), "J"])
     def test_malformed_generator_is_a_value_error(self, gen):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from thetacoble import characteristics, modular, suites, symplectic
+from thetacoble import characteristics, gopel, modular, suites, symplectic
 from thetacoble.characteristics import _parity_idx
 from thetacoble.suites import SUITES, run_suite
 from thetacoble.theta import PhasePoint, even_theta_constants, jacobian_det
@@ -343,7 +343,7 @@ class TestNaNResiduals:
     def riemann_record(monkeypatch, probe, underflow=False):
         """The riemann record at 3 samples when the Goepel-form column of the
         first Pascal system is NaN at one probe (0: the reference tau)."""
-        matrix, column = modular.goepel_form_matrix, modular._riemann_columns()[0, 0]
+        matrix, column = modular.goepel_form_matrix, gopel.pascal_rows()[0, 0]
 
         def nan_in_column(taus, *args):
             out = matrix(taus, *args)
@@ -395,10 +395,10 @@ class TestNaNResiduals:
 # the suites that evaluate theta, in its order
 IDENTITIES_THETA_SAMPLES = {"jacobi": 40, "riemann": 20, "wrank": 80, "coble": 40,
                             "modularity": 20, "kummer2": 40, "igusa": 0}
-# modularity's translation_zero_exact draws its first sample again, a new tau
-# with a memo of its own, and evaluates it and tau + 0: 4 of its halves
+# modularity's translation_zero_exact reads its first sample, whose memo holds
+# its values, and evaluates tau + 0, a new tau: 2 of its halves
 PHASE_HALVES = {"jacobi": 132, "riemann": 20, "wrank": 80, "coble": 121,
-                "modularity": 284, "kummer2": 130, "igusa": 13}
+                "modularity": 282, "kummer2": 130, "igusa": 13}
 
 
 def _constants_first_jacobi_sides(tau, odds):

@@ -233,6 +233,22 @@ def _translations(g):
     return out + [big, big.astype(float)]
 
 
+class TestIdentityEquality:
+    """A period matrix and a phase point equal only themselves and hash by
+    identity, the semantics each tau's own memo rests on; equal arrays in two
+    objects are two keys."""
+
+    @pytest.mark.parametrize("make", [lambda: th.PeriodMatrix(2, 1j * np.eye(2)),
+                                      lambda: th.PhasePoint(2, np.zeros(2))])
+    def test_equal_only_to_itself(self, make):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert a != "tau" and not a == None  # noqa: E711
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2 and {a: 1}[a] == 1
+
+
 class TestTranslated:
     """tau + S for a modular translation reuses tau's lambda_min and y_inv."""
 
