@@ -7,7 +7,9 @@ serialize as "abc;def" strings under the same convention.
 
 The module also holds the breadth-first orbit closure shared by the
 Sp(2g, F_2) and S_7 actions, and the 30 Fano and 105 P-shaped index families
-on {1..7}: the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY.
+on {1..7}: the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY.  Each
+orbit is one read-only array of 7-bit part masks (_s7_orbit), from which the
+families, their keys and their order are read in batched passes.
 """
 
 from __future__ import annotations
@@ -512,69 +514,118 @@ _S7_GENERATORS = ((2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1))
 
 
 @lru_cache(maxsize=1)
-def _relabel_tables() -> tuple[list, ...]:
-    """For each generator of S_7, the image of every subset of {1..7}, both
-    as 7-bit masks with bit i - 1 standing for i."""
+def _relabel_tables() -> np.ndarray:
+    """(2, 128): for each generator of S_7, the image of every subset of
+    {1..7}, both as 7-bit masks with bit i - 1 standing for i."""
     bits = (np.arange(128)[:, None] >> np.arange(7)) & 1
-    return tuple((bits << (np.array(perm) - 1)).sum(axis=1).tolist() for perm in _S7_GENERATORS)
+    return _read_only((bits << (np.array(_S7_GENERATORS) - 1)[:, None]).sum(axis=2))
 
 
-def _relabelled(families) -> Iterator[tuple]:
-    """The images of each family, an increasing tuple of part masks, under
-    the generators of S_7."""
-    for image in _relabel_tables():
-        for family in families:
-            yield tuple(sorted([image[part] for part in family]))
+@lru_cache(maxsize=1)
+def _parts() -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """The increasing index tuple of each 7-bit mask; the masks in tuple
+    order of their tuples (the lexsort order of the entries padded with 0,
+    which puts a prefix first); and the rank of each mask in that order,
+    mask_by_rank[rank] = mask: read-only (128,) arrays."""
+    bits = (np.arange(128)[:, None] >> np.arange(7)) & 1
+    entries = np.sort(np.where(bits == 1, np.arange(1, 8), 8), axis=1) % 8
+    mask_by_rank = np.lexsort(entries.T[::-1])
+    rank = np.empty(128, dtype=np.intp)
+    rank[mask_by_rank] = np.arange(128)
+    parts = tuple(tuple(row[:n]) for row, n in zip(entries.tolist(), bits.sum(axis=1).tolist()))
+    return parts, _read_only(mask_by_rank), _read_only(rank)
 
 
 def _family_key(spec) -> tuple:
     """Each part sorted, then the parts sorted, all as tuples; also the
-    canonical layout of a Fano-plane family."""
+    canonical layout of a Fano-plane family, and the layout of the rows of
+    _s7_orbit."""
     return tuple(sorted(tuple(sorted(part)) for part in spec))
 
 
-def _s7_images(reference) -> list[list[tuple]]:
-    """The S_7-orbit of a family of index tuples, each image a list of its
-    parts, the indices of each part increasing."""
-    found = orbit(tuple(sorted(sum(1 << (i - 1) for i in part) for part in reference)),
-                  _relabelled)
-    parts = {mask: tuple(i + 1 for i in range(7) if mask >> i & 1) for mask in set().union(*found)}
-    return [[parts[mask] for mask in family] for family in found]
+@lru_cache(maxsize=None)
+def _s7_orbit(reference) -> np.ndarray:
+    """The S_7-orbit of a family of index tuples as a cached, read-only
+    (n, parts) array of part masks: each row in the _family_key layout (its
+    parts in tuple order), the rows in increasing order of key.  Each step
+    of the closure relabels the whole frontier under both generators in one
+    gather."""
+    relabel = _relabel_tables()
+
+    def images(frontier):
+        moved = np.sort(relabel[:, list(frontier)], axis=-1)  # (2, n, parts)
+        return map(tuple, moved.reshape(-1, len(reference)).tolist())
+
+    start = tuple(sorted(sum(1 << (i - 1) for i in part) for part in reference))
+    _, mask_by_rank, rank = _parts()
+    # each row's parts in tuple order, then the rows in key order
+    masks = mask_by_rank[np.sort(rank[np.array(list(orbit(start, images)))], axis=1)]
+    return _read_only(masks[np.lexsort(rank[masks].T[::-1])])
 
 
-def _pascal_form(parts) -> tuple:
-    """The three triples (c a b) ordered by their sorted pair (a, b), then
-    (c,), then the three sorted pairs."""
-    (c,) = next(p for p in parts if len(p) == 1)
-    pairs = sorted(tuple(sorted(p)) for p in parts if len(p) == 2)
-    return tuple((c,) + p for p in pairs) + ((c,),) + tuple(pairs)
+def _keys(masks: np.ndarray) -> list[tuple]:
+    """The _family_key of each row of part masks in that layout."""
+    parts = _parts()[0]
+    return [tuple(map(parts.__getitem__, row)) for row in masks.tolist()]
 
 
 @lru_cache(maxsize=None)
 def fano_plane_families() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """All 30 families of 7 triples on {1..7} pairwise meeting in one point
     (the labelled Fano planes): the S_7-orbit of FANO_TRIPLE_FAMILY, in
-    lexicographic order."""
-    return tuple(sorted(map(_family_key, _s7_images(FANO_TRIPLE_FAMILY))))
+    lexicographic order.  A Fano family is its own key."""
+    return tuple(_keys(_fano_part_masks()))
+
+
+def _fano_part_masks() -> np.ndarray:
+    """The part masks of fano_plane_families(), in that order."""
+    return _s7_orbit(FANO_TRIPLE_FAMILY)
+
+
+@lru_cache(maxsize=1)
+def _pascal_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of _s7_orbit(PASCAL_FAMILY) in the order of pascal_families,
+    by their common index c and then by their pairs in tuple order; with
+    the mask of each c, its one singleton part, and the masks of its three
+    pairs in tuple order: read-only (105, 7), (105,) and (105, 3) arrays."""
+    masks = _s7_orbit(PASCAL_FAMILY)
+    sizes = ((masks[..., None] >> np.arange(7)) & 1).sum(axis=-1)
+    # a row's parts are in tuple order, so its pairs are
+    common, pairs = masks[sizes == 1], masks[sizes == 2].reshape(-1, 3)
+    order = np.lexsort((*_parts()[2][pairs].T[::-1], common))
+    return tuple(_read_only(a[order]) for a in (masks, common, pairs))
+
+
+def _pascal_part_masks() -> np.ndarray:
+    """The part masks of pascal_families(), in that order."""
+    return _pascal_table()[0]
 
 
 @lru_cache(maxsize=None)
 def pascal_families() -> tuple[tuple, ...]:
     """All 105 P-shaped families, a common index c plus a partition of the
     other six indices into three pairs: the S_7-orbit of PASCAL_FAMILY, in
-    lexicographic order."""
-    return tuple(sorted(map(_pascal_form, _s7_images(PASCAL_FAMILY))))
+    lexicographic order, each as the three triples (c a b) ordered by their
+    sorted pair (a, b), then (c,), then the three sorted pairs."""
+    parts = _parts()[0]
+    _, common, pairs = _pascal_table()
+    families = []
+    for c_mask, pair_masks in zip(common.tolist(), pairs.tolist()):
+        (c,), sorted_pairs = parts[c_mask], tuple(map(parts.__getitem__, pair_masks))
+        families.append(tuple((c,) + p for p in sorted_pairs) + ((c,),) + sorted_pairs)
+    return tuple(families)
 
 
 @lru_cache(maxsize=None)
-def _families_by_key(families) -> dict:
-    """The members of families() under their _family_key."""
-    return {_family_key(f): f for f in families()}
+def _families_by_key(families, masks) -> dict:
+    """The members of families() under their _family_key, read off the rows
+    of masks(), their part masks in the same order."""
+    return dict(zip(_keys(masks()), families()))
 
 
-def _member(spec, families, kind: str) -> tuple:
+def _member(spec, families, masks, kind: str) -> tuple:
     try:
-        return _families_by_key(families)[_family_key(spec)]
+        return _families_by_key(families, masks)[_family_key(spec)]
     except (TypeError, KeyError):
         raise ValueError(f"{spec!r} is not one of the {kind} families") from None
 
@@ -583,10 +634,10 @@ def fano_family(triples) -> tuple:
     """The member of fano_plane_families() that lists the same triples, in
     any order of triples and of their entries; ValueError for any other
     input."""
-    return _member(triples, fano_plane_families, "30 Fano-plane")
+    return _member(triples, fano_plane_families, _fano_part_masks, "30 Fano-plane")
 
 
 def pascal_family(spec) -> tuple:
     """The member of pascal_families() made of the same parts, in any order
     of parts and of their entries; ValueError for any other input."""
-    return _member(spec, pascal_families, "105 P-shaped")
+    return _member(spec, pascal_families, _pascal_part_masks, "105 P-shaped")

@@ -293,10 +293,19 @@ def _fano_masks() -> tuple[np.ndarray, np.ndarray]:
     return fano, _masks(spans[fano])
 
 
-def _decomposition(pascal: GopelSystem, fano1: GopelSystem, fano2: GopelSystem):
-    s1 = fano1.idx_set() & fano2.idx_set()
-    return PascalDecomposition(pascal, fano1, fano2, s1, fano1.idx_set() - s1,
-                               fano2.idx_set() - s1)
+def _decompositions(pascals, pairs: np.ndarray) -> tuple[PascalDecomposition, ...]:
+    """The decomposition of each Pascal system of a sequence, given the
+    positions in enumerate_gopel(3) of its Fano pair F', F'', an (n, 2)
+    array: S1 = F' & F'', S2 = F' - S1 and S3 = F'' - S1, read off one
+    table of equal members of F' and F''.  F' xor F'' is the
+    8-member coset of P (see _fano_pairs), so each part has 4 members."""
+    systems, spans = enumerate_gopel(3), lagrangian_spans(3)
+    fano1, fano2 = spans[pairs[:, 0]], spans[pairs[:, 1]]  # each (n, 8)
+    equal = fano1[:, :, None] == fano2[:, None, :]
+    in2, in1 = equal.any(axis=2), equal.any(axis=1)  # members of F' in F'', of F'' in F'
+    s1, s2, s3 = (part.reshape(-1, 4).tolist() for part in (fano1[in2], fano1[~in2], fano2[~in1]))
+    return tuple(PascalDecomposition(pascal, systems[f1], systems[f2], *map(frozenset, sets))
+                 for pascal, (f1, f2), *sets in zip(pascals, pairs.tolist(), s1, s2, s3))
 
 
 @lru_cache(maxsize=None)
@@ -306,9 +315,9 @@ def pascal_decomposition(pascal: GopelSystem) -> PascalDecomposition:
     _fano_pairs)."""
     if pascal.kind != "pascal":
         raise ValueError("input is not a Pascal configuration")
-    systems = enumerate_gopel(3)
-    ((f1, f2),) = _fano_pairs(np.array([sorted(even_coset(pascal))])).tolist()
-    return _decomposition(pascal, systems[f1], systems[f2])
+    (decomposition,) = _decompositions(
+        [pascal], _fano_pairs(np.array([sorted(even_coset(pascal))])))
+    return decomposition
 
 
 @lru_cache(maxsize=1)
@@ -323,6 +332,7 @@ def pascal_rows() -> np.ndarray:
 @lru_cache(maxsize=1)
 def pascal_decompositions() -> tuple[PascalDecomposition, ...]:
     """The decomposition of each Pascal system of enumerate_gopel(3), in
-    that order, from pascal_rows."""
+    that order, from pascal_rows in one _decompositions pass."""
     systems = enumerate_gopel(3)
-    return tuple(_decomposition(*(systems[k] for k in row)) for row in pascal_rows().tolist())
+    rows = pascal_rows()
+    return _decompositions([systems[k] for k in rows[:, 0].tolist()], rows[:, 1:])

@@ -8,7 +8,9 @@ coset.  Each complement is one cached tuple of even indices in enumeration
 order (chi is the complement of the empty set), read by one operator.itemgetter
 per tuple, cached by the tuple (the same factors in the same order), and
 goepel_form_matrix multiplies the columns of one cached (135, 28) position
-table over the (n_tau, 36) array of constants.  The Riemann signs read its
+table over the (n_tau, 36) array of constants.  The tuples (one set at a time)
+and the table (all 135 even cosets at once) come from one complement body,
+_complement_positions, over membership masks.  The Riemann signs read its
 columns H(P), H(F'), H(F'') for all 105 Pascal systems at once, and the dual
 route to H(F) is G_F of the seven odd theta gradients over theta_{n0}^7.
 The 20 triple products of genus 2 read the 15 odd-pair Jacobians.  The
@@ -33,6 +35,7 @@ from .characteristics import (
     _read_only,
     azygetic_odd_sets,
     enumerate_characteristics,
+    parity_table,
 )
 from .gopel import (
     GopelSystem,
@@ -68,11 +71,23 @@ def chi(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> complex:
     return _complement_product(tau, frozenset(), tol)
 
 
+def _complement_positions(g: int, member: np.ndarray) -> np.ndarray:
+    """Row t: the positions, among the even characteristics of genus g in
+    enumeration order (the key order of even_theta_constants), of the evens
+    outside row t of an (n, 2^{2g}) membership mask.  The one complement body
+    behind every H-form; each row must leave the same number outside."""
+    _, positions = np.nonzero(~member[:, parity_table(g) == 1])
+    return positions.reshape(len(member), -1)
+
+
 @lru_cache(maxsize=None)
 def _complement_keys(g: int, excluded: frozenset) -> tuple[int, ...]:
     """The indices of the even characteristics of genus g outside excluded, in
-    enumeration order, which is the key order of even_theta_constants."""
-    return tuple(m.idx for m in enumerate_characteristics(g, "even") if m.idx not in excluded)
+    enumeration order: _complement_positions on one row."""
+    member = np.zeros((1, 1 << (2 * g)), dtype=bool)
+    member[0, list(excluded)] = True
+    evens = np.flatnonzero(parity_table(g) == 1)
+    return tuple(evens[_complement_positions(g, member)[0]].tolist())
 
 
 _getter = lru_cache(maxsize=None)(operator.itemgetter)  # keyed by the tuple it reads
@@ -238,10 +253,12 @@ def triple_products(tau: PeriodMatrix, tol: float = DEFAULT_TOL) -> list[tuple[c
 def _goepel_positions() -> np.ndarray:
     """(135, 28): row k holds the positions, in the vector of the 36 even
     constants, of the evens outside the even coset of the k-th Goepel system
-    of enumerate_gopel(3), in the order h_goepel multiplies them."""
-    position = {m.idx: k for k, m in enumerate(enumerate_characteristics(3, "even"))}
-    return _read_only(np.array([[position[i] for i in _complement_keys(3, frozenset(coset))]
-                                for coset in even_cosets(3).tolist()]))
+    of enumerate_gopel(3), in the order h_goepel multiplies them: one
+    _complement_positions pass over the coset masks."""
+    cosets = even_cosets(3)
+    member = np.zeros((len(cosets), 64), dtype=bool)
+    member[np.arange(len(cosets))[:, None], cosets] = True
+    return _read_only(_complement_positions(3, member))
 
 
 def goepel_form_matrix(taus, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -4,7 +4,10 @@ on P^2 (G_F and G_P).  The 30 Fano and the 105 P-shaped index families of
 G_F and G_P are the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY,
 closed under the two generators (1 2) and (1 2 ... 7) of S_7; they are
 defined in ``characteristics``, and a family passed to g_fano or g_pascal is
-accepted when it is one of them.
+accepted when it is one of them.  Each family's signed bracket columns are
+read from one table of all ordered index triples (_signed_table), and every
+bracket reader returns finite values or raises ValueError: for a non-finite
+configuration, and for one whose brackets or their products overflow.
 
 The Igusa quartic is the image of the ten even genus-2 theta fourth powers,
 which span a 5-dimensional space.  Its 12-monomial form holds in coordinates
@@ -21,6 +24,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .characteristics import (
+    _read_only,
     fano_family,
     fano_plane_families,
     pascal_families,
@@ -185,22 +189,63 @@ def bracket(cfg, i: int, j: int, k: int) -> complex:
 
 # The 35 increasing index triples, the columns of a bracket table.
 _TRIPLES = tuple(combinations(range(1, 8), 3))
-_TRIPLE_COLUMN = {t: c for c, t in enumerate(_TRIPLES)}
+
+# The 11 bracket triples of a P-shaped family, as positions in its index
+# vector (c, a1, b1, a2, b2, a3, b3): the 3 common triples (c a_i b_i), then
+# the choices of one entry from each pair, the 4 even (an even number of b
+# picks) and then the 4 odd, in product order within each parity.
+_PASCAL_TRIPLES = ((0, 1, 2), (0, 3, 4), (0, 5, 6)) + tuple(
+    tuple(1 + 2 * pair + pick for pair, pick in enumerate(choice))
+    for choice in sorted(product((0, 1), repeat=3), key=lambda ch: sum(ch) % 2))
 
 
 def _bracket_table(cfgs) -> np.ndarray:
-    """(n, 35) brackets of the increasing triples of each configuration."""
+    """(n, 35) brackets of the increasing triples of each configuration.
+    ValueError for a configuration with a non-finite entry, whose brackets
+    and products would be NaN."""
     vs = np.asarray(cfgs, dtype=complex)
     if vs.ndim != 3 or vs.shape[1:] != (7, 3):
         raise ValueError("need configurations of 7 vectors in C^3")
-    return np.linalg.det(vs[:, np.array(_TRIPLES) - 1])
+    if not np.isfinite(vs).all():
+        raise ValueError("configuration has a non-finite entry (inf or NaN)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.det(vs[:, np.array(_TRIPLES) - 1])
+
+
+def _finite(values, *args) -> np.ndarray:
+    """values(*args), bracket products computed with numpy's overflow and
+    invalid-value warnings off, once each is finite; ValueError naming the
+    overflow otherwise (a finite configuration whose brackets, or products
+    of them, pass the double range gives inf, and inf - inf gives NaN)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = values(*args)
+    if not np.isfinite(out).all():
+        raise ValueError("the brackets or their products overflow (inf or NaN) "
+                         "at this configuration's scale")
+    return out
+
+
+@lru_cache(maxsize=1)
+def _signed_table() -> np.ndarray:
+    """(8, 8, 8): entry (i, j, k), for distinct i, j, k in 1..7, the signed
+    column s of the bracket (ijk): (ijk) = sign(s) table[:, |s| - 1], the
+    sign the inversion parity of (i, j, k), the column that of the sorted
+    triple in _TRIPLES, read off its 7-bit mask; 0 elsewhere.  One batched
+    pass over all 512 index triples, read-only."""
+    column = np.zeros(128, dtype=np.intp)
+    column[(1 << (np.array(_TRIPLES) - 1)).sum(axis=1)] = np.arange(1, len(_TRIPLES) + 1)
+    i, j, k = np.indices((8, 8, 8))
+    odd = (i > j) ^ (i > k) ^ (j > k)
+    distinct = (i != j) & (i != k) & (j != k) & (i * j * k > 0)
+    mask = ((1 << i) | (1 << j) | (1 << k)) >> 1  # bit i - 1 stands for i
+    return _read_only(np.where(distinct, (1 - 2 * odd) * column[mask], 0))
 
 
 def _signed_columns(triples) -> np.ndarray:
-    """Each ordered triple (ijk) as a signed column s of the bracket table:
-    (ijk) = sign(s) table[:, |s| - 1], the sign of the permutation sorting ijk."""
-    signs = [(-1) ** ((i > j) + (i > k) + (j > k)) for i, j, k in triples]
-    return np.array(signs) * [_TRIPLE_COLUMN[tuple(sorted(t))] + 1 for t in triples]
+    """Each ordered triple (ijk) of an (..., 3) array of distinct indices in
+    1..7 as its signed column of the bracket table (see _signed_table)."""
+    t = np.asarray(triples, dtype=np.intp)
+    return _signed_table()[t[..., 0], t[..., 1], t[..., 2]]
 
 
 def _fano_columns(triples) -> np.ndarray:
@@ -215,17 +260,17 @@ def _fano_columns(triples) -> np.ndarray:
     return _signed_columns(triples)
 
 
+def _pascal_triples(families) -> np.ndarray:
+    """(n, 11, 3): the bracket triples of each P-shaped family in canonical
+    form, read off its index vector (see _PASCAL_TRIPLES)."""
+    vectors = np.array([family[3] + sum(family[4:], ()) for family in families])
+    return vectors[:, list(_PASCAL_TRIPLES)]
+
+
 def _pascal_columns(spec) -> np.ndarray:
     """The 11 signed columns of a P-shaped family, read off its canonical
-    form: the 3 common triples (c a_i b_i), then the 4 even and the 4 odd
-    choices (see g_pascal)."""
-    family = pascal_family(spec)
-    (common,), pairs = family[3], family[4:]
-    choices = sorted(product((0, 1), repeat=3), key=lambda ch: sum(ch) % 2)
-    return _signed_columns(
-        [(common, a, b) for a, b in pairs]
-        + [tuple(pair[c] for pair, c in zip(pairs, ch)) for ch in choices]
-    )
+    form."""
+    return _signed_columns(_pascal_triples([pascal_family(spec)]))[0]
 
 
 def _product(table: np.ndarray, signed: np.ndarray) -> np.ndarray:
@@ -241,7 +286,8 @@ def _pascal_values(table: np.ndarray, signed: np.ndarray) -> np.ndarray:
 
 def g_fano(cfg, triples) -> complex:
     """Product of the 7 brackets of a Fano-plane family of index triples."""
-    return complex(_product(_bracket_table([cfg]), _fano_columns(triples))[0])
+    table = _bracket_table([cfg])
+    return complex(_finite(_product, table, _fano_columns(triples))[0])
 
 
 def g_pascal(cfg, spec) -> complex:
@@ -255,19 +301,20 @@ def g_pascal(cfg, spec) -> complex:
     where a choice picks one element from each pair and its parity counts the
     b picks; each product multiplies the four brackets of the chosen triples.
     """
-    return complex(_pascal_values(_bracket_table([cfg]), _pascal_columns(spec))[0])
+    table = _bracket_table([cfg])
+    return complex(_finite(_pascal_values, table, _pascal_columns(spec))[0])
 
 
 @lru_cache(maxsize=None)
 def _family_columns() -> tuple[np.ndarray, np.ndarray]:
     """Signed columns of the 30 Fano families, (30, 7), and of the 105
-    P-shaped families, (105, 11)."""
-    fano = [_fano_columns(f) for f in fano_plane_families()]
-    return np.array(fano), np.array([_pascal_columns(p) for p in pascal_families()])
+    P-shaped families, (105, 11), each signed in one batch: read-only."""
+    return (_read_only(_signed_columns(fano_plane_families())),
+            _read_only(_signed_columns(_pascal_triples(pascal_families()))))
 
 
 def bracket_value_matrix(cfgs) -> np.ndarray:
     """Rows: configurations; columns: the 30 G_F then the 105 G_P values."""
     table = _bracket_table(cfgs)
     fano, pascal = _family_columns()
-    return np.hstack([_product(table, fano), _pascal_values(table, pascal)])
+    return np.hstack([_finite(_product, table, fano), _finite(_pascal_values, table, pascal)])

@@ -230,8 +230,9 @@ def _orbit(start: frozenset) -> set[frozenset]:
     No orbit record needs a proof that they generate Sp(6, F2): each orbit
     fills a set that the group keeps (the 36 evens, the 288 Aronhold sets,
     the 135 even cosets), and the orbit of a subgroup that fills such a set
-    is the orbit of the group."""
-    tables = symplectic.action_tables(3, [gm.packed() for gm in symplectic.group_generators(3)])
+    is the orbit of the group.  The generator tables are built once per
+    process (symplectic.generator_tables)."""
+    tables = symplectic.generator_tables(3)
 
     def images(frontier):
         # every generator on every set, one set per distinct member mask

@@ -8,7 +8,10 @@ An element is one packed integer: its (2g)^2 entries row by row, entry
 (0, 0) the most significant bit, so that within a row the leftmost column
 is the most significant bit, matching the characteristic encoding.  The
 arithmetic unpacks to (..., 2g, 2g) uint8 bit arrays, so one call handles
-one element or a batch.
+one element or a batch.  Every packed input is checked by one batched body,
+_packed (an integer in range, and symplectic), which SymplecticMatF2 runs
+on one row; the generators of group_generators and their action tables are
+packed, checked and built once per genus.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characteristics import Characteristic, _check_genus, _read_only, pairing_table
+from .characteristics import Characteristic, _check_genus, _integer, _read_only, pairing_table
 from .gopel import lagrangian_bases
 
 
@@ -75,19 +78,59 @@ def has_zero_c_block(m: np.ndarray) -> np.ndarray:
     return ~m[..., g:, :g].any(axis=(-2, -1))
 
 
+def _genus(g) -> int:
+    """g as an int in SUPPORTED_GENERA; ValueError naming it otherwise (True
+    would pass the membership test as 1)."""
+    g = _integer(g, "genus")
+    _check_genus(g)
+    return g
+
+
+def _packed(g: int, packed) -> np.ndarray:
+    """Packed elements of Sp(2g, F_2), an integer or an array of them, as a
+    uint64 array of the same shape, all checked in one batch: each an integer
+    (not a bool or float) in [0, 2^{4g^2}) whose matrix is symplectic.
+    ValueError naming the first value that is not."""
+    values = np.asarray(packed)
+    if values.dtype.kind not in "iu":  # floats, bools, or Python ints past 64 bits
+        values = np.asarray(packed, dtype=object)
+        values = np.array([_integer(v, "packed value") for v in values.ravel().tolist()],
+                          dtype=object).reshape(values.shape)
+    outside = (values < 0) | (values >= 1 << (4 * g * g))
+    if outside.any():
+        bad = values.ravel()[np.argmax(outside.ravel())]
+        raise ValueError(f"packed value {bad} does not fit a {2 * g} x {2 * g} matrix")
+    values = values.astype(np.uint64)
+    symplectic = is_symplectic(unpack(g, values))
+    if not symplectic.all():
+        bad = values.ravel()[np.argmin(symplectic.ravel())]
+        raise ValueError(f"packed value {bad}: matrix is not symplectic over F_2")
+    return values
+
+
 @dataclass(frozen=True)
 class SymplecticMatF2:
-    """An element (A B; C D) of Sp(2g, F_2), held as its packed integer."""
+    """An element (A B; C D) of Sp(2g, F_2), held as its packed integer.  The
+    genus and the packed value are stored as ints; any other type, a value
+    out of range or a matrix that is not symplectic raises ValueError."""
 
     g: int
     bits: int
 
     def __post_init__(self):
-        _check_genus(self.g)
-        if not 0 <= self.bits < 1 << (4 * self.g * self.g):
-            raise ValueError("packed value does not fit a 2g x 2g matrix")
-        if not is_symplectic(unpack(self.g, self.bits)):
-            raise ValueError("matrix is not symplectic over F_2")
+        g = _genus(self.g)
+        bits = _integer(self.bits, "packed value")
+        _packed(g, [bits])
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _checked(cls, g: int, bits: int) -> "SymplecticMatF2":
+        """An element whose row _packed has passed, built without running
+        the check again."""
+        element = cls.__new__(cls)
+        vars(element).update(g=g, bits=bits)
+        return element
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SymplecticMatF2":
@@ -114,7 +157,7 @@ class SymplecticMatF2:
 
     @classmethod
     def from_packed(cls, g: int, packed: int) -> "SymplecticMatF2":
-        return cls(g, int(packed))
+        return cls(g, packed)
 
     def act(self, m: Characteristic) -> Characteristic:
         return act_on_characteristic(self, m)
@@ -130,9 +173,10 @@ def act_on_characteristic(gamma: SymplecticMatF2, m: Characteristic) -> Characte
 
 def action_tables(g: int, packed) -> np.ndarray:
     """The affine action of each packed gamma_t on all 2^{2g} indices: entry
-    (t, i) is the index of gamma_t . m_i."""
-    _check_genus(g)
-    return _images(g, packed, slice(None))
+    (t, i) is the index of gamma_t . m_i.  Every gamma_t is checked first
+    (see _packed)."""
+    g = _genus(g)
+    return _images(g, _packed(g, packed), slice(None))
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +201,45 @@ def _images(g: int, packed, idx) -> np.ndarray:
     return images.transpose(0, 2, 1) @ weights
 
 
-def translation_generators(g: int):
-    """All matrices (I S; 0 I) with S symmetric over F_2, S != 0."""
+@lru_cache(maxsize=None)
+def _generator_pack(g: int) -> np.ndarray:
+    """J, then the translations (I S; 0 I) for every symmetric S != 0 over
+    F_2, in increasing order of the bit mask of S's upper triangle, row by
+    row: the 2^{g(g+1)/2} packed generators of Sp(2g, F_2), a cached,
+    read-only array checked by one _packed call over the stack.  Mask 0, the
+    identity, is the slot of J."""
     pairs = [(i, j) for i in range(g) for j in range(i, g)]
-    masks = np.arange(1, 1 << len(pairs))
+    masks = np.arange(1 << len(pairs))
     m = np.tile(np.eye(2 * g, dtype=np.uint8), (len(masks), 1, 1))
     for t, (i, j) in enumerate(pairs):
         m[:, i, g + j] = m[:, j, g + i] = (masks >> t) & 1
-    return [SymplecticMatF2(g, int(p)) for p in pack(m)]
+    m[0] = symplectic_j(g)
+    return _read_only(_packed(g, pack(m)))
 
 
-def group_generators(g: int):
-    return [SymplecticMatF2.j(g)] + translation_generators(g)
+@lru_cache(maxsize=None)
+def _generators(g: int) -> tuple[SymplecticMatF2, ...]:
+    """The elements of _generator_pack(g), made once."""
+    return tuple(SymplecticMatF2._checked(g, p) for p in _generator_pack(g).tolist())
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: True and 3.0 are not keyed as 1 and 3
+def generator_tables(g: int) -> np.ndarray:
+    """The action tables of group_generators(g), row t for generator t: a
+    cached, read-only (2^{g(g+1)/2}, 2^{2g}) array."""
+    g = _genus(g)
+    return _read_only(_images(g, _generator_pack(g), slice(None)))
+
+
+def translation_generators(g: int) -> list[SymplecticMatF2]:
+    """All matrices (I S; 0 I) with S symmetric over F_2, S != 0, in the
+    order of _generator_pack."""
+    return list(_generators(_genus(g))[1:])
+
+
+def group_generators(g: int) -> list[SymplecticMatF2]:
+    """J and the translation_generators, which generate Sp(2g, F_2)."""
+    return list(_generators(_genus(g)))
 
 
 SP_ORDERS = {1: 6, 2: 720, 3: 1451520}
@@ -269,7 +340,7 @@ def parabolic_cosets(g: int = 3) -> list[SymplecticMatF2]:
         rows[i] = keep.argmax(axis=1)
     cols = np.column_stack([rows[i] for i in range(2 * g)])
     n = ((cols[:, None, :] >> np.arange(2 * g - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
-    return [SymplecticMatF2(g, int(p)) for p in pack(swap_blocks(n))]
+    return [SymplecticMatF2._checked(g, p) for p in _packed(g, pack(swap_blocks(n))).tolist()]
 
 
 def lagrangian_image(g: int, packed) -> list[frozenset]:

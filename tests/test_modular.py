@@ -333,6 +333,20 @@ class TestComplementTables:
             assert len(set(row.tolist())) == 28
             assert not {evens[k] for k in row} & even_coset(s)
 
+    def test_tables_are_the_per_object_construction(self):
+        # a scalar filter of the even enumeration, one set at a time
+        def keys(g, excluded):
+            return tuple(m.idx for m in enumerate_characteristics(g, "even") if m.idx not in excluded)
+
+        evens = [m.idx for m in enumerate_characteristics(3, "even")]
+        cosets = [frozenset(even_coset(s)) for s in enumerate_gopel(3)]
+        assert modular._goepel_positions().tolist() == [[evens.index(i) for i in keys(3, c)]
+                                                       for c in cosets]
+        for g, sets in ((3, [frozenset(), *cosets]),
+                        (2, [frozenset(), *(q.idx_set() for q in split_lagrangians(2))])):
+            for excluded in sets:
+                assert modular._complement_keys(g, excluded) == keys(g, excluded)
+
     def test_matrix_equals_the_per_system_h_forms(self):
         taus = [random_tau(RNG, 3) for _ in range(6)]
         matrix = modular.goepel_form_matrix(iter(taus))
@@ -346,26 +360,35 @@ class TestComplementTables:
     ])
     def test_swapped_table_entry_is_caught(self, monkeypatch, fresh_memos, kind, caught):
         # the first complement entry of one system swapped for a member of its
-        # even coset, in h_goepel (through s_vector, which coble reads) and in
-        # the position table of goepel_form_matrix (which wrank reads, and
-        # riemann through riemann_residuals)
+        # even coset, in the one complement body that h_goepel (through
+        # s_vector, which coble reads) and the position table of
+        # goepel_form_matrix (which wrank reads, and riemann through
+        # riemann_residuals) both read
         target = fano_basis()[0] if kind == "fano" else next(
             s for s in enumerate_gopel(3) if s.kind == "pascal")
         coset = even_coset(target)
-        keys = modular._complement_keys
+        member = np.isin(np.arange(64), list(coset))
+        swapped_in = [m.idx for m in enumerate_characteristics(3, "even")].index(min(coset))
+        positions = modular._complement_positions
 
-        def faulty(g, excluded):
-            out = keys(g, excluded)
-            return (min(excluded),) + out[1:] if excluded == coset else out
+        def faulty(g, rows):
+            out = positions(g, rows)
+            if g == 3:
+                out[(rows == member).all(axis=1), 0] = swapped_in
+            return out
 
-        monkeypatch.setattr(modular, "_complement_keys", faulty)
+        def clear_tables():
+            modular._complement_keys.cache_clear()
+            modular._goepel_positions.cache_clear()
+
+        monkeypatch.setattr(modular, "_complement_positions", faulty)
         fresh_memos()
-        modular._goepel_positions.cache_clear()
+        clear_tables()
         try:
             failed = {r.name for name, samples in (("wrank", 16), ("riemann", 3), ("coble", 2))
                       for r in run_suite(name, 1, samples).records if not r.passed}
         finally:
             monkeypatch.undo()
-            modular._goepel_positions.cache_clear()
+            clear_tables()
         assert caught <= failed
 

@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
+from thetacoble import characteristics as chars
 from thetacoble import points
 from thetacoble.characteristics import FANO_TRIPLE_FAMILY, PASCAL_FAMILY
 from thetacoble.sampling import random_tau, stream
@@ -290,3 +291,86 @@ class TestBracketTable:
 
         monkeypatch.setattr(points, "_bracket_table", flipped)
         assert _max_column_error(self.CFGS) > 1.0
+
+
+def _reference_signed(triples) -> list:
+    """The per-triple construction of signed columns: the sign of the
+    permutation sorting (i, j, k), by its inversion count, times 1 + the
+    position of the sorted triple among the increasing triples."""
+    column = {t: c for c, t in enumerate(combinations(range(1, 8), 3))}
+    return [(-1) ** ((i > j) + (i > k) + (j > k)) * (column[tuple(sorted((i, j, k)))] + 1)
+            for i, j, k in triples]
+
+
+def _reference_pascal_triples(family) -> list:
+    """The 3 common triples (c a b) of a P-shaped family, then its 4 even and
+    its 4 odd choices of one entry per pair, as g_pascal multiplies them."""
+    (common,), pairs = family[3], family[4:]
+    choices = sorted(product((0, 1), repeat=3), key=lambda ch: sum(ch) % 2)
+    return ([(common, a, b) for a, b in pairs]
+            + [tuple(pair[c] for pair, c in zip(pairs, ch)) for ch in choices])
+
+
+class TestFamilyTables:
+    """The batched family tables against the per-family constructions,
+    order included."""
+
+    def test_columns_are_the_per_family_construction(self):
+        fano, pascal = points._family_columns()
+        assert not fano.flags.writeable and not pascal.flags.writeable
+        assert fano.shape == (30, 7) and pascal.shape == (105, 11)
+        fano_want = [_reference_signed(f) for f in points.fano_plane_families()]
+        pascal_want = [_reference_signed(_reference_pascal_triples(p))
+                       for p in points.pascal_families()]
+        assert fano.tolist() == fano_want
+        assert pascal.tolist() == pascal_want
+        assert [points._fano_columns(f).tolist() for f in points.fano_plane_families()] == fano_want
+        assert [points._pascal_columns(p).tolist() for p in points.pascal_families()] == pascal_want
+
+    def test_one_family_is_signed_in_the_callers_order(self):
+        family = [t[::-1] for t in reversed(points.fano_plane_families()[7])]
+        assert points._fano_columns(family).tolist() == _reference_signed(family)
+        spec = tuple(p[::-1] for p in reversed(PASCAL_FAMILY))
+        assert points._pascal_columns(spec).tolist() == _reference_signed(
+            _reference_pascal_triples(points.pascal_family(spec)))
+
+    def test_families_by_key_are_the_per_family_keys(self):
+        for families, masks in ((chars.fano_plane_families, chars._fano_part_masks),
+                                (chars.pascal_families, chars._pascal_part_masks)):
+            by_key = chars._families_by_key(families, masks)
+            want = {chars._family_key(f): f for f in families()}
+            assert list(by_key.items()) == list(want.items())
+
+
+class TestNonFiniteBrackets:
+    """Every bracket reader returns a finite value or raises ValueError
+    naming the cause; a NaN never comes back."""
+
+    rng = stream(31, "test_points.non_finite")
+    CFG = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    READERS = {
+        "g_fano": lambda cfg: points.g_fano(cfg, FANO_TRIPLE_FAMILY),
+        "g_pascal": lambda cfg: points.g_pascal(cfg, PASCAL_FAMILY),
+        "bracket_value_matrix":
+            lambda cfg: points.bracket_value_matrix([TestNonFiniteBrackets.CFG, cfg]),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_configuration_is_named(self, reader, entry):
+        cfg = self.CFG.copy()
+        cfg[4, 1] = entry
+        with pytest.raises(ValueError, match="non-finite entry"):
+            self.READERS[reader](cfg)
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("scale", [1e60, 1e110])
+    def test_overflowing_brackets_are_named(self, reader, scale):
+        # at 1e60 the brackets are finite and their products overflow; at
+        # 1e110 the brackets themselves do
+        with pytest.raises(ValueError, match="overflow"):
+            self.READERS[reader](self.CFG * scale)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_large_finite_configuration_still_has_a_value(self, reader):
+        assert np.isfinite(self.READERS[reader](self.CFG * 1e10)).all()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,3 +244,110 @@ class TestParabolic:
         l0 = frozenset(range(8))
         gens = [gen.packed() for gen in sp.translation_generators(3)]
         assert sp.lagrangian_image(3, gens) == [l0] * len(gens)
+
+
+class TestIntegerInputs:
+    """The genus and every packed value are integers, in range and
+    symplectic; anything else is a ValueError that names it."""
+
+    J3 = 4328915976  # symplectic_j(3), packed
+
+    @pytest.mark.parametrize("g, bits, named", [
+        (True, 9, "genus must be an integer, not True"),
+        (3.0, J3, "genus must be an integer, not 3.0"),
+        (3, 34630287489.0, "packed value must be an integer, not 34630287489.0"),
+        (3, "5", "packed value must be an integer, not '5'"),
+        (3, np.True_, "packed value must be an integer, not np.True_"),
+        (3, 5, "packed value 5: matrix is not symplectic"),
+        (3, -1, "packed value -1 does not fit a 6 x 6 matrix"),
+        (3, 2**36, f"packed value {2**36} does not fit"),
+        (3, 2**70, f"packed value {2**70} does not fit"),
+    ])
+    def test_element_rejects(self, g, bits, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sp.SymplecticMatF2(g, bits)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        gamma = sp.SymplecticMatF2(np.int64(3), np.uint64(self.J3))
+        assert type(gamma.g) is int and type(gamma.bits) is int
+        assert gamma == sp.SymplecticMatF2.j(3)
+        assert type(sp.SymplecticMatF2.from_packed(3, np.uint64(self.J3)).bits) is int
+
+    @pytest.mark.parametrize("packed, named", [
+        ([-1], "packed value -1 does not fit"),
+        ([2**36], f"packed value {2**36} does not fit"),
+        ([0, 2**70], f"packed value {2**70} does not fit"),
+        ([-1, 2**63], "packed value -1 does not fit"),
+        ([J3, 5], "packed value 5: matrix is not symplectic"),
+        (np.array([1.0]), "packed value must be an integer, not 1.0"),
+        ([True], "packed value must be an integer, not True"),
+    ])
+    def test_tables_reject(self, packed, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sp.action_tables(3, packed)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sp.lagrangian_image(3, packed)
+
+    @pytest.mark.parametrize("g", [True, 3.0, 4])
+    def test_tables_reject_the_genus(self, g):
+        with pytest.raises(ValueError, match="genus"):
+            sp.action_tables(g, [0])
+        with pytest.raises(ValueError, match="genus"):
+            sp.generator_tables(g)
+
+    def test_an_empty_batch_has_no_rows(self):
+        assert sp.action_tables(3, []).shape == (0, 64)
+
+
+def _reference_generators(g):
+    """J and then (I S; 0 I) for each symmetric S != 0, S's upper triangle
+    read row by row as the bits of a mask, in increasing mask: each packed
+    with plain integers, as the per-object construction made them."""
+    w = 2 * g
+    pairs = [(i, j) for i in range(g) for j in range(i, g)]
+    matrices = [[[int(abs(i - j) == g) for j in range(w)] for i in range(w)]]
+    for mask in range(1, 1 << len(pairs)):
+        m = [[int(i == j) for j in range(w)] for i in range(w)]
+        for t, (i, j) in enumerate(pairs):
+            m[i][g + j] = m[j][g + i] = (mask >> t) & 1
+        matrices.append(m)
+    return [int("".join(str(b) for row in m for b in row), 2) for m in matrices]
+
+
+class TestGeneratorTables:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_generators_are_the_per_object_construction(self, g):
+        want = _reference_generators(g)
+        gens = sp.group_generators(g)
+        assert [gen.packed() for gen in gens] == want
+        assert [gen.packed() for gen in sp.translation_generators(g)] == want[1:]
+        assert all(type(gen.bits) is int and gen.g == g for gen in gens)
+        assert all(sp.SymplecticMatF2(g, p) == gen for p, gen in zip(want, gens))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_tables_are_the_scalar_action(self, g):
+        tables = sp.generator_tables(g)
+        assert not tables.flags.writeable
+        assert tables.tolist() == [scalar_action(g, p) for p in _reference_generators(g)]
+
+    def test_the_lists_are_fresh(self):
+        gens = sp.group_generators(3)
+        gens.clear()
+        assert len(sp.group_generators(3)) == 64
+
+    def test_orbits_build_the_generator_tables_once(self, monkeypatch):
+        from thetacoble import suites
+
+        calls = []
+        images = sp._images
+        monkeypatch.setattr(sp, "_images", lambda g, *rest: calls.append(g) or images(g, *rest))
+        sp._generator_pack.cache_clear()
+        sp._generators.cache_clear()
+        sp.generator_tables.cache_clear()
+        assert len(suites._orbit(frozenset({0}))) == 36
+        assert len(suites._orbit(frozenset({0}))) == 36
+        assert calls == [3]
+
+    def test_parabolic_cosets_are_checked_elements(self):
+        reps = sp.parabolic_cosets(3)
+        assert all(sp.SymplecticMatF2(3, r.packed()) == r for r in reps)
