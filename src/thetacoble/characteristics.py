@@ -24,9 +24,15 @@ import numpy as np
 SUPPORTED_GENERA = (1, 2, 3)
 
 
-def _check_genus(g: int) -> None:
+def _check_genus(g) -> int:
+    """g as an int in SUPPORTED_GENERA, read through _integer; ValueError
+    naming it otherwise (True would pass the membership test as 1, and 3.0
+    as 3, then fail in a shift).  A cache keyed by the genus is typed, so a
+    bool or float that equals a supported genus does not hit its entry."""
+    g = _integer(g, "genus")
     if g not in SUPPORTED_GENERA:
         raise ValueError(f"unsupported genus {g}; supported: {SUPPORTED_GENERA}")
+    return g
 
 
 def _integer(value, what: str) -> int:
@@ -196,21 +202,21 @@ def _odd_bits(x: np.ndarray) -> np.ndarray:
     return (0x6996 >> x) & 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def parity_table(g: int) -> np.ndarray:
     """e(m) for every index m of genus g: a cached, read-only (2^{2g},) +-1
     array, (-1)^{m' . m''} by the bit parity of m' & m''."""
-    _check_genus(g)
+    g = _check_genus(g)
     m = np.arange(1 << (2 * g))
     return _read_only((1 - 2 * _odd_bits((m >> g) & m)).astype(np.int8))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pairing_table(g: int) -> np.ndarray:
     """e(a, b) for every pair of indices of genus g: a cached, read-only
     (2^{2g}, 2^{2g}) +-1 array, (-1)^{a'.b'' + a''.b'} by the bit parity of
     (a' & b'') ^ (a'' & b')."""
-    _check_genus(g)
+    g = _check_genus(g)
     a = np.arange(1 << (2 * g))[:, None]
     b = a.T
     return _read_only((1 - 2 * _odd_bits(((a >> g) & b) ^ (a & (b >> g)))).astype(np.int8))
@@ -248,7 +254,7 @@ def admissible_evens(g: int, odds) -> tuple[np.ndarray, np.ndarray]:
     return evens, (triple_signs(g, a, b, evens) == -1).all(axis=-2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def azygetic_odd_sets(g: int, k: int) -> np.ndarray:
     """The k-sets of odd indices of genus g with every triple azygetic, as a
     cached, read-only (n, k) array, rows increasing and in lexicographic
@@ -257,7 +263,7 @@ def azygetic_odd_sets(g: int, k: int) -> np.ndarray:
     of its candidates, the positions past its last member azygetic with every
     pair of its members.  A child (set t plus candidate v) gets t's mask, cut
     to the positions past v and azygetic with every (member of t, v)."""
-    _check_genus(g)
+    g = _check_genus(g)
     if not 1 <= k <= 2 * g + 2:
         raise ValueError(f"need 1 <= k <= {2 * g + 2} for genus {g}, got {k}")
     azygetic, past = _azygetic_masks(g)
@@ -358,13 +364,13 @@ class CharacteristicSet:
         return [str(m) for m in self.members]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_characteristics(g: int, which: str = "all") -> CharacteristicSet:
     """All characteristics of genus g in canonical index order.
 
     which: "all", "even" (2^{g-1}(2^g+1) members) or "odd" (2^{g-1}(2^g-1)).
     """
-    _check_genus(g)
+    g = _check_genus(g)
     if which not in ("all", "even", "odd"):
         raise ValueError(f"unknown filter {which!r}")
     p = parity_table(g)
@@ -377,7 +383,7 @@ def enumerate_characteristics(g: int, which: str = "all") -> CharacteristicSet:
 def _interned(g: int) -> tuple[Characteristic, ...]:
     """The 2^{2g} characteristics of genus g by index, one object each: the
     members of every set a table builder makes."""
-    _check_genus(g)
+    g = _check_genus(g)
     return tuple(Characteristic(g, i) for i in range(1 << (2 * g)))
 
 
@@ -402,7 +408,7 @@ def special_fundamental_completions(g: int, odds) -> np.ndarray:
     admissible evens (every (m_i, m_j, n) azygetic) other than m_1 + ... + m_g,
     in index order.  Each row is checked: g+3 admissible evens with the sum
     among them at g=3, g+2 without it below, and a fundamental system."""
-    _check_genus(g)
+    g = _check_genus(g)
     odds = np.asarray(odds)
     if odds.ndim != 2 or odds.shape[1] != g:
         raise ValueError(f"need an (n, {g}) array of odd indices, got shape {odds.shape}")

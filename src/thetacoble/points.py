@@ -30,7 +30,7 @@ from .characteristics import (
     pascal_families,
     pascal_family,
 )
-from .theta import DEFAULT_TOL, PeriodMatrix, even_theta_constants
+from .theta import DEFAULT_TOL, PeriodMatrix, _abs, even_theta_constants
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,16 @@ STANDARD_TABLEAUX = (
 )
 
 
+def _entries(values) -> list:
+    """values as a list; an ndarray's entries as Python numbers.  A product of
+    two Python complex numbers is numpy's complex128 scalar product bit for
+    bit (the same four products and two sums), at a fraction of its cost."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
 def tableau_invariant(n: Tableau, xs) -> complex:
     """B(N) = (x_i1 - x_j1)(x_i2 - x_j2)(x_i3 - x_j3)."""
-    xs = list(xs)
+    xs = _entries(xs)
     if len(xs) != 6:
         raise ValueError("need 6 point coordinates")
     out = 1.0 + 0.0j
@@ -77,20 +84,21 @@ def tableau_invariant(n: Tableau, xs) -> complex:
 
 def standard_invariants(xs) -> np.ndarray:
     """(T_0(x), ..., T_4(x))."""
+    xs = _entries(xs)
     return np.array([tableau_invariant(t, xs) for t in STANDARD_TABLEAUX])
 
 
 def segre_eval(t) -> complex:
     """The Segre cubic T1 T2 T4 - T3 (T0 T4 + T1 T2 - T0 T1 - T0 T2 + T0^2)."""
-    t0, t1, t2, t3, t4 = t
+    t0, t1, t2, t3, t4 = _entries(t)
     return complex(t1 * t2 * t4 - t3 * (t0 * t4 + t1 * t2 - t0 * t1 - t0 * t2 + t0 * t0))
 
 
 def segre_scale(t) -> float:
     """Max monomial magnitude, for residual normalization."""
-    t0, t1, t2, t3, t4 = t
+    t0, t1, t2, t3, t4 = _entries(t)
     mons = (t1 * t2 * t4, t3 * t0 * t4, t3 * t1 * t2, t3 * t0 * t1, t3 * t0 * t2, t3 * t0 * t0)
-    return max(abs(m) for m in mons)
+    return max(_abs(m) for m in mons)
 
 
 def igusa_eval(x):
@@ -178,13 +186,16 @@ def igusa_tuple_search(taus, tol: float = 1e-8) -> np.ndarray:
 
 
 def bracket(cfg, i: int, j: int, k: int) -> complex:
-    """(ijk) = det(v_i, v_j, v_k) on 1-based indices."""
+    """(ijk) = det(v_i, v_j, v_k) on 1-based indices, the rows in the order
+    given (so (jik) = -(ijk) is a check, not a rewrite).  ValueError, as for
+    the batched readers, for a non-finite configuration or an overflowing
+    determinant."""
     if len({i, j, k}) != 3 or not {i, j, k} <= set(range(1, 8)):
         raise ValueError("indices must be three distinct values in 1..7")
     vs = np.asarray(cfg)
     if vs.shape != (7, 3):
         raise ValueError("need 7 vectors in C^3")
-    return complex(np.linalg.det(vs[[i - 1, j - 1, k - 1]]))
+    return complex(_finite(np.linalg.det, _finite_entries(vs)[[i - 1, j - 1, k - 1]]))
 
 
 # The 35 increasing index triples, the columns of a bracket table.
@@ -206,10 +217,16 @@ def _bracket_table(cfgs) -> np.ndarray:
     vs = np.asarray(cfgs, dtype=complex)
     if vs.ndim != 3 or vs.shape[1:] != (7, 3):
         raise ValueError("need configurations of 7 vectors in C^3")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.det(_finite_entries(vs)[:, np.array(_TRIPLES) - 1])
+
+
+def _finite_entries(vs: np.ndarray) -> np.ndarray:
+    """vs, once every entry is finite; ValueError otherwise (its brackets and
+    their products would be NaN)."""
     if not np.isfinite(vs).all():
         raise ValueError("configuration has a non-finite entry (inf or NaN)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.det(vs[:, np.array(_TRIPLES) - 1])
+    return vs
 
 
 def _finite(values, *args) -> np.ndarray:

@@ -9,11 +9,13 @@ matrix, which is round-off; its last digits follow the BLAS summation order,
 which changes with the thread count.  Their pass/fail does not: the gaps sit
 many decades above the 1e6 threshold.
 
-Every sampled check runs through one driver, `_sampled`, which draws all its
-samples first and keeps the worst of each residual (`_worst`): a NaN at any
-sample fails the record.  A sign that does not depend on tau is read at the
-reference tau of `modular` by `_reference_sign`; a NaN or a tie there makes it
-NaN, which fails every record that reads it.
+Every sampled check draws all its samples first and keeps the worst of each
+residual (`_worst`): a NaN at any sample fails the record.  Most run through
+`_sampled`; the Segre configurations and the bracket samples are each drawn
+in one rng call (`_complex_draws`), the same numbers as one draw per sample.
+A sign that does not depend on tau is read at the reference tau of `modular`
+by `_reference_sign`; a NaN or a tie there makes it NaN, which fails every
+record that reads it.
 """
 
 from __future__ import annotations
@@ -598,11 +600,31 @@ def suite_kummer2(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 # segre / igusa / points
 
 
-def _random_config1(rng) -> np.ndarray:
-    while True:
-        x = rng.uniform(-2, 2, 6) + 1j * rng.uniform(-2, 2, 6)
-        if min(abs(a - b) for a, b in combinations(x, 2)) > 0.05:
-            return x
+def _complex_draws(rng, bound: float, n: int, shape: tuple) -> np.ndarray:
+    """n complex samples of the given shape, uniform in the square of side
+    2 bound, in one rng call: the same numbers as n draws in turn of
+    rng.uniform(-bound, bound, shape) + 1j * rng.uniform(-bound, bound, shape)
+    (row t of the call holds sample t's real parts, then its imaginary parts)."""
+    parts = rng.uniform(-bound, bound, (n, 2, *shape))
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def _spaced(x: list) -> bool:
+    """No two of the points x, Python complex numbers, closer than 0.05."""
+    return min(abs(a - b) for a, b in combinations(x, 2)) > 0.05
+
+
+def _random_configs1(rng, n: int) -> list[np.ndarray]:
+    """n configurations of 6 spaced points in [-2, 2]^2, as n draws in turn
+    of 6 complex points each, a draw that fails _spaced drawn again.  The
+    draws come in blocks of _complex_draws, one row per configuration still
+    missing: a rejected row is skipped, and the next block is drawn only when
+    the rows run out, so the stream is read as the one-draw-at-a-time loop
+    reads it."""
+    out: list[np.ndarray] = []
+    while len(out) < n:
+        out += [x for x in _complex_draws(rng, 2, n - len(out), (6,)) if _spaced(x.tolist())]
+    return out
 
 
 def suite_segre(seed: int, samples: int, tol: float) -> list[CheckRecord]:
@@ -611,14 +633,13 @@ def suite_segre(seed: int, samples: int, tol: float) -> list[CheckRecord]:
 
     def residual(x):
         t = points.standard_invariants(x)
-        return (_abs(points.segre_eval(t)) / points.segre_scale(t),)
+        return _abs(points.segre_eval(t)) / points.segre_scale(t)
 
-    (segre,) = _sampled(seed, "segre.configs", samples, lambda rng: (_random_config1(rng),),
-                        residual)
+    segre = _worst(map(residual, _random_configs1(stream(seed, "segre.configs"), samples)))
 
     # PGL invariance of the degree-1 binary invariants
     def moebius(rng):
-        x = _random_config1(rng)
+        (x,) = _random_configs1(rng, 1)
         return (x, *(rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)))
 
     def invariance(x, a, b, c, d):
@@ -659,16 +680,12 @@ def suite_igusa(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     return [_flag("igusa_search_succeeds", holdout < tol and control > tol)]
 
 
-def _random_config2(rng) -> np.ndarray:
-    return rng.uniform(-1, 1, (7, 3)) + 1j * rng.uniform(-1, 1, (7, 3))
-
-
 def suite_points(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     samples = samples or 60
     rng = stream(seed, "points.configs")
     recs = []
 
-    cfg = _random_config2(rng)
+    (cfg,) = _complex_draws(rng, 1, 1, (7, 3))
     recs.append(
         _flag(
             "bracket_antisymmetry",
@@ -683,21 +700,18 @@ def suite_points(seed: int, samples: int, tol: float) -> list[CheckRecord]:
             _abs(points.g_fano(collinear, FANO_TRIPLE_FAMILY)) < 1e-10,
         )
     )
-    recs.append(
-        _flag("gfano_generic_nonzero", _abs(points.g_fano(cfg, FANO_TRIPLE_FAMILY)) > 1e-8)
-    )
+    gfano = points.g_fano(cfg, FANO_TRIPLE_FAMILY)
+    recs.append(_flag("gfano_generic_nonzero", _abs(gfano) > 1e-8))
 
     # SL3 covariance: each bracket scales by det(A), G_F by det(A)^7
-    a = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
+    (a,) = _complex_draws(rng, 1, 1, (3, 3))
     lhs = points.g_fano(cfg @ a.T, FANO_TRIPLE_FAMILY)
-    rhs = np.linalg.det(a) ** 7 * points.g_fano(cfg, FANO_TRIPLE_FAMILY)
-    recs.append(_residual("sl3_covariance", _relative(lhs, rhs), 1e-9))
+    recs.append(_residual("sl3_covariance", _relative(lhs, np.linalg.det(a) ** 7 * gfano), 1e-9))
 
     recs.append(_count("fano_families", len(points.fano_plane_families()), 30))
     recs.append(_count("pascal_families", len(points.pascal_families()), 105))
 
-    cfgs = [_random_config2(rng) for _ in range(samples)]
-    matrix = points.bracket_value_matrix(cfgs)
+    matrix = points.bracket_value_matrix(_complex_draws(rng, 1, samples, (7, 3)))
     return recs + _rank_records("bracket_span_rank", "bracket_sv_gap", matrix)
 
 

@@ -78,14 +78,6 @@ def has_zero_c_block(m: np.ndarray) -> np.ndarray:
     return ~m[..., g:, :g].any(axis=(-2, -1))
 
 
-def _genus(g) -> int:
-    """g as an int in SUPPORTED_GENERA; ValueError naming it otherwise (True
-    would pass the membership test as 1)."""
-    g = _integer(g, "genus")
-    _check_genus(g)
-    return g
-
-
 def _packed(g: int, packed) -> np.ndarray:
     """Packed elements of Sp(2g, F_2), an integer or an array of them, as a
     uint64 array of the same shape, all checked in one batch: each an integer
@@ -118,7 +110,7 @@ class SymplecticMatF2:
     bits: int
 
     def __post_init__(self):
-        g = _genus(self.g)
+        g = _check_genus(self.g)
         bits = _integer(self.bits, "packed value")
         _packed(g, [bits])
         object.__setattr__(self, "g", g)
@@ -175,7 +167,7 @@ def action_tables(g: int, packed) -> np.ndarray:
     """The affine action of each packed gamma_t on all 2^{2g} indices: entry
     (t, i) is the index of gamma_t . m_i.  Every gamma_t is checked first
     (see _packed)."""
-    g = _genus(g)
+    g = _check_genus(g)
     return _images(g, _packed(g, packed), slice(None))
 
 
@@ -227,19 +219,19 @@ def _generators(g: int) -> tuple[SymplecticMatF2, ...]:
 def generator_tables(g: int) -> np.ndarray:
     """The action tables of group_generators(g), row t for generator t: a
     cached, read-only (2^{g(g+1)/2}, 2^{2g}) array."""
-    g = _genus(g)
+    g = _check_genus(g)
     return _read_only(_images(g, _generator_pack(g), slice(None)))
 
 
 def translation_generators(g: int) -> list[SymplecticMatF2]:
     """All matrices (I S; 0 I) with S symmetric over F_2, S != 0, in the
     order of _generator_pack."""
-    return list(_generators(_genus(g))[1:])
+    return list(_generators(_check_genus(g))[1:])
 
 
 def group_generators(g: int) -> list[SymplecticMatF2]:
     """J and the translation_generators, which generate Sp(2g, F_2)."""
-    return list(_generators(_genus(g)))
+    return list(_generators(_check_genus(g)))
 
 
 SP_ORDERS = {1: 6, 2: 720, 3: 1451520}
@@ -276,11 +268,11 @@ def _symplectic_bases(g: int) -> np.ndarray:
     return packed
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_group(g: int) -> np.ndarray:
     """The packed elements of Sp(2g, F_2), a cached, read-only, increasing
     array: the reference that elements is tested against."""
-    _check_genus(g)
+    g = _check_genus(g)
     packed = _symplectic_bases(g)
     if len(packed) != SP_ORDERS[g]:
         raise AssertionError(f"|Sp({2*g}, F2)| = {len(packed)}, expected {SP_ORDERS[g]}")
@@ -294,7 +286,7 @@ def extension_counts(g: int) -> list[int]:
     e_g, f_g: by Witt's theorem every partial basis in this order has
     2^{2k} - 1 nonzero e and then 2^{2k-1} f to choose from, k = g, ..., 1,
     and each choice completes.  Their product is |Sp(2g, F_2)|."""
-    _check_genus(g)
+    g = _check_genus(g)
     return [c for k in range(g, 0, -1) for c in ((1 << 2 * k) - 1, 1 << (2 * k - 1))]
 
 

@@ -119,6 +119,44 @@ class TestIntegerFields:
             Characteristic(np.int64(4), 0)
 
 
+class TestGenusArguments:
+    """The genus-keyed tables read the genus through _integer.  True cached a
+    second table beside genus 1's and 3.0 failed in a shift with TypeError;
+    both are a ValueError naming the genus.  A numpy integer is read as its
+    int."""
+
+    TABLES = {
+        "parity_table": parity_table,
+        "pairing_table": pairing_table,
+        "enumerate_characteristics": enumerate_characteristics,
+        "azygetic_odd_sets": lambda g: azygetic_odd_sets(g, 3),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"])
+    def test_non_integer_genus_is_a_value_error_naming_it(self, name, bad):
+        self.TABLES[name](1), self.TABLES[name](3)  # cached: a typed key does not hit them
+        with pytest.raises(ValueError, match=f"genus must be an integer, not {re.escape(repr(bad))}$"):
+            self.TABLES[name](bad)
+
+    def test_a_bool_caches_no_table(self):
+        parity_table(1)
+        size = parity_table.cache_info().currsize
+        with pytest.raises(ValueError, match="genus must be an integer"):
+            parity_table(True)
+        assert parity_table.cache_info().currsize == size
+
+    @pytest.mark.parametrize("name", ["parity_table", "pairing_table", "azygetic_odd_sets"])
+    def test_numpy_integer_genus_gives_the_int_table(self, name):
+        want, got = self.TABLES[name](3), self.TABLES[name](np.int64(3))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_numpy_integer_genus_gives_the_int_characteristics(self):
+        want, got = enumerate_characteristics(3), enumerate_characteristics(np.int64(3))
+        assert type(got.g) is int and got == want
+        assert all(a is b for a, b in zip(got, want))  # the interned objects
+
+
 class TestTripleSign:
     @settings(max_examples=60)
     @given(st.sampled_from(GENERA), st.data())

@@ -374,3 +374,65 @@ class TestNonFiniteBrackets:
     @pytest.mark.parametrize("reader", READERS)
     def test_a_large_finite_configuration_still_has_a_value(self, reader):
         assert np.isfinite(self.READERS[reader](self.CFG * 1e10)).all()
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_bracket_of_a_non_finite_configuration_is_named(self, entry):
+        # it gave nan+nanj; the entry need not be in one of the three rows
+        cfg = self.CFG.copy()
+        cfg[4, 1] = entry
+        for triple in ((5, 1, 2), (1, 2, 3)):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                points.bracket(cfg, *triple)
+
+    def test_overflowing_bracket_is_named(self):
+        # at 1e110 the determinant passes the double range: it gave inf+nanj
+        with pytest.raises(ValueError, match="overflow"):
+            points.bracket(self.CFG * 1e110, 1, 2, 3)
+        assert np.isfinite(points.bracket(self.CFG * 1e60, 1, 2, 3))
+
+    def test_bracket_is_the_determinant_of_the_rows_in_the_callers_order(self):
+        # a bracket read off the sorted triple and its sign would make
+        # (ijk) + (jik) vanish identically, and bracket_antisymmetry could
+        # not fail
+        for triple in permutations((2, 5, 7)):
+            want = complex(np.linalg.det(self.CFG[[i - 1 for i in triple]]))
+            assert points.bracket(self.CFG, *triple) == want
+
+
+def _numpy_scalar_tableau(n, xs) -> complex:
+    """tableau_invariant as it was written before, on the numpy complex
+    scalars of an array."""
+    out = 1.0 + 0.0j
+    for i, j in zip(n.top, n.bottom):
+        out *= xs[i - 1] - xs[j - 1]
+    return complex(out)
+
+
+def _numpy_scalar_segre(t: np.ndarray) -> tuple[complex, float]:
+    """segre_eval and segre_scale as they were written before, on the numpy
+    complex scalars of an array."""
+    t0, t1, t2, t3, t4 = t
+    value = complex(t1 * t2 * t4 - t3 * (t0 * t4 + t1 * t2 - t0 * t1 - t0 * t2 + t0 * t0))
+    mons = (t1 * t2 * t4, t3 * t0 * t4, t3 * t1 * t2, t3 * t0 * t1, t3 * t0 * t2, t3 * t0 * t0)
+    return value, max(abs(m) for m in mons)
+
+
+class TestPythonComplexProducts:
+    """tableau_invariant, segre_eval and segre_scale read an array's entries
+    as Python complex numbers, whose products are numpy's complex128 scalar
+    products bit for bit."""
+
+    def test_equal_to_numpy_scalar_products_bit_for_bit(self):
+        rng = stream(5, "test_points.python_complex")
+        xs = rng.uniform(-2, 2, (400, 6)) + 1j * rng.uniform(-2, 2, (400, 6))
+        for x in xs:
+            t = points.standard_invariants(x)
+            assert t.tolist() == [_numpy_scalar_tableau(n, x) for n in points.STANDARD_TABLEAUX]
+            assert (points.segre_eval(t), points.segre_scale(t)) == _numpy_scalar_segre(t)
+
+    def test_a_list_of_numpy_scalars_gives_the_same_value(self):
+        x = random_config1()
+        t = points.standard_invariants(x)
+        assert points.standard_invariants(list(x)).tolist() == t.tolist()
+        assert points.segre_eval(list(t)) == points.segre_eval(t)
+        assert points.segre_scale(list(t)) == points.segre_scale(t)
