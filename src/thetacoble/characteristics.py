@@ -5,18 +5,18 @@ integer encoding is idx = int(m') * 2^g + int(m''), reading bit strings
 left-to-right with the leftmost bit most significant.  Characteristics
 serialize as "abc;def" strings under the same convention.
 
-The module also holds the breadth-first orbit closure shared by the
-Sp(2g, F_2) and S_7 actions, and the 30 Fano and 105 P-shaped index families
-on {1..7}: the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY.  Each
-orbit is one read-only array of 7-bit part masks (_s7_orbit), from which the
-families, their keys and their order are read in batched passes.
+The module also holds a breadth-first orbit closure (orbit), and the 30 Fano
+and 105 P-shaped index families on {1..7}, built directly from the
+partitions of six indices into pairs (_pairings).  That each table is one
+S_7-orbit, of FANO_TRIPLE_FAMILY and of PASCAL_FAMILY, is checked by the
+tests, not used to build it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -263,7 +263,7 @@ def azygetic_odd_sets(g: int, k: int) -> np.ndarray:
     of its candidates, the positions past its last member azygetic with every
     pair of its members.  A child (set t plus candidate v) gets t's mask, cut
     to the positions past v and azygetic with every (member of t, v)."""
-    g = _check_genus(g)
+    g, k = _check_genus(g), _integer(k, "k")
     if not 1 <= k <= 2 * g + 2:
         raise ValueError(f"need 1 <= k <= {2 * g + 2} for genus {g}, got {k}")
     azygetic, past = _azygetic_masks(g)
@@ -515,123 +515,67 @@ def orbit(start, images) -> set:
     return found
 
 
-# (1 2) and (1 2 ... 7), which generate S_7, as the images of 1..7
-_S7_GENERATORS = ((2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1))
-
-
-@lru_cache(maxsize=1)
-def _relabel_tables() -> np.ndarray:
-    """(2, 128): for each generator of S_7, the image of every subset of
-    {1..7}, both as 7-bit masks with bit i - 1 standing for i."""
-    bits = (np.arange(128)[:, None] >> np.arange(7)) & 1
-    return _read_only((bits << (np.array(_S7_GENERATORS) - 1)[:, None]).sum(axis=2))
-
-
-@lru_cache(maxsize=1)
-def _parts() -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
-    """The increasing index tuple of each 7-bit mask; the masks in tuple
-    order of their tuples (the lexsort order of the entries padded with 0,
-    which puts a prefix first); and the rank of each mask in that order,
-    mask_by_rank[rank] = mask: read-only (128,) arrays."""
-    bits = (np.arange(128)[:, None] >> np.arange(7)) & 1
-    entries = np.sort(np.where(bits == 1, np.arange(1, 8), 8), axis=1) % 8
-    mask_by_rank = np.lexsort(entries.T[::-1])
-    rank = np.empty(128, dtype=np.intp)
-    rank[mask_by_rank] = np.arange(128)
-    parts = tuple(tuple(row[:n]) for row, n in zip(entries.tolist(), bits.sum(axis=1).tolist()))
-    return parts, _read_only(mask_by_rank), _read_only(rank)
+def _pairings(items) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The partitions of the increasing sequence items into pairs, each pair
+    increasing and the pairs in order of their first entries, in
+    lexicographic order."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for k, partner in enumerate(rest):
+        for pairs in _pairings(rest[:k] + rest[k + 1:]):
+            yield ((first, partner),) + pairs
 
 
 def _family_key(spec) -> tuple:
     """Each part sorted, then the parts sorted, all as tuples; also the
-    canonical layout of a Fano-plane family, and the layout of the rows of
-    _s7_orbit."""
+    canonical layout of a Fano-plane family."""
     return tuple(sorted(tuple(sorted(part)) for part in spec))
-
-
-@lru_cache(maxsize=None)
-def _s7_orbit(reference) -> np.ndarray:
-    """The S_7-orbit of a family of index tuples as a cached, read-only
-    (n, parts) array of part masks: each row in the _family_key layout (its
-    parts in tuple order), the rows in increasing order of key.  Each step
-    of the closure relabels the whole frontier under both generators in one
-    gather."""
-    relabel = _relabel_tables()
-
-    def images(frontier):
-        moved = np.sort(relabel[:, list(frontier)], axis=-1)  # (2, n, parts)
-        return map(tuple, moved.reshape(-1, len(reference)).tolist())
-
-    start = tuple(sorted(sum(1 << (i - 1) for i in part) for part in reference))
-    _, mask_by_rank, rank = _parts()
-    # each row's parts in tuple order, then the rows in key order
-    masks = mask_by_rank[np.sort(rank[np.array(list(orbit(start, images)))], axis=1)]
-    return _read_only(masks[np.lexsort(rank[masks].T[::-1])])
-
-
-def _keys(masks: np.ndarray) -> list[tuple]:
-    """The _family_key of each row of part masks in that layout."""
-    parts = _parts()[0]
-    return [tuple(map(parts.__getitem__, row)) for row in masks.tolist()]
 
 
 @lru_cache(maxsize=None)
 def fano_plane_families() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """All 30 families of 7 triples on {1..7} pairwise meeting in one point
-    (the labelled Fano planes): the S_7-orbit of FANO_TRIPLE_FAMILY, in
-    lexicographic order.  A Fano family is its own key."""
-    return tuple(_keys(_fano_part_masks()))
+    (the labelled Fano planes), in lexicographic order.  A Fano family is its
+    own key.
 
-
-def _fano_part_masks() -> np.ndarray:
-    """The part masks of fano_plane_families(), in that order."""
-    return _s7_orbit(FANO_TRIPLE_FAMILY)
-
-
-@lru_cache(maxsize=1)
-def _pascal_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of _s7_orbit(PASCAL_FAMILY) in the order of pascal_families,
-    by their common index c and then by their pairs in tuple order; with
-    the mask of each c, its one singleton part, and the masks of its three
-    pairs in tuple order: read-only (105, 7), (105,) and (105, 3) arrays."""
-    masks = _s7_orbit(PASCAL_FAMILY)
-    sizes = ((masks[..., None] >> np.arange(7)) & 1).sum(axis=-1)
-    # a row's parts are in tuple order, so its pairs are
-    common, pairs = masks[sizes == 1], masks[sizes == 2].reshape(-1, 3)
-    order = np.lexsort((*_parts()[2][pairs].T[::-1], common))
-    return tuple(_read_only(a[order]) for a in (masks, common, pairs))
-
-
-def _pascal_part_masks() -> np.ndarray:
-    """The part masks of pascal_families(), in that order."""
-    return _pascal_table()[0]
+    The three lines through 1 pair off {2..7}, in 15 ways.  Every other line
+    meets each of them once, so it picks one entry of each pair: a pick
+    vector in {0, 1}^3.  Two such lines meet once exactly when their picks
+    differ in two places, so the other four lines are the even picks or the
+    odd picks."""
+    by_parity = [[p for p in product((0, 1), repeat=3) if sum(p) % 2 == parity]
+                 for parity in (0, 1)]
+    families = []
+    for pairs in _pairings((2, 3, 4, 5, 6, 7)):
+        through_1 = [(1,) + pair for pair in pairs]
+        for picks in by_parity:
+            families.append(_family_key(through_1 + [[pair[i] for pair, i in zip(pairs, pick)]
+                                                     for pick in picks]))
+    return tuple(sorted(families))
 
 
 @lru_cache(maxsize=None)
 def pascal_families() -> tuple[tuple, ...]:
     """All 105 P-shaped families, a common index c plus a partition of the
-    other six indices into three pairs: the S_7-orbit of PASCAL_FAMILY, in
-    lexicographic order, each as the three triples (c a b) ordered by their
-    sorted pair (a, b), then (c,), then the three sorted pairs."""
-    parts = _parts()[0]
-    _, common, pairs = _pascal_table()
-    families = []
-    for c_mask, pair_masks in zip(common.tolist(), pairs.tolist()):
-        (c,), sorted_pairs = parts[c_mask], tuple(map(parts.__getitem__, pair_masks))
-        families.append(tuple((c,) + p for p in sorted_pairs) + ((c,),) + sorted_pairs)
-    return tuple(families)
+    other six indices into three pairs, in lexicographic order of c and then
+    of the pairs, each as the three triples (c a b) ordered by their sorted
+    pair (a, b), then (c,), then the three sorted pairs."""
+    return tuple(tuple((c,) + pair for pair in pairs) + ((c,),) + pairs
+                 for c in range(1, 8)
+                 for pairs in _pairings(tuple(i for i in range(1, 8) if i != c)))
 
 
 @lru_cache(maxsize=None)
-def _families_by_key(families, masks) -> dict:
-    """The members of families() under their _family_key, read off the rows
-    of masks(), their part masks in the same order."""
-    return dict(zip(_keys(masks()), families()))
+def _families_by_key(families) -> dict:
+    """The members of families() under their _family_key."""
+    return {_family_key(f): f for f in families()}
 
 
-def _member(spec, families, masks, kind: str) -> tuple:
+def _member(spec, families, kind: str) -> tuple:
     try:
-        return _families_by_key(families, masks)[_family_key(spec)]
+        return _families_by_key(families)[_family_key(spec)]
     except (TypeError, KeyError):
         raise ValueError(f"{spec!r} is not one of the {kind} families") from None
 
@@ -640,10 +584,10 @@ def fano_family(triples) -> tuple:
     """The member of fano_plane_families() that lists the same triples, in
     any order of triples and of their entries; ValueError for any other
     input."""
-    return _member(triples, fano_plane_families, _fano_part_masks, "30 Fano-plane")
+    return _member(triples, fano_plane_families, "30 Fano-plane")
 
 
 def pascal_family(spec) -> tuple:
     """The member of pascal_families() made of the same parts, in any order
     of parts and of their entries; ValueError for any other input."""
-    return _member(spec, pascal_families, _pascal_part_masks, "105 P-shaped")
+    return _member(spec, pascal_families, "105 P-shaped")

@@ -7,6 +7,8 @@ row per system: the subspace checks (_check_spans), the even cosets
 (_even_cosets) and the Fano pairs (_fano_pairs).  The one-object entry points
 (GopelSystem(...), even_coset, pascal_decomposition) run the same body on one
 row, and the enumerations make their objects last, from interned members.
+The 105 Fano-pair decompositions are one array of positions (pascal_rows);
+only pascal_decomposition makes a decomposition object, for its one input.
 """
 
 from __future__ import annotations
@@ -293,31 +295,19 @@ def _fano_masks() -> tuple[np.ndarray, np.ndarray]:
     return fano, _masks(spans[fano])
 
 
-def _decompositions(pascals, pairs: np.ndarray) -> tuple[PascalDecomposition, ...]:
-    """The decomposition of each Pascal system of a sequence, given the
-    positions in enumerate_gopel(3) of its Fano pair F', F'', an (n, 2)
-    array: S1 = F' & F'', S2 = F' - S1 and S3 = F'' - S1, read off one
-    table of equal members of F' and F''.  F' xor F'' is the
-    8-member coset of P (see _fano_pairs), so each part has 4 members."""
-    systems, spans = enumerate_gopel(3), lagrangian_spans(3)
-    fano1, fano2 = spans[pairs[:, 0]], spans[pairs[:, 1]]  # each (n, 8)
-    equal = fano1[:, :, None] == fano2[:, None, :]
-    in2, in1 = equal.any(axis=2), equal.any(axis=1)  # members of F' in F'', of F'' in F'
-    s1, s2, s3 = (part.reshape(-1, 4).tolist() for part in (fano1[in2], fano1[~in2], fano2[~in1]))
-    return tuple(PascalDecomposition(pascal, systems[f1], systems[f2], *map(frozenset, sets))
-                 for pascal, (f1, f2), *sets in zip(pascals, pairs.tolist(), s1, s2, s3))
-
-
 @lru_cache(maxsize=None)
 def pascal_decomposition(pascal: GopelSystem) -> PascalDecomposition:
     """The unique pair of Fano configurations F', F'' with F' = S1 u S2,
     F'' = S1 u S3 and S2 u S3 the even coset of the Pascal input (see
-    _fano_pairs)."""
+    _fano_pairs): S1 = F' & F'', S2 = F' - S1 and S3 = F'' - S1."""
     if pascal.kind != "pascal":
         raise ValueError("input is not a Pascal configuration")
-    (decomposition,) = _decompositions(
-        [pascal], _fano_pairs(np.array([sorted(even_coset(pascal))])))
-    return decomposition
+    systems = enumerate_gopel(3)
+    ((f1, f2),) = _fano_pairs(np.array([sorted(even_coset(pascal))])).tolist()
+    fano1, fano2 = systems[f1], systems[f2]
+    s1 = fano1.idx_set() & fano2.idx_set()
+    return PascalDecomposition(pascal, fano1, fano2, s1, fano1.idx_set() - s1,
+                               fano2.idx_set() - s1)
 
 
 @lru_cache(maxsize=1)
@@ -327,12 +317,3 @@ def pascal_rows() -> np.ndarray:
     a cached, read-only array."""
     pascal = np.flatnonzero((parity_table(3)[lagrangian_spans(3)] == -1).any(axis=1))
     return _read_only(np.column_stack([pascal, _fano_pairs(even_cosets(3)[pascal])]))
-
-
-@lru_cache(maxsize=1)
-def pascal_decompositions() -> tuple[PascalDecomposition, ...]:
-    """The decomposition of each Pascal system of enumerate_gopel(3), in
-    that order, from pascal_rows in one _decompositions pass."""
-    systems = enumerate_gopel(3)
-    rows = pascal_rows()
-    return _decompositions([systems[k] for k in rows[:, 0].tolist()], rows[:, 1:])

@@ -1,13 +1,12 @@
 """GIT invariants of point configurations: binary invariants of 6 points on
 P^1 (tableaux, Segre cubic, Igusa quartic) and bracket invariants of 7 points
 on P^2 (G_F and G_P).  The 30 Fano and the 105 P-shaped index families of
-G_F and G_P are the S_7-orbits of FANO_TRIPLE_FAMILY and PASCAL_FAMILY,
-closed under the two generators (1 2) and (1 2 ... 7) of S_7; they are
-defined in ``characteristics``, and a family passed to g_fano or g_pascal is
-accepted when it is one of them.  Each family's signed bracket columns are
-read from one table of all ordered index triples (_signed_table), and every
-bracket reader returns finite values or raises ValueError: for a non-finite
-configuration, and for one whose brackets or their products overflow.
+G_F and G_P are built in ``characteristics`` from the pairings of six
+indices, and a family passed to g_fano or g_pascal is accepted when it is
+one of them.  Each family's signed bracket columns are read from one table
+of all ordered index triples (_signed_table).  Every bracket reader, and
+the tableau and Segre readers, return finite values or raise ValueError: for
+a non-finite configuration, and for one whose products overflow.
 
 The Igusa quartic is the image of the ten even genus-2 theta fourth powers,
 which span a 5-dimensional space.  Its 12-monomial form holds in coordinates
@@ -17,6 +16,7 @@ theta^4; ``igusa_tuple_search`` finds such forms.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
@@ -71,34 +71,50 @@ def _entries(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
+def _finite_value(value: complex, what: str):
+    """value, a Python complex or float, once it is finite; ValueError naming
+    what otherwise (a non-finite input gives inf or NaN, and so does a
+    finite one whose products pass the double range, silently on Python
+    numbers)."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} is not finite ({value}): a non-finite point, "
+                         "or products that overflow at this scale")
+    return value
+
+
 def tableau_invariant(n: Tableau, xs) -> complex:
-    """B(N) = (x_i1 - x_j1)(x_i2 - x_j2)(x_i3 - x_j3)."""
+    """B(N) = (x_i1 - x_j1)(x_i2 - x_j2)(x_i3 - x_j3); ValueError unless it is
+    finite."""
     xs = _entries(xs)
     if len(xs) != 6:
         raise ValueError("need 6 point coordinates")
     out = 1.0 + 0.0j
     for i, j in zip(n.top, n.bottom):
         out *= xs[i - 1] - xs[j - 1]
-    return complex(out)
+    return _finite_value(complex(out), "the tableau invariant")
 
 
 def standard_invariants(xs) -> np.ndarray:
-    """(T_0(x), ..., T_4(x))."""
+    """(T_0(x), ..., T_4(x)); ValueError unless each is finite."""
     xs = _entries(xs)
     return np.array([tableau_invariant(t, xs) for t in STANDARD_TABLEAUX])
 
 
 def segre_eval(t) -> complex:
-    """The Segre cubic T1 T2 T4 - T3 (T0 T4 + T1 T2 - T0 T1 - T0 T2 + T0^2)."""
+    """The Segre cubic T1 T2 T4 - T3 (T0 T4 + T1 T2 - T0 T1 - T0 T2 + T0^2);
+    ValueError unless it is finite."""
     t0, t1, t2, t3, t4 = _entries(t)
-    return complex(t1 * t2 * t4 - t3 * (t0 * t4 + t1 * t2 - t0 * t1 - t0 * t2 + t0 * t0))
+    return _finite_value(
+        complex(t1 * t2 * t4 - t3 * (t0 * t4 + t1 * t2 - t0 * t1 - t0 * t2 + t0 * t0)),
+        "the Segre cubic")
 
 
 def segre_scale(t) -> float:
-    """Max monomial magnitude, for residual normalization."""
+    """Max monomial magnitude, for residual normalization; ValueError unless
+    each is finite (max would pass over a NaN that is not first)."""
     t0, t1, t2, t3, t4 = _entries(t)
     mons = (t1 * t2 * t4, t3 * t0 * t4, t3 * t1 * t2, t3 * t0 * t1, t3 * t0 * t2, t3 * t0 * t0)
-    return max(_abs(m) for m in mons)
+    return max(_finite_value(_abs(m), "a Segre monomial") for m in mons)
 
 
 def igusa_eval(x):

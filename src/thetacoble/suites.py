@@ -349,12 +349,19 @@ def suite_gopel(seed: int, samples: int, tol: float) -> list[CheckRecord]:
     signs = triple_signs(3, a, b, c)
     recs.append(_flag("no_azygetic_triples", bool((signs == 1).all())))
 
-    # unique Fano-pair decomposition for all 105 Pascal configurations
-    decs = gp.pascal_decompositions()
-    recs.append(_count("pascal_decompositions", len(decs), 105))
-    recs.append(_flag("decomposition_quartets_even", all(
-        len(d.s1) == 4 and 0 in d.s1 and {a ^ b for a in d.s1 for b in d.s1} == d.s1
-        and (parity_table(3)[list(d.s1 | d.s2 | d.s3)] == 1).all() for d in decs)))
+    # unique Fano-pair decomposition for all 105 Pascal configurations:
+    # S1 = F' & F'' is a 4-member subgroup and F' | F'' is all even
+    rows = gp.pascal_rows()
+    recs.append(_count("pascal_decompositions", len(rows), 105))
+    fano1, fano2 = members[rows[:, 1]], members[rows[:, 2]]  # each (105, 8)
+    in_both = (fano1[:, :, None] == fano2[:, None, :]).any(axis=2)
+    ok = bool((in_both.sum(axis=1) == 4).all())
+    if ok:
+        # four distinct members holding 0 are a subgroup when they sum to 0
+        s1 = fano1[in_both].reshape(-1, 4)
+        ok = bool((s1 == 0).any(axis=1).all() and (np.bitwise_xor.reduce(s1, axis=1) == 0).all())
+    ok = ok and bool((parity_table(3)[np.hstack([fano1, fano2])] == 1).all())
+    recs.append(_flag("decomposition_quartets_even", ok))
 
     basis = gp.fano_basis()
     recs.append(_count("fano_basis_size", len(basis), 15))

@@ -404,6 +404,16 @@ class TestAzygeticOddSets:
         with pytest.raises(ValueError):
             azygetic_odd_sets(g, k)
 
+    @pytest.mark.parametrize("bad", [3.0, True, "3"])
+    def test_non_integer_k_is_named(self, bad):
+        # 3.0 raised TypeError from range, and True built the k = 1 sets
+        with pytest.raises(ValueError, match=f"k must be an integer, not {re.escape(repr(bad))}$"):
+            azygetic_odd_sets(3, bad)
+
+    def test_numpy_integer_k_builds_as_its_int(self):
+        rows = azygetic_odd_sets(3, np.int64(3))
+        assert np.array_equal(rows, azygetic_odd_sets(3, 3)) and rows.shape == (2016, 3)
+
 
 class TestBatchedCompletion:
     @pytest.mark.parametrize("g, k, n", [(1, 1, 1), (2, 2, 15), (3, 3, 2016)])

@@ -192,7 +192,7 @@ class TestBrackets:
         assert len(points.pascal_families()) == 105
 
     def test_families_match_recursive_search(self):
-        # the S_7-orbits give the tuples, and the order, of a direct search
+        # the direct constructions give the tuples, and the order, of a search
         assert points.fano_plane_families() == _searched_fano_families()
         assert points.pascal_families() == _searched_pascal_families()
 
@@ -335,11 +335,69 @@ class TestFamilyTables:
             _reference_pascal_triples(points.pascal_family(spec)))
 
     def test_families_by_key_are_the_per_family_keys(self):
-        for families, masks in ((chars.fano_plane_families, chars._fano_part_masks),
-                                (chars.pascal_families, chars._pascal_part_masks)):
-            by_key = chars._families_by_key(families, masks)
-            want = {chars._family_key(f): f for f in families()}
-            assert list(by_key.items()) == list(want.items())
+        for families in (chars.fano_plane_families, chars.pascal_families):
+            by_key = chars._families_by_key(families)
+            want = [(chars._family_key(f), f) for f in families()]
+            assert list(by_key.items()) == want
+            assert by_key is chars._families_by_key(families)
+        # a Fano family is its own key
+        assert list(chars._families_by_key(chars.fano_plane_families)) == list(
+            chars.fano_plane_families())
+
+
+# (1 2) and (1 2 ... 7), which generate S_7, as the images of 1..7
+S7_GENERATORS = ((2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1))
+
+
+def _relabelled(family, image) -> tuple:
+    """The family with each index i replaced by image[i - 1]."""
+    return tuple(tuple(image[i - 1] for i in part) for part in family)
+
+
+class TestS7Structure:
+    """Each family table, built directly, is one S_7-orbit: of
+    FANO_TRIPLE_FAMILY and of PASCAL_FAMILY."""
+
+    TABLES = {"fano": (chars.fano_plane_families, FANO_TRIPLE_FAMILY, chars.fano_family, 30),
+              "pascal": (chars.pascal_families, PASCAL_FAMILY, chars.pascal_family, 105)}
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_closed_under_the_generators(self, kind):
+        families, _, _, _ = self.TABLES[kind]
+        keys = set(chars._families_by_key(families))
+        for f in families():
+            for image in S7_GENERATORS:
+                assert chars._family_key(_relabelled(f, image)) in keys
+
+    def test_reference_families_are_members(self):
+        assert FANO_TRIPLE_FAMILY in chars.fano_plane_families()
+        assert PASCAL_FAMILY in chars.pascal_families()
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_orbit_of_the_reference_is_the_table(self, kind):
+        families, reference, _, count = self.TABLES[kind]
+
+        def images(frontier):
+            return (chars._family_key(_relabelled(f, image))
+                    for f in frontier for image in S7_GENERATORS)
+
+        found = chars.orbit(chars._family_key(reference), images)
+        assert len(found) == count
+        assert found == set(chars._families_by_key(families))
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_a_swap_in_one_part_only_is_rejected(self, kind):
+        _, reference, member, count = self.TABLES[kind]
+        swaps = 0
+        for k, part in enumerate(reference):
+            for a, b in combinations(range(1, 8), 2):
+                moved = tuple(b if i == a else a if i == b else i for i in part)
+                if sorted(moved) == sorted(part):
+                    continue
+                swaps += 1
+                with pytest.raises(ValueError, match=f"not one of the {count} "):
+                    member(reference[:k] + (moved,) + reference[k + 1:])
+        assert swaps > 0
 
 
 class TestNonFiniteBrackets:
@@ -436,3 +494,46 @@ class TestPythonComplexProducts:
         assert points.standard_invariants(list(x)).tolist() == t.tolist()
         assert points.segre_eval(list(t)) == points.segre_eval(t)
         assert points.segre_scale(list(t)) == points.segre_scale(t)
+
+
+class TestNonFiniteBinaryInvariants:
+    """tableau_invariant, standard_invariants, segre_eval and segre_scale
+    return finite values or raise ValueError, as the bracket readers do; on
+    Python complex numbers an overflow or a NaN passes without a warning."""
+
+    X = random_config1()
+
+    def test_overflowing_invariants_are_named(self):
+        # at 1e103 the tableau products pass the double range: they gave -inf
+        with pytest.raises(ValueError, match="tableau invariant is not finite"):
+            points.standard_invariants(self.X * 1e103)
+        with pytest.raises(ValueError, match="tableau invariant is not finite"):
+            points.tableau_invariant(points.STANDARD_TABLEAUX[0], self.X * 1e103)
+
+    def test_overflowing_segre_products_are_named(self):
+        # the invariants are finite at 1e60, the cubic's products are not:
+        # segre_eval gave nan+nanj
+        t = points.standard_invariants(self.X * 1e60)
+        assert np.isfinite(t).all()
+        with pytest.raises(ValueError, match="Segre cubic is not finite"):
+            points.segre_eval(t)
+        with pytest.raises(ValueError, match="Segre monomial is not finite"):
+            points.segre_scale(t)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(np.nan, 0)])
+    def test_non_finite_point_is_named(self, entry):
+        x = self.X.copy()
+        x[2] = entry
+        with pytest.raises(ValueError, match="tableau invariant is not finite"):
+            points.standard_invariants(x)
+        t = points.standard_invariants(self.X).tolist()
+        t[3] = entry
+        with pytest.raises(ValueError, match="Segre cubic is not finite"):
+            points.segre_eval(t)
+        with pytest.raises(ValueError, match="Segre monomial is not finite"):
+            points.segre_scale(t)
+
+    def test_a_large_finite_configuration_still_has_a_value(self):
+        t = points.standard_invariants(self.X * 1e30)
+        assert math.isfinite(points.segre_scale(t))
+        assert abs(points.segre_eval(t)) / points.segre_scale(t) < 1e-10

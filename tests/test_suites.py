@@ -168,6 +168,38 @@ class TestGroupMutations:
         assert records["zero_orbit_even36"] and records["aronhold_orbit"]
 
 
+class TestGopelMutations:
+    """A corrupted Fano pair must fail the decomposition records that read
+    pascal_rows."""
+
+    @staticmethod
+    def records(monkeypatch, corrupt):
+        rows = gopel.pascal_rows().copy()
+        monkeypatch.setattr(gopel, "pascal_rows", lambda: corrupt(rows))
+        return {r["name"]: r["pass"] for r in run_suite("gopel", seed=1).to_json()["records"]}
+
+    def test_pair_of_one_fano_twice_fails(self, monkeypatch):
+        def twice(rows):
+            rows[7, 2] = rows[7, 1]  # S1 = F' has 8 members
+            return rows
+
+        records = self.records(monkeypatch, twice)
+        assert records["decomposition_quartets_even"] is False
+        assert records["pascal_decompositions"]
+
+    def test_pascal_in_the_pair_fails(self, monkeypatch):
+        def pascal(rows):
+            rows[7, 2] = rows[7, 0]  # F'' the Pascal system: F' | F'' not all even
+            return rows
+
+        assert self.records(monkeypatch, pascal)["decomposition_quartets_even"] is False
+
+    def test_missing_row_fails(self, monkeypatch):
+        records = self.records(monkeypatch, lambda rows: rows[1:])
+        assert records["pascal_decompositions"] is False
+        assert records["decomposition_quartets_even"]
+
+
 def _flipped_product(a, b):
     """The product with its last D entry flipped: outside the group, same C block."""
     m = (a @ b) & 1
